@@ -267,15 +267,20 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     print(f"artifacts -> {cfg.out_dir}/interval_{tag}.csv, density_{tag}.json, scenarios_{tag}.csv")
 
 
+# Numbers go into CSVs as repr() of Python floats (via tolist()): exact and
+# plain; numpy 2 scalars repr as "np.float64(x)", which no CSV reader parses.
+
+
 def _write_interval_csv(path: Path, interval: PredictionInterval, price_norm) -> None:
-    lower_aud = data_ingest.denormalize(interval.lower, price_norm)
-    upper_aud = data_ingest.denormalize(interval.upper, price_norm)
+    columns = (
+        interval.lower.tolist(),
+        interval.upper.tolist(),
+        data_ingest.denormalize(interval.lower, price_norm).tolist(),
+        data_ingest.denormalize(interval.upper, price_norm).tolist(),
+    )
     rows = ["timestep,lower,upper,lower_denorm_aud,upper_denorm_aud"]
-    for t in range(interval.lower.size):
-        rows.append(
-            f"{t},{interval.lower[t]!r},{interval.upper[t]!r},"
-            f"{lower_aud[t]!r},{upper_aud[t]!r}"
-        )
+    for t, values in enumerate(zip(*columns)):
+        rows.append(f"{t}," + ",".join(map(repr, values)))
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -283,7 +288,7 @@ def _write_scenarios_csv(path: Path, scenario_set: ScenarioSet) -> None:
     header = "provenance," + ",".join(f"t{k:02d}" for k in range(scenario_set.horizon))
     rows = [header]
     for tag, path_values in zip(scenario_set.provenance, scenario_set.scenarios):
-        rows.append(tag + "," + ",".join(repr(v) for v in path_values))
+        rows.append(tag + "," + ",".join(map(repr, path_values.tolist())))
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -366,8 +371,10 @@ def _print_evaluation_table(report: metrics.RepeatedSamplingReport, eval_days) -
 def cmd_report(cfg: RunConfig) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
 
-    interval_files = sorted(cfg.out_dir.glob("interval_*.csv"))
-    density_files = sorted(cfg.out_dir.glob("density_*.json"))
+    # dated predict outputs only: report's own interval_overlay.csv and
+    # density_heatmap.json share the prefixes and would sort last
+    interval_files = sorted(cfg.out_dir.glob("interval_[0-9]*.csv"))
+    density_files = sorted(cfg.out_dir.glob("density_[0-9]*.json"))
     metrics_file = cfg.out_dir / "metrics_report.json"
     if not interval_files or not density_files:
         raise MissingArtifact("prediction outputs (run `priceband predict` first)")
@@ -384,6 +391,7 @@ def cmd_report(cfg: RunConfig) -> None:
     latest = interval_files[-1]
     day = date_type.fromisoformat(latest.stem.removeprefix("interval_"))
     _, actuals, _ = _pair_for_date(dataset, day)
+    actuals = actuals.tolist()
     overlay_rows = ["timestep,actual,lower,upper"]
     with open(latest, encoding="utf-8") as fh:
         for row in csv.DictReader(fh):

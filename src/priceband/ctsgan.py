@@ -7,6 +7,10 @@ three phases: autoencoding, supervised next-step prediction in latent space
 (through the generator itself, teacher-forced on real latents), and joint
 adversarial training with a weight-clipped critic.
 
+The generator and discriminator take the day's condition vector as a
+time-constant input (``rnn_forward``'s ``condition``), not as columns
+repeated at every step; their first LSTM's input dim is latent + condition.
+
 The generator and discriminator see *calibrated* latents: at the end of phase
 1 the per-dimension mean and std of the embedder's latents are frozen into
 the model and used to whiten that space. Autoencoders otherwise settle on an
@@ -215,10 +219,6 @@ def _train_holdout_split(n: int, config: TrainingConfig) -> tuple[np.ndarray, np
     return np.arange(split), np.arange(split, n)
 
 
-def _tile_condition(conds: np.ndarray, steps: int) -> np.ndarray:
-    return np.broadcast_to(conds, (steps,) + conds.shape)
-
-
 _MIN_LATENT_SCALE = 1e-3
 
 
@@ -291,7 +291,7 @@ def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -
         sgd_step(model.embedder, g_e, opt_e)
         model.training_log.append({"phase": 1, "iteration": it, "loss": loss})
 
-    all_latents, _ = rnn_forward(model.embedder, targets[:, train_idx, :])
+    all_latents, _ = rnn_forward(model.embedder, targets[:, train_idx, :], keep_cache=False)
     _calibrate_latent_space(model, all_latents)
     model.training_flags["phase1"] = True
     return model
@@ -299,23 +299,20 @@ def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -
 
 def train_phase2_supervised(model: CTSGANModel, days, config: TrainingConfig) -> CTSGANModel:
     """Generator learns next-step latent prediction, teacher-forced on the
-    embedder's latents concatenated with the condition."""
+    embedder's latents and conditioned on the day's condition vector."""
     if not model.training_flags["phase1"]:
         raise PhaseOrderViolation("phase 2 requires a trained embedder (run phase 1)")
     conds, targets = _prepare_days(model, days)
     train_idx, _ = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase2"))
     opt_g = OptimizerState(config.learning_rate, config.clip_limit)
-    steps = model.data_horizon
 
     for it in range(config.iterations_per_phase):
         batch = rng.choice(train_idx, size=config.batch_size)
         x = targets[:, batch, :]
-        cond_seq = _tile_condition(conds[batch], steps - 1)
-        raw_latents, _ = rnn_forward(model.embedder, x)
+        raw_latents, _ = rnn_forward(model.embedder, x, keep_cache=False)
         latents = _whiten(model, raw_latents)
-        gen_in = np.concatenate([latents[:-1], cond_seq], axis=2)
-        predicted, cache_g = rnn_forward(model.generator, gen_in)
+        predicted, cache_g = rnn_forward(model.generator, latents[:-1], conds[batch])
         diff = predicted - latents[1:]
         loss = float(np.mean(diff * diff))
         _check_finite_loss(loss, "phase2")
@@ -352,24 +349,18 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
     for it in range(config.iterations_per_phase):
         batch = rng.choice(train_idx, size=config.batch_size)
         x = targets[:, batch, :]
-        cond_seq = _tile_condition(conds[batch], steps)
+        cond = conds[batch]
 
         # critic step: real vs generated latents, clip weights afterwards
-        raw_real, _ = rnn_forward(model.embedder, x)
+        raw_real, _ = rnn_forward(model.embedder, x, keep_cache=False)
         latents_real = _whiten(model, raw_real)
         noise = _shape_noise(
             rng.normal(0.0, 1.0, size=(steps, config.batch_size, model.latent_dim)),
             model.latent_autocorr,
         )
-        latents_fake, _ = rnn_forward(
-            model.generator, np.concatenate([noise, cond_seq], axis=2)
-        )
-        score_real, cache_dr = rnn_forward(
-            model.discriminator, np.concatenate([latents_real, cond_seq], axis=2)
-        )
-        score_fake, cache_df = rnn_forward(
-            model.discriminator, np.concatenate([latents_fake, cond_seq], axis=2)
-        )
+        latents_fake, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
+        score_real, cache_dr = rnn_forward(model.discriminator, latents_real, cond)
+        score_fake, cache_df = rnn_forward(model.discriminator, latents_fake, cond)
         d_loss = float(np.mean(score_fake) - np.mean(score_real))
         _check_finite_loss(d_loss, "phase3 critic")
         g_df, _ = backward(cache_df, np.full(score_fake.shape, 1.0 / score_fake.size))
@@ -381,18 +372,13 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
             rng.normal(0.0, 1.0, size=(steps, config.batch_size, model.latent_dim)),
             model.latent_autocorr,
         )
-        fake_latents, cache_g = rnn_forward(
-            model.generator, np.concatenate([noise, cond_seq], axis=2)
-        )
-        score, cache_d = rnn_forward(
-            model.discriminator, np.concatenate([fake_latents, cond_seq], axis=2)
-        )
+        fake_latents, cache_g = rnn_forward(model.generator, noise, cond)
+        score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
         adv_loss = float(-np.mean(score))
-        _, d_disc_in = backward(cache_d, np.full(score.shape, -1.0 / score.size))
-        g_adv, _ = backward(cache_g, d_disc_in[:, :, : model.latent_dim])
+        _, d_fake_latents = backward(cache_d, np.full(score.shape, -1.0 / score.size))
+        g_adv, _ = backward(cache_g, d_fake_latents)
 
-        sup_in = np.concatenate([latents_real[:-1], cond_seq[: steps - 1]], axis=2)
-        predicted, cache_s = rnn_forward(model.generator, sup_in)
+        predicted, cache_s = rnn_forward(model.generator, latents_real[:-1], cond)
         sup_diff = predicted - latents_real[1:]
         sup_loss = float(np.mean(sup_diff * sup_diff))
         g_sup, _ = backward(cache_s, 2.0 * lam * sup_diff / sup_diff.size)
@@ -431,22 +417,16 @@ def _score_real_vs_generated(
     rng = np.random.default_rng(seed)
     steps = model.data_horizon
     x = targets[:, idx, :]
-    cond_seq = _tile_condition(conds[idx], steps)
-    raw_real, _ = rnn_forward(model.embedder, x)
+    cond = conds[idx]
+    raw_real, _ = rnn_forward(model.embedder, x, keep_cache=False)
     latents_real = _whiten(model, raw_real)
     noise = _shape_noise(
         rng.normal(0.0, 1.0, size=(steps, idx.size, model.latent_dim)),
         model.latent_autocorr,
     )
-    latents_fake, _ = rnn_forward(
-        model.generator, np.concatenate([noise, cond_seq], axis=2)
-    )
-    score_real, _ = rnn_forward(
-        model.discriminator, np.concatenate([latents_real, cond_seq], axis=2)
-    )
-    score_fake, _ = rnn_forward(
-        model.discriminator, np.concatenate([latents_fake, cond_seq], axis=2)
-    )
+    latents_fake, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
+    score_real, _ = rnn_forward(model.discriminator, latents_real, cond, keep_cache=False)
+    score_fake, _ = rnn_forward(model.discriminator, latents_fake, cond, keep_cache=False)
     mean_real = float(np.mean(score_real))
     mean_fake = float(np.mean(score_fake))
     threshold = 0.5 * (mean_real + mean_fake)
@@ -470,21 +450,17 @@ def sample_noise(spec: NoiseSpec, seed: int) -> np.ndarray:
 def reconstruction_mse(model: CTSGANModel, days) -> float:
     """Autoencoder reconstruction MSE over every supplied day (no batching)."""
     _, targets = _prepare_days(model, days)
-    latents, _ = rnn_forward(model.embedder, targets)
-    recon, _ = rnn_forward(model.recovery, latents)
+    latents, _ = rnn_forward(model.embedder, targets, keep_cache=False)
+    recon, _ = rnn_forward(model.recovery, latents, keep_cache=False)
     return float(np.mean((recon - targets) ** 2))
 
 
 def supervised_mse(model: CTSGANModel, days) -> float:
     """Next-step latent prediction MSE over every supplied day."""
     conds, targets = _prepare_days(model, days)
-    steps = model.data_horizon
-    raw, _ = rnn_forward(model.embedder, targets)
+    raw, _ = rnn_forward(model.embedder, targets, keep_cache=False)
     latents = _whiten(model, raw)
-    cond_seq = _tile_condition(conds, steps - 1)
-    predicted, _ = rnn_forward(
-        model.generator, np.concatenate([latents[:-1], cond_seq], axis=2)
-    )
+    predicted, _ = rnn_forward(model.generator, latents[:-1], conds, keep_cache=False)
     return float(np.mean((predicted - latents[1:]) ** 2))
 
 
@@ -534,9 +510,8 @@ def generate_scenarios(
         rng.normal(spec.mean, spec.std, size=(spec.length, count, spec.dim)),
         model.latent_autocorr,
     )
-    cond_seq = np.broadcast_to(cond, (spec.length, count, cond.size))
-    latents, _ = rnn_forward(model.generator, np.concatenate([noise, cond_seq], axis=2))
-    paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents))
+    latents, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
+    paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
     scenarios = np.clip(paths[:, :, 0].T, 0.0, 1.0)
     return ScenarioSet(
         scenarios=scenarios,
@@ -567,7 +542,7 @@ def save_model(model: CTSGANModel, path) -> None:
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, allow_nan=False)
+        fh.write(json.dumps(payload, allow_nan=False))
     os.replace(tmp, path)
 
 

@@ -4,8 +4,20 @@ gradient checker.
 
 Everything is float64 numpy. A network is an ordered list of layer blocks
 (LSTM cells followed by dense heads); the same forward/backward pair serves
-all four networks of the generative model. Inputs are ``[T, input_dim]`` for a
-single sequence or ``[T, batch, input_dim]`` for a batch.
+all four networks of the generative model. Inputs are ``[T, Dx]`` for a
+single sequence or ``[T, batch, Dx]`` for a batch.
+
+An LSTM block packs its weights as one ``[input_dim + H, 4H]`` matrix whose
+rows are ``[x | cond | h]``: the time-varying inputs, then the optional
+time-constant condition of the first block (``input_dim = Dx + C``), then the
+recurrent state. Columns are the gates in the order input, forget,
+candidate, output. The forward projects the inputs of all T steps with one
+GEMM and the condition once per sequence (folded into the bias), so only
+``h @ W_h`` runs inside the time loop.
+
+``rnn_forward`` has two modes that share one step implementation: with a
+backward cache (training) and, with ``keep_cache=False``, without one
+(inference, e.g. scenario generation).
 """
 
 from __future__ import annotations
@@ -191,39 +203,62 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 def rnn_forward(
     params: NetworkParams,
     inputs: np.ndarray,
-    initial_state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+    condition: np.ndarray | None = None,
+    *,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the block stack over a sequence.
 
-    ``inputs`` is ``[T, input_dim]`` or ``[T, B, input_dim]``; the output has
-    the same leading shape with the final block's output dim. ``initial_state``
-    is an optional ``(h0, c0)`` pair for the first LSTM block (zeros default).
-    The returned cache is sufficient for an exact backward pass.
+    ``inputs`` is ``[T, Dx]`` or ``[T, B, Dx]``; the output has the same
+    leading shape with the final block's output dim. ``condition`` is an
+    optional time-constant input to the first (LSTM) block, ``[C]`` for one
+    vector shared by every sequence or ``[B, C]`` for one per sequence, with
+    ``Dx + C`` equal to the network's input dim. It gives the same result as
+    appending the condition to the inputs at every step.
+
+    With ``keep_cache`` the returned cache is sufficient for an exact
+    backward pass; without it the cache is ``None`` and no per-step state
+    is kept (inference).
     """
     x = np.asarray(inputs, dtype=np.float64)
     squeezed = x.ndim == 2
     if squeezed:
         x = x[:, None, :]
     if x.ndim != 3:
-        raise ShapeMismatch(f"inputs must be [T, D] or [T, B, D], got {inputs.shape}")
-    if x.shape[2] != params.input_dim:
+        raise ShapeMismatch(f"inputs must be [T, D] or [T, B, D], got {x.shape}")
+    cond = None
+    if condition is not None:
+        cond = np.asarray(condition, dtype=np.float64)
+        if cond.ndim == 1:
+            cond = cond[None, :]
+        if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[1]):
+            raise ShapeMismatch(
+                f"condition must be [C] or [B, C] with B = {x.shape[1]}, got {cond.shape}"
+            )
+        if params.specs[0].kind != "lstm":
+            raise ShapeMismatch("a condition needs an LSTM first block")
+    cond_dim = 0 if cond is None else cond.shape[1]
+    if x.shape[2] + cond_dim != params.input_dim:
         raise ShapeMismatch(
-            f"input dim {x.shape[2]} does not match network input dim {params.input_dim}"
+            f"input dim {x.shape[2]} + condition dim {cond_dim} does not match "
+            f"network input dim {params.input_dim}"
         )
     _check_finite(x, "inputs")
+    if cond is not None:
+        _check_finite(cond, "condition")
 
     caches: list[_BlockCache] = []
-    first_lstm = True
     for spec, block in zip(params.specs, params.tensors):
         if spec.kind == "lstm":
-            state = initial_state if first_lstm else None
-            first_lstm = False
-            x, cache = _lstm_forward(spec, block, x, state)
+            x, cache = _lstm_forward(spec, block, x, cond, keep_cache)
+            cond = None
         else:
             x, cache = _dense_forward(spec, block, x)
         caches.append(cache)
 
     out = x[:, 0, :] if squeezed else x
+    if not keep_cache:
+        return out, None
     fwd = ForwardCache(
         params=params,
         version=params.version,
@@ -234,60 +269,69 @@ def rnn_forward(
     return out, fwd
 
 
+def _lstm_step(z: np.ndarray, c: np.ndarray, hid: int, h_out: np.ndarray):
+    """One LSTM cell update. ``z`` holds the gate pre-activations and is
+    overwritten with the gate activations (i, f, g, o); the new hidden state
+    is written to ``h_out``. Returns ``(c, tanh(c))``."""
+    _sigmoid(z[:, : 2 * hid], out=z[:, : 2 * hid])
+    np.tanh(z[:, 2 * hid : 3 * hid], out=z[:, 2 * hid : 3 * hid])
+    _sigmoid(z[:, 3 * hid :], out=z[:, 3 * hid :])
+    i, f, g, o = (z[:, k * hid : (k + 1) * hid] for k in range(_GATES))
+    c = f * c + i * g
+    tanh_c = np.tanh(c)
+    np.multiply(o, tanh_c, out=h_out)
+    return c, tanh_c
+
+
 def _lstm_forward(
     spec: LayerSpec,
     block: dict[str, np.ndarray],
     x: np.ndarray,
-    initial_state: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, _BlockCache]:
-    steps, batch, _ = x.shape
+    cond: np.ndarray | None,
+    keep_cache: bool,
+) -> tuple[np.ndarray, _BlockCache | None]:
+    steps, batch, in_dim = x.shape
     hid = spec.output_dim
     w, b = block["w"], block["b"]
+    w_h = w[spec.input_dim :]
 
-    if initial_state is None:
-        h = np.zeros((batch, hid))
-        c = np.zeros((batch, hid))
-    else:
-        h = np.asarray(initial_state[0], dtype=np.float64).reshape(batch, hid).copy()
-        c = np.asarray(initial_state[1], dtype=np.float64).reshape(batch, hid).copy()
+    # Everything but h @ W_h is known before the loop: one GEMM projects the
+    # inputs of all steps, and the time-constant condition rows fold into
+    # the bias once per sequence. The buffer then holds the gates in place.
+    bias = b if cond is None else b + cond @ w[in_dim : spec.input_dim]
+    gates = (x.reshape(-1, in_dim) @ w[:in_dim]).reshape(steps, batch, _GATES * hid)
+    gates += bias
 
-    xh = np.empty((steps, batch, spec.input_dim + hid))
-    gates = np.empty((steps, batch, _GATES * hid))
-    cs = np.empty((steps, batch, hid))
-    tanh_cs = np.empty((steps, batch, hid))
-    c_prevs = np.empty((steps, batch, hid))
-    hs = np.empty((steps, batch, hid))
-
+    # hs[t + 1] is h_t and cs[t + 1] is c_t; row 0 is the zero initial state.
+    hs = np.zeros((steps + 1, batch, hid))
+    c = np.zeros((batch, hid))
+    if keep_cache:
+        cs = np.zeros((steps + 1, batch, hid))
+        tanh_cs = np.empty((steps, batch, hid))
     for t in range(steps):
-        xh_t = np.concatenate([x[t], h], axis=1)
-        z = xh_t @ w + b
-        i = _sigmoid(z[:, :hid])
-        f = _sigmoid(z[:, hid : 2 * hid])
-        g = np.tanh(z[:, 2 * hid : 3 * hid])
-        o = _sigmoid(z[:, 3 * hid :])
-        c_prevs[t] = c
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
+        z = gates[t]
+        z += hs[t] @ w_h
+        c, tanh_c = _lstm_step(z, c, hid, hs[t + 1])
+        if keep_cache:
+            cs[t + 1] = c
+            tanh_cs[t] = tanh_c
 
-        xh[t] = xh_t
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        cs[t] = c
-        tanh_cs[t] = tanh_c
-        hs[t] = h
-
+    if not keep_cache:
+        return hs[1:], None
     cache = _BlockCache(
         kind="lstm",
         data={
             "spec": spec,
-            "xh": xh,
+            "x": x,
+            "cond": cond,
             "gates": gates,
-            "c_prev": c_prevs,
+            "cs": cs,
             "tanh_c": tanh_cs,
+            "hs": hs,
             "w": w,
         },
     )
-    return hs, cache
+    return hs[1:], cache
 
 
 def _dense_forward(
@@ -307,7 +351,8 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
 
     ``upstream`` is d(loss)/d(outputs) with the same shape as the forward
     output. Returns ``(flat parameter gradients, input gradients)``; input
-    gradients have the caller's input shape.
+    gradients have the shape of the forward's ``inputs`` (the time-varying
+    part only, without the condition).
     """
     if cache.version != cache.params.version:
         raise StaleCache("parameters changed since the cached forward pass")
@@ -339,8 +384,9 @@ def _dense_backward(block_cache: _BlockCache, dy: np.ndarray):
     spec: LayerSpec = data["spec"]
     x, y, w = data["x"], data["y"], data["w"]
     dz = dy * (y * (1.0 - y)) if spec.activation == "sigmoid" else dy
-    dw = np.einsum("tbi,tbo->io", x, dz)
-    db = dz.sum(axis=(0, 1))
+    dz2 = dz.reshape(-1, spec.output_dim)
+    dw = x.reshape(-1, spec.input_dim).T @ dz2
+    db = dz2.sum(axis=0)
     dx = dz @ w.T
     return dw, db, dx
 
@@ -348,52 +394,56 @@ def _dense_backward(block_cache: _BlockCache, dy: np.ndarray):
 def _lstm_backward(block_cache: _BlockCache, dh_out: np.ndarray):
     data = block_cache.data
     spec: LayerSpec = data["spec"]
-    xh, gates, c_prev, tanh_c, w = (
-        data["xh"],
+    x, cond, gates, cs, tanh_c, hs, w = (
+        data["x"],
+        data["cond"],
         data["gates"],
-        data["c_prev"],
+        data["cs"],
         data["tanh_c"],
+        data["hs"],
         data["w"],
     )
-    steps, batch, _ = xh.shape
+    steps, batch, in_dim = x.shape
     hid = spec.output_dim
-    in_dim = spec.input_dim
+    w_h_t = w[spec.input_dim :].T
 
-    dw = np.zeros_like(w)
-    db = np.zeros(_GATES * hid)
-    dx = np.empty((steps, batch, in_dim))
+    # Everything that does not depend on the recurrence is computed for all
+    # steps before the loop: the gate derivatives (s(1-s) for the sigmoid
+    # gates, 1-g^2 for the candidate) and o * (1 - tanh(c)^2).
+    i_all, f_all, g_all, o_all = (gates[:, :, k * hid : (k + 1) * hid] for k in range(_GATES))
+    d_act = gates * (1.0 - gates)
+    d_act[:, :, 2 * hid : 3 * hid] = 1.0 - g_all * g_all
+    o_dtanh = o_all * (1.0 - tanh_c * tanh_c)
+
+    # Per step only the recurrence runs: dz_t from (dh, dc), and
+    # dh_{t-1} = dz_t @ W_h^T. dz of every step is kept so the weight
+    # gradients are one GEMM each afterwards.
+    dz = np.empty((steps, batch, _GATES * hid))
     dh_next = np.zeros((batch, hid))
     dc_next = np.zeros((batch, hid))
-
     for t in range(steps - 1, -1, -1):
-        i = gates[t, :, :hid]
-        f = gates[t, :, hid : 2 * hid]
-        g = gates[t, :, 2 * hid : 3 * hid]
-        o = gates[t, :, 3 * hid :]
-
+        dz_t = dz[t]
         dh = dh_out[t] + dh_next
-        do = dh * tanh_c[t]
-        dc = dc_next + dh * o * (1.0 - tanh_c[t] ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev[t]
-        dc_next = dc * f
+        dc = dc_next + dh * o_dtanh[t]
+        np.multiply(dc, g_all[t], out=dz_t[:, :hid])
+        np.multiply(dc, cs[t], out=dz_t[:, hid : 2 * hid])
+        np.multiply(dc, i_all[t], out=dz_t[:, 2 * hid : 3 * hid])
+        np.multiply(dh, tanh_c[t], out=dz_t[:, 3 * hid :])
+        dz_t *= d_act[t]
+        dc_next = dc * f_all[t]
+        dh_next = dz_t @ w_h_t
 
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dw += xh[t].T @ dz
-        db += dz.sum(axis=0)
-        dxh = dz @ w.T
-        dx[t] = dxh[:, :in_dim]
-        dh_next = dxh[:, in_dim:]
-
+    dz2 = dz.reshape(-1, _GATES * hid)
+    dw = np.empty_like(w)
+    dw[:in_dim] = x.reshape(-1, in_dim).T @ dz2
+    dw[spec.input_dim :] = hs[:-1].reshape(-1, hid).T @ dz2
+    if cond is not None:
+        dz_seq = dz.sum(axis=0)
+        if cond.shape[0] != batch:
+            dz_seq = dz_seq.sum(axis=0, keepdims=True)
+        dw[in_dim : spec.input_dim] = cond.T @ dz_seq
+    db = dz2.sum(axis=0)
+    dx = (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
     return dw, db, dx
 
 
@@ -426,7 +476,8 @@ def sgd_step(
 
     With ``clip=True`` every parameter is clamped to
     ``[-clip_limit, +clip_limit]`` after the update (used for the adversarial
-    critic only). Returns the mutated params for chaining.
+    critic only). Raises ``NonFiniteLoss`` if the update leaves a non-finite
+    parameter. Returns the mutated params for chaining.
     """
     grads = np.asarray(gradients, dtype=np.float64)
     if grads.shape != (params.n_params,):
@@ -434,10 +485,17 @@ def sgd_step(
             f"gradient vector has {grads.shape}, expected ({params.n_params},)"
         )
     _check_finite(grads, "gradients")
-    new_flat = params.flat() - opt.learning_rate * grads
-    if clip:
-        np.clip(new_flat, -opt.clip_limit, opt.clip_limit, out=new_flat)
-    params.load_flat(new_flat)
+    params.version += 1
+    offset = 0
+    for block in params.tensors:
+        for name in ("w", "b"):
+            tensor = block[name]
+            size = tensor.size
+            tensor -= opt.learning_rate * grads[offset : offset + size].reshape(tensor.shape)
+            if clip:
+                np.clip(tensor, -opt.clip_limit, opt.clip_limit, out=tensor)
+            _check_finite(tensor, "parameters after the update")
+            offset += size
     opt.step_count += 1
     return params
 
@@ -530,7 +588,7 @@ def save_params(params: NetworkParams, path) -> None:
     payload = {"format_version": CHECKPOINT_FORMAT_VERSION, **params_to_payload(params)}
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, allow_nan=False)
+        fh.write(json.dumps(payload, allow_nan=False))
     os.replace(tmp, path)
 
 

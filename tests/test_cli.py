@@ -211,6 +211,34 @@ def test_report_bundle(workspace):
     assert counts.sum() > 0
 
 
+def _numeric_fields(path, skip_columns):
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    return [field for line in lines[1:] for field in line.split(",")[skip_columns:]]
+
+
+def test_artifact_csvs_hold_plain_numbers(workspace):
+    """Every number in the predict and report CSVs parses with float(), also
+    after a second report over the first one's outputs."""
+    date = workspace["calm_date"]
+    cfg = str(workspace["cfg"])
+    assert cli.main(["predict", "--config", cfg, "--date", date.isoformat()]) == 0
+    assert cli.main([
+        "evaluate", "--config", cfg, "--from", date.isoformat(), "--to", date.isoformat(),
+    ]) == 0
+    for _ in range(2):
+        assert cli.main(["report", "--config", cfg]) == 0
+    out = workspace["out"]
+    for name, skip, count in (
+        (f"interval_{date.isoformat()}.csv", 0, 48 * 5),
+        (f"scenarios_{date.isoformat()}.csv", 1, 50 * 48),
+        ("interval_overlay.csv", 0, 48 * 4),
+    ):
+        fields = _numeric_fields(out / name, skip)
+        assert len(fields) == count, name
+        values = [float(field) for field in fields]
+        assert all(np.isfinite(values)), name
+
+
 def test_report_missing_artifacts(tmp_path, capsys):
     synthetic.generate_market_csv(tmp_path / "toy.csv", days=3, seed=2)
     cfg = tmp_path / "cfg.json"

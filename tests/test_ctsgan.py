@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from priceband import ctsgan
+from priceband import ctsgan, seqnet
 from priceband.errors import (
     CorruptCheckpoint,
     DimensionMismatch,
@@ -100,6 +100,28 @@ def test_zero_iterations_leaves_parameters_unchanged():
     for role, flat in before.items():
         assert np.array_equal(getattr(model, role).flat(), flat)
     assert model.training_flags["phase1"]
+
+
+# --- conditioned networks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("role", ["generator", "discriminator"])
+def test_conditioned_network_gradient_check(role):
+    """Generator and critic take the condition as its own argument; a
+    different condition per batch member checks the condition weight rows."""
+    model = ctsgan.build_model(condition_dim=5, hidden_dim=5, latent_dim=3, seed=40)
+    rng = np.random.default_rng(42)
+    latents = rng.normal(size=(6, 3, 3))
+    conds = rng.uniform(size=(3, 5))
+    target = rng.normal(size=(6, 3, getattr(model, role).output_dim))
+
+    def loss_fn(params):
+        out, cache = seqnet.rnn_forward(params, latents, conds)
+        grads, d_latents = seqnet.backward(cache, 2.0 * (out - target) / out.size)
+        assert d_latents.shape == latents.shape
+        return float(np.mean((out - target) ** 2)), grads
+
+    err = seqnet.gradient_check(getattr(model, role), loss_fn, 1e-5)
+    assert err < 1e-4, f"{role}: finite-difference error {err}"
 
 
 # --- training behaviour ----------------------------------------------------------------
@@ -204,6 +226,8 @@ def test_model_round_trip_generates_identically(tmp_path):
     before = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), spec, 7, seed=7)
     path = tmp_path / "model.json"
     ctsgan.save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), allow_nan=False)
     loaded = ctsgan.load_model(path)
     after = ctsgan.generate_scenarios(loaded, np.full(COND_DIM, 0.5), spec, 7, seed=7)
     assert np.array_equal(before.scenarios, after.scenarios)

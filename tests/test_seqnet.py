@@ -91,22 +91,19 @@ def _scalar_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
-def test_forward_matches_scalar_reimplementation():
-    """Independent per-step oracle with plain Python floats."""
-    params = seqnet.init_params(9, LSTM_DENSE)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 3))
-    out, _ = seqnet.rnn_forward(params, x)
-
+def _scalar_forward(params, x):
+    """Independent per-step oracle with plain Python floats for an
+    LSTM + sigmoid-dense network; ``x`` is ``[T, D]`` and holds every input
+    column of the first block at every step."""
     w = params.tensors[0]["w"]
     b = params.tensors[0]["b"]
     hw = params.tensors[1]["w"]
     hb = params.tensors[1]["b"]
-    hid = 5
+    hid = params.specs[0].output_dim
     h = [0.0] * hid
     c = [0.0] * hid
     expected = []
-    for t in range(5):
+    for t in range(x.shape[0]):
         xh = list(x[t]) + h
         z = [sum(xh[i] * w[i, j] for i in range(len(xh))) + b[j] for j in range(4 * hid)]
         i_g = [_scalar_sigmoid(z[j]) for j in range(hid)]
@@ -117,10 +114,82 @@ def test_forward_matches_scalar_reimplementation():
         h = [o_g[j] * math.tanh(c[j]) for j in range(hid)]
         head = [
             _scalar_sigmoid(sum(h[i] * hw[i, k] for i in range(hid)) + hb[k])
-            for k in range(2)
+            for k in range(params.output_dim)
         ]
         expected.append(head)
-    assert np.abs(out - np.array(expected)).max() < 1e-12
+    return np.array(expected)
+
+
+def test_forward_matches_scalar_reimplementation():
+    params = seqnet.init_params(9, LSTM_DENSE)
+    x = np.random.default_rng(2).normal(size=(5, 3))
+    out, _ = seqnet.rnn_forward(params, x)
+    assert np.abs(out - _scalar_forward(params, x)).max() < 1e-12
+
+
+# rows of the first LSTM weight: 2 time-varying inputs, then a 4-dim condition
+COND_NET = (
+    seqnet.LayerSpec("lstm", 2 + 4, 5),
+    seqnet.LayerSpec("dense", 5, 2, "sigmoid"),
+)
+
+
+def test_condition_matches_concatenated_scalar_reimplementation():
+    """A per-sequence condition acts exactly like the same vector appended to
+    the inputs at every step."""
+    params = seqnet.init_params(19, COND_NET)
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(6, 3, 2))
+    cond = rng.normal(size=(3, 4))
+    out, _ = seqnet.rnn_forward(params, x, cond)
+    assert out.shape == (6, 3, 2)
+    for k in range(3):
+        concatenated = np.concatenate([x[:, k], np.tile(cond[k], (6, 1))], axis=1)
+        assert np.abs(out[:, k] - _scalar_forward(params, concatenated)).max() < 1e-12
+
+    shared, _ = seqnet.rnn_forward(params, x, cond[0])
+    expected, _ = seqnet.rnn_forward(params, x, np.tile(cond[0], (3, 1)))
+    assert np.abs(shared - expected).max() < 1e-12
+
+
+def test_cache_free_forward_equals_cached_forward():
+    params = seqnet.init_params(21, COND_NET)
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(7, 4, 2))
+    cond = rng.normal(size=(4, 4))
+    cached, cache = seqnet.rnn_forward(params, x, cond)
+    free, none = seqnet.rnn_forward(params, x, cond, keep_cache=False)
+    assert cache is not None and none is None
+    assert np.array_equal(cached, free)
+
+
+def test_condition_gradients_finite_difference():
+    """Different conditions per batch member, so the condition weight rows
+    and the time-varying input gradient are both checked."""
+    params = seqnet.init_params(23, COND_NET)
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(5, 3, 2))
+    cond = rng.normal(size=(3, 4))
+    target = rng.uniform(size=(5, 3, 2))
+
+    def loss_fn(p, inputs=x):
+        out, cache = seqnet.rnn_forward(p, inputs, cond)
+        grads, d_inputs = seqnet.backward(cache, 2.0 * (out - target) / out.size)
+        return float(np.mean((out - target) ** 2)), grads, d_inputs
+
+    assert seqnet.gradient_check(params, lambda p: loss_fn(p)[:2], 1e-5) < 1e-4
+
+    _, _, d_inputs = loss_fn(params)
+    assert d_inputs.shape == x.shape
+    eps = 1e-5
+    numeric = np.empty_like(x)
+    for idx in np.ndindex(*x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += eps
+        down[idx] -= eps
+        numeric[idx] = (loss_fn(params, up)[0] - loss_fn(params, down)[0]) / (2.0 * eps)
+    denom = np.maximum(np.maximum(np.abs(d_inputs), np.abs(numeric)), 1e-8)
+    assert np.max(np.abs(d_inputs - numeric) / denom) < 1e-4
 
 
 def test_forward_rejects_bad_shapes_and_nan():
@@ -129,6 +198,17 @@ def test_forward_rejects_bad_shapes_and_nan():
         seqnet.rnn_forward(params, np.zeros((4, 7)))
     with pytest.raises(NonFiniteLoss):
         seqnet.rnn_forward(params, np.full((4, 3), np.nan))
+
+    cond_params = seqnet.init_params(0, COND_NET)
+    x = np.zeros((4, 3, 2))
+    with pytest.raises(ShapeMismatch):  # condition dim 3 + input dim 2 != 6
+        seqnet.rnn_forward(cond_params, x, np.zeros(3))
+    with pytest.raises(ShapeMismatch):  # 2 conditions for a batch of 3
+        seqnet.rnn_forward(cond_params, x, np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatch):  # condition on a network without one
+        seqnet.rnn_forward(params, np.zeros((4, 3)), np.zeros(1))
+    with pytest.raises(NonFiniteLoss):
+        seqnet.rnn_forward(cond_params, x, np.full(4, np.inf))
 
 
 def test_forward_deterministic():
@@ -226,8 +306,20 @@ def test_sgd_single_step_arithmetic():
     params = seqnet.init_params(0, spec)
     params.load_flat(np.zeros(2))
     grads = np.array([1.0, 0.0])
+    version = params.version
     seqnet.sgd_step(params, grads, seqnet.OptimizerState(learning_rate=0.02))
     assert params.flat()[0] == pytest.approx(-0.02, abs=1e-15)
+    assert params.version == version + 1
+
+
+def test_sgd_rejects_overflowing_update():
+    params = seqnet.init_params(26, LSTM_DENSE)
+    with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
+        seqnet.sgd_step(
+            params, np.full(params.n_params, 1e300), seqnet.OptimizerState(learning_rate=1e10)
+        )
+    with pytest.raises(NonFiniteLoss):
+        seqnet.sgd_step(params, np.full(params.n_params, np.nan), seqnet.OptimizerState())
 
 
 def test_clamp_invariant_over_many_steps():
@@ -251,6 +343,8 @@ def test_checkpoint_round_trip_exact(tmp_path):
     params = seqnet.init_params(15, LSTM_DENSE)
     path = tmp_path / "net.json"
     seqnet.save_params(params, path)
+    payload = {"format_version": seqnet.CHECKPOINT_FORMAT_VERSION, **seqnet.params_to_payload(params)}
+    assert path.read_bytes() == json.dumps(payload, allow_nan=False).encode("utf-8")
     loaded = seqnet.load_params(path)
     assert loaded.specs == params.specs
     assert np.array_equal(loaded.flat(), params.flat())
