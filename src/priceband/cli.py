@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -28,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import ctsgan, data_ingest, metrics
-from .errors import EmptyDataset, MissingArtifact, PricebandError
-from .intervals import DensityGrid, PredictionInterval, ScenarioSet, predict_pipeline
+from .ctsgan import ScenarioSet
+from .errors import InputError, PricebandError
+from .intervals import DEFAULT_BINS, DensityGrid, PredictionInterval, predict_pipeline
 from .seeding import derive_seed
 from .weather_volatility import (
     FACTOR_WINDOWS,
     FACTORS,
-    SPIKE_THRESHOLD_AUD,
     VolatilityThresholds,
     calibrate_thresholds,
     spike_histogram,
@@ -60,40 +61,55 @@ _CHANNEL_FOR_FACTOR = {
 
 @dataclass
 class RunConfig:
-    """Everything a command needs; see README for the config file schema."""
+    """Everything a command needs; see README for the config file schema.
 
-    dataset: Path
-    out_dir: Path
-    checkpoint: Path
-    thresholds: Path
-    seed: int = 0
-    batch_size: int = 7
-    iterations_per_phase: int = 10000
-    learning_rate: float = 0.02
-    clip_limit: float = 0.5
-    supervised_weight: float = 10.0
-    holdout_fraction: float = 0.1
-    hidden_dim: int = 100
-    latent_dim: int = 100
-    dispersion_gain: float = 8.0
+    ``load_config`` fills ``training`` from the file's "training" section
+    plus the top-level "seed", and every other field from the key of the
+    same name in the "paths", "training", "prediction" or "metrics"
+    section. ``checkpoint`` and ``thresholds`` default to files in
+    ``out_dir``.
+    """
+
+    training: ctsgan.TrainingConfig = field(default_factory=ctsgan.TrainingConfig)
+    dataset: Path = Path("dataset.csv")
+    out_dir: Path = Path(".")
+    checkpoint: Path | None = None
+    thresholds: Path | None = None
+    hidden_dim: int = ctsgan.HIDDEN_DIM
+    latent_dim: int = ctsgan.LATENT_DIM
+    dispersion_gain: float = ctsgan.LATENT_DISPERSION_GAIN
     scenarios: int = 500
     nominal: float = 0.9
-    bins: int = 50
+    bins: int = DEFAULT_BINS
     variance_override: dict | None = None
     delta_target: float = 0.9
     xi_target: float = 0.25
     runs: int = 10
 
-    def training_config(self) -> ctsgan.TrainingConfig:
-        return ctsgan.TrainingConfig(
-            batch_size=self.batch_size,
-            iterations_per_phase=self.iterations_per_phase,
-            learning_rate=self.learning_rate,
-            clip_limit=self.clip_limit,
-            seed=self.seed,
-            supervised_weight=self.supervised_weight,
-            holdout_fraction=self.holdout_fraction,
-        )
+    def __post_init__(self):
+        if self.checkpoint is None:
+            self.checkpoint = self.out_dir / "model.json"
+        if self.thresholds is None:
+            self.thresholds = self.out_dir / "thresholds.json"
+        self.checkpoint = Path(self.checkpoint)
+        self.thresholds = Path(self.thresholds)
+
+    @property
+    def seed(self) -> int:
+        return self.training.seed
+
+
+def _from_section(cls, section: dict):
+    """A ``cls`` dataclass holding each of its fields that ``section`` names,
+    cast to the type of the field's default (taken as is where that default
+    is None); other fields keep their defaults and other keys are ignored.
+    A field without a plain default (a nested config) is never read."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in section and f.default is not dataclasses.MISSING:
+            value = section[f.name]
+            values[f.name] = value if f.default is None else type(f.default)(value)
+    return cls(**values)
 
 
 def load_config(path, seed: int | None = None, out: str | None = None) -> RunConfig:
@@ -101,37 +117,21 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise MissingArtifact(f"config file {path} ({exc})") from exc
+        raise InputError(f"required artifact missing: config file {path} ({exc})") from exc
 
-    paths = raw.get("paths", {})
-    training = raw.get("training", {})
-    prediction = raw.get("prediction", {})
-    metric_cfg = raw.get("metrics", {})
-
-    out_dir = Path(out if out is not None else paths.get("out_dir", "."))
-    cfg = RunConfig(
-        dataset=Path(paths.get("dataset", "dataset.csv")),
-        out_dir=out_dir,
-        checkpoint=Path(paths.get("checkpoint", out_dir / "model.json")),
-        thresholds=Path(paths.get("thresholds", out_dir / "thresholds.json")),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
-        batch_size=int(training.get("batch_size", 7)),
-        iterations_per_phase=int(training.get("iterations_per_phase", 10000)),
-        learning_rate=float(training.get("learning_rate", 0.02)),
-        clip_limit=float(training.get("clip_limit", 0.5)),
-        supervised_weight=float(training.get("supervised_weight", 10.0)),
-        holdout_fraction=float(training.get("holdout_fraction", 0.1)),
-        hidden_dim=int(training.get("hidden_dim", 100)),
-        latent_dim=int(training.get("latent_dim", 100)),
-        dispersion_gain=float(training.get("dispersion_gain", 8.0)),
-        scenarios=int(prediction.get("scenarios", 500)),
-        nominal=float(prediction.get("nominal", 0.9)),
-        bins=int(prediction.get("bins", 50)),
-        variance_override=prediction.get("variance_override"),
-        delta_target=float(metric_cfg.get("delta_target", 0.9)),
-        xi_target=float(metric_cfg.get("xi_target", 0.25)),
-        runs=int(metric_cfg.get("runs", 10)),
-    )
+    training = {k: v for k, v in raw.get("training", {}).items() if k != "seed"}
+    if seed is not None or "seed" in raw:
+        training["seed"] = seed if seed is not None else raw["seed"]
+    sections = {
+        **raw.get("paths", {}),
+        **training,
+        **raw.get("prediction", {}),
+        **raw.get("metrics", {}),
+    }
+    if out is not None:
+        sections["out_dir"] = out
+    cfg = _from_section(RunConfig, sections)
+    cfg.training = _from_section(ctsgan.TrainingConfig, training)
     return cfg
 
 
@@ -182,7 +182,7 @@ def _phase_span(model: ctsgan.CTSGANModel, phase: int) -> tuple[float, float, in
 def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
     if not dataset.days:
-        raise EmptyDataset("dataset has no condition/target day pairs")
+        raise InputError("dataset has no condition/target day pairs")
     days = dataset.days
 
     if resume and cfg.checkpoint.exists():
@@ -197,7 +197,6 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
             latent_dispersion_gain=cfg.dispersion_gain,
         )
 
-    tc = cfg.training_config()
     phases = (
         ("phase1", 1, ctsgan.train_phase1_autoencoder),
         ("phase2", 2, ctsgan.train_phase2_supervised),
@@ -207,16 +206,13 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
         if model.training_flags.get(flag):
             print(f"phase {number} already trained, skipping")
             continue
-        trainer(model, days, tc)
+        trainer(model, days, cfg.training)
         first, last, n = _phase_span(model, number)
         print(f"phase {number} complete: loss {first:.6f} -> {last:.6f} over {n} iterations")
         ctsgan.save_model(model, cfg.checkpoint)
 
     log_path = cfg.out_dir / "training_log.jsonl"
-    lines = [
-        json.dumps({"phase": r["phase"], "iteration": r["iteration"], "loss": r["loss"]})
-        for r in model.training_log
-    ]
+    lines = [json.dumps(record) for record in model.training_log]
     _atomic_write(log_path, "\n".join(lines) + "\n")
     if model.adversarial_report:
         print(
@@ -306,10 +302,7 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
 
     eval_days = []
     for day in _date_range(start, end):
-        try:
-            condition, actuals, rec = _pair_for_date(dataset, day)
-        except EmptyDataset as exc:
-            raise EmptyDataset(f"missing actuals for {day.isoformat()}: {exc}") from exc
+        condition, actuals, rec = _pair_for_date(dataset, day)
         eval_days.append(
             metrics.EvalDay(
                 condition=condition,
@@ -319,7 +312,7 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
             )
         )
     if not eval_days:
-        raise EmptyDataset(f"no days between {start} and {end}")
+        raise InputError(f"no days between {start} and {end}")
 
     report = metrics.repeated_sampling_harness(
         model,
@@ -377,14 +370,12 @@ def cmd_report(cfg: RunConfig) -> None:
     density_files = sorted(cfg.out_dir.glob("density_[0-9]*.json"))
     metrics_file = cfg.out_dir / "metrics_report.json"
     if not interval_files or not density_files:
-        raise MissingArtifact("prediction outputs (run `priceband predict` first)")
+        raise InputError("required artifact missing: prediction outputs (run `priceband predict` first)")
     if not metrics_file.exists():
-        raise MissingArtifact("metrics_report.json (run `priceband evaluate` first)")
+        raise InputError("required artifact missing: metrics_report.json (run `priceband evaluate` first)")
 
     # spike histogram over the whole dataset, one row per half-hour slot
-    counts = np.zeros(data_ingest.HALF_HOURS_PER_DAY, dtype=np.int64)
-    for rec in dataset.day_records:
-        counts += spike_histogram(rec.price_series(), SPIKE_THRESHOLD_AUD)
+    counts = spike_histogram(np.stack([rec.channel("price") for rec in dataset.day_records]))
     hist_rows = ["half_hour_index,count"] + [f"{k},{int(c)}" for k, c in enumerate(counts)]
     _atomic_write(cfg.out_dir / "spike_histogram.csv", "\n".join(hist_rows) + "\n")
 
@@ -449,11 +440,11 @@ def main(argv=None) -> int:
             cmd_train(cfg, resume=args.resume)
         elif args.command == "predict":
             if not args.date:
-                raise MissingArtifact("--date is required for predict")
+                raise InputError("--date is required for predict")
             cmd_predict(cfg, date_type.fromisoformat(args.date))
         elif args.command == "evaluate":
             if not (args.date_from and args.date_to):
-                raise MissingArtifact("--from and --to are required for evaluate")
+                raise InputError("--from and --to are required for evaluate")
             cmd_evaluate(
                 cfg,
                 date_type.fromisoformat(args.date_from),

@@ -17,6 +17,11 @@ the model and used to whiten that space. Autoencoders otherwise settle on an
 arbitrarily small latent scale, which would leave the N(0, sigma) noise input
 orders of magnitude off-scale and starve the adversarial phase of signal.
 Generation de-whitens before the recovery network.
+
+Every noise -> generator pass goes through ``_generate_latents``, every
+whitened real-latent embedding through ``_embed``, and every autoencoder
+update through ``_autoencoder_step``. Generation returns a ``ScenarioSet``
+whose rows are tagged with the noise branch that produced them.
 """
 
 from __future__ import annotations
@@ -28,21 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CorruptCheckpoint,
-    DimensionMismatch,
-    DivergedLoss,
-    InvalidSigma,
-    PhaseOrderViolation,
-    UntrainedModel,
-    VersionMismatch,
-)
-from .intervals import NORMAL_TAG, VOLATILE_TAG, ScenarioSet
+from .errors import CheckpointError, InputError, NumericalError, StateError
 from .seeding import derive_seed
 from .seqnet import (
     LayerSpec,
     NetworkParams,
-    OptimizerState,
     backward,
     init_params,
     params_from_payload,
@@ -56,6 +51,14 @@ MODEL_FORMAT_VERSION = 1
 _ROLES = ("embedder", "recovery", "generator", "discriminator")
 
 _PHASES = ("phase1", "phase2", "phase3")
+
+# Paper dims; a config file's "training" section overrides them.
+HIDDEN_DIM = 100
+LATENT_DIM = 100
+LATENT_DISPERSION_GAIN = 8.0
+
+NORMAL_TAG = "normal"
+VOLATILE_TAG = "volatile"
 
 
 @dataclass
@@ -72,13 +75,13 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.batch_size <= 0:
-            raise DimensionMismatch("batch_size must be positive")
+            raise InputError("batch_size must be positive")
         if self.iterations_per_phase < 0:
-            raise DimensionMismatch("iterations_per_phase must be >= 0")
+            raise InputError("iterations_per_phase must be >= 0")
         if self.learning_rate <= 0 or self.clip_limit <= 0:
-            raise DimensionMismatch("learning_rate and clip_limit must be positive")
+            raise InputError("learning_rate and clip_limit must be positive")
         if not 0.0 <= self.holdout_fraction < 1.0:
-            raise DimensionMismatch("holdout_fraction must be in [0, 1)")
+            raise InputError("holdout_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,52 @@ class NoiseSpec:
 
     std: float = 1.0
     length: int = 48
-    dim: int = 100
-    mean: float = 0.0
+    dim: int = LATENT_DIM
 
     def __post_init__(self):
-        if self.mean != 0.0:
-            raise InvalidSigma("noise mean is fixed at 0")
         if self.std < 1.0:
-            raise InvalidSigma(f"noise std must be >= 1, got {self.std}")
+            raise InputError(f"noise std must be >= 1, got {self.std}")
         if self.length <= 0 or self.dim <= 0:
-            raise InvalidSigma("noise length and dim must be positive")
+            raise InputError("noise length and dim must be positive")
+
+
+@dataclass(frozen=True)
+class ScenarioSet:
+    """M generated paths of T normalized prices plus provenance.
+
+    ``provenance`` tags each row with the branch that generated it, so a
+    combined set remembers which members came from the wide-noise pass.
+    Without one, every row gets the tag of ``noise_sigma``.
+    """
+
+    scenarios: np.ndarray
+    condition_id: str
+    noise_sigma: float
+    provenance: np.ndarray = None
+
+    def __post_init__(self):
+        arr = np.asarray(self.scenarios, dtype=np.float64)
+        if arr.ndim != 2:
+            raise InputError(f"scenarios must be a 2-D matrix, got shape {arr.shape}")
+        if arr.size and ((arr < 0).any() or (arr > 1).any()):
+            raise InputError("scenario values must lie in [0, 1]")
+        object.__setattr__(self, "scenarios", arr)
+        if self.provenance is None:
+            tag = NORMAL_TAG if self.noise_sigma == 1.0 else VOLATILE_TAG
+            prov = np.full(arr.shape[0], tag, dtype=object)
+        else:
+            prov = np.asarray(self.provenance, dtype=object)
+            if prov.shape != (arr.shape[0],):
+                raise InputError("provenance must have one tag per scenario")
+        object.__setattr__(self, "provenance", prov)
+
+    @property
+    def count(self) -> int:
+        return self.scenarios.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.scenarios.shape[1]
 
 
 @dataclass
@@ -115,7 +154,7 @@ class CTSGANModel:
     latent_dim: int
     condition_dim: int
     data_dim: int = 1
-    hidden_dim: int = 100
+    hidden_dim: int = HIDDEN_DIM
     data_horizon: int = 48
     latent_shift: np.ndarray | None = None
     latent_scale: np.ndarray | None = None
@@ -139,7 +178,7 @@ class CTSGANModel:
         )
         for actual, expected, what in checks:
             if actual != expected:
-                raise DimensionMismatch(f"{what} dim {actual} != {expected}")
+                raise InputError(f"{what} dim {actual} != {expected}")
 
     @property
     def is_trained(self) -> bool:
@@ -149,11 +188,11 @@ class CTSGANModel:
 def build_model(
     condition_dim: int,
     data_dim: int = 1,
-    hidden_dim: int = 100,
-    latent_dim: int = 100,
+    hidden_dim: int = HIDDEN_DIM,
+    latent_dim: int = LATENT_DIM,
     data_horizon: int = 48,
     seed: int = 0,
-    latent_dispersion_gain: float = 8.0,
+    latent_dispersion_gain: float = LATENT_DISPERSION_GAIN,
 ) -> CTSGANModel:
     """Fresh model with Glorot-initialized networks, seeds derived per role.
 
@@ -195,19 +234,19 @@ def _condition_array(condition) -> np.ndarray:
 def _prepare_days(model: CTSGANModel, days) -> tuple[np.ndarray, np.ndarray]:
     """Stack (condition, target) pairs into [N, cond_dim] and [T, N, 1]."""
     if not days:
-        raise DimensionMismatch("training needs at least one day")
+        raise InputError("training needs at least one day")
     conds = np.stack([_condition_array(c) for c, _ in days])
     if conds.shape[1] != model.condition_dim:
-        raise DimensionMismatch(
+        raise InputError(
             f"condition dim {conds.shape[1]} != model condition dim {model.condition_dim}"
         )
     targets = np.stack([np.asarray(t, dtype=np.float64) for _, t in days], axis=1)
     if targets.ndim != 2 or targets.shape[0] != model.data_horizon:
-        raise DimensionMismatch(
+        raise InputError(
             f"targets must be {model.data_horizon}-step paths, got shape {targets.shape}"
         )
     if not (np.isfinite(conds).all() and np.isfinite(targets).all()):
-        raise DimensionMismatch("non-finite values in training data")
+        raise InputError("non-finite values in training data")
     return conds, targets[:, :, None]
 
 
@@ -252,10 +291,31 @@ def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
     return shaped
 
 
-def _whiten(model: CTSGANModel, latents: np.ndarray) -> np.ndarray:
+def _embed(model: CTSGANModel, x: np.ndarray) -> np.ndarray:
+    """Whitened embedder latents of the paths ``x`` ([T, N, 1]); no cache."""
+    latents, _ = rnn_forward(model.embedder, x, keep_cache=False)
     if model.latent_shift is None:
         return latents
     return (latents - model.latent_shift) / model.latent_scale
+
+
+def _generate_latents(
+    model: CTSGANModel,
+    rng: np.random.Generator,
+    cond: np.ndarray,
+    count: int,
+    length: int,
+    std: float,
+    keep_cache: bool,
+):
+    """Generator output for ``count`` fresh AR(1)-shaped N(0, std^2) noise
+    paths of ``length`` steps under ``cond`` ([C] or [count, C]); returns
+    ``rnn_forward``'s ``(latents, cache)``."""
+    noise = _shape_noise(
+        rng.normal(0.0, std, size=(length, count, model.latent_dim)),
+        model.latent_autocorr,
+    )
+    return rnn_forward(model.generator, noise, cond, keep_cache=keep_cache)
 
 
 def _dewhiten(model: CTSGANModel, calibrated: np.ndarray) -> np.ndarray:
@@ -266,7 +326,24 @@ def _dewhiten(model: CTSGANModel, calibrated: np.ndarray) -> np.ndarray:
 
 def _check_finite_loss(loss: float, phase: str) -> None:
     if not np.isfinite(loss):
-        raise DivergedLoss(f"{phase} loss diverged to {loss}")
+        raise NumericalError(f"{phase} loss diverged to {loss}")
+
+
+def _autoencoder_step(
+    model: CTSGANModel, x: np.ndarray, learning_rate: float, phase: str
+) -> float:
+    """One SGD step of embedder + recovery on the reconstruction MSE of the
+    paths ``x``; returns the loss before the step."""
+    latents, cache_e = rnn_forward(model.embedder, x)
+    recon, cache_r = rnn_forward(model.recovery, latents)
+    diff = recon - x
+    loss = float(np.mean(diff * diff))
+    _check_finite_loss(loss, phase)
+    g_r, d_latents = backward(cache_r, 2.0 * diff / diff.size)
+    g_e, _ = backward(cache_e, d_latents)
+    sgd_step(model.recovery, g_r, learning_rate)
+    sgd_step(model.embedder, g_e, learning_rate)
+    return loss
 
 
 def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -> CTSGANModel:
@@ -274,21 +351,10 @@ def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -
     conds, targets = _prepare_days(model, days)
     train_idx, _ = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase1"))
-    opt_e = OptimizerState(config.learning_rate, config.clip_limit)
-    opt_r = OptimizerState(config.learning_rate, config.clip_limit)
 
     for it in range(config.iterations_per_phase):
         batch = rng.choice(train_idx, size=config.batch_size)
-        x = targets[:, batch, :]
-        latents, cache_e = rnn_forward(model.embedder, x)
-        recon, cache_r = rnn_forward(model.recovery, latents)
-        diff = recon - x
-        loss = float(np.mean(diff * diff))
-        _check_finite_loss(loss, "phase1")
-        g_r, d_latents = backward(cache_r, 2.0 * diff / diff.size)
-        g_e, _ = backward(cache_e, d_latents)
-        sgd_step(model.recovery, g_r, opt_r)
-        sgd_step(model.embedder, g_e, opt_e)
+        loss = _autoencoder_step(model, targets[:, batch, :], config.learning_rate, "phase1")
         model.training_log.append({"phase": 1, "iteration": it, "loss": loss})
 
     all_latents, _ = rnn_forward(model.embedder, targets[:, train_idx, :], keep_cache=False)
@@ -301,23 +367,20 @@ def train_phase2_supervised(model: CTSGANModel, days, config: TrainingConfig) ->
     """Generator learns next-step latent prediction, teacher-forced on the
     embedder's latents and conditioned on the day's condition vector."""
     if not model.training_flags["phase1"]:
-        raise PhaseOrderViolation("phase 2 requires a trained embedder (run phase 1)")
+        raise StateError("phase 2 requires a trained embedder (run phase 1)")
     conds, targets = _prepare_days(model, days)
     train_idx, _ = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase2"))
-    opt_g = OptimizerState(config.learning_rate, config.clip_limit)
 
     for it in range(config.iterations_per_phase):
         batch = rng.choice(train_idx, size=config.batch_size)
-        x = targets[:, batch, :]
-        raw_latents, _ = rnn_forward(model.embedder, x, keep_cache=False)
-        latents = _whiten(model, raw_latents)
+        latents = _embed(model, targets[:, batch, :])
         predicted, cache_g = rnn_forward(model.generator, latents[:-1], conds[batch])
         diff = predicted - latents[1:]
         loss = float(np.mean(diff * diff))
         _check_finite_loss(loss, "phase2")
         g_g, _ = backward(cache_g, 2.0 * diff / diff.size)
-        sgd_step(model.generator, g_g, opt_g)
+        sgd_step(model.generator, g_g, config.learning_rate)
         model.training_log.append({"phase": 2, "iteration": it, "loss": loss})
 
     model.training_flags["phase2"] = True
@@ -335,14 +398,10 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
     fresh generated days are logged at the end.
     """
     if not (model.training_flags["phase1"] and model.training_flags["phase2"]):
-        raise PhaseOrderViolation("phase 3 requires phases 1 and 2 first")
+        raise StateError("phase 3 requires phases 1 and 2 first")
     conds, targets = _prepare_days(model, days)
     train_idx, hold_idx = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase3"))
-    opts = {
-        role: OptimizerState(config.learning_rate, config.clip_limit)
-        for role in _ROLES
-    }
     steps = model.data_horizon
     lam = config.supervised_weight
 
@@ -352,27 +411,22 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
         cond = conds[batch]
 
         # critic step: real vs generated latents, clip weights afterwards
-        raw_real, _ = rnn_forward(model.embedder, x, keep_cache=False)
-        latents_real = _whiten(model, raw_real)
-        noise = _shape_noise(
-            rng.normal(0.0, 1.0, size=(steps, config.batch_size, model.latent_dim)),
-            model.latent_autocorr,
+        latents_real = _embed(model, x)
+        latents_fake, _ = _generate_latents(
+            model, rng, cond, config.batch_size, steps, 1.0, keep_cache=False
         )
-        latents_fake, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
         score_real, cache_dr = rnn_forward(model.discriminator, latents_real, cond)
         score_fake, cache_df = rnn_forward(model.discriminator, latents_fake, cond)
         d_loss = float(np.mean(score_fake) - np.mean(score_real))
         _check_finite_loss(d_loss, "phase3 critic")
         g_df, _ = backward(cache_df, np.full(score_fake.shape, 1.0 / score_fake.size))
         g_dr, _ = backward(cache_dr, np.full(score_real.shape, -1.0 / score_real.size))
-        sgd_step(model.discriminator, g_df + g_dr, opts["discriminator"], clip=True)
+        sgd_step(model.discriminator, g_df + g_dr, config.learning_rate, config.clip_limit)
 
         # generator step: adversarial + supervised
-        noise = _shape_noise(
-            rng.normal(0.0, 1.0, size=(steps, config.batch_size, model.latent_dim)),
-            model.latent_autocorr,
+        fake_latents, cache_g = _generate_latents(
+            model, rng, cond, config.batch_size, steps, 1.0, keep_cache=True
         )
-        fake_latents, cache_g = rnn_forward(model.generator, noise, cond)
         score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
         adv_loss = float(-np.mean(score))
         _, d_fake_latents = backward(cache_d, np.full(score.shape, -1.0 / score.size))
@@ -384,18 +438,9 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
         g_sup, _ = backward(cache_s, 2.0 * lam * sup_diff / sup_diff.size)
         loss = lam * sup_loss + adv_loss
         _check_finite_loss(loss, "phase3 generator")
-        sgd_step(model.generator, g_adv + g_sup, opts["generator"])
+        sgd_step(model.generator, g_adv + g_sup, config.learning_rate)
 
-        # autoencoder refresh
-        latents, cache_e = rnn_forward(model.embedder, x)
-        recon, cache_r = rnn_forward(model.recovery, latents)
-        rdiff = recon - x
-        recon_loss = float(np.mean(rdiff * rdiff))
-        _check_finite_loss(recon_loss, "phase3 reconstruction")
-        g_r, d_latents = backward(cache_r, 2.0 * rdiff / rdiff.size)
-        g_e, _ = backward(cache_e, d_latents)
-        sgd_step(model.recovery, g_r, opts["recovery"])
-        sgd_step(model.embedder, g_e, opts["embedder"])
+        _autoencoder_step(model, x, config.learning_rate, "phase3 reconstruction")
 
         model.training_log.append(
             {"phase": 3, "iteration": it, "loss": loss, "d_loss": d_loss}
@@ -415,16 +460,11 @@ def _score_real_vs_generated(
     """Critic scores on real vs freshly generated latents plus a separation
     accuracy (midpoint threshold); near 0.5 means the critic cannot tell."""
     rng = np.random.default_rng(seed)
-    steps = model.data_horizon
-    x = targets[:, idx, :]
     cond = conds[idx]
-    raw_real, _ = rnn_forward(model.embedder, x, keep_cache=False)
-    latents_real = _whiten(model, raw_real)
-    noise = _shape_noise(
-        rng.normal(0.0, 1.0, size=(steps, idx.size, model.latent_dim)),
-        model.latent_autocorr,
+    latents_real = _embed(model, targets[:, idx, :])
+    latents_fake, _ = _generate_latents(
+        model, rng, cond, idx.size, model.data_horizon, 1.0, keep_cache=False
     )
-    latents_fake, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
     score_real, _ = rnn_forward(model.discriminator, latents_real, cond, keep_cache=False)
     score_fake, _ = rnn_forward(model.discriminator, latents_fake, cond, keep_cache=False)
     mean_real = float(np.mean(score_real))
@@ -441,12 +481,6 @@ def _score_real_vs_generated(
     }
 
 
-def sample_noise(spec: NoiseSpec, seed: int) -> np.ndarray:
-    """I.i.d. draws from N(0, std^2), shaped [length, dim]."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(spec.mean, spec.std, size=(spec.length, spec.dim))
-
-
 def reconstruction_mse(model: CTSGANModel, days) -> float:
     """Autoencoder reconstruction MSE over every supplied day (no batching)."""
     _, targets = _prepare_days(model, days)
@@ -458,8 +492,7 @@ def reconstruction_mse(model: CTSGANModel, days) -> float:
 def supervised_mse(model: CTSGANModel, days) -> float:
     """Next-step latent prediction MSE over every supplied day."""
     conds, targets = _prepare_days(model, days)
-    raw, _ = rnn_forward(model.embedder, targets, keep_cache=False)
-    latents = _whiten(model, raw)
+    latents = _embed(model, targets)
     predicted, _ = rnn_forward(model.generator, latents[:-1], conds, keep_cache=False)
     return float(np.mean((predicted - latents[1:]) ** 2))
 
@@ -476,49 +509,36 @@ def generate_scenarios(
     spec: NoiseSpec,
     count: int,
     seed: int = 0,
-    condition_id: str | None = None,
 ) -> ScenarioSet:
     """Map ``count`` fresh noise draws through generator and recovery.
 
-    Outputs are clamped to [0, 1]; distinct seeds give distinct paths.
+    Outputs are clamped to [0, 1]; distinct seeds give distinct paths. The
+    set's ``condition_id`` is the condition's fingerprint, and every row is
+    tagged with the branch of ``spec.std``.
     """
     if not model.is_trained:
-        raise UntrainedModel("generation requires all three training phases")
+        raise StateError("generation requires all three training phases")
     cond = _condition_array(condition)
     if cond.shape != (model.condition_dim,):
-        raise DimensionMismatch(
+        raise InputError(
             f"condition has shape {cond.shape}, model expects ({model.condition_dim},)"
         )
     if spec.dim != model.latent_dim:
-        raise DimensionMismatch(
+        raise InputError(
             f"noise dim {spec.dim} != model latent dim {model.latent_dim}"
         )
     if count < 0:
-        raise DimensionMismatch("scenario count must be >= 0")
-    tag = NORMAL_TAG if spec.std == 1.0 else VOLATILE_TAG
-    cid = condition_id if condition_id is not None else condition_fingerprint(cond)
+        raise InputError("scenario count must be >= 0")
+    cid = condition_fingerprint(cond)
     if count == 0:
-        return ScenarioSet(
-            scenarios=np.empty((0, spec.length)),
-            condition_id=cid,
-            noise_sigma=spec.std,
-            provenance=np.empty(0, dtype=object),
-        )
+        return ScenarioSet(np.empty((0, spec.length)), cid, spec.std)
 
     rng = np.random.default_rng(seed)
-    noise = _shape_noise(
-        rng.normal(spec.mean, spec.std, size=(spec.length, count, spec.dim)),
-        model.latent_autocorr,
+    latents, _ = _generate_latents(
+        model, rng, cond, count, spec.length, spec.std, keep_cache=False
     )
-    latents, _ = rnn_forward(model.generator, noise, cond, keep_cache=False)
     paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
-    scenarios = np.clip(paths[:, :, 0].T, 0.0, 1.0)
-    return ScenarioSet(
-        scenarios=scenarios,
-        condition_id=cid,
-        noise_sigma=spec.std,
-        provenance=np.full(count, tag, dtype=object),
-    )
+    return ScenarioSet(np.clip(paths[:, :, 0].T, 0.0, 1.0), cid, spec.std)
 
 
 def save_model(model: CTSGANModel, path) -> None:
@@ -551,10 +571,10 @@ def load_model(path) -> CTSGANModel:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpoint(f"cannot read model checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read model checkpoint {path}: {exc}") from exc
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(
+        raise CheckpointError(
             f"model checkpoint format {version!r} != {MODEL_FORMAT_VERSION}; "
             "re-train with this package version or convert the checkpoint"
         )
@@ -581,6 +601,6 @@ def load_model(path) -> CTSGANModel:
             training_log=list(payload["training_log"]),
             adversarial_report=payload.get("adversarial_report"),
         )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-        raise CorruptCheckpoint(f"bad model checkpoint structure: {exc}") from exc
+    except (KeyError, TypeError, ValueError, InputError) as exc:
+        raise CheckpointError(f"bad model checkpoint structure: {exc}") from exc
     return model

@@ -13,18 +13,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date as date_type
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    EmptyDataset,
-    EmptyInput,
-    MalformedRow,
-    MissingChannel,
-    NonMonotonicTimestamps,
-)
+from .errors import InputError, MalformedRow
 
 HALF_HOURS_PER_DAY = 48
 
@@ -32,17 +25,6 @@ PRICE_CLIP_LO = 0.0
 PRICE_CLIP_HI = 500.0
 
 HDD_CDD_BASE_C = 18.0
-
-DEFAULT_SCHEMA = {
-    "timestamp": "timestamp",
-    "price": "price",
-    "demand": "demand",
-    "temperature": "temperature",
-    "irradiance": "irradiance",
-    "wind_speed": "wind_speed",
-    "gas_price": "gas_price",
-    "coal_price": "coal_price",
-}
 
 _VALUE_CHANNELS = (
     "price",
@@ -53,6 +35,8 @@ _VALUE_CHANNELS = (
     "gas_price",
     "coal_price",
 )
+
+CSV_COLUMNS = ("timestamp", *_VALUE_CHANNELS)
 
 # Channels whose min-max params are fitted from the loaded data. Price is
 # normalized against the fixed clip bounds instead, so a spike at A$350/MWh
@@ -76,53 +60,7 @@ class MinMaxParams:
 
     def __post_init__(self):
         if not (self.p_max > self.p_min):
-            raise DegenerateRange(f"p_max ({self.p_max}) must exceed p_min ({self.p_min})")
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Half-hourly prices in A$/MWh on a strict 30-minute grid."""
-
-    timestamps: tuple[datetime, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if len(self.timestamps) != vals.size:
-            raise EmptyInput("timestamps and values must have equal length")
-        _validate_grid(self.timestamps)
-
-
-@dataclass(frozen=True)
-class WeatherSeries:
-    """Half-hourly weather observations sharing the price timestamp grid."""
-
-    timestamps: tuple[datetime, ...]
-    temperature: np.ndarray
-    irradiance: np.ndarray
-    wind_speed: np.ndarray
-
-    def __post_init__(self):
-        for name in ("temperature", "irradiance", "wind_speed"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            if arr.size != len(self.timestamps):
-                raise EmptyInput(f"{name} length does not match timestamps")
-        if (self.irradiance < 0).any():
-            raise EmptyInput("irradiance must be non-negative")
-        if (self.wind_speed < 0).any():
-            raise EmptyInput("wind_speed must be non-negative")
-        _validate_grid(self.timestamps)
-
-
-def _validate_grid(timestamps: tuple[datetime, ...]) -> None:
-    step = timedelta(minutes=30)
-    for prev, nxt in zip(timestamps, timestamps[1:]):
-        if nxt <= prev:
-            raise NonMonotonicTimestamps(f"{nxt} does not follow {prev}")
-        if nxt - prev != step:
-            raise NonMonotonicTimestamps(f"gap {nxt - prev} between {prev} and {nxt}")
+            raise InputError(f"p_max ({self.p_max}) must exceed p_min ({self.p_min})")
 
 
 @dataclass(frozen=True)
@@ -134,24 +72,8 @@ class DayRecord:
 
     def channel(self, name: str) -> np.ndarray:
         if name not in self.channels or self.channels[name] is None:
-            raise MissingChannel(name)
+            raise InputError(f"required channel missing: {name}")
         return self.channels[name]
-
-    def price_series(self) -> PriceSeries:
-        return PriceSeries(_day_grid(self.day), self.channel("price"))
-
-    def weather_series(self) -> WeatherSeries:
-        return WeatherSeries(
-            _day_grid(self.day),
-            self.channel("temperature"),
-            self.channel("irradiance"),
-            self.channel("wind_speed"),
-        )
-
-
-def _day_grid(day: date_type) -> tuple[datetime, ...]:
-    start = datetime(day.year, day.month, day.day)
-    return tuple(start + timedelta(minutes=30 * k) for k in range(HALF_HOURS_PER_DAY))
 
 
 @dataclass(frozen=True)
@@ -186,18 +108,18 @@ class ConditionVector:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
             if arr.shape != (HALF_HOURS_PER_DAY,):
-                raise EmptyInput(f"{name} must have {HALF_HOURS_PER_DAY} entries")
+                raise InputError(f"{name} must have {HALF_HOURS_PER_DAY} entries")
             if (arr < 0).any() or (arr > 1).any():
-                raise EmptyInput(f"{name} entries must lie in [0, 1]")
+                raise InputError(f"{name} entries must lie in [0, 1]")
         for name, size in (("day_of_week", 7), ("month", 12)):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
             if arr.shape != (size,) or arr.sum() != 1.0 or not np.isin(arr, (0.0, 1.0)).all():
-                raise EmptyInput(f"{name} must be a one-hot vector of length {size}")
+                raise InputError(f"{name} must be a one-hot vector of length {size}")
         for name in ("gas_price", "coal_price"):
             val = float(getattr(self, name))
             if not 0.0 <= val <= 1.0:
-                raise EmptyInput(f"{name} must lie in [0, 1]")
+                raise InputError(f"{name} must lie in [0, 1]")
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(
@@ -255,26 +177,23 @@ class Dataset:
     norm: dict[str, MinMaxParams]
     report: LoadReport
     days: tuple[tuple[ConditionVector, np.ndarray], ...] = field(default=())
+    _by_day: dict[date_type, DayRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_day", {rec.day: rec for rec in self.day_records})
 
     @property
     def n_days(self) -> int:
         return len(self.day_records)
 
     def record_for(self, day: date_type) -> DayRecord:
-        for rec in self.day_records:
-            if rec.day == day:
-                return rec
-        raise EmptyDataset(f"no complete day {day.isoformat()} in dataset")
+        rec = self._by_day.get(day)
+        if rec is None:
+            raise InputError(f"no complete day {day.isoformat()} in dataset")
+        return rec
 
     def normalized_channel(self, rec: DayRecord, name: str) -> np.ndarray:
         return normalize(rec.channel(name), self.norm[name])
-
-
-def clip_prices(series: PriceSeries, lo: float = PRICE_CLIP_LO, hi: float = PRICE_CLIP_HI) -> PriceSeries:
-    """Clamp every price into [lo, hi]; a total function on valid series."""
-    if not lo < hi:
-        raise DegenerateRange(f"clip bounds must satisfy lo < hi, got ({lo}, {hi})")
-    return PriceSeries(series.timestamps, np.clip(series.values, lo, hi))
 
 
 def normalize(values: np.ndarray, params: MinMaxParams) -> np.ndarray:
@@ -297,7 +216,7 @@ def compute_hdd_cdd(daily_temps, base: float = HDD_CDD_BASE_C) -> tuple[float, f
     """
     temps = np.asarray(daily_temps, dtype=np.float64)
     if temps.size == 0:
-        raise EmptyInput("temperature list is empty")
+        raise InputError("temperature list is empty")
     mean = float(temps.mean())
     return max(0.0, base - mean), max(0.0, mean - base)
 
@@ -306,7 +225,6 @@ def build_conditions(
     prev_day: DayRecord,
     day: DayRecord,
     norm: dict[str, MinMaxParams],
-    hdd_base: float = HDD_CDD_BASE_C,
 ) -> ConditionVector:
     """Deterministic condition encoding for ``day`` given the previous day.
 
@@ -327,7 +245,7 @@ def build_conditions(
     month[day.day.month - 1] = 1.0
 
     forecast_temp_raw = day.channel("temperature")
-    hdd, cdd = compute_hdd_cdd(forecast_temp_raw, hdd_base)
+    hdd, cdd = compute_hdd_cdd(forecast_temp_raw)
 
     gas = float(clip01(normalize(prev_day.channel("gas_price"), norm["gas_price"])).mean())
     coal = float(clip01(normalize(prev_day.channel("coal_price"), norm["coal_price"])).mean())
@@ -347,27 +265,27 @@ def build_conditions(
     )
 
 
-def _parse_rows(path, schema: dict[str, str]):
+def _parse_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:
-            raise EmptyDataset(f"{path} has no header row")
-        for logical, column in schema.items():
+            raise InputError(f"{path} has no header row")
+        for column in CSV_COLUMNS:
             if column not in header:
                 raise MalformedRow(1, f"header missing column {column!r}")
 
         rows = []
         for line_no, row in enumerate(reader, start=2):
             try:
-                ts = datetime.fromisoformat(row[schema["timestamp"]].strip())
+                ts = datetime.fromisoformat(row["timestamp"].strip())
             except (ValueError, AttributeError, TypeError) as exc:
                 raise MalformedRow(line_no, f"bad timestamp: {exc}") from exc
             if ts.minute not in (0, 30) or ts.second or ts.microsecond:
                 raise MalformedRow(line_no, f"timestamp {ts} is off the 30-minute grid")
             values = {}
             for name in _VALUE_CHANNELS:
-                raw = row.get(schema[name])
+                raw = row.get(name)
                 try:
                     values[name] = float(raw)
                 except (TypeError, ValueError) as exc:
@@ -378,28 +296,22 @@ def _parse_rows(path, schema: dict[str, str]):
     return rows
 
 
-def load_dataset(
-    path,
-    schema: dict[str, str] | None = None,
-    clip_lo: float = PRICE_CLIP_LO,
-    clip_hi: float = PRICE_CLIP_HI,
-) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Parse a CSV into a :class:`Dataset`.
 
     Timestamps must be strictly increasing; any day without all 48 half-hours
-    is dropped and counted. Prices are clipped to [clip_lo, clip_hi] and
-    normalized against those bounds; the remaining channels get min-max params
-    fitted on the loaded days (fit on your training file only to avoid
-    leakage).
+    is dropped and counted. Prices are clipped to [PRICE_CLIP_LO,
+    PRICE_CLIP_HI] and normalized against those bounds; the remaining channels
+    get min-max params fitted on the loaded days (fit on your training file
+    only to avoid leakage).
     """
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    rows = _parse_rows(path, schema)
+    rows = _parse_rows(path)
     if not rows:
-        raise EmptyDataset(f"{path} contains no data rows")
+        raise InputError(f"{path} contains no data rows")
 
     for (prev_ts, _), (ts, _) in zip(rows, rows[1:]):
         if ts <= prev_ts:
-            raise NonMonotonicTimestamps(f"timestamp {ts} does not follow {prev_ts}")
+            raise InputError(f"timestamp {ts} does not follow {prev_ts}")
 
     by_day: dict[date_type, dict[int, dict[str, float]]] = {}
     for ts, values in rows:
@@ -417,13 +329,13 @@ def load_dataset(
             name: np.array([slots[k][name] for k in range(HALF_HOURS_PER_DAY)])
             for name in _VALUE_CHANNELS
         }
-        channels["price"] = np.clip(channels["price"], clip_lo, clip_hi)
+        channels["price"] = np.clip(channels["price"], PRICE_CLIP_LO, PRICE_CLIP_HI)
         records.append(DayRecord(day=day, channels=channels))
 
     if not records:
-        raise EmptyDataset(f"{path} has no complete days")
+        raise InputError(f"{path} has no complete days")
 
-    norm = {"price": MinMaxParams(clip_lo, clip_hi)}
+    norm = {"price": MinMaxParams(PRICE_CLIP_LO, PRICE_CLIP_HI)}
     for name in _FITTED_CHANNELS:
         stacked = np.concatenate([rec.channels[name] for rec in records])
         lo, hi = float(stacked.min()), float(stacked.max())

@@ -1,7 +1,23 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by library code derives from :class:`PricebandError` so the
-CLI can catch one type, print the message, and exit nonzero.
+CLI can catch one type, print the message, and exit nonzero. Below it sit
+four groups, one per thing a caller can do about the failure:
+
+- :class:`InputError`: the caller passed something unusable. A CSV row,
+  channel, config file, artifact, dimension, shape, noise std, threshold,
+  scenario count or date range is missing, malformed or out of range.
+  Fix the input and retry. :class:`MalformedRow` is the one subclass; it
+  carries the offending CSV line number.
+- :class:`NumericalError`: a computation left the finite range. A loss,
+  gradient, parameter update or network input is NaN or infinite. Lower
+  the learning rate or check the data.
+- :class:`StateError`: an object is used out of order. A training phase
+  runs before the one it builds on, an untrained model generates, or a
+  backward pass reads a cache whose parameters changed since its forward.
+- :class:`CheckpointError`: a saved model cannot be read. The file is
+  unreadable, structurally broken, or from another format version (the
+  message says to re-train).
 """
 
 from __future__ import annotations
@@ -11,127 +27,23 @@ class PricebandError(Exception):
     """Base class for all package errors."""
 
 
-# --- ingestion ---------------------------------------------------------------
+class InputError(PricebandError):
+    """Missing, malformed or out-of-range input."""
 
-class MalformedRow(PricebandError):
+
+class MalformedRow(InputError):
     def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
         super().__init__(f"malformed row at line {line_no}: {detail}")
 
 
-class NonMonotonicTimestamps(PricebandError):
-    pass
+class NumericalError(PricebandError):
+    """A non-finite loss, gradient, parameter or network input."""
 
 
-class EmptyDataset(PricebandError):
-    pass
+class StateError(PricebandError):
+    """An operation attempted before the state it needs exists."""
 
 
-class DegenerateRange(PricebandError):
-    pass
-
-
-class EmptyInput(PricebandError):
-    pass
-
-
-class MissingChannel(PricebandError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"required channel missing: {name}")
-
-
-# --- weather volatility -------------------------------------------------------
-
-class IncompleteWindow(PricebandError):
-    pass
-
-
-class InsufficientData(PricebandError):
-    pass
-
-
-class CalibrationDegenerate(PricebandError):
-    pass
-
-
-class ZeroVariance(PricebandError):
-    pass
-
-
-class LengthMismatch(PricebandError):
-    pass
-
-
-# --- sequence networks ---------------------------------------------------------
-
-class InvalidDims(PricebandError):
-    pass
-
-
-class ShapeMismatch(PricebandError):
-    pass
-
-
-class StaleCache(PricebandError):
-    pass
-
-
-class NonFiniteLoss(PricebandError):
-    pass
-
-
-# --- generative model ----------------------------------------------------------
-
-class DimensionMismatch(PricebandError):
-    pass
-
-
-class DivergedLoss(PricebandError):
-    pass
-
-
-class PhaseOrderViolation(PricebandError):
-    pass
-
-
-class InvalidSigma(PricebandError):
-    pass
-
-
-class UntrainedModel(PricebandError):
-    pass
-
-
-class VersionMismatch(PricebandError):
-    pass
-
-
-class CorruptCheckpoint(PricebandError):
-    pass
-
-
-# --- intervals & metrics --------------------------------------------------------
-
-class EmptySet(PricebandError):
-    pass
-
-
-class TooFewScenarios(PricebandError):
-    pass
-
-
-class ConditionMismatch(PricebandError):
-    pass
-
-
-class EmptyRuns(PricebandError):
-    pass
-
-
-# --- CLI -------------------------------------------------------------------------
-
-class MissingArtifact(PricebandError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"required artifact missing: {name}")
+class CheckpointError(PricebandError):
+    """A model checkpoint that cannot be read back."""

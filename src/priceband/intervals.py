@@ -1,10 +1,11 @@
-"""Scenario sets, stacked densities, and prediction intervals.
+"""Stacked densities, prediction intervals, and the one-day prediction.
 
-Scenarios are normalized price paths (rows of an M x T matrix, values in
-[0, 1]). Densities are per-timestep histograms over equal-width bins;
-intervals are symmetric empirical quantiles with linear interpolation between
-order statistics. The reinforced combination unions a baseline set with a
-wide-noise set so the afternoon spike window picks up extra spread.
+Scenarios are normalized price paths (rows of the M x T matrix of a
+``ctsgan.ScenarioSet``, values in [0, 1]). Densities are per-timestep
+histograms over equal-width bins; intervals are symmetric empirical
+quantiles with linear interpolation between order statistics. The reinforced
+combination unions a baseline set with a wide-noise set so the afternoon
+spike window picks up extra spread.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionMismatch, EmptySet, TooFewScenarios
+from .ctsgan import NoiseSpec, ScenarioSet, generate_scenarios
+from .errors import InputError
 from .seeding import derive_seed
 from .weather_volatility import (
-    AFTERNOON_WINDOW,
     FACTORS,
     VolatilityThresholds,
     classify_volatility,
@@ -26,47 +27,6 @@ from .weather_volatility import (
 )
 
 DEFAULT_BINS = 50
-
-NORMAL_TAG = "normal"
-VOLATILE_TAG = "volatile"
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """M generated paths of T normalized prices plus provenance.
-
-    ``provenance`` tags each row with the branch that generated it, so a
-    combined set remembers which members came from the wide-noise pass.
-    """
-
-    scenarios: np.ndarray
-    condition_id: str
-    noise_sigma: float
-    provenance: np.ndarray = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.scenarios, dtype=np.float64)
-        if arr.ndim != 2:
-            raise EmptySet(f"scenarios must be a 2-D matrix, got shape {arr.shape}")
-        if arr.size and ((arr < 0).any() or (arr > 1).any()):
-            raise EmptySet("scenario values must lie in [0, 1]")
-        object.__setattr__(self, "scenarios", arr)
-        if self.provenance is None:
-            tag = NORMAL_TAG if self.noise_sigma == 1.0 else VOLATILE_TAG
-            prov = np.full(arr.shape[0], tag, dtype=object)
-        else:
-            prov = np.asarray(self.provenance, dtype=object)
-            if prov.shape != (arr.shape[0],):
-                raise EmptySet("provenance must have one tag per scenario")
-        object.__setattr__(self, "provenance", prov)
-
-    @property
-    def count(self) -> int:
-        return self.scenarios.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.scenarios.shape[1]
 
 
 @dataclass(frozen=True)
@@ -82,11 +42,11 @@ class DensityGrid:
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "mass", mass)
         if mass.shape[1] != edges.size - 1:
-            raise EmptySet("mass columns must match bin count")
+            raise InputError("mass columns must match bin count")
         if (mass < 0).any():
-            raise EmptySet("density mass must be non-negative")
+            raise InputError("density mass must be non-negative")
         if not np.allclose(mass.sum(axis=1), 1.0, atol=1e-9):
-            raise EmptySet("each density row must sum to 1")
+            raise InputError("each density row must sum to 1")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -109,9 +69,9 @@ class PredictionInterval:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape:
-            raise EmptySet("lower and upper must have equal length")
+            raise InputError("lower and upper must have equal length")
         if (lo > hi).any():
-            raise EmptySet("interval bounds must satisfy L_t <= U_t")
+            raise InputError("interval bounds must satisfy L_t <= U_t")
 
     @property
     def widths(self) -> np.ndarray:
@@ -121,9 +81,9 @@ class PredictionInterval:
 def stack_density(scenario_set: ScenarioSet, bins: int = DEFAULT_BINS) -> DensityGrid:
     """Per-timestep normalized histogram over ``bins`` equal-width bins on [0, 1]."""
     if scenario_set.count < 1:
-        raise EmptySet("cannot stack an empty scenario set")
+        raise InputError("cannot stack an empty scenario set")
     if bins < 2:
-        raise EmptySet(f"need at least 2 bins, got {bins}")
+        raise InputError(f"need at least 2 bins, got {bins}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     mass = np.empty((scenario_set.horizon, bins))
     for t in range(scenario_set.horizon):
@@ -137,50 +97,36 @@ def min_scenarios_for(nominal: float) -> int:
     return math.ceil(2.0 / (1.0 - nominal) - 1e-9)
 
 
-def build_interval(
-    scenario_set: ScenarioSet, nominal: float, mode: str = "quantile"
-) -> PredictionInterval:
+def build_interval(scenario_set: ScenarioSet, nominal: float) -> PredictionInterval:
     """Symmetric empirical-quantile interval at ``nominal`` coverage.
 
     Quantiles interpolate linearly between adjacent order statistics.
-    ``mode="envelope"`` returns the min/max envelope instead (useful when the
-    goal is to capture every generated spike).
     """
     if not 0.0 < nominal < 1.0:
-        raise TooFewScenarios(f"nominal coverage must be in (0, 1), got {nominal}")
+        raise InputError(f"nominal coverage must be in (0, 1), got {nominal}")
     if scenario_set.count < 1:
-        raise EmptySet("cannot build an interval from an empty scenario set")
-    if mode == "envelope":
-        lower = scenario_set.scenarios.min(axis=0)
-        upper = scenario_set.scenarios.max(axis=0)
-    elif mode == "quantile":
-        needed = min_scenarios_for(nominal)
-        if scenario_set.count < needed:
-            raise TooFewScenarios(
-                f"{scenario_set.count} scenarios < {needed} required for "
-                f"nominal {nominal}"
-            )
-        tail = (1.0 - nominal) / 2.0
-        lower = np.quantile(scenario_set.scenarios, tail, axis=0)
-        upper = np.quantile(scenario_set.scenarios, 1.0 - tail, axis=0)
-    else:
-        raise TooFewScenarios(f"unknown interval mode {mode!r}")
+        raise InputError("cannot build an interval from an empty scenario set")
+    needed = min_scenarios_for(nominal)
+    if scenario_set.count < needed:
+        raise InputError(
+            f"{scenario_set.count} scenarios < {needed} required for "
+            f"nominal {nominal}"
+        )
+    tail = (1.0 - nominal) / 2.0
+    lower = np.quantile(scenario_set.scenarios, tail, axis=0)
+    upper = np.quantile(scenario_set.scenarios, 1.0 - tail, axis=0)
     return PredictionInterval(lower=lower, upper=upper, nominal_coverage=nominal)
 
 
-def combine_normal_volatile(
-    normal: ScenarioSet,
-    volatile: ScenarioSet,
-    afternoon_window: range = AFTERNOON_WINDOW,
-) -> ScenarioSet:
+def combine_normal_volatile(normal: ScenarioSet, volatile: ScenarioSet) -> ScenarioSet:
     """Union of the baseline and wide-noise sets, provenance retained.
 
     Volatile members contribute their full paths; the widening shows up in
-    ``afternoon_window`` because that is where the wide-noise generator
-    spreads (the window itself is not used to splice).
+    the afternoon window because that is where the wide-noise generator
+    spreads.
     """
     if normal.condition_id != volatile.condition_id:
-        raise ConditionMismatch(
+        raise InputError(
             f"condition ids differ: {normal.condition_id!r} vs {volatile.condition_id!r}"
         )
     if volatile.count == 0:
@@ -188,7 +134,7 @@ def combine_normal_volatile(
     if normal.count == 0:
         return volatile
     if normal.horizon != volatile.horizon:
-        raise ConditionMismatch("scenario horizons differ")
+        raise InputError("scenario horizons differ")
     return ScenarioSet(
         scenarios=np.vstack([normal.scenarios, volatile.scenarios]),
         condition_id=normal.condition_id,
@@ -206,7 +152,6 @@ def predict_pipeline(
     nominal: float,
     bins: int = DEFAULT_BINS,
     seed: int = 0,
-    afternoon_window: range = AFTERNOON_WINDOW,
 ) -> tuple[PredictionInterval, DensityGrid, ScenarioSet]:
     """Full prediction for one day: classify forecast-weather volatility,
     pick the noise std, generate scenarios (baseline plus reinforced when the
@@ -215,8 +160,6 @@ def predict_pipeline(
     ``count`` scenarios are generated per branch, so a reinforced day yields a
     combined set of 2 * count paths.
     """
-    from .ctsgan import NoiseSpec, generate_scenarios
-
     levels = {
         factor: classify_volatility(factor, forecast_variances[factor], thresholds)
         for factor in FACTORS
@@ -238,7 +181,7 @@ def predict_pipeline(
             count,
             seed=derive_seed(seed, "scenarios-volatile"),
         )
-        combined = combine_normal_volatile(normal, volatile, afternoon_window)
+        combined = combine_normal_volatile(normal, volatile)
     else:
         combined = normal
 

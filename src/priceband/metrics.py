@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_ingest import ConditionVector
-from .errors import EmptyRuns, LengthMismatch
-from .intervals import predict_pipeline
+from .errors import InputError
+from .intervals import DEFAULT_BINS, predict_pipeline
 from .seeding import derive_seed
 from .weather_volatility import VolatilityThresholds
 
@@ -31,7 +31,6 @@ class EvaluationRun:
     actuals: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    run_id: int = 0
 
     def __post_init__(self):
         actuals = np.asarray(self.actuals, dtype=np.float64)
@@ -40,14 +39,14 @@ class EvaluationRun:
         for name, arr in (("actuals", actuals), ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, arr)
         if not (actuals.shape == lower.shape == upper.shape) or actuals.ndim != 1:
-            raise LengthMismatch(
+            raise InputError(
                 f"actuals/lower/upper shapes differ: "
                 f"{actuals.shape}/{lower.shape}/{upper.shape}"
             )
         if actuals.size < 1:
-            raise LengthMismatch("need at least one sample")
+            raise InputError("need at least one sample")
         if (lower > upper).any():
-            raise LengthMismatch("interval bounds must satisfy L_t <= U_t")
+            raise InputError("interval bounds must satisfy L_t <= U_t")
 
 
 def ecpas(run: EvaluationRun) -> float:
@@ -65,7 +64,7 @@ def confidence_level_ecpas(run_coverages, target: float) -> float:
     """Fraction of runs whose coverage is at or above ``target``."""
     values = np.asarray(run_coverages, dtype=np.float64)
     if values.size == 0:
-        raise EmptyRuns("no coverage values supplied")
+        raise InputError("no coverage values supplied")
     return float((values >= target).mean())
 
 
@@ -73,7 +72,7 @@ def confidence_level_eawapi(run_widths, target: float) -> float:
     """Fraction of runs whose average width is strictly below ``target``."""
     values = np.asarray(run_widths, dtype=np.float64)
     if values.size == 0:
-        raise EmptyRuns("no width values supplied")
+        raise InputError("no width values supplied")
     return float((values < target).mean())
 
 
@@ -85,7 +84,7 @@ def achieved_coverage_at(run_coverages, confidence: float = 0.9) -> float:
     """
     values = np.sort(np.asarray(run_coverages, dtype=np.float64))
     if values.size == 0:
-        raise EmptyRuns("no coverage values supplied")
+        raise InputError("no coverage values supplied")
     k = values.size - math.ceil(confidence * values.size)
     return float(values[k])
 
@@ -95,7 +94,7 @@ def achieved_width_at(run_widths, confidence: float = 0.9) -> float:
     (up to the strict inequality): the ceil(confidence*S)-th smallest value."""
     values = np.sort(np.asarray(run_widths, dtype=np.float64))
     if values.size == 0:
-        raise EmptyRuns("no width values supplied")
+        raise InputError("no width values supplied")
     k = math.ceil(confidence * values.size) - 1
     return float(values[k])
 
@@ -171,7 +170,7 @@ def repeated_sampling_harness(
     delta_target: float,
     xi_target: float,
     master_seed: int = 0,
-    bins: int = 50,
+    bins: int = DEFAULT_BINS,
 ) -> RepeatedSamplingReport:
     """Score ``runs`` repeated predictions over the same days.
 
@@ -181,9 +180,9 @@ def repeated_sampling_harness(
     is reproducible from ``master_seed``.
     """
     if runs < 1:
-        raise EmptyRuns(f"need at least one run, got {runs}")
+        raise InputError(f"need at least one run, got {runs}")
     if not eval_days:
-        raise EmptyRuns("no evaluation days supplied")
+        raise InputError("no evaluation days supplied")
 
     coverages = []
     widths = []
@@ -218,7 +217,6 @@ def repeated_sampling_harness(
             actuals=np.concatenate(actual_parts),
             lower=np.concatenate(lower_parts),
             upper=np.concatenate(upper_parts),
-            run_id=s + 1,
         )
         coverages.append(ecpas(run))
         widths.append(eawapi(run))

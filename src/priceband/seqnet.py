@@ -18,27 +18,19 @@ GEMM and the condition once per sequence (folded into the bias), so only
 ``rnn_forward`` has two modes that share one step implementation: with a
 backward cache (training) and, with ``keep_cache=False``, without one
 (inference, e.g. scenario generation).
+
+``params_to_payload``/``params_from_payload`` give one network's JSON
+payload; the model checkpoint (``ctsgan.save_model``) embeds one per network.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .errors import (
-    CorruptCheckpoint,
-    InvalidDims,
-    NonFiniteLoss,
-    ShapeMismatch,
-    StaleCache,
-    VersionMismatch,
-)
-
-CHECKPOINT_FORMAT_VERSION = 1
+from .errors import CheckpointError, InputError, NumericalError, StateError
 
 _ACTIVATIONS = ("linear", "sigmoid")
 
@@ -74,17 +66,17 @@ class LayerSpec:
 
 def _validate_specs(specs: tuple[LayerSpec, ...]) -> None:
     if not specs:
-        raise InvalidDims("network needs at least one layer block")
+        raise InputError("network needs at least one layer block")
     for spec in specs:
         if spec.kind not in ("lstm", "dense"):
-            raise InvalidDims(f"unknown layer kind: {spec.kind!r}")
+            raise InputError(f"unknown layer kind: {spec.kind!r}")
         if spec.input_dim <= 0 or spec.output_dim <= 0:
-            raise InvalidDims(f"non-positive dimension in {spec}")
+            raise InputError(f"non-positive dimension in {spec}")
         if spec.kind == "dense" and spec.activation not in _ACTIVATIONS:
-            raise InvalidDims(f"unknown activation: {spec.activation!r}")
+            raise InputError(f"unknown activation: {spec.activation!r}")
     for prev, nxt in zip(specs, specs[1:]):
         if prev.output_dim != nxt.input_dim:
-            raise InvalidDims(
+            raise InputError(
                 f"block output dim {prev.output_dim} does not feed block "
                 f"input dim {nxt.input_dim}"
             )
@@ -106,11 +98,11 @@ class NetworkParams:
         for spec, block in zip(self.specs, self.tensors):
             for name, shape in spec.tensor_shapes().items():
                 if block[name].shape != shape:
-                    raise InvalidDims(
+                    raise InputError(
                         f"tensor {name} has shape {block[name].shape}, expected {shape}"
                     )
                 if not np.isfinite(block[name]).all():
-                    raise InvalidDims("non-finite parameter tensor")
+                    raise InputError("non-finite parameter tensor")
 
     @property
     def n_params(self) -> int:
@@ -136,11 +128,11 @@ class NetworkParams:
         """Write a flat vector back into the parameter blocks."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.n_params,):
-            raise ShapeMismatch(
+            raise InputError(
                 f"flat vector has {vec.shape}, expected ({self.n_params},)"
             )
         if not np.isfinite(vec).all():
-            raise NonFiniteLoss("non-finite values in parameter vector")
+            raise NumericalError("non-finite values in parameter vector")
         offset = 0
         for block in self.tensors:
             for name in ("w", "b"):
@@ -148,10 +140,6 @@ class NetworkParams:
                 block[name][...] = vec[offset : offset + size].reshape(block[name].shape)
                 offset += size
         self.version += 1
-
-    def copy(self) -> "NetworkParams":
-        tensors = [{k: v.copy() for k, v in block.items()} for block in self.tensors]
-        return NetworkParams(self.specs, tensors)
 
 
 def init_params(seed: int, specs: tuple[LayerSpec, ...] | list[LayerSpec]) -> NetworkParams:
@@ -197,7 +185,7 @@ class ForwardCache:
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteLoss(f"non-finite values in {what}")
+        raise NumericalError(f"non-finite values in {what}")
 
 
 def rnn_forward(
@@ -225,21 +213,21 @@ def rnn_forward(
     if squeezed:
         x = x[:, None, :]
     if x.ndim != 3:
-        raise ShapeMismatch(f"inputs must be [T, D] or [T, B, D], got {x.shape}")
+        raise InputError(f"inputs must be [T, D] or [T, B, D], got {x.shape}")
     cond = None
     if condition is not None:
         cond = np.asarray(condition, dtype=np.float64)
         if cond.ndim == 1:
             cond = cond[None, :]
         if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[1]):
-            raise ShapeMismatch(
+            raise InputError(
                 f"condition must be [C] or [B, C] with B = {x.shape[1]}, got {cond.shape}"
             )
         if params.specs[0].kind != "lstm":
-            raise ShapeMismatch("a condition needs an LSTM first block")
+            raise InputError("a condition needs an LSTM first block")
     cond_dim = 0 if cond is None else cond.shape[1]
     if x.shape[2] + cond_dim != params.input_dim:
-        raise ShapeMismatch(
+        raise InputError(
             f"input dim {x.shape[2]} + condition dim {cond_dim} does not match "
             f"network input dim {params.input_dim}"
         )
@@ -355,10 +343,10 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
     part only, without the condition).
     """
     if cache.version != cache.params.version:
-        raise StaleCache("parameters changed since the cached forward pass")
+        raise StateError("parameters changed since the cached forward pass")
     dy = np.asarray(upstream, dtype=np.float64)
     if dy.shape != cache.output_shape:
-        raise ShapeMismatch(
+        raise InputError(
             f"upstream gradient shape {dy.shape}, expected {cache.output_shape}"
         )
     _check_finite(dy, "upstream gradient")
@@ -447,41 +435,22 @@ def _lstm_backward(block_cache: _BlockCache, dh_out: np.ndarray):
     return dw, db, dx
 
 
-@dataclass
-class OptimizerState:
-    """Plain SGD with post-step parameter clamping.
-
-    ``step_count`` is the accumulator slot; SGD itself keeps no per-parameter
-    state, but the field keeps the contract ready for stateful optimizers.
-    """
-
-    learning_rate: float = 0.02
-    clip_limit: float = 0.5
-    step_count: int = field(default=0)
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidDims("learning_rate must be positive")
-        if self.clip_limit <= 0:
-            raise InvalidDims("clip_limit must be positive")
-
-
 def sgd_step(
     params: NetworkParams,
     gradients: np.ndarray,
-    opt: OptimizerState,
-    clip: bool = False,
+    learning_rate: float,
+    clip_limit: float | None = None,
 ) -> NetworkParams:
-    """In-place update ``params <- params - lr * gradients``.
+    """In-place update ``params <- params - learning_rate * gradients``.
 
-    With ``clip=True`` every parameter is clamped to
+    With a ``clip_limit`` every parameter is clamped to
     ``[-clip_limit, +clip_limit]`` after the update (used for the adversarial
-    critic only). Raises ``NonFiniteLoss`` if the update leaves a non-finite
+    critic only). Raises ``NumericalError`` if the update leaves a non-finite
     parameter. Returns the mutated params for chaining.
     """
     grads = np.asarray(gradients, dtype=np.float64)
     if grads.shape != (params.n_params,):
-        raise ShapeMismatch(
+        raise InputError(
             f"gradient vector has {grads.shape}, expected ({params.n_params},)"
         )
     _check_finite(grads, "gradients")
@@ -491,12 +460,11 @@ def sgd_step(
         for name in ("w", "b"):
             tensor = block[name]
             size = tensor.size
-            tensor -= opt.learning_rate * grads[offset : offset + size].reshape(tensor.shape)
-            if clip:
-                np.clip(tensor, -opt.clip_limit, opt.clip_limit, out=tensor)
+            tensor -= learning_rate * grads[offset : offset + size].reshape(tensor.shape)
+            if clip_limit is not None:
+                np.clip(tensor, -clip_limit, clip_limit, out=tensor)
             _check_finite(tensor, "parameters after the update")
             offset += size
-    opt.step_count += 1
     return params
 
 
@@ -507,13 +475,13 @@ def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
     relative error per parameter is |a - n| / max(|a|, |n|, 1e-8).
     """
     if eps <= 0:
-        raise InvalidDims("eps must be positive")
+        raise InputError("eps must be positive")
     loss, analytic = loss_fn(params)
     if not np.isfinite(loss):
-        raise NonFiniteLoss("loss is non-finite at the evaluation point")
+        raise NumericalError("loss is non-finite at the evaluation point")
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != (params.n_params,):
-        raise ShapeMismatch("analytic gradient length does not match parameter count")
+        raise InputError("analytic gradient length does not match parameter count")
 
     base = params.flat()
     numeric = np.empty_like(base)
@@ -527,7 +495,7 @@ def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
         down, _ = loss_fn(params)
         if not (np.isfinite(up) and np.isfinite(down)):
             params.load_flat(base)
-            raise NonFiniteLoss("loss is non-finite at a perturbed point")
+            raise NumericalError("loss is non-finite at a perturbed point")
         numeric[k] = (up - down) / (2.0 * eps)
     params.load_flat(base)
 
@@ -566,42 +534,17 @@ def params_from_payload(payload: dict) -> NetworkParams:
         )
         flat = np.asarray(payload["flat_weights"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"bad network payload: {exc}") from exc
+        raise CheckpointError(f"bad network payload: {exc}") from exc
     try:
         params = init_params(0, specs)
-    except InvalidDims as exc:
-        raise CorruptCheckpoint(f"bad layer specs: {exc}") from exc
+    except InputError as exc:
+        raise CheckpointError(f"bad layer specs: {exc}") from exc
     if flat.shape != (params.n_params,):
-        raise CorruptCheckpoint(
+        raise CheckpointError(
             f"weight count {flat.size} does not match specs ({params.n_params})"
         )
     if not np.isfinite(flat).all():
-        raise CorruptCheckpoint("non-finite weights in checkpoint")
+        raise CheckpointError("non-finite weights in checkpoint")
     params.load_flat(flat)
     params.version = 0
     return params
-
-
-def save_params(params: NetworkParams, path) -> None:
-    """Write the versioned JSON envelope. Python float repr round-trips
-    exactly, so a reload is byte-identical in memory."""
-    payload = {"format_version": CHECKPOINT_FORMAT_VERSION, **params_to_payload(params)}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, allow_nan=False))
-    os.replace(tmp, path)
-
-
-def load_params(path) -> NetworkParams:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-    version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"checkpoint format {version!r} != {CHECKPOINT_FORMAT_VERSION}; "
-            "re-train or convert with a matching package version"
-        )
-    return params_from_payload(payload)

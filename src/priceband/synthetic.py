@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_ingest import DEFAULT_SCHEMA, HALF_HOURS_PER_DAY
+from .data_ingest import CSV_COLUMNS, HALF_HOURS_PER_DAY
 
 _T = np.arange(HALF_HOURS_PER_DAY)
 
@@ -126,10 +126,10 @@ def generate_market_csv(
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(DEFAULT_SCHEMA.values()))
+        writer.writerow(CSV_COLUMNS)
         for ts, values in rows:
             writer.writerow(
                 [ts.isoformat()]
-                + [repr(values[name]) for name in list(DEFAULT_SCHEMA)[1:]]
+                + [repr(values[name]) for name in CSV_COLUMNS[1:]]
             )
     return path

@@ -17,14 +17,8 @@ from enum import IntEnum
 import numpy as np
 from scipy import stats
 
-from .data_ingest import HALF_HOURS_PER_DAY, PriceSeries
-from .errors import (
-    CalibrationDegenerate,
-    IncompleteWindow,
-    InsufficientData,
-    LengthMismatch,
-    ZeroVariance,
-)
+from .data_ingest import HALF_HOURS_PER_DAY
+from .errors import InputError
 
 FACTORS = ("temperature", "irradiance", "wind")
 
@@ -48,6 +42,9 @@ NORMAL_PERCENTILE = 0.60
 LOW_PERCENTILE = 0.85
 MEDIUM_PERCENTILE = 0.95
 
+# Fewest variance samples per factor that calibration accepts.
+MIN_CALIBRATION_SAMPLES = 100
+
 
 class VolatilityLevel(IntEnum):
     NORMAL = 0
@@ -66,7 +63,7 @@ class FactorCuts:
 
     def __post_init__(self):
         if not (0 < self.low_cut < self.med_cut < self.high_cut):
-            raise CalibrationDegenerate(
+            raise InputError(
                 f"cuts must satisfy 0 < low < med < high, got "
                 f"({self.low_cut}, {self.med_cut}, {self.high_cut})"
             )
@@ -81,7 +78,7 @@ class VolatilityThresholds:
     def __post_init__(self):
         missing = [f for f in FACTORS if f not in self.cuts]
         if missing:
-            raise CalibrationDegenerate(f"thresholds missing factors: {missing}")
+            raise InputError(f"thresholds missing factors: {missing}")
 
     def to_json(self) -> str:
         payload = {
@@ -117,26 +114,13 @@ def default_thresholds() -> VolatilityThresholds:
     )
 
 
-@dataclass(frozen=True)
-class SigmaIncrementTable:
-    """Noise-std increment per (factor, level); Normal contributes 0."""
-
-    increments: dict[str, dict[VolatilityLevel, float]]
-
-    def increment(self, factor: str, level: VolatilityLevel) -> float:
-        return self.increments[factor][level]
-
-
-_LEVEL_INCREMENTS = {
+# Noise-std increment per level, the same for every factor.
+LEVEL_INCREMENTS = {
     VolatilityLevel.NORMAL: 0.0,
     VolatilityLevel.LOW: 0.333,
     VolatilityLevel.MEDIUM: 0.667,
     VolatilityLevel.HIGH: 1.0,
 }
-
-
-def default_sigma_table() -> SigmaIncrementTable:
-    return SigmaIncrementTable({factor: dict(_LEVEL_INCREMENTS) for factor in FACTORS})
 
 
 def window_variance(values, window: range = TEMPERATURE_WINDOW) -> float:
@@ -148,14 +132,14 @@ def window_variance(values, window: range = TEMPERATURE_WINDOW) -> float:
     vals = np.asarray(values, dtype=np.float64)
     idx = np.fromiter(window, dtype=np.intp)
     if idx.size == 0:
-        raise IncompleteWindow("window selects no samples")
+        raise InputError("window selects no samples")
     if vals.ndim != 1 or idx.max() >= vals.size:
-        raise IncompleteWindow(
+        raise InputError(
             f"window needs index {idx.max()} but series has {vals.size} samples"
         )
     selected = vals[idx]
     if not np.isfinite(selected).all():
-        raise IncompleteWindow("window contains missing samples")
+        raise InputError("window contains missing samples")
     if np.ptp(selected) == 0.0:
         return 0.0
     return float(selected.var())
@@ -167,7 +151,7 @@ def classify_volatility(
     """Band a variance into a level; bands are lower-inclusive, so a variance
     exactly on a cut belongs to the higher level."""
     if variance < 0:
-        raise ZeroVariance(f"variance must be non-negative, got {variance}")
+        raise InputError(f"variance must be non-negative, got {variance}")
     cuts = thresholds.cuts[factor]
     if variance < cuts.low_cut:
         return VolatilityLevel.NORMAL
@@ -178,38 +162,32 @@ def classify_volatility(
     return VolatilityLevel.HIGH
 
 
-def sigma_from_levels(
-    levels: dict[str, VolatilityLevel],
-    table: SigmaIncrementTable | None = None,
-) -> float:
+def sigma_from_levels(levels: dict[str, VolatilityLevel]) -> float:
     """Noise std: max(1, sum of per-factor increments).
 
     The floor keeps the all-Normal case at the baseline N(0,1) noise; summed
     increments alone would give 0 there.
     """
-    table = table or default_sigma_table()
-    total = sum(table.increment(factor, levels[factor]) for factor in FACTORS)
+    total = sum(LEVEL_INCREMENTS[levels[factor]] for factor in FACTORS)
     return max(1.0, total)
 
 
-def calibrate_thresholds(
-    variances: dict[str, np.ndarray], min_samples: int = 100
-) -> VolatilityThresholds:
+def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThresholds:
     """Empirical 60th/85th/95th percentile cuts per factor."""
     cuts = {}
     for factor in FACTORS:
         if factor not in variances:
-            raise InsufficientData(f"no variance samples for factor {factor!r}")
+            raise InputError(f"no variance samples for factor {factor!r}")
         sample = np.asarray(variances[factor], dtype=np.float64)
-        if sample.size < min_samples:
-            raise InsufficientData(
-                f"{factor}: {sample.size} samples < required {min_samples}"
+        if sample.size < MIN_CALIBRATION_SAMPLES:
+            raise InputError(
+                f"{factor}: {sample.size} samples < required {MIN_CALIBRATION_SAMPLES}"
             )
         low, med, high = np.quantile(
             sample, (NORMAL_PERCENTILE, LOW_PERCENTILE, MEDIUM_PERCENTILE)
         )
         if not low < med < high:
-            raise CalibrationDegenerate(
+            raise InputError(
                 f"{factor}: percentile cuts not strictly increasing "
                 f"({low}, {med}, {high})"
             )
@@ -223,16 +201,16 @@ def pearson_correlation(x, y) -> tuple[float, float]:
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
-        raise LengthMismatch(f"x has shape {xa.shape}, y has shape {ya.shape}")
+        raise InputError(f"x has shape {xa.shape}, y has shape {ya.shape}")
     n = xa.size
     if n < 3:
-        raise LengthMismatch(f"need at least 3 paired samples, got {n}")
+        raise InputError(f"need at least 3 paired samples, got {n}")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
-        raise ZeroVariance("both inputs need nonzero variance")
+        raise InputError("both inputs need nonzero variance")
     r = float(xc @ yc) / (sx * sy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -242,12 +220,10 @@ def pearson_correlation(x, y) -> tuple[float, float]:
     return r, p
 
 
-def spike_histogram(prices: PriceSeries, threshold: float = SPIKE_THRESHOLD_AUD) -> np.ndarray:
-    """Counts of observations at or above ``threshold`` per half-hour of day."""
-    if threshold <= 0:
-        raise ZeroVariance(f"spike threshold must be positive, got {threshold}")
-    counts = np.zeros(HALF_HOURS_PER_DAY, dtype=np.int64)
-    for ts, value in zip(prices.timestamps, prices.values):
-        if value >= threshold:
-            counts[ts.hour * 2 + ts.minute // 30] += 1
-    return counts
+def spike_histogram(prices) -> np.ndarray:
+    """Counts of prices at or above ``SPIKE_THRESHOLD_AUD`` per half-hour of
+    day, over a ``[days, 48]`` array of A$/MWh prices."""
+    arr = np.asarray(prices, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != HALF_HOURS_PER_DAY:
+        raise InputError(f"prices must be [days, {HALF_HOURS_PER_DAY}], got {arr.shape}")
+    return (arr >= SPIKE_THRESHOLD_AUD).sum(axis=0)

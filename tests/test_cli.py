@@ -107,8 +107,11 @@ def test_train_checkpoint_loads(workspace):
     assert model.is_trained
     log_lines = (workspace["out"] / "training_log.jsonl").read_text(encoding="utf-8").strip().splitlines()
     assert len(log_lines) == 3 * 80
-    first = json.loads(log_lines[0])
-    assert set(first) == {"phase", "iteration", "loss"}
+    logged = [json.loads(line) for line in log_lines]
+    assert logged == model.training_log
+    for record in logged:
+        extra = {"d_loss"} if record["phase"] == 3 else set()
+        assert set(record) == {"phase", "iteration", "loss"} | extra
 
 
 def test_train_resume_skips_completed_phases(workspace, capsys):

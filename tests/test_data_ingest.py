@@ -2,28 +2,23 @@ import numpy as np
 import pytest
 
 from priceband import data_ingest as di
-from priceband.errors import (
-    DegenerateRange,
-    EmptyDataset,
-    EmptyInput,
-    MalformedRow,
-    MissingChannel,
-    NonMonotonicTimestamps,
-)
+from priceband.errors import InputError, MalformedRow
 
 HEADER = "timestamp,price,demand,temperature,irradiance,wind_speed,gas_price,coal_price"
 
 
-def write_csv(path, days, skip=None, shuffle=False, corrupt_line=None):
-    """Synthesize a minimal well-formed file; `skip` drops (day, slot) rows."""
+def write_csv(path, days, skip=None, shuffle=False, corrupt_line=None, prices=None):
+    """Synthesize a minimal well-formed file; `skip` drops (day, slot) rows
+    and `prices` maps (day, slot) to a price in place of the default ramp."""
     skip = skip or set()
+    prices = prices or {}
     lines = [HEADER]
     for d in range(days):
         for k in range(48):
             if (d, k) in skip:
                 continue
             ts = f"2021-03-{d + 1:02d}T{k // 2:02d}:{30 * (k % 2):02d}:00"
-            price = 40.0 + k + d
+            price = prices.get((d, k), 40.0 + k + d)
             lines.append(f"{ts},{price},6000,18.5,400,5.0,8.0,90.0")
     if shuffle:
         lines[1], lines[5] = lines[5], lines[1]
@@ -52,7 +47,7 @@ def test_missing_half_hour_drops_day(tmp_path):
 
 
 def test_shuffled_timestamps_rejected(tmp_path):
-    with pytest.raises(NonMonotonicTimestamps):
+    with pytest.raises(InputError, match="does not follow"):
         di.load_dataset(write_csv(tmp_path / "d.csv", days=1, shuffle=True))
 
 
@@ -66,43 +61,30 @@ def test_malformed_value_reports_line_number(tmp_path):
 def test_off_grid_timestamp_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(HEADER + "\n2021-03-01T00:17:00,40,6000,18,400,5,8,90\n", encoding="utf-8")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(MalformedRow, match="off the 30-minute grid"):
         di.load_dataset(path)
 
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(HEADER + "\n", encoding="utf-8")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InputError, match="no data rows"):
         di.load_dataset(path)
 
 
-def test_clip_prices_bounds():
-    series = di.PriceSeries(di._day_grid(np.datetime64("2021-03-01").item()), [0.0] * 48)
-    values = np.full(48, 250.0)
-    values[0], values[1] = -10.0, 700.0
-    series = di.PriceSeries(series.timestamps, values)
-    clipped = di.clip_prices(series, 0.0, 500.0)
-    assert clipped.values[0] == 0.0
-    assert clipped.values[1] == 500.0
-    assert (clipped.values[2:] == 250.0).all()
-
-
-def test_clip_identity_and_idempotence():
-    rng = np.random.default_rng(0)
-    values = rng.uniform(-50, 600, 48)
-    series = di.PriceSeries(di._day_grid(np.datetime64("2021-03-01").item()), values)
-    inside = di.PriceSeries(series.timestamps, rng.uniform(10, 400, 48))
-    assert np.array_equal(di.clip_prices(inside).values, inside.values)
-    once = di.clip_prices(series)
-    twice = di.clip_prices(once)
-    assert np.array_equal(once.values, twice.values)
-
-
-def test_clip_degenerate_bounds_rejected():
-    series = di.PriceSeries(di._day_grid(np.datetime64("2021-03-01").item()), np.zeros(48))
-    with pytest.raises(DegenerateRange):
-        di.clip_prices(series, 100.0, 100.0)
+def test_clip_prices_bounds(tmp_path):
+    """Prices load clipped to [0, 500] A$/MWh and normalise against those
+    bounds, whatever the file holds."""
+    path = write_csv(tmp_path / "d.csv", days=2, prices={(1, 0): -10.0, (1, 1): 700.0})
+    ds = di.load_dataset(path)
+    rec = ds.record_for(ds.day_records[1].day)
+    assert rec.channel("price")[0] == 0.0
+    assert rec.channel("price")[1] == 500.0
+    assert (rec.channel("price")[2:] == 40.0 + np.arange(2, 48) + 1).all()
+    target = ds.days[0][1]
+    assert target[0] == 0.0
+    assert target[1] == 1.0
+    assert np.array_equal(ds.normalized_channel(rec, "price"), target)
 
 
 def test_normalize_boundary_values():
@@ -121,7 +103,7 @@ def test_normalize_monotone():
 
 
 def test_degenerate_range_rejected():
-    with pytest.raises(DegenerateRange):
+    with pytest.raises(InputError, match="must exceed p_min"):
         di.MinMaxParams(10.0, 10.0)
 
 
@@ -141,7 +123,7 @@ def test_hdd_cdd():
     assert di.compute_hdd_cdd([15.0], base=18.0) == (3.0, 0.0)
     hdd, cdd = di.compute_hdd_cdd(np.linspace(10, 30, 48))
     assert hdd == 0.0 or cdd == 0.0
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InputError, match="temperature list is empty"):
         di.compute_hdd_cdd([])
 
 
@@ -189,9 +171,8 @@ def test_build_conditions_missing_channel(tmp_path):
         day=cur.day,
         channels={k: v for k, v in cur.channels.items() if k != "wind_speed"},
     )
-    with pytest.raises(MissingChannel) as err:
+    with pytest.raises(InputError, match="required channel missing: wind_speed"):
         di.build_conditions(prev, broken, ds.norm)
-    assert err.value.name == "wind_speed"
 
 
 def test_condition_normalized_entries_in_unit_range(toy_dataset):

@@ -7,16 +7,15 @@ import pytest
 
 from priceband import ctsgan, metrics
 from priceband import weather_volatility as wv
-from priceband.errors import EmptyRuns, LengthMismatch
+from priceband.errors import InputError
 from tests.conftest import factor_variances
 
 
-def run_of(actuals, lower, upper, run_id=1):
+def run_of(actuals, lower, upper):
     return metrics.EvaluationRun(
         actuals=np.asarray(actuals, dtype=float),
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
-        run_id=run_id,
     )
 
 
@@ -70,9 +69,9 @@ def test_widening_raises_coverage_and_width():
 
 
 def test_run_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError, match="shapes differ"):
         run_of([0.5], [0.4, 0.4], [0.6, 0.6])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError, match="L_t <= U_t"):
         run_of([0.5], [0.7], [0.6])
 
 
@@ -105,9 +104,9 @@ def test_confidence_levels_monotone_step_functions():
 
 
 def test_empty_runs_rejected():
-    with pytest.raises(EmptyRuns):
+    with pytest.raises(InputError, match="no coverage values"):
         metrics.confidence_level_ecpas([], 0.9)
-    with pytest.raises(EmptyRuns):
+    with pytest.raises(InputError, match="no width values"):
         metrics.confidence_level_eawapi([], 0.2)
 
 
@@ -122,7 +121,7 @@ def test_brute_force_equivalence_small_cases():
             actuals = rng.uniform(0, 1, T)
             lower = rng.uniform(0, 0.5, T)
             upper = lower + rng.uniform(0, 0.5, T)
-            run = run_of(actuals, lower, upper, run_id=s + 1)
+            run = run_of(actuals, lower, upper)
             # exhaustive tallies, element by element
             covered = sum(1 for t in range(T) if lower[t] <= actuals[t] <= upper[t])
             width = sum(upper[t] - lower[t] for t in range(T)) / T
@@ -241,12 +240,12 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
 
 def test_harness_requires_runs_and_days(mini_model, toy_dataset, toy_thresholds):
     days = eval_days_from(toy_dataset, 0, 1)
-    with pytest.raises(EmptyRuns):
+    with pytest.raises(InputError, match="at least one run"):
         metrics.repeated_sampling_harness(
             mini_model, days, toy_thresholds,
             runs=0, count=10, nominal=0.9, delta_target=0.5, xi_target=0.5,
         )
-    with pytest.raises(EmptyRuns):
+    with pytest.raises(InputError, match="no evaluation days"):
         metrics.repeated_sampling_harness(
             mini_model, [], toy_thresholds,
             runs=2, count=10, nominal=0.9, delta_target=0.5, xi_target=0.5,

@@ -1,18 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from priceband import seqnet
-from priceband.errors import (
-    CorruptCheckpoint,
-    InvalidDims,
-    NonFiniteLoss,
-    ShapeMismatch,
-    StaleCache,
-    VersionMismatch,
-)
+from priceband.errors import CheckpointError, InputError, NumericalError, StateError
 
 LSTM_DENSE = (
     seqnet.LayerSpec("lstm", 3, 5),
@@ -53,11 +45,11 @@ def test_init_forget_gate_bias_is_one():
 
 
 def test_init_invalid_dims():
-    with pytest.raises(InvalidDims):
+    with pytest.raises(InputError, match="non-positive dimension"):
         seqnet.init_params(0, (seqnet.LayerSpec("lstm", 0, 4),))
-    with pytest.raises(InvalidDims):
+    with pytest.raises(InputError, match="unknown activation"):
         seqnet.init_params(0, (seqnet.LayerSpec("dense", 3, 4, "relu"),))
-    with pytest.raises(InvalidDims):
+    with pytest.raises(InputError, match="does not feed"):
         seqnet.init_params(
             0, (seqnet.LayerSpec("lstm", 3, 4), seqnet.LayerSpec("dense", 5, 1))
         )
@@ -194,20 +186,20 @@ def test_condition_gradients_finite_difference():
 
 def test_forward_rejects_bad_shapes_and_nan():
     params = seqnet.init_params(0, LSTM_DENSE)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match="does not match network input dim"):
         seqnet.rnn_forward(params, np.zeros((4, 7)))
-    with pytest.raises(NonFiniteLoss):
+    with pytest.raises(NumericalError, match="inputs"):
         seqnet.rnn_forward(params, np.full((4, 3), np.nan))
 
     cond_params = seqnet.init_params(0, COND_NET)
     x = np.zeros((4, 3, 2))
-    with pytest.raises(ShapeMismatch):  # condition dim 3 + input dim 2 != 6
+    with pytest.raises(InputError, match="condition dim 3"):  # 3 + input dim 2 != 6
         seqnet.rnn_forward(cond_params, x, np.zeros(3))
-    with pytest.raises(ShapeMismatch):  # 2 conditions for a batch of 3
+    with pytest.raises(InputError, match="B = 3"):  # 2 conditions for a batch of 3
         seqnet.rnn_forward(cond_params, x, np.zeros((2, 4)))
-    with pytest.raises(ShapeMismatch):  # condition on a network without one
+    with pytest.raises(InputError, match="condition dim 1"):  # network without one
         seqnet.rnn_forward(params, np.zeros((4, 3)), np.zeros(1))
-    with pytest.raises(NonFiniteLoss):
+    with pytest.raises(NumericalError, match="condition"):
         seqnet.rnn_forward(cond_params, x, np.full(4, np.inf))
 
 
@@ -276,15 +268,15 @@ def test_backward_stale_cache():
     params = seqnet.init_params(10, LSTM_DENSE)
     x = np.random.default_rng(8).normal(size=(3, 3))
     out, cache = seqnet.rnn_forward(params, x)
-    seqnet.sgd_step(params, np.zeros(params.n_params), seqnet.OptimizerState())
-    with pytest.raises(StaleCache):
+    seqnet.sgd_step(params, np.zeros(params.n_params), 0.02)
+    with pytest.raises(StateError):
         seqnet.backward(cache, np.zeros_like(out))
 
 
 def test_backward_shape_check():
     params = seqnet.init_params(11, LSTM_DENSE)
     out, cache = seqnet.rnn_forward(params, np.zeros((3, 3)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match="upstream gradient shape"):
         seqnet.backward(cache, np.zeros((3, 7)))
 
 
@@ -295,7 +287,7 @@ def test_sgd_zero_gradient_only_clamps():
     flat = params.flat()
     flat[0] = 0.8
     params.load_flat(flat)
-    seqnet.sgd_step(params, np.zeros(params.n_params), seqnet.OptimizerState(), clip=True)
+    seqnet.sgd_step(params, np.zeros(params.n_params), 0.02, clip_limit=0.5)
     updated = params.flat()
     assert updated[0] == 0.5
     assert np.array_equal(updated[1:], np.clip(flat[1:], -0.5, 0.5))
@@ -307,77 +299,45 @@ def test_sgd_single_step_arithmetic():
     params.load_flat(np.zeros(2))
     grads = np.array([1.0, 0.0])
     version = params.version
-    seqnet.sgd_step(params, grads, seqnet.OptimizerState(learning_rate=0.02))
+    seqnet.sgd_step(params, grads, 0.02)
     assert params.flat()[0] == pytest.approx(-0.02, abs=1e-15)
     assert params.version == version + 1
 
 
 def test_sgd_rejects_overflowing_update():
     params = seqnet.init_params(26, LSTM_DENSE)
-    with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
-        seqnet.sgd_step(
-            params, np.full(params.n_params, 1e300), seqnet.OptimizerState(learning_rate=1e10)
-        )
-    with pytest.raises(NonFiniteLoss):
-        seqnet.sgd_step(params, np.full(params.n_params, np.nan), seqnet.OptimizerState())
+    with pytest.raises(NumericalError, match="after the update"), np.errstate(over="ignore"):
+        seqnet.sgd_step(params, np.full(params.n_params, 1e300), 1e10)
+    with pytest.raises(NumericalError, match="gradients"):
+        seqnet.sgd_step(params, np.full(params.n_params, np.nan), 0.02)
 
 
 def test_clamp_invariant_over_many_steps():
     params = seqnet.init_params(13, LSTM_DENSE)
-    opt = seqnet.OptimizerState(learning_rate=0.5)
     rng = np.random.default_rng(9)
     for _ in range(20):
-        seqnet.sgd_step(params, rng.normal(size=params.n_params), opt, clip=True)
+        seqnet.sgd_step(params, rng.normal(size=params.n_params), 0.5, clip_limit=0.5)
         assert np.abs(params.flat()).max() <= 0.5
 
 
 def test_gradient_check_rejects_zero_eps():
     params = seqnet.init_params(14, LSTM_DENSE)
-    with pytest.raises(InvalidDims):
+    with pytest.raises(InputError, match="eps"):
         seqnet.gradient_check(params, lambda p: (0.0, np.zeros(p.n_params)), 0.0)
 
 
-# --- checkpoint -------------------------------------------------------------------------
+# --- checkpoint payload ------------------------------------------------------------------
 
-def test_checkpoint_round_trip_exact(tmp_path):
+def test_checkpoint_round_trip_exact():
     params = seqnet.init_params(15, LSTM_DENSE)
-    path = tmp_path / "net.json"
-    seqnet.save_params(params, path)
-    payload = {"format_version": seqnet.CHECKPOINT_FORMAT_VERSION, **seqnet.params_to_payload(params)}
-    assert path.read_bytes() == json.dumps(payload, allow_nan=False).encode("utf-8")
-    loaded = seqnet.load_params(path)
+    loaded = seqnet.params_from_payload(seqnet.params_to_payload(params))
     assert loaded.specs == params.specs
-    assert np.array_equal(loaded.flat(), params.flat())
-    seqnet.save_params(loaded, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert loaded.flat().tobytes() == params.flat().tobytes()
+    assert seqnet.params_to_payload(loaded) == seqnet.params_to_payload(params)
 
 
-def test_checkpoint_truncated_rejected(tmp_path):
-    params = seqnet.init_params(16, LSTM_DENSE)
-    path = tmp_path / "net.json"
-    seqnet.save_params(params, path)
-    path.write_text(path.read_text(encoding="utf-8")[:100], encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint):
-        seqnet.load_params(path)
-
-
-def test_checkpoint_version_mismatch(tmp_path):
-    params = seqnet.init_params(17, LSTM_DENSE)
-    path = tmp_path / "net.json"
-    seqnet.save_params(params, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["format_version"] = 0
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(VersionMismatch):
-        seqnet.load_params(path)
-
-
-def test_checkpoint_weight_count_mismatch(tmp_path):
-    params = seqnet.init_params(18, LSTM_DENSE)
-    path = tmp_path / "net.json"
-    seqnet.save_params(params, path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+def test_checkpoint_weight_count_mismatch():
+    payload = seqnet.params_to_payload(seqnet.init_params(18, LSTM_DENSE))
     payload["flat_weights"] = payload["flat_weights"][:-1]
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint):
-        seqnet.load_params(path)
+    with pytest.raises(CheckpointError, match="weight count"):
+        seqnet.params_from_payload(payload)

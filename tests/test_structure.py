@@ -1,0 +1,67 @@
+"""Import structure of the package: every import sits at module level, and
+the modules of ``priceband`` import each other without a cycle."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "priceband"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _package_imports(tree: ast.Module, names) -> set[str]:
+    """Sibling modules a module imports: ``from . import x``, ``from .x
+    import y`` and ``import priceband.x`` forms."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.split(".")[0] == "priceband":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "priceband" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & set(names)
+
+
+def test_no_import_inside_a_function():
+    offenders = []
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        offenders.append(f"{name}.{func.name} (line {node.lineno})")
+    assert offenders == []
+
+
+def test_package_import_graph_is_acyclic():
+    modules = _modules()
+    graph = {name: _package_imports(tree, modules) for name, tree in modules.items()}
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        if name in path:
+            cycle = path[path.index(name):] + (name,)
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + (name,))
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, ())

@@ -1,19 +1,9 @@
-import math
-from datetime import datetime, timedelta
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from priceband import data_ingest as di
 from priceband import weather_volatility as wv
-from priceband.errors import (
-    CalibrationDegenerate,
-    IncompleteWindow,
-    InsufficientData,
-    LengthMismatch,
-    ZeroVariance,
-)
+from priceband.errors import InputError
 
 
 # --- window variance -----------------------------------------------------------
@@ -47,9 +37,9 @@ def test_variance_matches_two_pass_oracle():
 def test_incomplete_window_rejected():
     values = np.full(48, 0.5)
     values[30] = np.nan
-    with pytest.raises(IncompleteWindow):
+    with pytest.raises(InputError, match="missing samples"):
         wv.window_variance(values)
-    with pytest.raises(IncompleteWindow):
+    with pytest.raises(InputError, match="window needs index 38"):
         wv.window_variance(np.ones(10), range(24, 39))
 
 
@@ -144,9 +134,9 @@ def test_calibrate_normal_share():
 
 
 def test_calibrate_degenerate_and_insufficient():
-    with pytest.raises(CalibrationDegenerate):
+    with pytest.raises(InputError, match="not strictly increasing"):
         wv.calibrate_thresholds({f: np.full(200, 0.5) for f in wv.FACTORS})
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InputError, match="50 samples < required 100"):
         wv.calibrate_thresholds({f: np.linspace(0, 1, 50) for f in wv.FACTORS})
 
 
@@ -189,49 +179,44 @@ def test_pearson_symmetry_and_affine_invariance():
 
 
 def test_pearson_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError, match="y has shape"):
         wv.pearson_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError, match="at least 3 paired samples"):
         wv.pearson_correlation([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(InputError, match="nonzero variance"):
         wv.pearson_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 # --- spike histogram ----------------------------------------------------------------
 
-def _price_series(values, start="2021-03-01T00:00:00"):
-    first = datetime.fromisoformat(start)
-    stamps = tuple(first + timedelta(minutes=30 * k) for k in range(len(values)))
-    return di.PriceSeries(stamps, values)
-
-
 def test_spike_histogram_empty():
-    series = _price_series(np.full(96, 100.0))
-    assert wv.spike_histogram(series).sum() == 0
+    assert wv.spike_histogram(np.full((2, 48), 100.0)).sum() == 0
 
 
 def test_spike_histogram_single_spike_at_1400():
-    values = np.full(48, 100.0)
-    values[28] = 420.0  # 14:00
-    counts = wv.spike_histogram(_price_series(values))
+    values = np.full((1, 48), 100.0)
+    values[0, 28] = 420.0  # 14:00
+    counts = wv.spike_histogram(values)
     assert counts[28] == 1
     assert counts.sum() == 1
 
 
 def test_spike_histogram_afternoon_only_fixture():
     rng = np.random.default_rng(23)
-    values = np.full(48 * 30, 80.0)
+    values = np.full((30, 48), 80.0)
     for day in range(30):
         if rng.random() < 0.5:
             slot = int(rng.integers(24, 39))
-            values[day * 48 + slot] = 400.0
-    counts = wv.spike_histogram(_price_series(values))
+            values[day, slot] = 400.0
+    counts = wv.spike_histogram(values)
     assert counts.sum() > 0
     assert counts[:24].sum() == 0
     assert counts[39:].sum() == 0
 
 
 def test_spike_threshold_is_inclusive():
-    values = np.full(48, 100.0)
-    values[30] = 350.0
-    assert wv.spike_histogram(_price_series(values))[30] == 1
+    values = np.full((1, 48), 100.0)
+    values[0, 30] = 350.0
+    assert wv.spike_histogram(values)[30] == 1
+    with pytest.raises(InputError, match=r"\[days, 48\]"):
+        wv.spike_histogram(values[0])
