@@ -103,12 +103,21 @@ def _from_section(cls, section: dict):
     """A ``cls`` dataclass holding each of its fields that ``section`` names,
     cast to the type of the field's default (taken as is where that default
     is None); other fields keep their defaults and other keys are ignored.
-    A field without a plain default (a nested config) is never read."""
+    A field without a plain default (a nested config) is never read. A
+    value that does not cast raises ``InputError`` naming the key."""
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in section and f.default is not dataclasses.MISSING:
             value = section[f.name]
-            values[f.name] = value if f.default is None else type(f.default)(value)
+            if f.default is not None:
+                kind = type(f.default)
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(
+                        f"config key {f.name!r}: cannot read {value!r} as {kind.__name__}"
+                    ) from exc
+            values[f.name] = value
     return cls(**values)
 
 
@@ -152,8 +161,19 @@ def _factor_variances(dataset: data_ingest.Dataset, rec) -> dict[str, float]:
     }
 
 
-def cmd_calibrate(cfg: RunConfig) -> None:
+def _load_dataset(cfg: RunConfig) -> data_ingest.Dataset:
+    """Load the configured dataset and print its row and day accounting."""
     dataset = data_ingest.load_dataset(cfg.dataset)
+    report = dataset.report
+    print(
+        f"loaded {report.days_loaded} days from {report.rows_consumed} rows; "
+        f"dropped {report.days_dropped} incomplete days"
+    )
+    return dataset
+
+
+def cmd_calibrate(cfg: RunConfig) -> None:
+    dataset = _load_dataset(cfg)
     samples = {factor: [] for factor in FACTORS}
     for rec in dataset.day_records:
         for factor, value in _factor_variances(dataset, rec).items():
@@ -180,7 +200,7 @@ def _phase_span(model: ctsgan.CTSGANModel, phase: int) -> tuple[float, float, in
 
 
 def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
-    dataset = data_ingest.load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     if not dataset.days:
         raise InputError("dataset has no condition/target day pairs")
     days = dataset.days
@@ -231,6 +251,23 @@ def _pair_for_date(dataset: data_ingest.Dataset, day: date_type):
     return condition, actuals, rec
 
 
+def _override_variances(override) -> dict[str, float]:
+    """The config's "variance_override": one number per volatility factor."""
+    if not isinstance(override, dict):
+        raise InputError(f"variance_override must map each factor to a number, got {override!r}")
+    variances = {}
+    for factor in FACTORS:
+        if factor not in override:
+            raise InputError(f"variance_override has no value for factor {factor!r}")
+        try:
+            variances[factor] = float(override[factor])
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"variance_override value {override[factor]!r} for factor {factor!r} is not a number"
+            ) from exc
+    return variances
+
+
 def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
     model = ctsgan.load_model(cfg.checkpoint)
@@ -238,7 +275,7 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     condition, _, rec = _pair_for_date(dataset, day)
 
     if cfg.variance_override is not None:
-        variances = {f: float(cfg.variance_override[f]) for f in FACTORS}
+        variances = _override_variances(cfg.variance_override)
         log.info("using variance override %s", variances)
     else:
         variances = _factor_variances(dataset, rec)

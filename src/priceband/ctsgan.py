@@ -46,7 +46,7 @@ from .seqnet import (
     sgd_step,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _ROLES = ("embedder", "recovery", "generator", "discriminator")
 
@@ -542,7 +542,11 @@ def generate_scenarios(
 
 
 def save_model(model: CTSGANModel, path) -> None:
-    """Versioned JSON checkpoint; reload reproduces generation bit-exactly."""
+    """Versioned JSON checkpoint; reload reproduces generation bit-exactly.
+
+    Metadata, whitening and the training log are JSON values; each network's
+    weights are base64 float64 bytes (see ``seqnet.params_to_payload``).
+    """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "latent_dim": model.latent_dim,
@@ -576,7 +580,7 @@ def load_model(path) -> CTSGANModel:
     if version != MODEL_FORMAT_VERSION:
         raise CheckpointError(
             f"model checkpoint format {version!r} != {MODEL_FORMAT_VERSION}; "
-            "re-train with this package version or convert the checkpoint"
+            "re-train with this package version"
         )
     try:
         networks = {

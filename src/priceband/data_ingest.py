@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import datetime
+from operator import itemgetter
 
 import numpy as np
 
@@ -265,70 +267,114 @@ def build_conditions(
     )
 
 
-def _parse_rows(path):
+def _check_finite(values: list, lines: list[int]) -> np.ndarray:
+    """``values`` (one tuple per row) as a ``[rows, channels]`` array; raises
+    ``MalformedRow`` on the first non-finite entry in file order."""
+    array = np.array(values, dtype=np.float64).reshape(-1, len(_VALUE_CHANNELS))
+    finite = np.isfinite(array)
+    if not finite.all():
+        row, col = divmod(int(np.flatnonzero(~finite)[0]), len(_VALUE_CHANNELS))
+        raise MalformedRow(lines[row], f"non-finite {_VALUE_CHANNELS[col]} value")
+    return array
+
+
+def _raise_row_error(row: list[str], columns: list[int], line_no: int) -> None:
+    """Raise the first error a field-by-field check of ``row`` meets; called
+    only for a row that failed the fast path, which always holds one.
+
+    ``columns`` holds the positions of ``CSV_COLUMNS``; a field past the end
+    of a short row reads as None, as ``csv.DictReader`` would give it.
+    """
+    fields = [row[k] if k < len(row) else None for k in columns]
+    try:
+        ts = datetime.fromisoformat(fields[0].strip())
+    except (ValueError, AttributeError, TypeError) as exc:
+        raise MalformedRow(line_no, f"bad timestamp: {exc}") from exc
+    if ts.minute not in (0, 30) or ts.second or ts.microsecond:
+        raise MalformedRow(line_no, f"timestamp {ts} is off the 30-minute grid")
+    for name, raw in zip(_VALUE_CHANNELS, fields[1:]):
+        try:
+            value = float(raw)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRow(line_no, f"bad {name} value {raw!r}") from exc
+        if not math.isfinite(value):
+            raise MalformedRow(line_no, f"non-finite {name} value")
+
+
+def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
+    """Read the CSV in one ``csv.reader`` pass.
+
+    Columns are found by header name (the last of duplicate names wins and
+    extra columns are ignored, as with ``csv.DictReader``), and blank lines
+    are skipped. Returns the row timestamps and a ``[rows, 7]`` float64
+    array of the ``_VALUE_CHANNELS``. Errors carry the physical line number
+    and are raised in file order, as a row-by-row check would meet them.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise InputError(f"{path} has no header row")
+        position = {name: k for k, name in enumerate(header)}
         for column in CSV_COLUMNS:
-            if column not in header:
+            if column not in position:
                 raise MalformedRow(1, f"header missing column {column!r}")
+        ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
+        value_fields = itemgetter(*value_cols)
 
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
+        stamps, values, lines = [], [], []
+        for row in reader:
+            if not row:
+                continue
             try:
-                ts = datetime.fromisoformat(row["timestamp"].strip())
-            except (ValueError, AttributeError, TypeError) as exc:
-                raise MalformedRow(line_no, f"bad timestamp: {exc}") from exc
-            if ts.minute not in (0, 30) or ts.second or ts.microsecond:
-                raise MalformedRow(line_no, f"timestamp {ts} is off the 30-minute grid")
-            values = {}
-            for name in _VALUE_CHANNELS:
-                raw = row.get(name)
-                try:
-                    values[name] = float(raw)
-                except (TypeError, ValueError) as exc:
-                    raise MalformedRow(line_no, f"bad {name} value {raw!r}") from exc
-                if not np.isfinite(values[name]):
-                    raise MalformedRow(line_no, f"non-finite {name} value")
-            rows.append((ts, values))
-    return rows
+                ts = datetime.fromisoformat(row[ts_col].strip())
+                if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
+                    values.append(tuple(map(float, value_fields(row))))
+                    stamps.append(ts)
+                    lines.append(reader.line_num)
+                    continue
+            except (IndexError, ValueError):
+                pass
+            _check_finite(values, lines)  # an earlier row's error comes first
+            _raise_row_error(row, columns, reader.line_num)
+    return stamps, _check_finite(values, lines)
 
 
 def load_dataset(path) -> Dataset:
     """Parse a CSV into a :class:`Dataset`.
 
-    Timestamps must be strictly increasing; any day without all 48 half-hours
-    is dropped and counted. Prices are clipped to [PRICE_CLIP_LO,
-    PRICE_CLIP_HI] and normalized against those bounds; the remaining channels
-    get min-max params fitted on the loaded days (fit on your training file
-    only to avoid leakage).
+    Timestamps must be strictly increasing and share one UTC offset (or
+    none), so each calendar day is one contiguous run of rows; a day without
+    all 48 half-hours is dropped and counted. Prices are clipped to
+    [PRICE_CLIP_LO, PRICE_CLIP_HI] and normalized against those bounds; the
+    remaining channels get min-max params fitted on the loaded days (fit on
+    your training file only to avoid leakage).
     """
-    rows = _parse_rows(path)
-    if not rows:
+    stamps, values = _parse_rows(path)
+    if not stamps:
         raise InputError(f"{path} contains no data rows")
 
-    for (prev_ts, _), (ts, _) in zip(rows, rows[1:]):
+    offsets = {ts.utcoffset() for ts in stamps}
+    if len(offsets) > 1:
+        raise InputError(f"{path} mixes UTC offsets {sorted(map(str, offsets))}")
+    for prev_ts, ts in zip(stamps, stamps[1:]):
         if ts <= prev_ts:
             raise InputError(f"timestamp {ts} does not follow {prev_ts}")
 
-    by_day: dict[date_type, dict[int, dict[str, float]]] = {}
-    for ts, values in rows:
-        index = ts.hour * 2 + ts.minute // 30
-        by_day.setdefault(ts.date(), {})[index] = values
+    ordinals = np.fromiter((ts.toordinal() for ts in stamps), dtype=np.int64, count=len(stamps))
+    bounds = [0, *(np.flatnonzero(np.diff(ordinals)) + 1).tolist(), len(stamps)]
 
     records = []
     dropped = []
-    for day in sorted(by_day):
-        slots = by_day[day]
-        if len(slots) != HALF_HOURS_PER_DAY:
+    for start, end in zip(bounds, bounds[1:]):
+        day = stamps[start].date()
+        if end - start != HALF_HOURS_PER_DAY:
             dropped.append(day.isoformat())
             continue
-        channels = {
-            name: np.array([slots[k][name] for k in range(HALF_HOURS_PER_DAY)])
-            for name in _VALUE_CHANNELS
-        }
+        # one small array per channel, as a row-by-row build would make: a
+        # view would keep the whole file's array alive, and one block per day
+        # raised the peak RSS of repeated train commands in one process
+        channels = {name: values[start:end, c].copy() for c, name in enumerate(_VALUE_CHANNELS)}
         channels["price"] = np.clip(channels["price"], PRICE_CLIP_LO, PRICE_CLIP_HI)
         records.append(DayRecord(day=day, channels=channels))
 
@@ -345,7 +391,7 @@ def load_dataset(path) -> Dataset:
         norm[name] = MinMaxParams(lo, hi)
 
     report = LoadReport(
-        rows_consumed=len(rows),
+        rows_consumed=len(stamps),
         days_loaded=len(records),
         days_dropped=len(dropped),
         dropped_days=tuple(dropped),

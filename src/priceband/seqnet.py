@@ -20,11 +20,14 @@ backward cache (training) and, with ``keep_cache=False``, without one
 (inference, e.g. scenario generation).
 
 ``params_to_payload``/``params_from_payload`` give one network's JSON
-payload; the model checkpoint (``ctsgan.save_model``) embeds one per network.
+payload: its layer specs plus ``flat_weights``, the base64 text of the flat
+parameter vector as little-endian float64 bytes, so a reload is bit-exact.
+The model checkpoint (``ctsgan.save_model``) embeds one per network.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -505,8 +508,12 @@ def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
 
 # --- checkpointing -------------------------------------------------------------
 
+# Byte layout of ``flat_weights``: little-endian float64 on every platform.
+_WEIGHT_DTYPE = np.dtype("<f8")
+
 
 def params_to_payload(params: NetworkParams) -> dict:
+    weight_bytes = params.flat().astype(_WEIGHT_DTYPE).tobytes()
     return {
         "layer_specs": [
             {
@@ -517,7 +524,7 @@ def params_to_payload(params: NetworkParams) -> dict:
             }
             for s in params.specs
         ],
-        "flat_weights": params.flat().tolist(),
+        "flat_weights": base64.b64encode(weight_bytes).decode("ascii"),
     }
 
 
@@ -532,9 +539,14 @@ def params_from_payload(payload: dict) -> NetworkParams:
             )
             for s in payload["layer_specs"]
         )
-        flat = np.asarray(payload["flat_weights"], dtype=np.float64)
+        weight_bytes = base64.b64decode(payload["flat_weights"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad network payload: {exc}") from exc
+    if len(weight_bytes) % _WEIGHT_DTYPE.itemsize:
+        raise CheckpointError(
+            f"weight data of {len(weight_bytes)} bytes is not a whole number of float64 values"
+        )
+    flat = np.frombuffer(weight_bytes, dtype=_WEIGHT_DTYPE)
     try:
         params = init_params(0, specs)
     except InputError as exc:

@@ -251,3 +251,53 @@ def test_report_missing_artifacts(tmp_path, capsys):
     )
     assert cli.main(["report", "--config", str(cfg)]) == 1
     assert "missing" in capsys.readouterr().err.lower()
+
+
+def test_calibrate_and_train_print_load_report(workspace, capsys):
+    report = workspace["dataset"].report
+    line = (
+        f"loaded {report.days_loaded} days from {report.rows_consumed} rows; "
+        f"dropped {report.days_dropped} incomplete days"
+    )
+    assert line == "loaded 120 days from 5760 rows; dropped 0 incomplete days"
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(workspace["cfg"])]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+    assert cli.main(["train", "--config", str(workspace["cfg"]), "--resume"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"temperature": 0.004, "wind": 0.02}, "variance_override has no value for factor 'irradiance'"),
+        ({"temperature": 0.004, "irradiance": "high", "wind": 0.02},
+         "variance_override value 'high' for factor 'irradiance' is not a number"),
+        ([0.004, 0.07, 0.02],
+         "variance_override must map each factor to a number, got [0.004, 0.07, 0.02]"),
+    ],
+    ids=["missing-factor", "non-numeric", "not-a-map"],
+)
+def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, override, message):
+    raw = json.loads(workspace["cfg_override"].read_text(encoding="utf-8"))
+    raw["prediction"]["variance_override"] = override
+    raw["paths"]["out_dir"] = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    date = workspace["calm_date"].isoformat()
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", str(cfg), "--date", date]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, kind",
+    [("prediction", "scenarios", "many", "int"), ("training", "learning_rate", "fast", "float")],
+)
+def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    assert cli.main(["calibrate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: config key {key!r}: cannot read {value!r} as {kind}"
+    )

@@ -238,8 +238,38 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="format 99 != 1; re-train"):
+    with pytest.raises(CheckpointError, match="format 99 != 2; re-train"):
         ctsgan.load_model(path)
+
+
+def test_model_save_load_save_byte_identical(tmp_path):
+    model = train_all(small_model(), toy_days(), iters=10)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    ctsgan.save_model(model, first)
+    ctsgan.save_model(ctsgan.load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
+    """At paper dims every weight and the whitening come back with the same
+    bits, including -0.0, subnormals and the largest finite float."""
+    model = ctsgan.build_model(condition_dim=263, hidden_dim=100, latent_dim=100, seed=5)
+    extremes = np.array([-0.0, 5e-324, -2.2250738585072014e-308, np.finfo(np.float64).max])
+    model.generator.tensors[0]["w"].ravel()[: extremes.size] = extremes
+    rng = np.random.default_rng(5)
+    model.latent_shift = rng.normal(size=100)
+    model.latent_scale = rng.uniform(0.1, 2.0, size=100)
+    model.training_log = [{"phase": 1, "iteration": 0, "loss": 0.1 + 1e-17}]
+    path = tmp_path / "model.json"
+    ctsgan.save_model(model, path)
+    loaded = ctsgan.load_model(path)
+    for role in ("embedder", "recovery", "generator", "discriminator"):
+        assert getattr(loaded, role).specs == getattr(model, role).specs
+        assert getattr(loaded, role).flat().tobytes() == getattr(model, role).flat().tobytes()
+    assert loaded.latent_shift.tobytes() == model.latent_shift.tobytes()
+    assert loaded.latent_scale.tobytes() == model.latent_scale.tobytes()
+    assert loaded.training_flags == model.training_flags
+    assert loaded.training_log == model.training_log
 
 
 # --- desk-scale properties (shared trained fixture) ----------------------------------------

@@ -188,3 +188,84 @@ def test_constant_channel_gets_midpoint_norm(tmp_path):
     ds = _toy_records(tmp_path)  # demand constant at 6000 in the fixture file
     normed = di.normalize(ds.day_records[0].channel("demand"), ds.norm["demand"])
     assert np.allclose(normed, 0.5)
+
+
+# --- one-pass reader: physical lines and DictReader parity ---------------------------------
+
+def test_malformed_value_line_number_counts_blank_lines(tmp_path):
+    """A blank line before the bad row still counts as a line of the file."""
+    path = write_csv(tmp_path / "d.csv", days=1, corrupt_line=9)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.insert(3, "")  # physical line 4; the bad value moves to line 11
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRow, match="bad price value 'not-a-number'") as err:
+        di.load_dataset(path)
+    assert err.value.line_no == 11
+
+
+def test_reader_matches_float_of_each_field(tmp_path):
+    """Columns are found by name whatever their order, extra columns are
+    ignored, blank lines skipped, and every value is float() of its field."""
+    rng = np.random.default_rng(3)
+    order = ["coal_price", "extra", "price", "timestamp", "wind_speed", "demand",
+             "gas_price", "irradiance", "temperature"]
+    lines = [",".join(order)]
+    expected = {name: [] for name in di.CSV_COLUMNS[1:]}
+    for d in range(2):
+        for k in range(48):
+            fields = {name: repr(float(v)) for name, v in zip(order, rng.uniform(0, 400, len(order)))}
+            fields["timestamp"] = f"  2021-03-{d + 1:02d}T{k // 2:02d}:{30 * (k % 2):02d}:00 "
+            fields["extra"] = "ignored"
+            if k == 5:
+                fields["demand"] = '" 6.5e3 "'  # quoted, padded
+                fields["irradiance"] = "1_000"
+            for name in expected:
+                expected[name].append(float(fields[name].strip('"')))
+            lines.append(",".join(fields[name] for name in order))
+            if k == 20:
+                lines.append("")
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = di.load_dataset(path)
+    assert ds.report.rows_consumed == 96
+    assert [rec.day.isoformat() for rec in ds.day_records] == ["2021-03-01", "2021-03-02"]
+    for name, values in expected.items():
+        got = np.concatenate([rec.channel(name) for rec in ds.day_records])
+        want = np.asarray(values)
+        if name == "price":
+            want = np.clip(want, di.PRICE_CLIP_LO, di.PRICE_CLIP_HI)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_non_finite_value_names_channel_and_physical_line(tmp_path):
+    """The first bad field in file order wins: a non-finite demand on line 8
+    is reported before an unparsable price further down."""
+    path = write_csv(tmp_path / "d.csv", days=1, corrupt_line=20)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.insert(2, "")  # physical line 3
+    parts = lines[7].split(",")
+    parts[2] = "inf"  # demand on physical line 8
+    lines[7] = ",".join(parts)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRow, match="non-finite demand value") as err:
+        di.load_dataset(path)
+    assert err.value.line_no == 8
+
+
+def test_short_row_reports_missing_value(tmp_path):
+    path = write_csv(tmp_path / "d.csv", days=1)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[4] = ",".join(lines[4].split(",")[:3])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRow, match="bad temperature value None") as err:
+        di.load_dataset(path)
+    assert err.value.line_no == 5
+
+
+def test_mixed_utc_offsets_rejected(tmp_path):
+    path = write_csv(tmp_path / "d.csv", days=1)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[-2] = lines[-2].replace(",", "+10:00,", 1)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(InputError, match="mixes UTC offsets"):
+        di.load_dataset(path)

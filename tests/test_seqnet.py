@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -338,6 +339,42 @@ def test_checkpoint_round_trip_exact():
 
 def test_checkpoint_weight_count_mismatch():
     payload = seqnet.params_to_payload(seqnet.init_params(18, LSTM_DENSE))
-    payload["flat_weights"] = payload["flat_weights"][:-1]
+    flat = np.frombuffer(base64.b64decode(payload["flat_weights"]), dtype="<f8")
+    payload["flat_weights"] = base64.b64encode(flat[:-1].tobytes()).decode("ascii")
     with pytest.raises(CheckpointError, match="weight count"):
+        seqnet.params_from_payload(payload)
+
+
+def test_checkpoint_rejects_float_list_weights():
+    """The format-1 layout (a JSON list of floats) is not read."""
+    params = seqnet.init_params(19, LSTM_DENSE)
+    payload = seqnet.params_to_payload(params)
+    payload["flat_weights"] = params.flat().tolist()
+    with pytest.raises(CheckpointError, match="bad network payload"):
+        seqnet.params_from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda text: "not base64!" + text, "bad network payload"),
+        (lambda text: text[:-1], "bad network payload"),  # broken padding
+        (lambda text: text[:-4], "not a whole number of float64 values"),
+    ],
+    ids=["non-base64", "cut-padding", "cut-bytes"],
+)
+def test_checkpoint_rejects_bad_weight_text(mangle, message):
+    payload = seqnet.params_to_payload(seqnet.init_params(20, LSTM_DENSE))
+    payload["flat_weights"] = mangle(payload["flat_weights"])
+    with pytest.raises(CheckpointError, match=message):
+        seqnet.params_from_payload(payload)
+
+
+def test_checkpoint_rejects_non_finite_weights():
+    params = seqnet.init_params(21, LSTM_DENSE)
+    flat = params.flat()
+    flat[3] = np.nan
+    payload = seqnet.params_to_payload(params)
+    payload["flat_weights"] = base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+    with pytest.raises(CheckpointError, match="non-finite"):
         seqnet.params_from_payload(payload)
