@@ -29,17 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from . import ctsgan, data_ingest, metrics
-from .ctsgan import ScenarioSet
 from .errors import InputError, PricebandError
-from .intervals import DEFAULT_BINS, DensityGrid, PredictionInterval, predict_pipeline
+from .intervals import DEFAULT_BINS, PredictionInterval, predict_pipeline, stack_density
 from .seeding import derive_seed
 from .weather_volatility import (
-    FACTOR_WINDOWS,
     FACTORS,
     VolatilityThresholds,
     calibrate_thresholds,
+    factor_variances,
     spike_histogram,
-    window_variance,
 )
 
 log = logging.getLogger("priceband")
@@ -52,11 +50,9 @@ _SEASONS = {
     9: "spring", 10: "spring", 11: "spring",
 }
 
-_CHANNEL_FOR_FACTOR = {
-    "temperature": "temperature",
-    "irradiance": "irradiance",
-    "wind": "wind_speed",
-}
+# Provenance column of scenarios_D.csv: the noise branch behind each row.
+NORMAL_TAG = "normal"
+VOLATILE_TAG = "volatile"
 
 
 @dataclass
@@ -151,16 +147,6 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _factor_variances(dataset: data_ingest.Dataset, rec) -> dict[str, float]:
-    return {
-        factor: window_variance(
-            dataset.normalized_channel(rec, _CHANNEL_FOR_FACTOR[factor]),
-            FACTOR_WINDOWS[factor],
-        )
-        for factor in FACTORS
-    }
-
-
 def _load_dataset(cfg: RunConfig) -> data_ingest.Dataset:
     """Load the configured dataset and print its row and day accounting."""
     dataset = data_ingest.load_dataset(cfg.dataset)
@@ -176,7 +162,7 @@ def cmd_calibrate(cfg: RunConfig) -> None:
     dataset = _load_dataset(cfg)
     samples = {factor: [] for factor in FACTORS}
     for rec in dataset.day_records:
-        for factor, value in _factor_variances(dataset, rec).items():
+        for factor, value in factor_variances(dataset, rec).items():
             samples[factor].append(value)
     thresholds = calibrate_thresholds({f: np.asarray(v) for f, v in samples.items()})
     _atomic_write(cfg.thresholds, thresholds.to_json())
@@ -210,7 +196,7 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
         log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
     else:
         model = ctsgan.build_model(
-            condition_dim=days[0][0].dim,
+            condition_dim=days[0][0].size,
             hidden_dim=cfg.hidden_dim,
             latent_dim=cfg.latent_dim,
             seed=cfg.seed,
@@ -246,7 +232,7 @@ def _pair_for_date(dataset: data_ingest.Dataset, day: date_type):
     """Condition/actuals/records for one predicted day (needs the previous day)."""
     rec = dataset.record_for(day)
     prev = dataset.record_for(day - timedelta(days=1))
-    condition = data_ingest.build_conditions(prev, rec, dataset.norm)
+    condition = data_ingest.build_conditions([prev], [rec], dataset.norm)[0]
     actuals = data_ingest.normalize(rec.channel("price"), dataset.norm["price"])
     return condition, actuals, rec
 
@@ -278,25 +264,24 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
         variances = _override_variances(cfg.variance_override)
         log.info("using variance override %s", variances)
     else:
-        variances = _factor_variances(dataset, rec)
+        variances = factor_variances(dataset, rec)
 
-    interval, density, scenario_set = predict_pipeline(
+    interval, scenarios, sigma = predict_pipeline(
         model,
         condition,
         variances,
         thresholds,
         cfg.scenarios,
         cfg.nominal,
-        bins=cfg.bins,
         seed=derive_seed(cfg.seed, f"predict-{day.isoformat()}"),
     )
-    sigma = scenario_set.noise_sigma
     print(f"sigma={sigma:.3f} reinforced={'true' if sigma > 1 else 'false'}")
 
     tag = day.isoformat()
     _write_interval_csv(cfg.out_dir / f"interval_{tag}.csv", interval, dataset.norm["price"])
+    density = stack_density(scenarios, cfg.bins)
     _atomic_write(cfg.out_dir / f"density_{tag}.json", density.to_json())
-    _write_scenarios_csv(cfg.out_dir / f"scenarios_{tag}.csv", scenario_set)
+    _write_scenarios_csv(cfg.out_dir / f"scenarios_{tag}.csv", scenarios, cfg.scenarios)
     print(f"artifacts -> {cfg.out_dir}/interval_{tag}.csv, density_{tag}.json, scenarios_{tag}.csv")
 
 
@@ -317,11 +302,14 @@ def _write_interval_csv(path: Path, interval: PredictionInterval, price_norm) ->
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
-def _write_scenarios_csv(path: Path, scenario_set: ScenarioSet) -> None:
-    header = "provenance," + ",".join(f"t{k:02d}" for k in range(scenario_set.horizon))
+def _write_scenarios_csv(path: Path, scenarios: np.ndarray, count: int) -> None:
+    """One row per path; ``predict_pipeline`` puts the ``count`` baseline
+    rows first and any wide-noise rows after them."""
+    header = "provenance," + ",".join(f"t{k:02d}" for k in range(scenarios.shape[1]))
     rows = [header]
-    for tag, path_values in zip(scenario_set.provenance, scenario_set.scenarios):
-        rows.append(tag + "," + ",".join(map(repr, path_values.tolist())))
+    for k, path_values in enumerate(scenarios.tolist()):
+        tag = NORMAL_TAG if k < count else VOLATILE_TAG
+        rows.append(tag + "," + ",".join(map(repr, path_values)))
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -344,7 +332,7 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
             metrics.EvalDay(
                 condition=condition,
                 actuals=actuals,
-                variances=_factor_variances(dataset, rec),
+                variances=factor_variances(dataset, rec),
                 day_label=day.isoformat(),
             )
         )
@@ -361,7 +349,6 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
         delta_target=cfg.delta_target,
         xi_target=cfg.xi_target,
         master_seed=derive_seed(cfg.seed, "evaluate"),
-        bins=cfg.bins,
     )
     _atomic_write(cfg.out_dir / "metrics_report.json", report.to_json())
     _print_evaluation_table(report, eval_days)

@@ -20,13 +20,13 @@ Generation de-whitens before the recovery network.
 
 Every noise -> generator pass goes through ``_generate_latents``, every
 whitened real-latent embedding through ``_embed``, and every autoencoder
-update through ``_autoencoder_step``. Generation returns a ``ScenarioSet``
-whose rows are tagged with the noise branch that produced them.
+update through ``_autoencoder_step``. Conditions are float64 rows of
+``condition_dim`` values, and generation returns a plain ``[count, T]``
+array of normalized price paths.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -57,9 +57,6 @@ HIDDEN_DIM = 100
 LATENT_DIM = 100
 LATENT_DISPERSION_GAIN = 8.0
 
-NORMAL_TAG = "normal"
-VOLATILE_TAG = "volatile"
-
 
 @dataclass
 class TrainingConfig:
@@ -82,61 +79,6 @@ class TrainingConfig:
             raise InputError("learning_rate and clip_limit must be positive")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise InputError("holdout_fraction must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian noise for the generator: mean 0, std >= 1, one draw per
-    timestep and latent dimension."""
-
-    std: float = 1.0
-    length: int = 48
-    dim: int = LATENT_DIM
-
-    def __post_init__(self):
-        if self.std < 1.0:
-            raise InputError(f"noise std must be >= 1, got {self.std}")
-        if self.length <= 0 or self.dim <= 0:
-            raise InputError("noise length and dim must be positive")
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """M generated paths of T normalized prices plus provenance.
-
-    ``provenance`` tags each row with the branch that generated it, so a
-    combined set remembers which members came from the wide-noise pass.
-    Without one, every row gets the tag of ``noise_sigma``.
-    """
-
-    scenarios: np.ndarray
-    condition_id: str
-    noise_sigma: float
-    provenance: np.ndarray = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.scenarios, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InputError(f"scenarios must be a 2-D matrix, got shape {arr.shape}")
-        if arr.size and ((arr < 0).any() or (arr > 1).any()):
-            raise InputError("scenario values must lie in [0, 1]")
-        object.__setattr__(self, "scenarios", arr)
-        if self.provenance is None:
-            tag = NORMAL_TAG if self.noise_sigma == 1.0 else VOLATILE_TAG
-            prov = np.full(arr.shape[0], tag, dtype=object)
-        else:
-            prov = np.asarray(self.provenance, dtype=object)
-            if prov.shape != (arr.shape[0],):
-                raise InputError("provenance must have one tag per scenario")
-        object.__setattr__(self, "provenance", prov)
-
-    @property
-    def count(self) -> int:
-        return self.scenarios.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.scenarios.shape[1]
 
 
 @dataclass
@@ -226,16 +168,11 @@ def build_model(
     )
 
 
-def _condition_array(condition) -> np.ndarray:
-    arr = condition.as_array() if hasattr(condition, "as_array") else condition
-    return np.asarray(arr, dtype=np.float64)
-
-
 def _prepare_days(model: CTSGANModel, days) -> tuple[np.ndarray, np.ndarray]:
     """Stack (condition, target) pairs into [N, cond_dim] and [T, N, 1]."""
     if not days:
         raise InputError("training needs at least one day")
-    conds = np.stack([_condition_array(c) for c, _ in days])
+    conds = np.stack([np.asarray(c, dtype=np.float64) for c, _ in days])
     if conds.shape[1] != model.condition_dim:
         raise InputError(
             f"condition dim {conds.shape[1]} != model condition dim {model.condition_dim}"
@@ -497,48 +434,39 @@ def supervised_mse(model: CTSGANModel, days) -> float:
     return float(np.mean((predicted - latents[1:]) ** 2))
 
 
-def condition_fingerprint(condition) -> str:
-    """Short stable tag identifying a condition vector's exact contents."""
-    arr = np.ascontiguousarray(_condition_array(condition))
-    return hashlib.sha256(arr.tobytes()).hexdigest()[:12]
-
-
 def generate_scenarios(
     model: CTSGANModel,
-    condition,
-    spec: NoiseSpec,
+    condition: np.ndarray,
+    std: float,
     count: int,
     seed: int = 0,
-) -> ScenarioSet:
-    """Map ``count`` fresh noise draws through generator and recovery.
+) -> np.ndarray:
+    """``count`` normalized price paths, ``[count, data_horizon]``: fresh
+    N(0, std^2) noise (std >= 1) mapped through generator and recovery
+    under the ``[condition_dim]`` row ``condition``.
 
-    Outputs are clamped to [0, 1]; distinct seeds give distinct paths. The
-    set's ``condition_id`` is the condition's fingerprint, and every row is
-    tagged with the branch of ``spec.std``.
+    Outputs are clamped to [0, 1]; distinct seeds give distinct paths.
     """
     if not model.is_trained:
         raise StateError("generation requires all three training phases")
-    cond = _condition_array(condition)
+    cond = np.asarray(condition, dtype=np.float64)
     if cond.shape != (model.condition_dim,):
         raise InputError(
             f"condition has shape {cond.shape}, model expects ({model.condition_dim},)"
         )
-    if spec.dim != model.latent_dim:
-        raise InputError(
-            f"noise dim {spec.dim} != model latent dim {model.latent_dim}"
-        )
+    if std < 1.0:
+        raise InputError(f"noise std must be >= 1, got {std}")
     if count < 0:
         raise InputError("scenario count must be >= 0")
-    cid = condition_fingerprint(cond)
     if count == 0:
-        return ScenarioSet(np.empty((0, spec.length)), cid, spec.std)
+        return np.empty((0, model.data_horizon))
 
     rng = np.random.default_rng(seed)
     latents, _ = _generate_latents(
-        model, rng, cond, count, spec.length, spec.std, keep_cache=False
+        model, rng, cond, count, model.data_horizon, std, keep_cache=False
     )
     paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
-    return ScenarioSet(np.clip(paths[:, :, 0].T, 0.0, 1.0), cid, spec.std)
+    return np.clip(paths[:, :, 0].T, 0.0, 1.0)
 
 
 def save_model(model: CTSGANModel, path) -> None:

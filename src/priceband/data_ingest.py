@@ -4,7 +4,8 @@ Input CSV schema: ``timestamp,price,demand,temperature,irradiance,wind_speed,
 gas_price,coal_price`` with ISO-8601 timestamps on a 30-minute grid. Days with
 any missing half-hour are dropped and counted in the load report; prices are
 clipped to [0, 500] A$/MWh before normalization. Timestamps are taken as
-market-local time as written; half-hour index 0 is 00:00.
+market-local time as written; half-hour index 0 is 00:00. Each day's model
+condition is one float64 row of ``CONDITION_DIM`` columns (``build_conditions``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import datetime
@@ -78,70 +80,6 @@ class DayRecord:
         return self.channels[name]
 
 
-@dataclass(frozen=True)
-class ConditionVector:
-    """Per-day conditioning features for the generative model.
-
-    One-hot blocks sum to exactly 1; every normalized entry lies in [0, 1];
-    hdd/cdd are in degree-day units. ``as_array`` concatenates the blocks in
-    field order, so the total dimensionality is constant across a dataset.
-    """
-
-    lagged_prices: np.ndarray
-    lagged_demand: np.ndarray
-    day_of_week: np.ndarray
-    month: np.ndarray
-    hdd: float
-    cdd: float
-    gas_price: float
-    coal_price: float
-    forecast_temperature: np.ndarray
-    forecast_irradiance: np.ndarray
-    forecast_wind: np.ndarray
-
-    def __post_init__(self):
-        for name in (
-            "lagged_prices",
-            "lagged_demand",
-            "forecast_temperature",
-            "forecast_irradiance",
-            "forecast_wind",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (HALF_HOURS_PER_DAY,):
-                raise InputError(f"{name} must have {HALF_HOURS_PER_DAY} entries")
-            if (arr < 0).any() or (arr > 1).any():
-                raise InputError(f"{name} entries must lie in [0, 1]")
-        for name, size in (("day_of_week", 7), ("month", 12)):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (size,) or arr.sum() != 1.0 or not np.isin(arr, (0.0, 1.0)).all():
-                raise InputError(f"{name} must be a one-hot vector of length {size}")
-        for name in ("gas_price", "coal_price"):
-            val = float(getattr(self, name))
-            if not 0.0 <= val <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.lagged_prices,
-                self.lagged_demand,
-                self.day_of_week,
-                self.month,
-                [self.hdd, self.cdd, self.gas_price, self.coal_price],
-                self.forecast_temperature,
-                self.forecast_irradiance,
-                self.forecast_wind,
-            ]
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.as_array().size
-
-
 CONDITION_DIM = 5 * HALF_HOURS_PER_DAY + 7 + 12 + 4
 
 
@@ -178,7 +116,7 @@ class Dataset:
     day_records: tuple[DayRecord, ...]
     norm: dict[str, MinMaxParams]
     report: LoadReport
-    days: tuple[tuple[ConditionVector, np.ndarray], ...] = field(default=())
+    days: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
     _by_day: dict[date_type, DayRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,61 +148,65 @@ def denormalize(normalized: np.ndarray, params: MinMaxParams) -> np.ndarray:
     return vals * (params.p_max - params.p_min) + params.p_min
 
 
-def compute_hdd_cdd(daily_temps, base: float = HDD_CDD_BASE_C) -> tuple[float, float]:
-    """Daily-mean heating and cooling degree days against ``base`` (°C).
+def compute_hdd_cdd(temps, base: float = HDD_CDD_BASE_C):
+    """Heating and cooling degree days of the daily mean temperature against
+    ``base`` (°C), over the last axis of ``temps``: one day's samples, or a
+    ``[days, samples]`` array giving one value per day.
 
     hdd = max(0, base - mean(T)), cdd = max(0, mean(T) - base); at most one of
     the two is nonzero.
     """
-    temps = np.asarray(daily_temps, dtype=np.float64)
+    temps = np.asarray(temps, dtype=np.float64)
     if temps.size == 0:
         raise InputError("temperature list is empty")
-    mean = float(temps.mean())
-    return max(0.0, base - mean), max(0.0, mean - base)
+    mean = temps.mean(axis=-1)
+    return np.maximum(0.0, base - mean), np.maximum(0.0, mean - base)
 
 
 def build_conditions(
-    prev_day: DayRecord,
-    day: DayRecord,
+    prev_records: Sequence[DayRecord],
+    records: Sequence[DayRecord],
     norm: dict[str, MinMaxParams],
-) -> ConditionVector:
-    """Deterministic condition encoding for ``day`` given the previous day.
+) -> np.ndarray:
+    """Condition rows ``[N, CONDITION_DIM]``: row i encodes ``records[i]``
+    given its previous day ``prev_records[i]``.
 
-    Lags come from ``prev_day``; forecast weather channels come from ``day``
-    itself (the ingested observations stand in for a day-ahead forecast). Fuel
-    prices are the previous day's mean, so nothing from the target day other
-    than weather forecasts enters the vector. Day-of-week one-hot has Monday
-    at index 0; month one-hot has January at index 0.
+    Lags and fuel prices come from the previous day; the weather blocks come
+    from the day itself (the ingested observations stand in for a day-ahead
+    forecast), so nothing else from the target day enters a row. Normalized
+    values are clipped to [0, 1]. Columns:
+
+    ==========  ===================================================
+    0:48        previous day's price
+    48:96       previous day's demand
+    96:103      day-of-week one-hot, Monday at 96
+    103:115     month one-hot, January at 103
+    115, 116    hdd, cdd of the day's mean temperature (degree days)
+    117, 118    previous day's mean gas price, mean coal price
+    119:167     temperature forecast
+    167:215     irradiance forecast
+    215:263     wind speed forecast
+    ==========  ===================================================
     """
-    clip01 = lambda a: np.clip(a, 0.0, 1.0)
+    def stack(recs, name):
+        return np.array([rec.channel(name) for rec in recs], dtype=np.float64)
 
-    lagged_prices = clip01(normalize(prev_day.channel("price"), norm["price"]))
-    lagged_demand = clip01(normalize(prev_day.channel("demand"), norm["demand"]))
+    def unit(recs, name):
+        return np.clip(normalize(stack(recs, name), norm[name]), 0.0, 1.0)
 
-    dow = np.zeros(7)
-    dow[day.day.weekday()] = 1.0
-    month = np.zeros(12)
-    month[day.day.month - 1] = 1.0
-
-    forecast_temp_raw = day.channel("temperature")
-    hdd, cdd = compute_hdd_cdd(forecast_temp_raw)
-
-    gas = float(clip01(normalize(prev_day.channel("gas_price"), norm["gas_price"])).mean())
-    coal = float(clip01(normalize(prev_day.channel("coal_price"), norm["coal_price"])).mean())
-
-    return ConditionVector(
-        lagged_prices=lagged_prices,
-        lagged_demand=lagged_demand,
-        day_of_week=dow,
-        month=month,
-        hdd=hdd,
-        cdd=cdd,
-        gas_price=gas,
-        coal_price=coal,
-        forecast_temperature=clip01(normalize(forecast_temp_raw, norm["temperature"])),
-        forecast_irradiance=clip01(normalize(day.channel("irradiance"), norm["irradiance"])),
-        forecast_wind=clip01(normalize(day.channel("wind_speed"), norm["wind_speed"])),
-    )
+    rows = np.zeros((len(records), CONDITION_DIM))
+    index = np.arange(len(records))
+    rows[:, 0:48] = unit(prev_records, "price")
+    rows[:, 48:96] = unit(prev_records, "demand")
+    rows[index, [96 + rec.day.weekday() for rec in records]] = 1.0
+    rows[index, [103 + rec.day.month - 1 for rec in records]] = 1.0
+    rows[:, 115], rows[:, 116] = compute_hdd_cdd(stack(records, "temperature"))
+    rows[:, 117] = unit(prev_records, "gas_price").mean(axis=1)
+    rows[:, 118] = unit(prev_records, "coal_price").mean(axis=1)
+    rows[:, 119:167] = unit(records, "temperature")
+    rows[:, 167:215] = unit(records, "irradiance")
+    rows[:, 215:263] = unit(records, "wind_speed")
+    return rows
 
 
 def _check_finite(values: list, lines: list[int]) -> np.ndarray:
@@ -397,17 +339,18 @@ def load_dataset(path) -> Dataset:
         dropped_days=tuple(dropped),
     )
 
-    pairs = []
-    for prev, cur in zip(records, records[1:]):
-        if (cur.day - prev.day).days != 1:
-            continue
-        condition = build_conditions(prev, cur, norm)
-        target = normalize(cur.channels["price"], norm["price"])
-        pairs.append((condition, target))
+    pairs = [
+        (prev, cur) for prev, cur in zip(records, records[1:]) if (cur.day - prev.day).days == 1
+    ]
+    days = ()
+    if pairs:
+        prevs, curs = zip(*pairs)
+        targets = normalize(np.array([cur.channels["price"] for cur in curs]), norm["price"])
+        days = tuple(zip(build_conditions(prevs, curs, norm), targets))
 
     return Dataset(
         day_records=tuple(records),
         norm=norm,
         report=report,
-        days=tuple(pairs),
+        days=days,
     )

@@ -1,11 +1,12 @@
 """Stacked densities, prediction intervals, and the one-day prediction.
 
-Scenarios are normalized price paths (rows of the M x T matrix of a
-``ctsgan.ScenarioSet``, values in [0, 1]). Densities are per-timestep
-histograms over equal-width bins; intervals are symmetric empirical
-quantiles with linear interpolation between order statistics. The reinforced
-combination unions a baseline set with a wide-noise set so the afternoon
-spike window picks up extra spread.
+Scenarios are normalized price paths: the rows of an ``[M, T]`` float64
+array with values in [0, 1], as ``ctsgan.generate_scenarios`` returns them.
+Densities are per-timestep histograms over equal-width bins; intervals are
+symmetric empirical quantiles with linear interpolation between order
+statistics. On a reinforced day the baseline rows and the wide-noise rows
+are stacked into one matrix, so the afternoon spike window picks up extra
+spread.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctsgan import NoiseSpec, ScenarioSet, generate_scenarios
+from .ctsgan import generate_scenarios
 from .errors import InputError
 from .seeding import derive_seed
 from .weather_volatility import (
@@ -78,17 +79,27 @@ class PredictionInterval:
         return self.upper - self.lower
 
 
-def stack_density(scenario_set: ScenarioSet, bins: int = DEFAULT_BINS) -> DensityGrid:
-    """Per-timestep normalized histogram over ``bins`` equal-width bins on [0, 1]."""
-    if scenario_set.count < 1:
-        raise InputError("cannot stack an empty scenario set")
+def _scenario_rows(scenarios, what: str) -> np.ndarray:
+    """``scenarios`` as a float64 ``[M, T]`` matrix holding at least one row."""
+    arr = np.asarray(scenarios, dtype=np.float64)
+    if arr.ndim != 2:
+        raise InputError(f"scenarios must be a 2-D matrix, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise InputError(f"cannot {what} an empty scenario set")
+    return arr
+
+
+def stack_density(scenarios: np.ndarray, bins: int = DEFAULT_BINS) -> DensityGrid:
+    """Per-timestep normalized histogram of the ``[M, T]`` ``scenarios`` over
+    ``bins`` equal-width bins on [0, 1]."""
+    arr = _scenario_rows(scenarios, "stack")
     if bins < 2:
         raise InputError(f"need at least 2 bins, got {bins}")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    mass = np.empty((scenario_set.horizon, bins))
-    for t in range(scenario_set.horizon):
-        counts, _ = np.histogram(scenario_set.scenarios[:, t], bins=edges)
-        mass[t] = counts / scenario_set.count
+    mass = np.empty((arr.shape[1], bins))
+    for t in range(arr.shape[1]):
+        counts, _ = np.histogram(arr[:, t], bins=edges)
+        mass[t] = counts / arr.shape[0]
     return DensityGrid(bin_edges=edges, mass=mass)
 
 
@@ -97,68 +108,42 @@ def min_scenarios_for(nominal: float) -> int:
     return math.ceil(2.0 / (1.0 - nominal) - 1e-9)
 
 
-def build_interval(scenario_set: ScenarioSet, nominal: float) -> PredictionInterval:
-    """Symmetric empirical-quantile interval at ``nominal`` coverage.
+def build_interval(scenarios: np.ndarray, nominal: float) -> PredictionInterval:
+    """Symmetric empirical-quantile interval of the ``[M, T]`` ``scenarios``
+    at ``nominal`` coverage.
 
     Quantiles interpolate linearly between adjacent order statistics.
     """
     if not 0.0 < nominal < 1.0:
         raise InputError(f"nominal coverage must be in (0, 1), got {nominal}")
-    if scenario_set.count < 1:
-        raise InputError("cannot build an interval from an empty scenario set")
+    arr = _scenario_rows(scenarios, "build an interval from")
     needed = min_scenarios_for(nominal)
-    if scenario_set.count < needed:
+    if arr.shape[0] < needed:
         raise InputError(
-            f"{scenario_set.count} scenarios < {needed} required for "
-            f"nominal {nominal}"
+            f"{arr.shape[0]} scenarios < {needed} required for nominal {nominal}"
         )
     tail = (1.0 - nominal) / 2.0
-    lower = np.quantile(scenario_set.scenarios, tail, axis=0)
-    upper = np.quantile(scenario_set.scenarios, 1.0 - tail, axis=0)
+    lower = np.quantile(arr, tail, axis=0)
+    upper = np.quantile(arr, 1.0 - tail, axis=0)
     return PredictionInterval(lower=lower, upper=upper, nominal_coverage=nominal)
-
-
-def combine_normal_volatile(normal: ScenarioSet, volatile: ScenarioSet) -> ScenarioSet:
-    """Union of the baseline and wide-noise sets, provenance retained.
-
-    Volatile members contribute their full paths; the widening shows up in
-    the afternoon window because that is where the wide-noise generator
-    spreads.
-    """
-    if normal.condition_id != volatile.condition_id:
-        raise InputError(
-            f"condition ids differ: {normal.condition_id!r} vs {volatile.condition_id!r}"
-        )
-    if volatile.count == 0:
-        return normal
-    if normal.count == 0:
-        return volatile
-    if normal.horizon != volatile.horizon:
-        raise InputError("scenario horizons differ")
-    return ScenarioSet(
-        scenarios=np.vstack([normal.scenarios, volatile.scenarios]),
-        condition_id=normal.condition_id,
-        noise_sigma=max(normal.noise_sigma, volatile.noise_sigma),
-        provenance=np.concatenate([normal.provenance, volatile.provenance]),
-    )
 
 
 def predict_pipeline(
     model,
-    condition,
+    condition: np.ndarray,
     forecast_variances: dict[str, float],
     thresholds: VolatilityThresholds,
     count: int,
     nominal: float,
-    bins: int = DEFAULT_BINS,
     seed: int = 0,
-) -> tuple[PredictionInterval, DensityGrid, ScenarioSet]:
+) -> tuple[PredictionInterval, np.ndarray, float]:
     """Full prediction for one day: classify forecast-weather volatility,
     pick the noise std, generate scenarios (baseline plus reinforced when the
-    std exceeds 1), and reduce to interval and density.
+    std exceeds 1), and reduce them to an interval.
 
-    ``count`` scenarios are generated per branch, so a reinforced day yields a
-    combined set of 2 * count paths.
+    Returns ``(interval, scenarios, sigma)``. ``scenarios`` holds ``count``
+    baseline rows, then, on a reinforced day (``sigma > 1``), ``count``
+    wide-noise rows.
     """
     levels = {
         factor: classify_volatility(factor, forecast_variances[factor], thresholds)
@@ -166,25 +151,12 @@ def predict_pipeline(
     }
     sigma = sigma_from_levels(levels)
 
-    normal = generate_scenarios(
-        model,
-        condition,
-        NoiseSpec(std=1.0, length=model.data_horizon, dim=model.latent_dim),
-        count,
-        seed=derive_seed(seed, "scenarios-normal"),
+    scenarios = generate_scenarios(
+        model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
     )
     if sigma > 1.0:
         volatile = generate_scenarios(
-            model,
-            condition,
-            NoiseSpec(std=sigma, length=model.data_horizon, dim=model.latent_dim),
-            count,
-            seed=derive_seed(seed, "scenarios-volatile"),
+            model, condition, sigma, count, seed=derive_seed(seed, "scenarios-volatile")
         )
-        combined = combine_normal_volatile(normal, volatile)
-    else:
-        combined = normal
-
-    interval = build_interval(combined, nominal)
-    density = stack_density(combined, bins)
-    return interval, density, combined
+        scenarios = np.vstack([scenarios, volatile])
+    return build_interval(scenarios, nominal), scenarios, sigma

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_ingest import ConditionVector
 from .errors import InputError
-from .intervals import DEFAULT_BINS, predict_pipeline
+from .intervals import predict_pipeline
 from .seeding import derive_seed
 from .weather_volatility import VolatilityThresholds
 
@@ -132,9 +131,9 @@ class RepeatedSamplingReport:
 
 @dataclass(frozen=True)
 class EvalDay:
-    """One evaluation day: condition, actual path, forecast-weather variances."""
+    """One evaluation day: condition row, actual path, forecast-weather variances."""
 
-    condition: ConditionVector
+    condition: np.ndarray
     actuals: np.ndarray
     variances: dict[str, float]
     day_label: str = ""
@@ -170,7 +169,6 @@ def repeated_sampling_harness(
     delta_target: float,
     xi_target: float,
     master_seed: int = 0,
-    bins: int = DEFAULT_BINS,
 ) -> RepeatedSamplingReport:
     """Score ``runs`` repeated predictions over the same days.
 
@@ -201,7 +199,6 @@ def repeated_sampling_harness(
                 thresholds,
                 count,
                 nominal,
-                bins=bins,
                 seed=derive_seed(run_seed, f"day-{d}"),
             )
             actual_parts.append(np.asarray(day.actuals, dtype=np.float64))

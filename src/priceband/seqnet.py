@@ -548,15 +548,22 @@ def params_from_payload(payload: dict) -> NetworkParams:
         )
     flat = np.frombuffer(weight_bytes, dtype=_WEIGHT_DTYPE)
     try:
-        params = init_params(0, specs)
+        _validate_specs(specs)
     except InputError as exc:
         raise CheckpointError(f"bad layer specs: {exc}") from exc
-    if flat.shape != (params.n_params,):
-        raise CheckpointError(
-            f"weight count {flat.size} does not match specs ({params.n_params})"
-        )
+    n_params = sum(spec.n_params() for spec in specs)
+    if flat.shape != (n_params,):
+        raise CheckpointError(f"weight count {flat.size} does not match specs ({n_params})")
     if not np.isfinite(flat).all():
         raise CheckpointError("non-finite weights in checkpoint")
-    params.load_flat(flat)
-    params.version = 0
-    return params
+    # one writable native-order copy per tensor (frombuffer's array is
+    # read-only), laid out in ``flat()`` order
+    tensors, offset = [], 0
+    for spec in specs:
+        block = {}
+        for name, shape in spec.tensor_shapes().items():
+            size = int(np.prod(shape))
+            block[name] = flat[offset : offset + size].astype(np.float64).reshape(shape)
+            offset += size
+        tensors.append(block)
+    return NetworkParams(specs, tensors)

@@ -32,6 +32,13 @@ FACTOR_WINDOWS = {
     "wind": WIND_WINDOW,
 }
 
+# Dataset channel behind each factor.
+FACTOR_CHANNELS = {
+    "temperature": "temperature",
+    "irradiance": "irradiance",
+    "wind": "wind_speed",
+}
+
 # Afternoon half-hours where extreme spikes concentrate (12:00-19:00).
 AFTERNOON_WINDOW = range(24, 39)
 
@@ -143,6 +150,17 @@ def window_variance(values, window: range = TEMPERATURE_WINDOW) -> float:
     if np.ptp(selected) == 0.0:
         return 0.0
     return float(selected.var())
+
+
+def factor_variances(dataset, rec) -> dict[str, float]:
+    """Window variance of each factor's normalized channel on the day ``rec``
+    of ``dataset`` (a ``data_ingest.Dataset``)."""
+    return {
+        factor: window_variance(
+            dataset.normalized_channel(rec, FACTOR_CHANNELS[factor]), FACTOR_WINDOWS[factor]
+        )
+        for factor in FACTORS
+    }
 
 
 def classify_volatility(

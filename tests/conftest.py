@@ -20,12 +20,6 @@ TOY_CORPUS_DAYS = 120
 TOY_CORPUS_SEED = 11
 TOY_MODEL_SEED = 7
 
-FACTOR_CHANNELS = {
-    "temperature": "temperature",
-    "irradiance": "irradiance",
-    "wind": "wind_speed",
-}
-
 
 @pytest.fixture(scope="session")
 def toy_csv(tmp_path_factory):
@@ -39,20 +33,11 @@ def toy_dataset(toy_csv):
     return data_ingest.load_dataset(toy_csv)
 
 
-def factor_variances(dataset, rec):
-    return {
-        factor: wv.window_variance(
-            dataset.normalized_channel(rec, channel), wv.FACTOR_WINDOWS[factor]
-        )
-        for factor, channel in FACTOR_CHANNELS.items()
-    }
-
-
 @pytest.fixture(scope="session")
 def toy_thresholds(toy_dataset):
     samples = {factor: [] for factor in wv.FACTORS}
     for rec in toy_dataset.day_records:
-        for factor, value in factor_variances(toy_dataset, rec).items():
+        for factor, value in wv.factor_variances(toy_dataset, rec).items():
             samples[factor].append(value)
     return wv.calibrate_thresholds({f: np.asarray(v) for f, v in samples.items()})
 
@@ -62,7 +47,7 @@ def mini_model(toy_dataset):
     """Fully flagged model at throwaway scale (contract tests only)."""
     days = toy_dataset.days[:20]
     model = ctsgan.build_model(
-        condition_dim=days[0][0].dim, hidden_dim=6, latent_dim=4, seed=3
+        condition_dim=days[0][0].size, hidden_dim=6, latent_dim=4, seed=3
     )
     cfg = ctsgan.TrainingConfig(iterations_per_phase=40, seed=3, learning_rate=0.05)
     ctsgan.train_phase1_autoencoder(model, days, cfg)
@@ -80,7 +65,7 @@ def trained_toy(toy_dataset):
     """
     train_days = toy_dataset.days[:80]
     model = ctsgan.build_model(
-        condition_dim=train_days[0][0].dim,
+        condition_dim=train_days[0][0].size,
         hidden_dim=16,
         latent_dim=8,
         seed=TOY_MODEL_SEED,

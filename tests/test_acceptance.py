@@ -16,7 +16,6 @@ from priceband import cli, ctsgan, data_ingest, metrics, seqnet, synthetic
 from priceband import intervals as iv
 from priceband import weather_volatility as wv
 from priceband.seeding import derive_seed
-from tests.conftest import factor_variances
 from tests.test_intervals import ar1_paths
 
 
@@ -109,10 +108,7 @@ def test_05_threshold_calibration_oracle():
 
 def test_06_coverage_oracle_independent_of_model():
     with criterion(6, "coverage oracle on a known process"):
-        scenarios = iv.ScenarioSet(
-            scenarios=ar1_paths(4000, seed=60), condition_id="ar1", noise_sigma=1.0
-        )
-        interval = iv.build_interval(scenarios, nominal=0.90)
+        interval = iv.build_interval(ar1_paths(4000, seed=60), nominal=0.90)
         fresh = ar1_paths(1000, seed=61)
         covered = (fresh >= interval.lower) & (fresh <= interval.upper)
         assert abs(covered.mean() - 0.90) <= 0.03
@@ -154,20 +150,16 @@ def test_09_reinforced_widening_direction(trained_toy, toy_dataset, toy_threshol
         for i, ((condition, actual), rec) in enumerate(
             zip(trained_toy["test_days"], trained_toy["test_records"])
         ):
-            variances = factor_variances(toy_dataset, rec)
+            variances = wv.factor_variances(toy_dataset, rec)
             seed = derive_seed(1234, f"day{i}")
             baseline_set = ctsgan.generate_scenarios(
-                model,
-                condition,
-                ctsgan.NoiseSpec(std=1.0, length=48, dim=model.latent_dim),
-                count,
-                seed=derive_seed(seed, "scenarios-normal"),
+                model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
             )
             baseline = iv.build_interval(baseline_set, 0.9)
-            reinforced, _, combined = iv.predict_pipeline(
+            reinforced, _, sigma = iv.predict_pipeline(
                 model, condition, variances, toy_thresholds, count, 0.9, seed=seed
             )
-            if combined.noise_sigma > 1.0:
+            if sigma > 1.0:
                 reinforced_days += 1
             inside_b = (actual[afternoon] >= baseline.lower[afternoon]) & (
                 actual[afternoon] <= baseline.upper[afternoon]

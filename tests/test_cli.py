@@ -6,7 +6,6 @@ import pytest
 
 from priceband import cli, ctsgan, data_ingest, synthetic
 from priceband import weather_volatility as wv
-from tests.conftest import factor_variances
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,7 @@ def workspace(tmp_path_factory):
     )
     calm_date = None
     for prev, rec in zip(dataset.day_records, dataset.day_records[1:]):
-        variances = factor_variances(dataset, rec)
+        variances = wv.factor_variances(dataset, rec)
         levels = {
             f: wv.classify_volatility(f, variances[f], thresholds) for f in wv.FACTORS
         }
@@ -154,6 +153,22 @@ def test_predict_worked_example_override(workspace, capsys):
     assert len(lines) == 1 + 100  # 50 baseline + 50 reinforced
     tags = {line.split(",", 1)[0] for line in lines[1:]}
     assert tags == {"normal", "volatile"}
+
+
+def _scenario_tags(path):
+    return [line.split(",", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_predict_scenarios_csv_layout(workspace):
+    """scenarios_D.csv: the baseline rows, all tagged normal, then on a
+    reinforced day as many rows tagged volatile."""
+    count = json.loads(workspace["cfg"].read_text(encoding="utf-8"))["prediction"]["scenarios"]
+    date = workspace["calm_date"].isoformat()
+    path = workspace["out"] / f"scenarios_{date}.csv"
+    assert cli.main(["predict", "--config", str(workspace["cfg_override"]), "--date", date]) == 0
+    assert _scenario_tags(path) == ["normal"] * count + ["volatile"] * count
+    assert cli.main(["predict", "--config", str(workspace["cfg"]), "--date", date]) == 0
+    assert _scenario_tags(path) == ["normal"] * count
 
 
 def test_predict_density_rows_sum_to_one(workspace):

@@ -55,11 +55,10 @@ def test_shaped_noise_keeps_marginal_law(std):
     assert lag1 == pytest.approx(0.5, abs=0.02)
 
 
-def test_noise_spec_validation():
+def test_generate_rejects_noise_std_below_one():
+    model = train_all(small_model(), toy_days(), iters=10)
     with pytest.raises(InputError, match="std must be >= 1"):
-        ctsgan.NoiseSpec(std=0.5)
-    with pytest.raises(InputError, match="length and dim"):
-        ctsgan.NoiseSpec(std=1.0, length=0)
+        ctsgan.generate_scenarios(model, np.zeros(COND_DIM), 0.5, 5)
 
 
 # --- phase ordering -----------------------------------------------------------------
@@ -159,65 +158,49 @@ def test_training_log_schema():
 
 def test_generate_zero_scenarios_empty_set():
     model = train_all(small_model(), toy_days(), iters=20)
-    out = ctsgan.generate_scenarios(
-        model, np.zeros(COND_DIM), ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4), 0
-    )
-    assert out.count == 0
-    assert out.scenarios.shape == (0, HORIZON)
+    out = ctsgan.generate_scenarios(model, np.zeros(COND_DIM), 1.0, 0)
+    assert out.shape == (0, HORIZON)
 
 
 def test_generate_untrained_rejected():
     model = small_model()
     with pytest.raises(StateError, match="generation requires"):
-        ctsgan.generate_scenarios(
-            model, np.zeros(COND_DIM), ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4), 5
-        )
+        ctsgan.generate_scenarios(model, np.zeros(COND_DIM), 1.0, 5)
 
 
 def test_generate_condition_dim_checked():
     model = train_all(small_model(), toy_days(), iters=20)
     with pytest.raises(InputError, match="condition has shape"):
-        ctsgan.generate_scenarios(
-            model, np.zeros(COND_DIM + 2), ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4), 5
-        )
-    with pytest.raises(InputError, match="noise dim"):
-        ctsgan.generate_scenarios(
-            model, np.zeros(COND_DIM), ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=9), 5
-        )
+        ctsgan.generate_scenarios(model, np.zeros(COND_DIM + 2), 1.0, 5)
 
 
 def test_generate_paths_distinct_and_bounded():
     model = train_all(small_model(), toy_days(), iters=60)
-    out = ctsgan.generate_scenarios(
-        model, np.full(COND_DIM, 0.5), ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4),
-        500, seed=21,
-    )
-    assert out.scenarios.shape == (500, HORIZON)
-    assert (out.scenarios >= 0).all() and (out.scenarios <= 1).all()
-    assert np.unique(out.scenarios, axis=0).shape[0] >= 499
+    out = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), 1.0, 500, seed=21)
+    assert out.shape == (500, HORIZON)
+    assert (out >= 0).all() and (out <= 1).all()
+    assert np.unique(out, axis=0).shape[0] >= 499
 
 
 def test_generate_seed_determinism():
     model = train_all(small_model(), toy_days(), iters=20)
-    spec = ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4)
-    a = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), spec, 10, seed=3)
-    b = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), spec, 10, seed=3)
-    assert np.array_equal(a.scenarios, b.scenarios)
+    a = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), 1.0, 10, seed=3)
+    b = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), 1.0, 10, seed=3)
+    assert np.array_equal(a, b)
 
 
 # --- persistence -------------------------------------------------------------------------
 
 def test_model_round_trip_generates_identically(tmp_path):
     model = train_all(small_model(), toy_days(), iters=30)
-    spec = ctsgan.NoiseSpec(std=1.0, length=HORIZON, dim=4)
-    before = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), spec, 7, seed=7)
+    before = ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), 1.0, 7, seed=7)
     path = tmp_path / "model.json"
     ctsgan.save_model(model, path)
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), allow_nan=False)
     loaded = ctsgan.load_model(path)
-    after = ctsgan.generate_scenarios(loaded, np.full(COND_DIM, 0.5), spec, 7, seed=7)
-    assert np.array_equal(before.scenarios, after.scenarios)
+    after = ctsgan.generate_scenarios(loaded, np.full(COND_DIM, 0.5), 1.0, 7, seed=7)
+    assert np.array_equal(before, after)
     assert loaded.training_flags == model.training_flags
     assert loaded.latent_autocorr == model.latent_autocorr
 
@@ -280,14 +263,8 @@ def test_generation_spread_monotone_in_sigma(trained_toy):
     afternoon = slice(24, 39)
     spreads = []
     for sigma in (1.0, 1.667, 2.333, 3.0):
-        out = ctsgan.generate_scenarios(
-            model,
-            condition,
-            ctsgan.NoiseSpec(std=sigma, length=48, dim=model.latent_dim),
-            200,
-            seed=31,
-        )
-        spreads.append(out.scenarios[:, afternoon].std(axis=0).mean())
+        out = ctsgan.generate_scenarios(model, condition, sigma, 200, seed=31)
+        spreads.append(out[:, afternoon].std(axis=0).mean())
     assert all(a <= b + 1e-12 for a, b in zip(spreads, spreads[1:]))
 
 

@@ -132,14 +132,24 @@ def _toy_records(tmp_path):
     return ds
 
 
+# Column blocks of a condition row, as ``build_conditions`` documents them.
+DOW, MONTH = slice(96, 103), slice(103, 115)
+HDD, CDD, GAS, COAL = 115, 116, 117, 118
+UNIT_BLOCKS = (slice(0, 48), slice(48, 96), slice(119, 167), slice(167, 215), slice(215, 263))
+
+
 def test_build_conditions_encoding(tmp_path):
     ds = _toy_records(tmp_path)
     prev, cur = ds.day_records
-    cond = di.build_conditions(prev, cur, ds.norm)
+    rows = di.build_conditions([prev], [cur], ds.norm)
+    assert rows.shape == (1, di.CONDITION_DIM)
+    row = rows[0]
     # 2021-03-02 is a Tuesday; March is month index 2
-    assert cond.day_of_week[1] == 1.0 and cond.day_of_week.sum() == 1.0
-    assert cond.month[2] == 1.0 and cond.month.sum() == 1.0
-    assert cond.dim == di.CONDITION_DIM
+    assert np.flatnonzero(row[DOW]).tolist() == [1]
+    assert np.flatnonzero(row[MONTH]).tolist() == [2]
+    # a constant 18.5 °C day is half a cooling degree day and no heating
+    assert (row[HDD], row[CDD]) == (0.0, 0.5)
+    assert np.array_equal(row[0:48], di.normalize(prev.channel("price"), ds.norm["price"]))
 
 
 def test_build_conditions_wednesday_january(tmp_path):
@@ -151,16 +161,17 @@ def test_build_conditions_wednesday_january(tmp_path):
             lines.append(f"{ts},{40 + k},6000,{18 + d},400,5.0,8.0,90.0")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ds = di.load_dataset(path)
-    cond = di.build_conditions(ds.day_records[0], ds.day_records[1], ds.norm)
-    assert cond.day_of_week[2] == 1.0
-    assert cond.month[0] == 1.0
+    row = di.build_conditions(ds.day_records[:1], ds.day_records[1:], ds.norm)[0]
+    assert np.flatnonzero(row[DOW]).tolist() == [2]
+    assert np.flatnonzero(row[MONTH]).tolist() == [0]
+    assert (row[HDD], row[CDD]) == (0.0, 1.0)  # 19 °C against the 18 °C base
 
 
 def test_build_conditions_deterministic(tmp_path):
     ds = _toy_records(tmp_path)
     prev, cur = ds.day_records
-    a = di.build_conditions(prev, cur, ds.norm).as_array()
-    b = di.build_conditions(prev, cur, ds.norm).as_array()
+    a = di.build_conditions([prev], [cur], ds.norm)
+    b = di.build_conditions([prev], [cur], ds.norm)
     assert a.tobytes() == b.tobytes()
 
 
@@ -172,16 +183,58 @@ def test_build_conditions_missing_channel(tmp_path):
         channels={k: v for k, v in cur.channels.items() if k != "wind_speed"},
     )
     with pytest.raises(InputError, match="required channel missing: wind_speed"):
-        di.build_conditions(prev, broken, ds.norm)
+        di.build_conditions([prev], [broken], ds.norm)
 
 
 def test_condition_normalized_entries_in_unit_range(toy_dataset):
-    for cond, target in toy_dataset.days[:10]:
-        arr = cond.as_array()
-        assert arr.shape == (di.CONDITION_DIM,)
+    for row, target in toy_dataset.days:
+        assert row.shape == (di.CONDITION_DIM,)
         assert (target >= 0).all() and (target <= 1).all()
-        for block in (cond.lagged_prices, cond.forecast_temperature, cond.forecast_wind):
-            assert (block >= 0).all() and (block <= 1).all()
+        for block in (*UNIT_BLOCKS, slice(GAS, COAL + 1)):
+            assert (row[block] >= 0).all() and (row[block] <= 1).all()
+        assert row[DOW].sum() == 1.0 and row[MONTH].sum() == 1.0
+        assert row[HDD] >= 0.0 and row[CDD] >= 0.0 and row[HDD] * row[CDD] == 0.0
+
+
+def consecutive_pairs(dataset):
+    return [
+        (prev, rec)
+        for prev, rec in zip(dataset.day_records, dataset.day_records[1:])
+        if (rec.day - prev.day).days == 1
+    ]
+
+
+def test_load_dataset_conditions_equal_single_pair_build(toy_dataset):
+    """The rows ``load_dataset`` builds in one pass are, bit for bit, the rows
+    the CLI builds one pair at a time."""
+    pairs = consecutive_pairs(toy_dataset)
+    assert len(pairs) == len(toy_dataset.days)
+    for (prev, rec), (row, _) in zip(pairs, toy_dataset.days):
+        single = di.build_conditions([prev], [rec], toy_dataset.norm)[0]
+        assert row.tobytes() == single.tobytes()
+
+
+def test_build_conditions_matches_per_day_encoding(toy_dataset):
+    """Reference: each row assembled block by block from one day's arrays."""
+    norm = toy_dataset.norm
+
+    def unit(rec, name):
+        return np.clip(di.normalize(rec.channel(name), norm[name]), 0.0, 1.0)
+
+    for (prev, rec), (row, _) in zip(consecutive_pairs(toy_dataset), toy_dataset.days):
+        mean_temp = float(rec.channel("temperature").mean())
+        expected = np.concatenate([
+            unit(prev, "price"),
+            unit(prev, "demand"),
+            np.eye(7)[rec.day.weekday()],
+            np.eye(12)[rec.day.month - 1],
+            [max(0.0, 18.0 - mean_temp), max(0.0, mean_temp - 18.0)],
+            [float(unit(prev, "gas_price").mean()), float(unit(prev, "coal_price").mean())],
+            unit(rec, "temperature"),
+            unit(rec, "irradiance"),
+            unit(rec, "wind_speed"),
+        ])
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_constant_channel_gets_midpoint_norm(tmp_path):

@@ -5,17 +5,9 @@ from priceband import ctsgan
 from priceband import intervals as iv
 from priceband import weather_volatility as wv
 from priceband.errors import InputError
+from priceband.seeding import derive_seed
 
 HORIZON = 48
-
-
-def make_set(matrix, sigma=1.0, cid="c0", provenance=None):
-    return ctsgan.ScenarioSet(
-        scenarios=np.asarray(matrix, dtype=float),
-        condition_id=cid,
-        noise_sigma=sigma,
-        provenance=provenance,
-    )
 
 
 def ar1_paths(count, phi=0.8, mean=0.5, stat_std=0.08, steps=HORIZON, seed=0):
@@ -32,7 +24,7 @@ def ar1_paths(count, phi=0.8, mean=0.5, stat_std=0.08, steps=HORIZON, seed=0):
 # --- density stacking -----------------------------------------------------------
 
 def test_point_mass_density():
-    grid = iv.stack_density(make_set(np.full((20, HORIZON), 0.5)), bins=10)
+    grid = iv.stack_density(np.full((20, HORIZON), 0.5), bins=10)
     assert grid.mass.shape == (HORIZON, 10)
     assert (grid.mass[:, 5] == 1.0).all()
     assert grid.mass.sum() == HORIZON
@@ -40,7 +32,7 @@ def test_point_mass_density():
 
 def test_single_scenario_one_hot_rows():
     rng = np.random.default_rng(1)
-    grid = iv.stack_density(make_set(rng.uniform(0, 1, (1, HORIZON))), bins=25)
+    grid = iv.stack_density(rng.uniform(0, 1, (1, HORIZON)), bins=25)
     assert ((grid.mass == 0.0) | (grid.mass == 1.0)).all()
     assert np.array_equal(grid.mass.sum(axis=1), np.ones(HORIZON))
 
@@ -48,20 +40,20 @@ def test_single_scenario_one_hot_rows():
 def test_uniform_scenarios_binomial_tolerance():
     rng = np.random.default_rng(2)
     count, bins = 100_000, 10
-    grid = iv.stack_density(make_set(rng.uniform(0, 1, (count, HORIZON))), bins=bins)
+    grid = iv.stack_density(rng.uniform(0, 1, (count, HORIZON)), bins=bins)
     tolerance = 3.0 * np.sqrt(0.1 * 0.9 / count)
     assert np.abs(grid.mass - 1.0 / bins).max() <= tolerance
 
 
 def test_density_rejects_empty_and_bad_bins():
     with pytest.raises(InputError, match="empty scenario set"):
-        iv.stack_density(make_set(np.empty((0, HORIZON))), bins=10)
+        iv.stack_density(np.empty((0, HORIZON)), bins=10)
     with pytest.raises(InputError, match="at least 2 bins"):
-        iv.stack_density(make_set(np.full((3, HORIZON), 0.5)), bins=1)
+        iv.stack_density(np.full((3, HORIZON), 0.5), bins=1)
 
 
 def test_boundary_value_lands_in_last_bin():
-    grid = iv.stack_density(make_set(np.ones((4, HORIZON))), bins=10)
+    grid = iv.stack_density(np.ones((4, HORIZON)), bins=10)
     assert (grid.mass[:, -1] == 1.0).all()
 
 
@@ -69,7 +61,7 @@ def test_boundary_value_lands_in_last_bin():
 
 def test_interval_matches_hand_computed_order_statistics():
     ladder = np.tile(np.linspace(0.1, 1.0, 10)[:, None], (1, HORIZON))
-    interval = iv.build_interval(make_set(ladder), nominal=0.8)
+    interval = iv.build_interval(ladder, nominal=0.8)
     # quantile 0.1 of {0.1..1.0}: position 0.9 between 0.1 and 0.2 -> 0.19
     assert np.allclose(interval.lower, 0.19, atol=1e-12)
     assert np.allclose(interval.upper, 0.91, atol=1e-12)
@@ -78,26 +70,26 @@ def test_interval_matches_hand_computed_order_statistics():
 def test_interval_too_few_scenarios():
     ladder = np.tile(np.linspace(0.1, 0.9, 9)[:, None], (1, HORIZON))
     with pytest.raises(InputError, match="9 scenarios < 10 required"):
-        iv.build_interval(make_set(ladder), nominal=0.8)  # needs ceil(2/0.2) = 10
+        iv.build_interval(ladder, nominal=0.8)  # needs ceil(2/0.2) = 10
 
 
 def test_interval_zero_width_on_identical_scenarios():
-    interval = iv.build_interval(make_set(np.full((50, HORIZON), 0.3)), nominal=0.9)
+    interval = iv.build_interval(np.full((50, HORIZON), 0.3), nominal=0.9)
     assert np.array_equal(interval.lower, interval.upper)
     assert (interval.widths == 0.0).all()
 
 
 def test_interval_approaches_envelope_as_nominal_grows():
     rng = np.random.default_rng(3)
-    scenarios = make_set(rng.uniform(0.2, 0.8, (5000, HORIZON)))
+    scenarios = rng.uniform(0.2, 0.8, (5000, HORIZON))
     near_one = iv.build_interval(scenarios, nominal=0.9995)
-    assert np.abs(near_one.lower - scenarios.scenarios.min(axis=0)).max() < 0.01
-    assert np.abs(near_one.upper - scenarios.scenarios.max(axis=0)).max() < 0.01
+    assert np.abs(near_one.lower - scenarios.min(axis=0)).max() < 0.01
+    assert np.abs(near_one.upper - scenarios.max(axis=0)).max() < 0.01
 
 
 def test_interval_nested_in_nominal():
     rng = np.random.default_rng(4)
-    scenarios = make_set(rng.normal(0.5, 0.1, (400, HORIZON)).clip(0, 1))
+    scenarios = rng.normal(0.5, 0.1, (400, HORIZON)).clip(0, 1)
     narrow = iv.build_interval(scenarios, nominal=0.6)
     wide = iv.build_interval(scenarios, nominal=0.9)
     assert (wide.lower <= narrow.lower + 1e-12).all()
@@ -107,7 +99,7 @@ def test_interval_nested_in_nominal():
 def test_density_interval_consistency():
     rng = np.random.default_rng(5)
     count, bins, nominal = 500, 50, 0.9
-    scenarios = make_set(rng.beta(2, 3, (count, HORIZON)))
+    scenarios = rng.beta(2, 3, (count, HORIZON))
     interval = iv.build_interval(scenarios, nominal)
     grid = iv.stack_density(scenarios, bins)
     edges = grid.bin_edges
@@ -119,38 +111,50 @@ def test_density_interval_consistency():
         assert mass_inside >= nominal - 2.0 / bins - 2.0 / count
 
 
-# --- combination ---------------------------------------------------------------------
+# --- combination of the baseline and wide-noise rows ---------------------------------
 
-def test_combine_with_empty_volatile_is_identity():
-    normal = make_set(np.full((5, HORIZON), 0.4))
-    empty = make_set(np.empty((0, HORIZON)), sigma=2.0, provenance=np.empty(0, dtype=object))
-    combined = iv.combine_normal_volatile(normal, empty)
-    assert combined is normal
+CALM = {"temperature": 0.0001, "irradiance": 0.001, "wind": 0.0001}
+WORKED = {"temperature": 0.004, "irradiance": 0.07, "wind": 0.02}
 
 
-def test_combine_counts_and_provenance():
-    rng = np.random.default_rng(6)
-    normal = make_set(rng.uniform(0.3, 0.5, (500, HORIZON)), sigma=1.0)
-    volatile = make_set(rng.uniform(0.2, 0.8, (500, HORIZON)), sigma=2.667)
-    combined = iv.combine_normal_volatile(normal, volatile)
-    assert combined.count == 1000
-    assert set(combined.provenance) == {ctsgan.NORMAL_TAG, ctsgan.VOLATILE_TAG}
-    assert combined.noise_sigma == 2.667
+def branch_rows(model, condition, std, count, seed, branch):
+    return ctsgan.generate_scenarios(
+        model, condition, std, count, seed=derive_seed(seed, f"scenarios-{branch}")
+    )
 
 
-def test_combine_condition_mismatch():
-    a = make_set(np.full((3, HORIZON), 0.4), cid="a")
-    b = make_set(np.full((3, HORIZON), 0.5), cid="b", sigma=2.0)
-    with pytest.raises(InputError, match="condition ids differ"):
-        iv.combine_normal_volatile(a, b)
+def test_combine_with_empty_volatile_is_identity(mini_model, toy_dataset):
+    """A calm day adds no wide-noise rows: the pipeline's scenarios are the
+    baseline branch, bit for bit."""
+    condition = toy_dataset.days[0][0]
+    _, scenarios, sigma = iv.predict_pipeline(
+        mini_model, condition, CALM, wv.default_thresholds(), 30, 0.9, seed=14
+    )
+    assert sigma == 1.0
+    baseline = branch_rows(mini_model, condition, 1.0, 30, 14, "normal")
+    assert scenarios.tobytes() == baseline.tobytes()
+
+
+def test_combine_counts_and_provenance(mini_model, toy_dataset):
+    """A reinforced day stacks ``count`` baseline rows, then ``count``
+    wide-noise rows: a row's index tells which branch produced it."""
+    condition = toy_dataset.days[0][0]
+    _, scenarios, sigma = iv.predict_pipeline(
+        mini_model, condition, WORKED, wv.default_thresholds(), 30, 0.9, seed=15
+    )
+    assert scenarios.shape == (60, HORIZON)
+    baseline = branch_rows(mini_model, condition, 1.0, 30, 15, "normal")
+    volatile = branch_rows(mini_model, condition, sigma, 30, 15, "volatile")
+    assert scenarios[:30].tobytes() == baseline.tobytes()
+    assert scenarios[30:].tobytes() == volatile.tobytes()
 
 
 def test_combine_order_insensitive_interval():
     rng = np.random.default_rng(7)
-    a = make_set(rng.uniform(0.3, 0.5, (40, HORIZON)), sigma=1.0)
-    b = make_set(rng.uniform(0.2, 0.8, (40, HORIZON)), sigma=2.0)
-    ab = iv.build_interval(iv.combine_normal_volatile(a, b), 0.9)
-    ba = iv.build_interval(iv.combine_normal_volatile(b, a), 0.9)
+    a = rng.uniform(0.3, 0.5, (40, HORIZON))
+    b = rng.uniform(0.2, 0.8, (40, HORIZON))
+    ab = iv.build_interval(np.vstack([a, b]), 0.9)
+    ba = iv.build_interval(np.vstack([b, a]), 0.9)
     assert np.array_equal(ab.lower, ba.lower)
     assert np.array_equal(ab.upper, ba.upper)
 
@@ -158,7 +162,7 @@ def test_combine_order_insensitive_interval():
 # --- coverage oracle (independent of the generative model) ----------------------------
 
 def test_ar1_coverage_oracle():
-    scenarios = make_set(ar1_paths(4000, seed=8))
+    scenarios = ar1_paths(4000, seed=8)
     interval = iv.build_interval(scenarios, nominal=0.90)
     fresh = ar1_paths(1000, seed=9)
     covered = (fresh >= interval.lower) & (fresh <= interval.upper)
@@ -169,36 +173,30 @@ def test_ar1_coverage_oracle():
 
 def test_pipeline_calm_day_stays_baseline(mini_model, toy_dataset):
     condition = toy_dataset.days[0][0]
-    calm = {"temperature": 0.0001, "irradiance": 0.001, "wind": 0.0001}
-    interval, density, combined = iv.predict_pipeline(
-        mini_model, condition, calm, wv.default_thresholds(), 40, 0.9, seed=11
+    interval, scenarios, sigma = iv.predict_pipeline(
+        mini_model, condition, CALM, wv.default_thresholds(), 40, 0.9, seed=11
     )
-    assert combined.noise_sigma == 1.0
-    assert combined.count == 40
-    assert set(combined.provenance) == {ctsgan.NORMAL_TAG}
-    assert np.allclose(density.mass.sum(axis=1), 1.0, atol=1e-9)
+    assert sigma == 1.0
+    assert scenarios.shape == (40, HORIZON)
+    assert (interval.lower <= interval.upper).all()
 
 
 def test_pipeline_worked_example_triggers_reinforcement(mini_model, toy_dataset):
     condition = toy_dataset.days[0][0]
-    worked = {"temperature": 0.004, "irradiance": 0.07, "wind": 0.02}
-    interval, density, combined = iv.predict_pipeline(
-        mini_model, condition, worked, wv.default_thresholds(), 40, 0.9, seed=12
+    interval, scenarios, sigma = iv.predict_pipeline(
+        mini_model, condition, WORKED, wv.default_thresholds(), 40, 0.9, seed=12
     )
-    assert combined.noise_sigma == pytest.approx(2.667, abs=1e-9)
-    assert combined.count == 80
-    assert set(combined.provenance) == {ctsgan.NORMAL_TAG, ctsgan.VOLATILE_TAG}
+    assert sigma == pytest.approx(2.667, abs=1e-9)
+    assert scenarios.shape == (80, HORIZON)
     assert (interval.lower <= interval.upper).all()
-    assert np.allclose(density.mass.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_pipeline_deterministic(mini_model, toy_dataset):
     condition = toy_dataset.days[0][0]
-    worked = {"temperature": 0.004, "irradiance": 0.07, "wind": 0.02}
-    a = iv.predict_pipeline(mini_model, condition, worked, wv.default_thresholds(), 20, 0.9, seed=13)
-    b = iv.predict_pipeline(mini_model, condition, worked, wv.default_thresholds(), 20, 0.9, seed=13)
+    a = iv.predict_pipeline(mini_model, condition, WORKED, wv.default_thresholds(), 20, 0.9, seed=13)
+    b = iv.predict_pipeline(mini_model, condition, WORKED, wv.default_thresholds(), 20, 0.9, seed=13)
     assert np.array_equal(a[0].lower, b[0].lower)
-    assert np.array_equal(a[2].scenarios, b[2].scenarios)
+    assert np.array_equal(a[1], b[1])
 
 
 def test_combined_interval_contains_baseline_on_afternoon(trained_toy, toy_thresholds):
@@ -209,14 +207,10 @@ def test_combined_interval_contains_baseline_on_afternoon(trained_toy, toy_thres
     fractions = []
     for day_index in (2, 8, 9):  # reinforced test days
         condition = trained_toy["test_days"][day_index][0]
-        normal = ctsgan.generate_scenarios(
-            model, condition, ctsgan.NoiseSpec(1.0, 48, model.latent_dim), 300, seed=41
-        )
-        volatile = ctsgan.generate_scenarios(
-            model, condition, ctsgan.NoiseSpec(2.0, 48, model.latent_dim), 300, seed=42
-        )
+        normal = ctsgan.generate_scenarios(model, condition, 1.0, 300, seed=41)
+        volatile = ctsgan.generate_scenarios(model, condition, 2.0, 300, seed=42)
         base = iv.build_interval(normal, 0.9)
-        merged = iv.build_interval(iv.combine_normal_volatile(normal, volatile), 0.9)
+        merged = iv.build_interval(np.vstack([normal, volatile]), 0.9)
         idx = np.fromiter(afternoon, dtype=int)
         contains = (merged.lower[idx] <= base.lower[idx] + 1e-12) & (
             merged.upper[idx] >= base.upper[idx] - 1e-12

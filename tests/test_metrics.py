@@ -8,7 +8,6 @@ import pytest
 from priceband import ctsgan, metrics
 from priceband import weather_volatility as wv
 from priceband.errors import InputError
-from tests.conftest import factor_variances
 
 
 def run_of(actuals, lower, upper):
@@ -187,7 +186,7 @@ def eval_days_from(dataset, start, stop):
             metrics.EvalDay(
                 condition=condition,
                 actuals=actuals,
-                variances=factor_variances(dataset, rec),
+                variances=wv.factor_variances(dataset, rec),
                 day_label=rec.day.isoformat(),
             )
         )
@@ -222,7 +221,7 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
     """All-zero networks generate the same scenarios whatever the noise, so
     every run scores identically and the confidence curve is a step."""
     days = eval_days_from(toy_dataset, 0, 2)
-    model = ctsgan.build_model(condition_dim=days[0].condition.dim, hidden_dim=4, latent_dim=3, seed=0)
+    model = ctsgan.build_model(condition_dim=days[0].condition.size, hidden_dim=4, latent_dim=3, seed=0)
     for role in ("embedder", "recovery", "generator", "discriminator"):
         net = getattr(model, role)
         net.load_flat(np.zeros(net.n_params))

@@ -337,11 +337,31 @@ def test_checkpoint_round_trip_exact():
     assert seqnet.params_to_payload(loaded) == seqnet.params_to_payload(params)
 
 
+def test_loaded_network_takes_an_in_place_sgd_step():
+    """A loaded network's tensors are writable, so ``sgd_step`` can update
+    them in place, with the same arithmetic as on the saved network."""
+    params = seqnet.init_params(20, LSTM_DENSE)
+    loaded = seqnet.params_from_payload(seqnet.params_to_payload(params))
+    assert loaded.version == 0
+    grads = np.random.default_rng(20).normal(size=params.n_params)
+    seqnet.sgd_step(loaded, grads, 0.1)
+    seqnet.sgd_step(params, grads, 0.1)
+    assert loaded.version == 1
+    assert loaded.flat().tobytes() == params.flat().tobytes()
+
+
 def test_checkpoint_weight_count_mismatch():
     payload = seqnet.params_to_payload(seqnet.init_params(18, LSTM_DENSE))
     flat = np.frombuffer(base64.b64decode(payload["flat_weights"]), dtype="<f8")
     payload["flat_weights"] = base64.b64encode(flat[:-1].tobytes()).decode("ascii")
     with pytest.raises(CheckpointError, match="weight count"):
+        seqnet.params_from_payload(payload)
+
+
+def test_checkpoint_rejects_bad_layer_specs():
+    payload = seqnet.params_to_payload(seqnet.init_params(21, LSTM_DENSE))
+    payload["layer_specs"][0]["kind"] = "gru"
+    with pytest.raises(CheckpointError, match="bad layer specs: unknown layer kind"):
         seqnet.params_from_payload(payload)
 
 

@@ -1,12 +1,15 @@
-"""Import structure of the package: every import sits at module level, and
-the modules of ``priceband`` import each other without a cycle."""
+"""Import structure of the package: every import sits at module level, the
+modules of ``priceband`` import each other without a cycle, and every entry
+point the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "priceband"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "priceband"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -65,3 +68,22 @@ def test_package_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_bench_entry_points_resolve():
+    """Each ``ENTRY_POINTS`` name in bench/tracer.py, read with ``ast`` so
+    that ``bench`` is not imported, is a callable of its priceband module."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    entry_points = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets)
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in entry_points.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"priceband.{module}"), name, None))
+    ]
+    assert entry_points and missing == []
