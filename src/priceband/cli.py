@@ -37,6 +37,7 @@ from .weather_volatility import (
     VolatilityThresholds,
     calibrate_thresholds,
     factor_variances,
+    noise_sigma,
     spike_histogram,
 )
 
@@ -123,7 +124,7 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"required artifact missing: config file {path} ({exc})") from exc
-
+    _check_config_keys(raw)
     training = {k: v for k, v in raw.get("training", {}).items() if k != "seed"}
     if seed is not None or "seed" in raw:
         training["seed"] = seed if seed is not None else raw["seed"]
@@ -138,6 +139,25 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
     cfg = _from_section(RunConfig, sections)
     cfg.training = _from_section(ctsgan.TrainingConfig, training)
     return cfg
+
+
+def _check_config_keys(raw) -> None:
+    """Raise ``InputError`` naming a key of the config file that no setting
+    reads, or a part that is not a JSON object; "seed" in "training" is
+    ignored, as documented."""
+    if not isinstance(raw, dict):
+        raise InputError("config file must hold a JSON object")
+    fields = dataclasses.fields
+    run_keys = {f.name for f in fields(RunConfig) if f.default is not dataclasses.MISSING}
+    known = {"paths": run_keys, "prediction": run_keys, "metrics": run_keys}
+    known["training"] = run_keys | {f.name for f in fields(ctsgan.TrainingConfig)}
+    for key in sorted(raw.keys() - {"seed", *known}):
+        raise InputError(f"config has unknown key {key!r}")
+    for section, keys in known.items():
+        if not isinstance(raw.get(section, {}), dict):
+            raise InputError(f"config section {section!r} must be a JSON object")
+        for key in sorted(raw.get(section, {}).keys() - keys):
+            raise InputError(f"config section {section!r} has unknown key {key!r}")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -187,16 +207,15 @@ def _phase_span(model: ctsgan.CTSGANModel, phase: int) -> tuple[float, float, in
 
 def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     dataset = _load_dataset(cfg)
-    if not dataset.days:
-        raise InputError("dataset has no condition/target day pairs")
-    days = dataset.days
+    if not dataset.target_days:
+        raise InputError("dataset has no day with a complete previous day")
 
     if resume and cfg.checkpoint.exists():
         model = ctsgan.load_model(cfg.checkpoint)
         log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
     else:
         model = ctsgan.build_model(
-            condition_dim=days[0][0].size,
+            condition_dim=dataset.conditions.shape[1],
             hidden_dim=cfg.hidden_dim,
             latent_dim=cfg.latent_dim,
             seed=cfg.seed,
@@ -212,7 +231,8 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
         if model.training_flags.get(flag):
             print(f"phase {number} already trained, skipping")
             continue
-        trainer(model, days, cfg.training)
+        # by keyword: the benchmark's tracer reads "config" by name
+        trainer(model, conditions=dataset.conditions, targets=dataset.targets, config=cfg.training)
         first, last, n = _phase_span(model, number)
         print(f"phase {number} complete: loss {first:.6f} -> {last:.6f} over {n} iterations")
         ctsgan.save_model(model, cfg.checkpoint)
@@ -228,13 +248,15 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     print(f"checkpoint -> {cfg.checkpoint}")
 
 
-def _pair_for_date(dataset: data_ingest.Dataset, day: date_type):
-    """Condition/actuals/records for one predicted day (needs the previous day)."""
-    rec = dataset.record_for(day)
-    prev = dataset.record_for(day - timedelta(days=1))
-    condition = data_ingest.build_conditions([prev], [rec], dataset.norm)[0]
-    actuals = data_ingest.normalize(rec.channel("price"), dataset.norm["price"])
-    return condition, actuals, rec
+def _load_thresholds(path: Path) -> VolatilityThresholds:
+    """The calibrated thresholds at ``path``; a file that is missing, not
+    JSON or not a thresholds object raises ``InputError`` naming it."""
+    try:
+        return VolatilityThresholds.from_json(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, InputError) as exc:
+        raise InputError(
+            f"cannot read thresholds {path} ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _override_variances(override) -> dict[str, float]:
@@ -257,20 +279,20 @@ def _override_variances(override) -> dict[str, float]:
 def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
     model = ctsgan.load_model(cfg.checkpoint)
-    thresholds = VolatilityThresholds.from_json(cfg.thresholds.read_text(encoding="utf-8"))
-    condition, _, rec = _pair_for_date(dataset, day)
+    thresholds = _load_thresholds(cfg.thresholds)
+    row = dataset.target_index(day)
 
     if cfg.variance_override is not None:
         variances = _override_variances(cfg.variance_override)
         log.info("using variance override %s", variances)
     else:
-        variances = factor_variances(dataset, rec)
+        variances = factor_variances(dataset, dataset.record_for(day))
+    sigma = noise_sigma(variances, thresholds)
 
-    interval, scenarios, sigma = predict_pipeline(
+    interval, scenarios = predict_pipeline(
         model,
-        condition,
-        variances,
-        thresholds,
+        dataset.conditions[row],
+        sigma,
         cfg.scenarios,
         cfg.nominal,
         seed=derive_seed(cfg.seed, f"predict-{day.isoformat()}"),
@@ -313,36 +335,25 @@ def _write_scenarios_csv(path: Path, scenarios: np.ndarray, count: int) -> None:
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
-def _date_range(start: date_type, end: date_type):
-    day = start
-    while day <= end:
-        yield day
-        day += timedelta(days=1)
-
-
 def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
     model = ctsgan.load_model(cfg.checkpoint)
-    thresholds = VolatilityThresholds.from_json(cfg.thresholds.read_text(encoding="utf-8"))
+    thresholds = _load_thresholds(cfg.thresholds)
 
-    eval_days = []
-    for day in _date_range(start, end):
-        condition, actuals, rec = _pair_for_date(dataset, day)
-        eval_days.append(
-            metrics.EvalDay(
-                condition=condition,
-                actuals=actuals,
-                variances=factor_variances(dataset, rec),
-                day_label=day.isoformat(),
-            )
-        )
-    if not eval_days:
+    days = [start + timedelta(days=k) for k in range((end - start).days + 1)]
+    if not days:
         raise InputError(f"no days between {start} and {end}")
+    rows = [dataset.target_index(day) for day in days]
+    sigmas = [
+        noise_sigma(factor_variances(dataset, dataset.record_for(day)), thresholds)
+        for day in days
+    ]
 
     report = metrics.repeated_sampling_harness(
         model,
-        eval_days,
-        thresholds,
+        dataset.conditions[rows],
+        dataset.targets[rows],
+        sigmas,
         runs=cfg.runs,
         count=cfg.scenarios,
         nominal=cfg.nominal,
@@ -350,29 +361,36 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
         xi_target=cfg.xi_target,
         master_seed=derive_seed(cfg.seed, "evaluate"),
     )
-    _atomic_write(cfg.out_dir / "metrics_report.json", report.to_json())
-    _print_evaluation_table(report, eval_days)
+    breakdown = _evaluation_breakdown(report, days)
+    _atomic_write(cfg.out_dir / "metrics_report.json", report.to_json(**breakdown))
+    _print_evaluation_table(report, breakdown)
     print(f"report -> {cfg.out_dir}/metrics_report.json")
 
 
-def _print_evaluation_table(report: metrics.RepeatedSamplingReport, eval_days) -> None:
-    by_season: dict[str, list[int]] = {}
-    for idx, day in enumerate(eval_days):
-        season = _SEASONS[date_type.fromisoformat(day.day_label).month]
-        by_season.setdefault(season, []).append(idx)
+def _evaluation_breakdown(report: metrics.RepeatedSamplingReport, days) -> dict:
+    """Per-day scores of every run and per-season means over runs and days."""
+    seasons = [_SEASONS[day.month] for day in days]
+    scores = zip(days, seasons, report.day_coverages.T.tolist(), report.day_widths.T.tolist())
+    per_day = [
+        {"date": day.isoformat(), "season": season, "ecpas": cov, "eawapi": wid}
+        for day, season, cov, wid in scores
+    ]
+    per_season = {}
+    for season in sorted(set(seasons)):
+        columns = [d for d, name in enumerate(seasons) if name == season]
+        cov = report.day_coverages[:, columns].mean()
+        wid = report.day_widths[:, columns].mean()
+        per_season[season] = {"days": len(columns), "ecpas": float(cov), "eawapi": float(wid)}
+    return {"days": per_day, "seasons": per_season}
 
+
+def _print_evaluation_table(report: metrics.RepeatedSamplingReport, breakdown: dict) -> None:
     print(f"{'group':<10} {'days':>4} {'ecpas':>8} {'eawapi':>8}")
-    if len(by_season) > 1:
-        for season, indices in sorted(by_season.items()):
-            cov = np.mean(
-                [run[i]["ecpas"] for run in report.day_breakdown for i in indices]
-            )
-            wid = np.mean(
-                [run[i]["eawapi"] for run in report.day_breakdown for i in indices]
-            )
-            print(f"{season:<10} {len(indices):>4} {cov:>8.4f} {wid:>8.4f}")
+    if len(breakdown["seasons"]) > 1:
+        for season, row in breakdown["seasons"].items():
+            print(f"{season:<10} {row['days']:>4} {row['ecpas']:>8.4f} {row['eawapi']:>8.4f}")
     print(
-        f"{'overall':<10} {len(eval_days):>4} "
+        f"{'overall':<10} {len(breakdown['days']):>4} "
         f"{np.mean(report.coverages):>8.4f} {np.mean(report.widths):>8.4f}"
     )
     print(
@@ -405,8 +423,7 @@ def cmd_report(cfg: RunConfig) -> None:
 
     latest = interval_files[-1]
     day = date_type.fromisoformat(latest.stem.removeprefix("interval_"))
-    _, actuals, _ = _pair_for_date(dataset, day)
-    actuals = actuals.tolist()
+    actuals = dataset.targets[dataset.target_index(day)].tolist()
     overlay_rows = ["timestep,actual,lower,upper"]
     with open(latest, encoding="utf-8") as fh:
         for row in csv.DictReader(fh):

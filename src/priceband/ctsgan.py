@@ -168,23 +168,24 @@ def build_model(
     )
 
 
-def _prepare_days(model: CTSGANModel, days) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (condition, target) pairs into [N, cond_dim] and [T, N, 1]."""
-    if not days:
-        raise InputError("training needs at least one day")
-    conds = np.stack([np.asarray(c, dtype=np.float64) for c, _ in days])
+def _prepare_days(model: CTSGANModel, conditions, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Check the day axis ``conditions`` [N, cond_dim] and ``targets`` [N, T]
+    and return them as ``[N, cond_dim]`` and time-major ``[T, N, 1]``."""
+    conds = np.asarray(conditions, dtype=np.float64)
+    paths = np.asarray(targets, dtype=np.float64)
+    if conds.ndim != 2 or conds.shape[0] == 0:
+        raise InputError(f"training needs at least one day, got conditions of shape {conds.shape}")
     if conds.shape[1] != model.condition_dim:
         raise InputError(
             f"condition dim {conds.shape[1]} != model condition dim {model.condition_dim}"
         )
-    targets = np.stack([np.asarray(t, dtype=np.float64) for _, t in days], axis=1)
-    if targets.ndim != 2 or targets.shape[0] != model.data_horizon:
+    if paths.shape != (conds.shape[0], model.data_horizon):
         raise InputError(
-            f"targets must be {model.data_horizon}-step paths, got shape {targets.shape}"
+            f"targets must be [{conds.shape[0]}, {model.data_horizon}], got {paths.shape}"
         )
-    if not (np.isfinite(conds).all() and np.isfinite(targets).all()):
+    if not (np.isfinite(conds).all() and np.isfinite(paths).all()):
         raise InputError("non-finite values in training data")
-    return conds, targets[:, :, None]
+    return conds, np.ascontiguousarray(paths.T)[:, :, None]
 
 
 def _train_holdout_split(n: int, config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +284,11 @@ def _autoencoder_step(
     return loss
 
 
-def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -> CTSGANModel:
+def train_phase1_autoencoder(
+    model: CTSGANModel, conditions, targets, config: TrainingConfig
+) -> CTSGANModel:
     """Embedder + recovery minimize reconstruction MSE of normalized paths."""
-    conds, targets = _prepare_days(model, days)
+    conds, targets = _prepare_days(model, conditions, targets)
     train_idx, _ = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase1"))
 
@@ -300,12 +303,14 @@ def train_phase1_autoencoder(model: CTSGANModel, days, config: TrainingConfig) -
     return model
 
 
-def train_phase2_supervised(model: CTSGANModel, days, config: TrainingConfig) -> CTSGANModel:
+def train_phase2_supervised(
+    model: CTSGANModel, conditions, targets, config: TrainingConfig
+) -> CTSGANModel:
     """Generator learns next-step latent prediction, teacher-forced on the
     embedder's latents and conditioned on the day's condition vector."""
     if not model.training_flags["phase1"]:
         raise StateError("phase 2 requires a trained embedder (run phase 1)")
-    conds, targets = _prepare_days(model, days)
+    conds, targets = _prepare_days(model, conditions, targets)
     train_idx, _ = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase2"))
 
@@ -324,7 +329,9 @@ def train_phase2_supervised(model: CTSGANModel, days, config: TrainingConfig) ->
     return model
 
 
-def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSGANModel:
+def train_phase3_joint(
+    model: CTSGANModel, conditions, targets, config: TrainingConfig
+) -> CTSGANModel:
     """Alternating critic/generator updates plus an autoencoder refresh.
 
     The critic maximizes the mean score gap between real and generated
@@ -336,7 +343,7 @@ def train_phase3_joint(model: CTSGANModel, days, config: TrainingConfig) -> CTSG
     """
     if not (model.training_flags["phase1"] and model.training_flags["phase2"]):
         raise StateError("phase 3 requires phases 1 and 2 first")
-    conds, targets = _prepare_days(model, days)
+    conds, targets = _prepare_days(model, conditions, targets)
     train_idx, hold_idx = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase3"))
     steps = model.data_horizon
@@ -418,17 +425,17 @@ def _score_real_vs_generated(
     }
 
 
-def reconstruction_mse(model: CTSGANModel, days) -> float:
+def reconstruction_mse(model: CTSGANModel, conditions, targets) -> float:
     """Autoencoder reconstruction MSE over every supplied day (no batching)."""
-    _, targets = _prepare_days(model, days)
+    _, targets = _prepare_days(model, conditions, targets)
     latents, _ = rnn_forward(model.embedder, targets, keep_cache=False)
     recon, _ = rnn_forward(model.recovery, latents, keep_cache=False)
     return float(np.mean((recon - targets) ** 2))
 
 
-def supervised_mse(model: CTSGANModel, days) -> float:
+def supervised_mse(model: CTSGANModel, conditions, targets) -> float:
     """Next-step latent prediction MSE over every supplied day."""
-    conds, targets = _prepare_days(model, days)
+    conds, targets = _prepare_days(model, conditions, targets)
     latents = _embed(model, targets)
     predicted, _ = rnn_forward(model.generator, latents[:-1], conds, keep_cache=False)
     return float(np.mean((predicted - latents[1:]) ** 2))

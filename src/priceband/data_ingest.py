@@ -4,19 +4,20 @@ Input CSV schema: ``timestamp,price,demand,temperature,irradiance,wind_speed,
 gas_price,coal_price`` with ISO-8601 timestamps on a 30-minute grid. Days with
 any missing half-hour are dropped and counted in the load report; prices are
 clipped to [0, 500] A$/MWh before normalization. Timestamps are taken as
-market-local time as written; half-hour index 0 is 00:00. Each day's model
-condition is one float64 row of ``CONDITION_DIM`` columns (``build_conditions``).
+market-local time as written; half-hour index 0 is 00:00. Each day with a
+complete previous day is one row of the dataset's day axis: a float64
+condition row of ``CONDITION_DIM`` columns (``build_conditions``) and a
+48-step normalized price target.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as date_type
-from datetime import datetime
+from datetime import datetime, timedelta
 from operator import itemgetter
 
 import numpy as np
@@ -92,35 +93,30 @@ class LoadReport:
     days_dropped: int
     dropped_days: tuple[str, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows_consumed": self.rows_consumed,
-                "days_loaded": self.days_loaded,
-                "days_dropped": self.days_dropped,
-                "dropped_days": list(self.dropped_days),
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Complete days plus per-channel normalization params and supervised pairs.
+    """Complete days plus per-channel normalization params and the day axis.
 
-    ``day_records`` keeps every complete source day; ``days`` holds the
-    model-ready (condition, normalized 48-step price target) pairs, one per
-    day that has a complete previous calendar day to lag against.
+    ``day_records`` keeps every complete source day. The day axis holds one
+    row per day that has a complete previous calendar day to lag against:
+    ``target_days[i]`` is predicted from ``conditions[i]`` (``[N,
+    CONDITION_DIM]``) and has the normalized price path ``targets[i]``
+    (``[N, 48]``).
     """
 
     day_records: tuple[DayRecord, ...]
     norm: dict[str, MinMaxParams]
     report: LoadReport
-    days: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
+    conditions: np.ndarray
+    targets: np.ndarray
+    target_days: tuple[date_type, ...]
     _by_day: dict[date_type, DayRecord] = field(init=False, repr=False, compare=False)
+    _rows: dict[date_type, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_day", {rec.day: rec for rec in self.day_records})
+        object.__setattr__(self, "_rows", {day: i for i, day in enumerate(self.target_days)})
 
     @property
     def n_days(self) -> int:
@@ -131,6 +127,15 @@ class Dataset:
         if rec is None:
             raise InputError(f"no complete day {day.isoformat()} in dataset")
         return rec
+
+    def target_index(self, day: date_type) -> int:
+        """Row of the day axis that predicts ``day``; raises ``InputError``
+        naming ``day`` or its previous day when either is not complete."""
+        if day not in self._rows:
+            # every complete day whose previous day is complete has a row
+            self.record_for(day)
+            self.record_for(day - timedelta(days=1))
+        return self._rows[day]
 
     def normalized_channel(self, rec: DayRecord, name: str) -> np.ndarray:
         return normalize(rec.channel(name), self.norm[name])
@@ -252,7 +257,11 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
     array of the ``_VALUE_CHANNELS``. Errors carry the physical line number
     and are raised in file order, as a row-by-row check would meet them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read dataset {path} ({exc})") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -342,15 +351,18 @@ def load_dataset(path) -> Dataset:
     pairs = [
         (prev, cur) for prev, cur in zip(records, records[1:]) if (cur.day - prev.day).days == 1
     ]
-    days = ()
+    conditions = np.empty((0, CONDITION_DIM))
+    targets = np.empty((0, HALF_HOURS_PER_DAY))
     if pairs:
         prevs, curs = zip(*pairs)
+        conditions = build_conditions(prevs, curs, norm)
         targets = normalize(np.array([cur.channels["price"] for cur in curs]), norm["price"])
-        days = tuple(zip(build_conditions(prevs, curs, norm), targets))
 
     return Dataset(
         day_records=tuple(records),
         norm=norm,
         report=report,
-        days=days,
+        conditions=conditions,
+        targets=targets,
+        target_days=tuple(cur.day for _, cur in pairs),
     )

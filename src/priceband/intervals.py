@@ -4,9 +4,10 @@ Scenarios are normalized price paths: the rows of an ``[M, T]`` float64
 array with values in [0, 1], as ``ctsgan.generate_scenarios`` returns them.
 Densities are per-timestep histograms over equal-width bins; intervals are
 symmetric empirical quantiles with linear interpolation between order
-statistics. On a reinforced day the baseline rows and the wide-noise rows
-are stacked into one matrix, so the afternoon spike window picks up extra
-spread.
+statistics. The caller decides a day's noise sigma
+(``weather_volatility.noise_sigma``); on a reinforced day (sigma > 1) the
+baseline rows and the wide-noise rows are stacked into one matrix, so the
+afternoon spike window picks up extra spread.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ import numpy as np
 from .ctsgan import generate_scenarios
 from .errors import InputError
 from .seeding import derive_seed
-from .weather_volatility import (
-    FACTORS,
-    VolatilityThresholds,
-    classify_volatility,
-    sigma_from_levels,
-)
 
 DEFAULT_BINS = 50
 
@@ -62,7 +57,6 @@ class PredictionInterval:
 
     lower: np.ndarray
     upper: np.ndarray
-    nominal_coverage: float
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.float64)
@@ -73,10 +67,6 @@ class PredictionInterval:
             raise InputError("lower and upper must have equal length")
         if (lo > hi).any():
             raise InputError("interval bounds must satisfy L_t <= U_t")
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 def _scenario_rows(scenarios, what: str) -> np.ndarray:
@@ -125,32 +115,25 @@ def build_interval(scenarios: np.ndarray, nominal: float) -> PredictionInterval:
     tail = (1.0 - nominal) / 2.0
     lower = np.quantile(arr, tail, axis=0)
     upper = np.quantile(arr, 1.0 - tail, axis=0)
-    return PredictionInterval(lower=lower, upper=upper, nominal_coverage=nominal)
+    return PredictionInterval(lower=lower, upper=upper)
 
 
 def predict_pipeline(
     model,
     condition: np.ndarray,
-    forecast_variances: dict[str, float],
-    thresholds: VolatilityThresholds,
+    sigma: float,
     count: int,
     nominal: float,
     seed: int = 0,
-) -> tuple[PredictionInterval, np.ndarray, float]:
-    """Full prediction for one day: classify forecast-weather volatility,
-    pick the noise std, generate scenarios (baseline plus reinforced when the
-    std exceeds 1), and reduce them to an interval.
+) -> tuple[PredictionInterval, np.ndarray]:
+    """Full prediction for one day under the noise std ``sigma``: generate
+    scenarios (baseline plus reinforced when ``sigma`` exceeds 1) and reduce
+    them to an interval.
 
-    Returns ``(interval, scenarios, sigma)``. ``scenarios`` holds ``count``
+    Returns ``(interval, scenarios)``. ``scenarios`` holds ``count``
     baseline rows, then, on a reinforced day (``sigma > 1``), ``count``
     wide-noise rows.
     """
-    levels = {
-        factor: classify_volatility(factor, forecast_variances[factor], thresholds)
-        for factor in FACTORS
-    }
-    sigma = sigma_from_levels(levels)
-
     scenarios = generate_scenarios(
         model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
     )
@@ -159,4 +142,4 @@ def predict_pipeline(
             model, condition, sigma, count, seed=derive_seed(seed, "scenarios-volatile")
         )
         scenarios = np.vstack([scenarios, volatile])
-    return build_interval(scenarios, nominal), scenarios, sigma
+    return build_interval(scenarios, nominal), scenarios

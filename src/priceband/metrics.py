@@ -1,10 +1,11 @@
 """Reliability and sharpness indicators with repeated-sampling confidence.
 
 Coverage (the fraction of actuals inside their intervals, boundary-inclusive)
-and mean width are computed per prediction run; across repeated runs with
-fresh noise streams, the confidence level for a coverage target counts runs
-at or above it, while the width target counts runs strictly below (the two
-comparisons are deliberately asymmetric). The harness also reports the
+and mean width are computed per prediction run, over the run's whole
+``[days, T]`` block of bounds, and per run and day. Across repeated runs
+with fresh noise streams, the confidence level for a coverage target counts
+runs at or above it, while the width target counts runs strictly below (the
+two comparisons are deliberately asymmetric). The harness also reports the
 achieved-at-90%-confidence values: the largest coverage target met by at
 least 90% of runs and the smallest width target met by at least 90% of runs.
 """
@@ -13,50 +14,48 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .intervals import predict_pipeline
 from .seeding import derive_seed
-from .weather_volatility import VolatilityThresholds
 
 
-@dataclass(frozen=True)
-class EvaluationRun:
-    """Actuals paired with interval bounds for one prediction run."""
-
-    actuals: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        actuals = np.asarray(self.actuals, dtype=np.float64)
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
-        for name, arr in (("actuals", actuals), ("lower", lower), ("upper", upper)):
-            object.__setattr__(self, name, arr)
-        if not (actuals.shape == lower.shape == upper.shape) or actuals.ndim != 1:
-            raise InputError(
-                f"actuals/lower/upper shapes differ: "
-                f"{actuals.shape}/{lower.shape}/{upper.shape}"
-            )
-        if actuals.size < 1:
-            raise InputError("need at least one sample")
-        if (lower > upper).any():
-            raise InputError("interval bounds must satisfy L_t <= U_t")
+def _checked_bounds(actuals, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three arrays as float64, after checking that ``lower`` and
+    ``upper`` share one non-empty shape ending in ``actuals``'s shape and
+    that L_t <= U_t everywhere."""
+    actuals = np.asarray(actuals, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.shape != upper.shape or lower.shape[lower.ndim - actuals.ndim :] != actuals.shape:
+        raise InputError(
+            f"actuals/lower/upper shapes differ: "
+            f"{actuals.shape}/{lower.shape}/{upper.shape}"
+        )
+    if lower.size < 1:
+        raise InputError("need at least one sample")
+    if (lower > upper).any():
+        raise InputError("interval bounds must satisfy L_t <= U_t")
+    return actuals, lower, upper
 
 
-def ecpas(run: EvaluationRun) -> float:
-    """Empirical coverage: fraction of t with L_t <= actual_t <= U_t."""
-    covered = (run.actuals >= run.lower) & (run.actuals <= run.upper)
-    return float(covered.mean())
+def ecpas(actuals, lower, upper, axis=None):
+    """Empirical coverage: fraction of t with L_t <= actual_t <= U_t, taken
+    over ``axis`` of the bounds (every axis by default). ``actuals`` lines up
+    with the trailing axes, so ``[D, T]`` actuals score a ``[runs, D, T]``
+    block of bounds."""
+    actuals, lower, upper = _checked_bounds(actuals, lower, upper)
+    return ((actuals >= lower) & (actuals <= upper)).mean(axis=axis)
 
 
-def eawapi(run: EvaluationRun) -> float:
-    """Empirical average width: mean of (U_t - L_t)."""
-    return float((run.upper - run.lower).mean())
+def eawapi(actuals, lower, upper, axis=None):
+    """Empirical average width: mean of (U_t - L_t) over ``axis``, with the
+    bounds checked against ``actuals`` as in :func:`ecpas`."""
+    _, lower, upper = _checked_bounds(actuals, lower, upper)
+    return (upper - lower).mean(axis=axis)
 
 
 def confidence_level_ecpas(run_coverages, target: float) -> float:
@@ -100,69 +99,45 @@ def achieved_width_at(run_widths, confidence: float = 0.9) -> float:
 
 @dataclass(frozen=True)
 class RepeatedSamplingReport:
-    """Per-run indicators plus confidence levels for the supplied targets."""
+    """Coverage and width per run (``[runs]``) and per run and day
+    (``[runs, D]``), with confidence levels for the supplied targets."""
 
-    coverages: tuple[float, ...]
-    widths: tuple[float, ...]
+    coverages: np.ndarray
+    widths: np.ndarray
+    day_coverages: np.ndarray
+    day_widths: np.ndarray
     delta_target: float
     xi_target: float
     phi_coverage: float
     phi_width: float
     achieved_delta_90: float
     achieved_xi_90: float
-    day_breakdown: tuple = field(default=(), repr=False)
 
-    def to_json(self) -> str:
+    def to_json(self, **extra) -> str:
+        """The per-run indicators and the confidence summary, then ``extra``
+        as further top-level keys."""
         return json.dumps(
             {
                 "runs": [
                     {"s": s + 1, "ecpas": c, "eawapi": w}
-                    for s, (c, w) in enumerate(zip(self.coverages, self.widths))
+                    for s, (c, w) in enumerate(zip(self.coverages.tolist(), self.widths.tolist()))
                 ],
                 "targets": {"delta_prime": self.delta_target, "xi_prime": self.xi_target},
                 "phi_coverage": self.phi_coverage,
                 "phi_width": self.phi_width,
                 "achieved_delta_90": self.achieved_delta_90,
                 "achieved_xi_90": self.achieved_xi_90,
+                **extra,
             },
             allow_nan=False,
         )
 
 
-@dataclass(frozen=True)
-class EvalDay:
-    """One evaluation day: condition row, actual path, forecast-weather variances."""
-
-    condition: np.ndarray
-    actuals: np.ndarray
-    variances: dict[str, float]
-    day_label: str = ""
-
-
-def summarize_runs(
-    coverages,
-    widths,
-    delta_target: float,
-    xi_target: float,
-    day_breakdown=(),
-) -> RepeatedSamplingReport:
-    return RepeatedSamplingReport(
-        coverages=tuple(float(c) for c in coverages),
-        widths=tuple(float(w) for w in widths),
-        delta_target=delta_target,
-        xi_target=xi_target,
-        phi_coverage=confidence_level_ecpas(coverages, delta_target),
-        phi_width=confidence_level_eawapi(widths, xi_target),
-        achieved_delta_90=achieved_coverage_at(coverages),
-        achieved_xi_90=achieved_width_at(widths),
-        day_breakdown=tuple(day_breakdown),
-    )
-
-
 def repeated_sampling_harness(
     model,
-    eval_days: list[EvalDay],
-    thresholds: VolatilityThresholds,
+    conditions,
+    actuals,
+    sigmas,
     runs: int,
     count: int,
     nominal: float,
@@ -170,53 +145,43 @@ def repeated_sampling_harness(
     xi_target: float,
     master_seed: int = 0,
 ) -> RepeatedSamplingReport:
-    """Score ``runs`` repeated predictions over the same days.
+    """Score ``runs`` repeated predictions over the same D days.
 
-    Each run re-generates scenarios with its own derived noise seed stream
-    (the only stochastic element once the model is trained), concatenates all
-    days into one evaluation run, and records coverage and width. The report
-    is reproducible from ``master_seed``.
+    Day d is predicted from the condition row ``conditions[d]`` under the
+    noise std ``sigmas[d]`` and scored against the normalized path
+    ``actuals[d]``. Each run re-generates scenarios with its own derived
+    noise seed stream (the only stochastic element once the model is
+    trained). The bounds of all runs stack into one ``[runs, D, T]`` block,
+    and a run's coverage and width reduce its whole ``[D, T]`` block. The
+    report is reproducible from ``master_seed``.
     """
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
-    if not eval_days:
+    if len(conditions) == 0:
         raise InputError("no evaluation days supplied")
 
-    coverages = []
-    widths = []
-    breakdown = []
+    lower, upper = [], []
     for s in range(runs):
         run_seed = derive_seed(master_seed, f"run-{s}")
-        actual_parts = []
-        lower_parts = []
-        upper_parts = []
-        day_rows = []
-        for d, day in enumerate(eval_days):
-            interval, _, _ = predict_pipeline(
-                model,
-                day.condition,
-                day.variances,
-                thresholds,
-                count,
-                nominal,
-                seed=derive_seed(run_seed, f"day-{d}"),
-            )
-            actual_parts.append(np.asarray(day.actuals, dtype=np.float64))
-            lower_parts.append(interval.lower)
-            upper_parts.append(interval.upper)
-            day_run = EvaluationRun(
-                actuals=actual_parts[-1], lower=interval.lower, upper=interval.upper
-            )
-            day_rows.append(
-                {"day": day.day_label, "ecpas": ecpas(day_run), "eawapi": eawapi(day_run)}
-            )
-        run = EvaluationRun(
-            actuals=np.concatenate(actual_parts),
-            lower=np.concatenate(lower_parts),
-            upper=np.concatenate(upper_parts),
-        )
-        coverages.append(ecpas(run))
-        widths.append(eawapi(run))
-        breakdown.append(tuple(day_rows))
-
-    return summarize_runs(coverages, widths, delta_target, xi_target, breakdown)
+        for d in range(len(conditions)):
+            seed = derive_seed(run_seed, f"day-{d}")
+            interval, _ = predict_pipeline(model, conditions[d], sigmas[d], count, nominal, seed)
+            lower.append(interval.lower)
+            upper.append(interval.upper)
+    block = (runs, len(conditions), -1)
+    lower = np.reshape(lower, block)
+    upper = np.reshape(upper, block)
+    coverages = ecpas(actuals, lower, upper, axis=(1, 2))
+    widths = eawapi(actuals, lower, upper, axis=(1, 2))
+    return RepeatedSamplingReport(
+        coverages=coverages,
+        widths=widths,
+        day_coverages=ecpas(actuals, lower, upper, axis=2),
+        day_widths=eawapi(actuals, lower, upper, axis=2),
+        delta_target=delta_target,
+        xi_target=xi_target,
+        phi_coverage=confidence_level_ecpas(coverages, delta_target),
+        phi_width=confidence_level_eawapi(widths, xi_target),
+        achieved_delta_90=achieved_coverage_at(coverages),
+        achieved_xi_90=achieved_width_at(widths),
+    )

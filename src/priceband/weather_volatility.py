@@ -2,7 +2,8 @@
 
 A factor's daily variance (computed on normalized values) is classified
 against percentile thresholds into Normal/Low/Medium/High and the per-factor
-levels map to the reinforced-noise standard deviation. Half-hour index ranges:
+levels map to the reinforced-noise standard deviation; ``noise_sigma`` takes
+a day's variances to its sigma in one call. Half-hour index ranges:
 12:00-19:00 is ``range(24, 39)`` (temperature and wind); irradiance stops at
 17:00, ``range(24, 35)``, because there is little light after that.
 """
@@ -188,6 +189,13 @@ def sigma_from_levels(levels: dict[str, VolatilityLevel]) -> float:
     """
     total = sum(LEVEL_INCREMENTS[levels[factor]] for factor in FACTORS)
     return max(1.0, total)
+
+
+def noise_sigma(variances: dict[str, float], thresholds: VolatilityThresholds) -> float:
+    """Noise std for one day from its afternoon window variance per factor."""
+    return sigma_from_levels(
+        {factor: classify_volatility(factor, variances[factor], thresholds) for factor in FACTORS}
+    )
 
 
 def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThresholds:

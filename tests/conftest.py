@@ -45,14 +45,14 @@ def toy_thresholds(toy_dataset):
 @pytest.fixture(scope="session")
 def mini_model(toy_dataset):
     """Fully flagged model at throwaway scale (contract tests only)."""
-    days = toy_dataset.days[:20]
+    days = toy_dataset.conditions[:20], toy_dataset.targets[:20]
     model = ctsgan.build_model(
-        condition_dim=days[0][0].size, hidden_dim=6, latent_dim=4, seed=3
+        condition_dim=days[0].shape[1], hidden_dim=6, latent_dim=4, seed=3
     )
     cfg = ctsgan.TrainingConfig(iterations_per_phase=40, seed=3, learning_rate=0.05)
-    ctsgan.train_phase1_autoencoder(model, days, cfg)
-    ctsgan.train_phase2_supervised(model, days, cfg)
-    ctsgan.train_phase3_joint(model, days, cfg)
+    ctsgan.train_phase1_autoencoder(model, *days, cfg)
+    ctsgan.train_phase2_supervised(model, *days, cfg)
+    ctsgan.train_phase3_joint(model, *days, cfg)
     return model
 
 
@@ -60,37 +60,38 @@ def mini_model(toy_dataset):
 def trained_toy(toy_dataset):
     """Desk-scale training run shared by the acceptance criteria.
 
-    Trains on the first 80 condition/target pairs; the pairs targeting day
-    records 96..115 are held out as the 20 evaluation days.
+    Trains on the first 80 rows of the day axis; the rows targeting day
+    records 96..115 are held out as the 20 evaluation days, as (condition,
+    target) pairs.
     """
-    train_days = toy_dataset.days[:80]
+    train_days = toy_dataset.conditions[:80], toy_dataset.targets[:80]
     model = ctsgan.build_model(
-        condition_dim=train_days[0][0].size,
+        condition_dim=train_days[0].shape[1],
         hidden_dim=16,
         latent_dim=8,
         seed=TOY_MODEL_SEED,
     )
 
     started = time.monotonic()
-    mse_before = ctsgan.reconstruction_mse(model, train_days)
+    mse_before = ctsgan.reconstruction_mse(model, *train_days)
     ctsgan.train_phase1_autoencoder(
         model,
-        train_days,
+        *train_days,
         ctsgan.TrainingConfig(iterations_per_phase=12000, seed=TOY_MODEL_SEED, learning_rate=0.05),
     )
-    mse_after = ctsgan.reconstruction_mse(model, train_days)
+    mse_after = ctsgan.reconstruction_mse(model, *train_days)
 
-    sup_before = ctsgan.supervised_mse(model, train_days)
+    sup_before = ctsgan.supervised_mse(model, *train_days)
     ctsgan.train_phase2_supervised(
         model,
-        train_days,
+        *train_days,
         ctsgan.TrainingConfig(iterations_per_phase=6000, seed=TOY_MODEL_SEED, learning_rate=0.05),
     )
-    sup_after = ctsgan.supervised_mse(model, train_days)
+    sup_after = ctsgan.supervised_mse(model, *train_days)
 
     ctsgan.train_phase3_joint(
         model,
-        train_days,
+        *train_days,
         ctsgan.TrainingConfig(iterations_per_phase=2000, seed=TOY_MODEL_SEED, learning_rate=0.05),
     )
     elapsed = time.monotonic() - started
@@ -98,7 +99,7 @@ def trained_toy(toy_dataset):
     return {
         "model": model,
         "train_days": train_days,
-        "test_days": toy_dataset.days[95:115],
+        "test_days": list(zip(toy_dataset.conditions[95:115], toy_dataset.targets[95:115])),
         "test_records": toy_dataset.day_records[96:116],
         "mse_before": mse_before,
         "mse_after": mse_after,

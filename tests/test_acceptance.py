@@ -47,10 +47,7 @@ def test_02_ecpas_twenty_sample_example():
     with criterion(2, "coverage indicator example"):
         actuals = np.full(20, 0.5)
         actuals[[4, 15]] = 0.99
-        run = metrics.EvaluationRun(
-            actuals=actuals, lower=np.full(20, 0.4), upper=np.full(20, 0.6)
-        )
-        assert metrics.ecpas(run) == 0.90
+        assert metrics.ecpas(actuals, np.full(20, 0.4), np.full(20, 0.6)) == 0.90
 
 
 def test_03_normalization_round_trip():
@@ -156,9 +153,8 @@ def test_09_reinforced_widening_direction(trained_toy, toy_dataset, toy_threshol
                 model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
             )
             baseline = iv.build_interval(baseline_set, 0.9)
-            reinforced, _, sigma = iv.predict_pipeline(
-                model, condition, variances, toy_thresholds, count, 0.9, seed=seed
-            )
+            sigma = wv.noise_sigma(variances, toy_thresholds)
+            reinforced, _ = iv.predict_pipeline(model, condition, sigma, count, 0.9, seed=seed)
             if sigma > 1.0:
                 reinforced_days += 1
             inside_b = (actual[afternoon] >= baseline.lower[afternoon]) & (

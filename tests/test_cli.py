@@ -316,3 +316,141 @@ def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key
     assert capsys.readouterr().err.strip() == (
         f"error: config key {key!r}: cannot read {value!r} as {kind}"
     )
+
+
+def test_config_unknown_key_is_named(tmp_path, capsys):
+    """A misspelt key fails instead of leaving its setting at the default,
+    and so does a config that is not made of JSON objects."""
+    for raw, message in (
+        ({"training": {"iteration_per_phase": 2}}, "config section 'training' has unknown key 'iteration_per_phase'"),
+        ({"prediction": {"batch_size": 7}}, "config section 'prediction' has unknown key 'batch_size'"),
+        ({"predicton": {"scenarios": 7}}, "config has unknown key 'predicton'"),
+        ({"paths": ["dataset.csv"]}, "config section 'paths' must be a JSON object"),
+        ([{"seed": 1}], "config file must hold a JSON object"),
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["calibrate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_config_training_seed_is_ignored(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 4, "training": {"seed": 9}}), encoding="utf-8")
+    assert cli.load_config(cfg).seed == 4
+
+
+_NO_MED_CUT = json.dumps(
+    {f: {"low_cut": 0.1, "high_cut": 0.3} for f in ("temperature", "irradiance", "wind")}
+)
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("calibrate", "dataset", None),
+        ("predict", "thresholds", None),
+        ("evaluate", "thresholds", None),
+        ("predict", "thresholds", "{not json"),
+        ("evaluate", "thresholds", "{not json"),
+        ("predict", "thresholds", _NO_MED_CUT),
+        ("evaluate", "thresholds", _NO_MED_CUT),
+    ],
+    ids=[
+        "calibrate-missing-dataset",
+        "predict-missing-thresholds",
+        "evaluate-missing-thresholds",
+        "predict-non-json-thresholds",
+        "evaluate-non-json-thresholds",
+        "predict-thresholds-without-med_cut",
+        "evaluate-thresholds-without-med_cut",
+    ],
+)
+def test_unreadable_input_file_named(workspace, tmp_path, capsys, command, key, text):
+    """A missing or malformed input file fails with one error line naming it."""
+    bad = tmp_path / f"bad_{key}"
+    if text is not None:
+        bad.write_text(text, encoding="utf-8")
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"][key] = str(bad)
+    raw["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    day = workspace["calm_date"].isoformat()
+    dates = {"calibrate": [], "predict": ["--date", day], "evaluate": ["--from", day, "--to", day]}
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg), *dates[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {key} {bad} (")
+    assert err.count("\n") == 1
+
+
+def test_evaluate_writes_day_and_season_breakdown(workspace, capsys):
+    """metrics_report.json holds each day's scores per run and each season's
+    means, and a run's score is the mean of its days' scores."""
+    days = ["2021-02-26", "2021-02-27", "2021-02-28", "2021-03-01", "2021-03-02"]
+    capsys.readouterr()
+    assert cli.main([
+        "evaluate", "--config", str(workspace["cfg"]), "--from", days[0], "--to", days[-1],
+    ]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads((workspace["out"] / "metrics_report.json").read_text(encoding="utf-8"))
+
+    assert [row["date"] for row in payload["days"]] == days
+    assert [row["season"] for row in payload["days"]] == ["summer"] * 3 + ["autumn"] * 2
+    runs = len(payload["runs"])
+    for key in ("ecpas", "eawapi"):
+        per_day = np.array([row[key] for row in payload["days"]])
+        assert per_day.shape == (5, runs)
+        run_values = [run[key] for run in payload["runs"]]
+        assert run_values == pytest.approx(per_day.mean(axis=0).tolist(), abs=1e-12)
+        for season, columns in (("summer", slice(0, 3)), ("autumn", slice(3, 5))):
+            assert payload["seasons"][season][key] == pytest.approx(per_day[columns].mean(), abs=1e-12)
+    assert {s: row["days"] for s, row in payload["seasons"].items()} == {"autumn": 2, "summer": 3}
+    season_lines = [line.split()[:2] for line in out.splitlines() if line.split()[:1] in (["autumn"], ["summer"])]
+    assert season_lines == [["autumn", "2"], ["summer", "3"]]
+
+
+def test_day_after_a_dropped_day_is_named(workspace, tmp_path, capsys):
+    """A day whose previous day was dropped as incomplete cannot be
+    predicted or scored: both commands name the missing previous day."""
+    lines = (workspace["root"] / "toy.csv").read_text(encoding="utf-8").splitlines()
+    gap = "2021-02-09T13:30:00"
+    (tmp_path / "gap.csv").write_text(
+        "\n".join(line for line in lines if not line.startswith(gap)) + "\n", encoding="utf-8"
+    )
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"]["dataset"] = str(tmp_path / "gap.csv")
+    raw["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    for dates in (["--date", "2021-02-10"], ["--from", "2021-02-10", "--to", "2021-02-11"]):
+        command = "predict" if dates[0] == "--date" else "evaluate"
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg), *dates]) == 1
+        assert capsys.readouterr().err.strip() == "error: no complete day 2021-02-09 in dataset"
+
+
+def test_train_passes_config_where_the_benchmark_tracer_reads_it(workspace, tmp_path, monkeypatch):
+    """bench/tracer.py reads a trainer's config as its third positional
+    argument or, when fewer are given, by the keyword "config"."""
+    seen = []
+
+    def recorder(flag):
+        def train(*args, **kwargs):
+            seen.append(args[2] if len(args) > 2 else kwargs.get("config"))
+            args[0].training_flags[flag] = True
+            return args[0]
+        return train
+
+    trainers = ("train_phase1_autoencoder", "train_phase2_supervised", "train_phase3_joint")
+    for number, name in enumerate(trainers, start=1):
+        monkeypatch.setattr(ctsgan, name, recorder(f"phase{number}"))
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"]["checkpoint"] = str(tmp_path / "model.json")
+    raw["paths"]["out_dir"] = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    assert len(seen) == 3
+    assert all(isinstance(config, ctsgan.TrainingConfig) for config in seen)

@@ -11,7 +11,7 @@ HORIZON = 48
 
 
 def toy_days(n_days=12, seed=0, horizon=HORIZON):
-    """Raw-array condition/target pairs, enough structure to train on."""
+    """Raw-array condition rows and target paths, enough structure to train on."""
     rng = np.random.default_rng(seed)
     days = []
     t = np.arange(horizon)
@@ -20,7 +20,8 @@ def toy_days(n_days=12, seed=0, horizon=HORIZON):
         level = 0.12 + 0.2 * cond[0]
         path = level + 0.1 * np.sin(2 * np.pi * (t - 30) / horizon) + rng.normal(0, 0.02, horizon)
         days.append((cond, np.clip(path, 0, 1)))
-    return days
+    conditions, targets = zip(*days)
+    return np.stack(conditions), np.stack(targets)
 
 
 def small_model(seed=1):
@@ -35,9 +36,9 @@ def quick_config(iters=60, seed=1, **kw):
 
 def train_all(model, days, iters=60, seed=1):
     cfg = quick_config(iters, seed)
-    ctsgan.train_phase1_autoencoder(model, days, cfg)
-    ctsgan.train_phase2_supervised(model, days, cfg)
-    ctsgan.train_phase3_joint(model, days, cfg)
+    ctsgan.train_phase1_autoencoder(model, *days, cfg)
+    ctsgan.train_phase2_supervised(model, *days, cfg)
+    ctsgan.train_phase3_joint(model, *days, cfg)
     return model
 
 
@@ -65,14 +66,14 @@ def test_generate_rejects_noise_std_below_one():
 
 def test_phase2_requires_phase1():
     with pytest.raises(StateError, match="phase 2 requires"):
-        ctsgan.train_phase2_supervised(small_model(), toy_days(), quick_config())
+        ctsgan.train_phase2_supervised(small_model(), *toy_days(), quick_config())
 
 
 def test_phase3_requires_phase2():
     model = small_model()
-    ctsgan.train_phase1_autoencoder(model, toy_days(), quick_config(iters=5))
+    ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=5))
     with pytest.raises(StateError, match="phase 3 requires"):
-        ctsgan.train_phase3_joint(model, toy_days(), quick_config())
+        ctsgan.train_phase3_joint(model, *toy_days(), quick_config())
 
 
 def test_zero_iterations_leaves_parameters_unchanged():
@@ -81,7 +82,7 @@ def test_zero_iterations_leaves_parameters_unchanged():
         role: getattr(model, role).flat()
         for role in ("embedder", "recovery", "generator", "discriminator")
     }
-    ctsgan.train_phase1_autoencoder(model, toy_days(), quick_config(iters=0))
+    ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=0))
     for role, flat in before.items():
         assert np.array_equal(getattr(model, role).flat(), flat)
     assert model.training_flags["phase1"]
@@ -113,16 +114,16 @@ def test_conditioned_network_gradient_check(role):
 
 def test_phase1_loss_decreases():
     model = small_model()
-    ctsgan.train_phase1_autoencoder(model, toy_days(), quick_config(iters=300))
+    ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=300))
     losses = [r["loss"] for r in model.training_log if r["phase"] == 1]
     assert np.mean(losses[-20:]) < 0.5 * np.mean(losses[:20])
 
 
 def test_constant_paths_reconstructed():
-    days = [(np.full(COND_DIM, 0.5), np.full(HORIZON, 0.4)) for _ in range(8)]
+    days = (np.full((8, COND_DIM), 0.5), np.full((8, HORIZON), 0.4))
     model = small_model()
-    ctsgan.train_phase1_autoencoder(model, days, quick_config(iters=800))
-    assert ctsgan.reconstruction_mse(model, days) < 1e-3
+    ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=800))
+    assert ctsgan.reconstruction_mse(model, *days) < 1e-3
 
 
 def test_training_is_seed_deterministic():
@@ -141,9 +142,9 @@ def test_discriminator_clipped_after_joint_training():
 
 def test_condition_dim_mismatch_rejected():
     model = small_model()
-    bad_days = [(np.zeros(COND_DIM + 1), np.full(HORIZON, 0.5))]
+    bad_days = (np.zeros((1, COND_DIM + 1)), np.full((1, HORIZON), 0.5))
     with pytest.raises(InputError, match="condition dim"):
-        ctsgan.train_phase1_autoencoder(model, bad_days, quick_config())
+        ctsgan.train_phase1_autoencoder(model, *bad_days, quick_config())
 
 
 def test_training_log_schema():

@@ -1,3 +1,5 @@
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def test_load_two_full_days(tmp_path):
     assert ds.n_days == 2
     assert ds.report.rows_consumed == 96
     assert ds.report.days_dropped == 0
-    assert len(ds.days) == 1  # a supervised pair needs the previous day
+    assert len(ds.target_days) == 1  # a supervised pair needs the previous day
 
 
 def test_missing_half_hour_drops_day(tmp_path):
@@ -44,6 +46,19 @@ def test_missing_half_hour_drops_day(tmp_path):
     assert ds.n_days == 1
     assert ds.report.days_dropped == 1
     assert ds.report.dropped_days == ("2021-03-01",)
+
+
+def test_target_index_names_the_missing_day(tmp_path):
+    """A day has a row of the day axis only when it and its previous day are
+    complete; the lookup of any other day names the day that is missing."""
+    ds = di.load_dataset(write_csv(tmp_path / "d.csv", days=4, skip={(1, 27)}))
+    assert ds.target_days == (date(2021, 3, 4),)
+    assert ds.conditions.shape == (1, di.CONDITION_DIM)
+    assert ds.targets.shape == (1, 48)
+    assert ds.target_index(date(2021, 3, 4)) == 0
+    for day, missing in (((2021, 3, 3), "2021-03-02"), ((2021, 3, 2), "2021-03-02"), ((2021, 3, 1), "2021-02-28")):
+        with pytest.raises(InputError, match=f"no complete day {missing} in dataset"):
+            ds.target_index(date(*day))
 
 
 def test_shuffled_timestamps_rejected(tmp_path):
@@ -81,7 +96,7 @@ def test_clip_prices_bounds(tmp_path):
     assert rec.channel("price")[0] == 0.0
     assert rec.channel("price")[1] == 500.0
     assert (rec.channel("price")[2:] == 40.0 + np.arange(2, 48) + 1).all()
-    target = ds.days[0][1]
+    target = ds.targets[0]
     assert target[0] == 0.0
     assert target[1] == 1.0
     assert np.array_equal(ds.normalized_channel(rec, "price"), target)
@@ -187,7 +202,7 @@ def test_build_conditions_missing_channel(tmp_path):
 
 
 def test_condition_normalized_entries_in_unit_range(toy_dataset):
-    for row, target in toy_dataset.days:
+    for row, target in zip(toy_dataset.conditions, toy_dataset.targets):
         assert row.shape == (di.CONDITION_DIM,)
         assert (target >= 0).all() and (target <= 1).all()
         for block in (*UNIT_BLOCKS, slice(GAS, COAL + 1)):
@@ -206,10 +221,10 @@ def consecutive_pairs(dataset):
 
 def test_load_dataset_conditions_equal_single_pair_build(toy_dataset):
     """The rows ``load_dataset`` builds in one pass are, bit for bit, the rows
-    the CLI builds one pair at a time."""
+    ``build_conditions`` builds one pair at a time."""
     pairs = consecutive_pairs(toy_dataset)
-    assert len(pairs) == len(toy_dataset.days)
-    for (prev, rec), (row, _) in zip(pairs, toy_dataset.days):
+    assert len(pairs) == len(toy_dataset.target_days)
+    for (prev, rec), row in zip(pairs, toy_dataset.conditions):
         single = di.build_conditions([prev], [rec], toy_dataset.norm)[0]
         assert row.tobytes() == single.tobytes()
 
@@ -221,7 +236,7 @@ def test_build_conditions_matches_per_day_encoding(toy_dataset):
     def unit(rec, name):
         return np.clip(di.normalize(rec.channel(name), norm[name]), 0.0, 1.0)
 
-    for (prev, rec), (row, _) in zip(consecutive_pairs(toy_dataset), toy_dataset.days):
+    for (prev, rec), row in zip(consecutive_pairs(toy_dataset), toy_dataset.conditions):
         mean_temp = float(rec.channel("temperature").mean())
         expected = np.concatenate([
             unit(prev, "price"),

@@ -76,7 +76,7 @@ def test_interval_too_few_scenarios():
 def test_interval_zero_width_on_identical_scenarios():
     interval = iv.build_interval(np.full((50, HORIZON), 0.3), nominal=0.9)
     assert np.array_equal(interval.lower, interval.upper)
-    assert (interval.widths == 0.0).all()
+    assert ((interval.upper - interval.lower) == 0.0).all()
 
 
 def test_interval_approaches_envelope_as_nominal_grows():
@@ -126,10 +126,9 @@ def branch_rows(model, condition, std, count, seed, branch):
 def test_combine_with_empty_volatile_is_identity(mini_model, toy_dataset):
     """A calm day adds no wide-noise rows: the pipeline's scenarios are the
     baseline branch, bit for bit."""
-    condition = toy_dataset.days[0][0]
-    _, scenarios, sigma = iv.predict_pipeline(
-        mini_model, condition, CALM, wv.default_thresholds(), 30, 0.9, seed=14
-    )
+    condition = toy_dataset.conditions[0]
+    sigma = wv.noise_sigma(CALM, wv.default_thresholds())
+    _, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 30, 0.9, seed=14)
     assert sigma == 1.0
     baseline = branch_rows(mini_model, condition, 1.0, 30, 14, "normal")
     assert scenarios.tobytes() == baseline.tobytes()
@@ -138,10 +137,9 @@ def test_combine_with_empty_volatile_is_identity(mini_model, toy_dataset):
 def test_combine_counts_and_provenance(mini_model, toy_dataset):
     """A reinforced day stacks ``count`` baseline rows, then ``count``
     wide-noise rows: a row's index tells which branch produced it."""
-    condition = toy_dataset.days[0][0]
-    _, scenarios, sigma = iv.predict_pipeline(
-        mini_model, condition, WORKED, wv.default_thresholds(), 30, 0.9, seed=15
-    )
+    condition = toy_dataset.conditions[0]
+    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    _, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 30, 0.9, seed=15)
     assert scenarios.shape == (60, HORIZON)
     baseline = branch_rows(mini_model, condition, 1.0, 30, 15, "normal")
     volatile = branch_rows(mini_model, condition, sigma, 30, 15, "volatile")
@@ -172,29 +170,28 @@ def test_ar1_coverage_oracle():
 # --- pipeline --------------------------------------------------------------------------
 
 def test_pipeline_calm_day_stays_baseline(mini_model, toy_dataset):
-    condition = toy_dataset.days[0][0]
-    interval, scenarios, sigma = iv.predict_pipeline(
-        mini_model, condition, CALM, wv.default_thresholds(), 40, 0.9, seed=11
-    )
+    condition = toy_dataset.conditions[0]
+    sigma = wv.noise_sigma(CALM, wv.default_thresholds())
+    interval, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 40, 0.9, seed=11)
     assert sigma == 1.0
     assert scenarios.shape == (40, HORIZON)
     assert (interval.lower <= interval.upper).all()
 
 
 def test_pipeline_worked_example_triggers_reinforcement(mini_model, toy_dataset):
-    condition = toy_dataset.days[0][0]
-    interval, scenarios, sigma = iv.predict_pipeline(
-        mini_model, condition, WORKED, wv.default_thresholds(), 40, 0.9, seed=12
-    )
+    condition = toy_dataset.conditions[0]
+    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    interval, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 40, 0.9, seed=12)
     assert sigma == pytest.approx(2.667, abs=1e-9)
     assert scenarios.shape == (80, HORIZON)
     assert (interval.lower <= interval.upper).all()
 
 
 def test_pipeline_deterministic(mini_model, toy_dataset):
-    condition = toy_dataset.days[0][0]
-    a = iv.predict_pipeline(mini_model, condition, WORKED, wv.default_thresholds(), 20, 0.9, seed=13)
-    b = iv.predict_pipeline(mini_model, condition, WORKED, wv.default_thresholds(), 20, 0.9, seed=13)
+    condition = toy_dataset.conditions[0]
+    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    a = iv.predict_pipeline(mini_model, condition, sigma, 20, 0.9, seed=13)
+    b = iv.predict_pipeline(mini_model, condition, sigma, 20, 0.9, seed=13)
     assert np.array_equal(a[0].lower, b[0].lower)
     assert np.array_equal(a[1], b[1])
 

@@ -11,10 +11,10 @@ from priceband.errors import InputError
 
 
 def run_of(actuals, lower, upper):
-    return metrics.EvaluationRun(
-        actuals=np.asarray(actuals, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
+    return (
+        np.asarray(actuals, dtype=float),
+        np.asarray(lower, dtype=float),
+        np.asarray(upper, dtype=float),
     )
 
 
@@ -26,13 +26,13 @@ def test_ecpas_twenty_samples_two_uncovered():
     upper = np.full(20, 0.6)
     actuals[3] = 0.95
     actuals[11] = 0.05
-    assert metrics.ecpas(run_of(actuals, lower, upper)) == 0.90
+    assert metrics.ecpas(*run_of(actuals, lower, upper)) == 0.90
 
 
 def test_ecpas_all_inside_and_boundaries():
     actuals = np.array([0.4, 0.5, 0.6])
     run = run_of(actuals, np.full(3, 0.4), np.full(3, 0.6))
-    assert metrics.ecpas(run) == 1.0  # both boundaries count as covered
+    assert metrics.ecpas(*run) == 1.0  # both boundaries count as covered
 
 
 def test_ecpas_permutation_invariant():
@@ -42,17 +42,17 @@ def test_ecpas_permutation_invariant():
     upper = actuals + rng.uniform(-0.05, 0.2, 30)
     upper = np.maximum(upper, lower)
     perm = rng.permutation(30)
-    a = metrics.ecpas(run_of(actuals, lower, upper))
-    b = metrics.ecpas(run_of(actuals[perm], lower[perm], upper[perm]))
+    a = metrics.ecpas(*run_of(actuals, lower, upper))
+    b = metrics.ecpas(*run_of(actuals[perm], lower[perm], upper[perm]))
     assert a == b
 
 
 # --- width ---------------------------------------------------------------------------
 
 def test_eawapi_values():
-    assert metrics.eawapi(run_of([0.5, 0.5], [0.3, 0.3], [0.5, 0.5])) == pytest.approx(0.2)
-    assert metrics.eawapi(run_of([0.5, 0.5], [0.4, 0.2], [0.5, 0.5])) == pytest.approx(0.2)
-    assert metrics.eawapi(run_of([0.5], [0.5], [0.5])) == 0.0
+    assert metrics.eawapi(*run_of([0.5, 0.5], [0.3, 0.3], [0.5, 0.5])) == pytest.approx(0.2)
+    assert metrics.eawapi(*run_of([0.5, 0.5], [0.4, 0.2], [0.5, 0.5])) == pytest.approx(0.2)
+    assert metrics.eawapi(*run_of([0.5], [0.5], [0.5])) == 0.0
 
 
 def test_widening_raises_coverage_and_width():
@@ -63,15 +63,16 @@ def test_widening_raises_coverage_and_width():
     upper = np.maximum(upper, lower)
     base = run_of(actuals, lower, upper)
     widened = run_of(actuals, lower - 0.05, upper + 0.05)
-    assert metrics.ecpas(widened) >= metrics.ecpas(base)
-    assert metrics.eawapi(widened) > metrics.eawapi(base)
+    assert metrics.ecpas(*widened) >= metrics.ecpas(*base)
+    assert metrics.eawapi(*widened) > metrics.eawapi(*base)
 
 
 def test_run_validation():
-    with pytest.raises(InputError, match="shapes differ"):
-        run_of([0.5], [0.4, 0.4], [0.6, 0.6])
-    with pytest.raises(InputError, match="L_t <= U_t"):
-        run_of([0.5], [0.7], [0.6])
+    for indicator in (metrics.ecpas, metrics.eawapi):
+        with pytest.raises(InputError, match="shapes differ"):
+            indicator(*run_of([0.5], [0.4, 0.4], [0.6, 0.6]))
+        with pytest.raises(InputError, match="L_t <= U_t"):
+            indicator(*run_of([0.5], [0.7], [0.6]))
 
 
 # --- confidence levels ------------------------------------------------------------------
@@ -124,8 +125,8 @@ def test_brute_force_equivalence_small_cases():
             # exhaustive tallies, element by element
             covered = sum(1 for t in range(T) if lower[t] <= actuals[t] <= upper[t])
             width = sum(upper[t] - lower[t] for t in range(T)) / T
-            assert metrics.ecpas(run) == covered / T
-            assert metrics.eawapi(run) == pytest.approx(width, abs=1e-15)
+            assert metrics.ecpas(*run) == covered / T
+            assert metrics.eawapi(*run) == pytest.approx(width, abs=1e-15)
             deltas.append(covered / T)
             xis.append(width)
         target_d, target_x = 0.5, 0.25
@@ -177,29 +178,23 @@ def test_confidence_estimator_against_binomial_oracle():
 
 # --- repeated-sampling harness ---------------------------------------------------------------------
 
-def eval_days_from(dataset, start, stop):
-    days = []
-    for pair_index in range(start, stop):
-        condition, actuals = dataset.days[pair_index]
-        rec = dataset.day_records[pair_index + 1]
-        days.append(
-            metrics.EvalDay(
-                condition=condition,
-                actuals=actuals,
-                variances=wv.factor_variances(dataset, rec),
-                day_label=rec.day.isoformat(),
-            )
-        )
-    return days
+def eval_days_from(dataset, thresholds, start, stop):
+    """Condition rows, actual paths and noise sigmas of day-axis rows
+    ``start`` to ``stop - 1``."""
+    sigmas = [
+        wv.noise_sigma(wv.factor_variances(dataset, dataset.record_for(day)), thresholds)
+        for day in dataset.target_days[start:stop]
+    ]
+    return dataset.conditions[start:stop], dataset.targets[start:stop], sigmas
 
 
 def test_harness_reproducible(mini_model, toy_dataset, toy_thresholds):
-    days = eval_days_from(toy_dataset, 0, 3)
+    days = eval_days_from(toy_dataset, toy_thresholds, 0, 3)
     kwargs = dict(
         runs=3, count=30, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=77
     )
-    a = metrics.repeated_sampling_harness(mini_model, days, toy_thresholds, **kwargs)
-    b = metrics.repeated_sampling_harness(mini_model, days, toy_thresholds, **kwargs)
+    a = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
+    b = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
     assert a.to_json() == b.to_json()
     payload = json.loads(a.to_json())
     assert len(payload["runs"]) == 3
@@ -207,9 +202,9 @@ def test_harness_reproducible(mini_model, toy_dataset, toy_thresholds):
 
 
 def test_harness_single_run_valid(mini_model, toy_dataset, toy_thresholds):
-    days = eval_days_from(toy_dataset, 0, 2)
+    days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
     report = metrics.repeated_sampling_harness(
-        mini_model, days, toy_thresholds,
+        mini_model, *days,
         runs=1, count=25, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=1,
     )
     assert report.phi_coverage in (0.0, 1.0)
@@ -220,14 +215,14 @@ def test_harness_single_run_valid(mini_model, toy_dataset, toy_thresholds):
 def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thresholds):
     """All-zero networks generate the same scenarios whatever the noise, so
     every run scores identically and the confidence curve is a step."""
-    days = eval_days_from(toy_dataset, 0, 2)
-    model = ctsgan.build_model(condition_dim=days[0].condition.size, hidden_dim=4, latent_dim=3, seed=0)
+    days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
+    model = ctsgan.build_model(condition_dim=days[0].shape[1], hidden_dim=4, latent_dim=3, seed=0)
     for role in ("embedder", "recovery", "generator", "discriminator"):
         net = getattr(model, role)
         net.load_flat(np.zeros(net.n_params))
     model.training_flags = {k: True for k in model.training_flags}
     report = metrics.repeated_sampling_harness(
-        model, days, toy_thresholds,
+        model, *days,
         runs=4, count=20, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=2,
     )
     assert len(set(report.coverages)) == 1
@@ -238,23 +233,23 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
 
 
 def test_harness_requires_runs_and_days(mini_model, toy_dataset, toy_thresholds):
-    days = eval_days_from(toy_dataset, 0, 1)
+    days = eval_days_from(toy_dataset, toy_thresholds, 0, 1)
     with pytest.raises(InputError, match="at least one run"):
         metrics.repeated_sampling_harness(
-            mini_model, days, toy_thresholds,
+            mini_model, *days,
             runs=0, count=10, nominal=0.9, delta_target=0.5, xi_target=0.5,
         )
     with pytest.raises(InputError, match="no evaluation days"):
         metrics.repeated_sampling_harness(
-            mini_model, [], toy_thresholds,
+            mini_model, [], [], [],
             runs=2, count=10, nominal=0.9, delta_target=0.5, xi_target=0.5,
         )
 
 
 def test_report_json_schema(mini_model, toy_dataset, toy_thresholds):
-    days = eval_days_from(toy_dataset, 0, 2)
+    days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
     report = metrics.repeated_sampling_harness(
-        mini_model, days, toy_thresholds,
+        mini_model, *days,
         runs=2, count=25, nominal=0.9, delta_target=0.9, xi_target=0.25, master_seed=3,
     )
     payload = json.loads(report.to_json())

@@ -1,6 +1,7 @@
 """Import structure of the package: every import sits at module level, the
-modules of ``priceband`` import each other without a cycle, and every entry
-point the benchmark's tracer wraps exists."""
+modules of ``priceband`` import each other without a cycle, only the CLI
+turns weather volatility into a noise sigma, and every entry point the
+benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
@@ -68,6 +69,17 @@ def test_package_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_only_cli_imports_weather_volatility():
+    """The commands decide each day's sigma once; prediction and scoring take
+    it as a number."""
+    modules = _modules()
+    importers = [
+        name for name, tree in modules.items()
+        if "weather_volatility" in _package_imports(tree, modules)
+    ]
+    assert importers == ["cli"]
 
 
 def test_bench_entry_points_resolve():
