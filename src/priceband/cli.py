@@ -466,6 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_date(flag: str, value: str) -> date_type:
+    try:
+        return date_type.fromisoformat(value)
+    except ValueError as exc:
+        raise InputError(f"{flag} {value!r} is not a date YYYY-MM-DD ({exc})") from exc
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("PRICEBAND_LOG", "WARNING").upper(),
@@ -482,15 +489,11 @@ def main(argv=None) -> int:
         elif args.command == "predict":
             if not args.date:
                 raise InputError("--date is required for predict")
-            cmd_predict(cfg, date_type.fromisoformat(args.date))
+            cmd_predict(cfg, _parse_date("--date", args.date))
         elif args.command == "evaluate":
             if not (args.date_from and args.date_to):
                 raise InputError("--from and --to are required for evaluate")
-            cmd_evaluate(
-                cfg,
-                date_type.fromisoformat(args.date_from),
-                date_type.fromisoformat(args.date_to),
-            )
+            cmd_evaluate(cfg, _parse_date("--from", args.date_from), _parse_date("--to", args.date_to))
         else:
             cmd_report(cfg)
     except PricebandError as exc:

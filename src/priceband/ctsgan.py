@@ -338,8 +338,11 @@ def train_phase3_joint(
     (latent, condition) sequences and is weight-clipped after every step; the
     generator minimizes the negative critic score plus the supervised latent
     loss (weighted ``supervised_weight``:1). Embedder and recovery keep
-    fine-tuning on reconstruction. Critic scores on held-out real days and
-    fresh generated days are logged at the end.
+    fine-tuning on reconstruction. Each iteration logs the generator loss
+    and its supervised and adversarial parts, the critic loss, the
+    reconstruction loss and the share of critic weights at the clip bound.
+    Critic scores on held-out real days and fresh generated days are logged
+    at the end.
     """
     if not (model.training_flags["phase1"] and model.training_flags["phase2"]):
         raise StateError("phase 3 requires phases 1 and 2 first")
@@ -384,10 +387,12 @@ def train_phase3_joint(
         _check_finite_loss(loss, "phase3 generator")
         sgd_step(model.generator, g_adv + g_sup, config.learning_rate)
 
-        _autoencoder_step(model, x, config.learning_rate, "phase3 reconstruction")
+        recon_loss = _autoencoder_step(model, x, config.learning_rate, "phase3 reconstruction")
 
+        clip_fraction = float(np.mean(np.abs(model.discriminator.buffer) == config.clip_limit))
         model.training_log.append(
-            {"phase": 3, "iteration": it, "loss": loss, "d_loss": d_loss}
+            {"phase": 3, "iteration": it, "loss": loss, "d_loss": d_loss, "sup_loss": sup_loss,
+             "adv_loss": adv_loss, "recon_loss": recon_loss, "critic_clip_fraction": clip_fraction}
         )
 
     model.training_flags["phase3"] = True
@@ -505,12 +510,38 @@ def save_model(model: CTSGANModel, path) -> None:
     os.replace(tmp, path)
 
 
+def _whitening_from_payload(payload: dict, latent_dim: int):
+    """The checkpoint's ``(latent_shift, latent_scale, latent_autocorr)``:
+    shift and scale are both null or both ``latent_dim`` finite values with
+    a positive scale, and the autocorrelation is in [0, 0.99]."""
+    autocorr = float(payload["latent_autocorr"])
+    if not 0.0 <= autocorr <= 0.99:
+        raise CheckpointError(f"latent_autocorr {autocorr} is outside [0, 0.99]")
+    shift, scale = payload["latent_shift"], payload["latent_scale"]
+    if shift is None and scale is None:
+        return None, None, autocorr
+    if shift is None or scale is None:
+        raise CheckpointError("latent_shift and latent_scale must both be null or both be set")
+    shift = np.asarray(shift, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    for name, values in (("latent_shift", shift), ("latent_scale", scale)):
+        if values.shape != (latent_dim,) or not np.isfinite(values).all():
+            raise CheckpointError(
+                f"{name} must hold {latent_dim} finite values, got shape {values.shape}"
+            )
+    if (scale <= 0).any():
+        raise CheckpointError("latent_scale must be positive")
+    return shift, scale, autocorr
+
+
 def load_model(path) -> CTSGANModel:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read model checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"model checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise CheckpointError(
@@ -521,21 +552,21 @@ def load_model(path) -> CTSGANModel:
         networks = {
             role: params_from_payload(payload["networks"][role]) for role in _ROLES
         }
-        shift = payload["latent_shift"]
-        scale = payload["latent_scale"]
+        latent_dim = int(payload["latent_dim"])
+        shift, scale, autocorr = _whitening_from_payload(payload, latent_dim)
         model = CTSGANModel(
             embedder=networks["embedder"],
             recovery=networks["recovery"],
             generator=networks["generator"],
             discriminator=networks["discriminator"],
-            latent_dim=int(payload["latent_dim"]),
+            latent_dim=latent_dim,
             condition_dim=int(payload["condition_dim"]),
             data_dim=int(payload["data_dim"]),
             hidden_dim=int(payload["hidden_dim"]),
             data_horizon=int(payload["data_horizon"]),
-            latent_shift=None if shift is None else np.asarray(shift, dtype=np.float64),
-            latent_scale=None if scale is None else np.asarray(scale, dtype=np.float64),
-            latent_autocorr=float(payload["latent_autocorr"]),
+            latent_shift=shift,
+            latent_scale=scale,
+            latent_autocorr=autocorr,
             training_flags=dict(payload["training_flags"]),
             training_log=list(payload["training_log"]),
             adversarial_report=payload.get("adversarial_report"),

@@ -261,33 +261,36 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read dataset {path} ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path} has no header row")
-        position = {name: k for k, name in enumerate(header)}
-        for column in CSV_COLUMNS:
-            if column not in position:
-                raise MalformedRow(1, f"header missing column {column!r}")
-        ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
-        value_fields = itemgetter(*value_cols)
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path} has no header row")
+            position = {name: k for k, name in enumerate(header)}
+            for column in CSV_COLUMNS:
+                if column not in position:
+                    raise MalformedRow(1, f"header missing column {column!r}")
+            ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
+            value_fields = itemgetter(*value_cols)
 
-        stamps, values, lines = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                ts = datetime.fromisoformat(row[ts_col].strip())
-                if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
-                    values.append(tuple(map(float, value_fields(row))))
-                    stamps.append(ts)
-                    lines.append(reader.line_num)
+            stamps, values, lines = [], [], []
+            for row in reader:
+                if not row:
                     continue
-            except (IndexError, ValueError):
-                pass
-            _check_finite(values, lines)  # an earlier row's error comes first
-            _raise_row_error(row, columns, reader.line_num)
+                try:
+                    ts = datetime.fromisoformat(row[ts_col].strip())
+                    if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
+                        values.append(tuple(map(float, value_fields(row))))
+                        stamps.append(ts)
+                        lines.append(reader.line_num)
+                        continue
+                except (IndexError, ValueError):
+                    pass
+                _check_finite(values, lines)  # an earlier row's error comes first
+                _raise_row_error(row, columns, reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read dataset {path} (not UTF-8 text: {exc.reason})") from exc
     return stamps, _check_finite(values, lines)
 
 

@@ -1,33 +1,39 @@
-"""Minimal differentiable sequence networks: LSTM cells, dense heads, exact
-reverse-mode gradients, SGD with weight clamping, and a finite-difference
-gradient checker.
+"""Minimal differentiable sequence networks: an LSTM block with a dense head,
+exact reverse-mode gradients, SGD with weight clamping, and a
+finite-difference gradient checker.
 
-Everything is float64 numpy. A network is an ordered list of layer blocks
-(LSTM cells followed by dense heads); the same forward/backward pair serves
-all four networks of the generative model. Inputs are ``[T, Dx]`` for a
-single sequence or ``[T, batch, Dx]`` for a batch.
+Everything is float64 numpy. Every network has one shape: an LSTM block
+followed by a dense head ("linear" or "sigmoid"), the shape of all four
+networks of the generative model. Inputs are ``[T, B, Dx]`` batches of
+sequences and outputs are ``[T, B, Dy]``.
 
-An LSTM block packs its weights as one ``[input_dim + H, 4H]`` matrix whose
-rows are ``[x | cond | h]``: the time-varying inputs, then the optional
-time-constant condition of the first block (``input_dim = Dx + C``), then the
-recurrent state. Columns are the gates in the order input, forget,
-candidate, output. The forward projects the inputs of all T steps with one
-GEMM and the condition once per sequence (folded into the bias), so only
-``h @ W_h`` runs inside the time loop.
+The LSTM packs its weights as one ``[input_dim + H, 4H]`` matrix whose rows
+are ``[x | cond | h]``: the time-varying inputs, then the optional
+time-constant condition (``input_dim = Dx + C``), then the recurrent state.
+Columns are the gates in the order input, forget, candidate, output. The
+forward projects the inputs of all T steps with one GEMM and the condition
+once per sequence (folded into the bias), so only ``h @ W_h`` runs inside
+the time loop.
+
+A network's weights live in one float64 vector in ``flat()`` order: LSTM
+w, LSTM b, head w, head b. ``NetworkParams.tensors`` holds views into it,
+so the optimizer updates the whole vector at once, and ``backward`` writes
+each gradient into the same layout of one gradient vector.
 
 ``rnn_forward`` has two modes that share one step implementation: with a
 backward cache (training) and, with ``keep_cache=False``, without one
 (inference, e.g. scenario generation).
 
 ``params_to_payload``/``params_from_payload`` give one network's JSON
-payload: its layer specs plus ``flat_weights``, the base64 text of the flat
-parameter vector as little-endian float64 bytes, so a reload is bit-exact.
+payload: its layer specs plus ``flat_weights``, the base64 text of the
+weight vector as little-endian float64 bytes, so a reload is bit-exact.
 The model checkpoint (``ctsgan.save_model``) embeds one per network.
 """
 
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +70,10 @@ class LayerSpec:
         return {"w": (self.input_dim, self.output_dim), "b": (self.output_dim,)}
 
     def n_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.tensor_shapes().values())
+        return sum(math.prod(s) for s in self.tensor_shapes().values())
 
 
 def _validate_specs(specs: tuple[LayerSpec, ...]) -> None:
-    if not specs:
-        raise InputError("network needs at least one layer block")
     for spec in specs:
         if spec.kind not in ("lstm", "dense"):
             raise InputError(f"unknown layer kind: {spec.kind!r}")
@@ -77,39 +81,56 @@ def _validate_specs(specs: tuple[LayerSpec, ...]) -> None:
             raise InputError(f"non-positive dimension in {spec}")
         if spec.kind == "dense" and spec.activation not in _ACTIVATIONS:
             raise InputError(f"unknown activation: {spec.activation!r}")
-    for prev, nxt in zip(specs, specs[1:]):
-        if prev.output_dim != nxt.input_dim:
-            raise InputError(
-                f"block output dim {prev.output_dim} does not feed block "
-                f"input dim {nxt.input_dim}"
-            )
+    kinds = tuple(spec.kind for spec in specs)
+    if kinds != ("lstm", "dense"):
+        raise InputError(f"network must be an lstm block then a dense head, got {kinds}")
+    lstm, head = specs
+    if lstm.output_dim != head.input_dim:
+        raise InputError(
+            f"block output dim {lstm.output_dim} does not feed block "
+            f"input dim {head.input_dim}"
+        )
+
+
+def _tensor_views(specs: tuple[LayerSpec, ...], vec: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Each block's ``{"w", "b"}`` tensors as views into the flat vector
+    ``vec``: the one place that lays tensors out in ``flat()`` order."""
+    views, offset = [], 0
+    for spec in specs:
+        block = {}
+        for name, shape in spec.tensor_shapes().items():
+            size = math.prod(shape)
+            block[name] = vec[offset : offset + size].reshape(shape)
+            offset += size
+        views.append(block)
+    return views
 
 
 class NetworkParams:
-    """Parameter blocks for one network plus a flat view for the optimizer.
+    """One network's weights: ``buffer`` is one float64 vector in ``flat()``
+    order, and ``tensors`` lists each block's ``{"w", "b"}`` views into it.
 
     ``version`` increments on every in-place mutation so gradient caches can
-    detect staleness. Traversal order (block order, then "w" before "b") is
-    fixed, which makes the flat view deterministic.
+    detect staleness.
     """
 
-    def __init__(self, specs: tuple[LayerSpec, ...], tensors: list[dict[str, np.ndarray]]):
+    def __init__(self, specs: tuple[LayerSpec, ...], buffer: np.ndarray):
         _validate_specs(specs)
         self.specs = tuple(specs)
-        self.tensors = tensors
+        n_params = sum(spec.n_params() for spec in self.specs)
+        if buffer.shape != (n_params,) or buffer.dtype != np.float64:
+            raise InputError(
+                f"parameter buffer is {buffer.dtype} {buffer.shape}, expected float64 ({n_params},)"
+            )
+        if not np.isfinite(buffer).all():
+            raise InputError("non-finite parameter tensor")
+        self.buffer = buffer
+        self.tensors = _tensor_views(self.specs, self.buffer)
         self.version = 0
-        for spec, block in zip(self.specs, self.tensors):
-            for name, shape in spec.tensor_shapes().items():
-                if block[name].shape != shape:
-                    raise InputError(
-                        f"tensor {name} has shape {block[name].shape}, expected {shape}"
-                    )
-                if not np.isfinite(block[name]).all():
-                    raise InputError("non-finite parameter tensor")
 
     @property
     def n_params(self) -> int:
-        return sum(spec.n_params() for spec in self.specs)
+        return self.buffer.size
 
     @property
     def input_dim(self) -> int:
@@ -121,14 +142,10 @@ class NetworkParams:
 
     def flat(self) -> np.ndarray:
         """Copy of all parameters as one 1-D float64 vector."""
-        parts = []
-        for block in self.tensors:
-            parts.append(block["w"].ravel())
-            parts.append(block["b"].ravel())
-        return np.concatenate(parts)
+        return self.buffer.copy()
 
     def load_flat(self, vec: np.ndarray) -> None:
-        """Write a flat vector back into the parameter blocks."""
+        """Write a flat vector back into the parameters."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.n_params,):
             raise InputError(
@@ -136,54 +153,50 @@ class NetworkParams:
             )
         if not np.isfinite(vec).all():
             raise NumericalError("non-finite values in parameter vector")
-        offset = 0
-        for block in self.tensors:
-            for name in ("w", "b"):
-                size = block[name].size
-                block[name][...] = vec[offset : offset + size].reshape(block[name].shape)
-                offset += size
+        self.buffer[...] = vec
         self.version += 1
 
 
 def init_params(seed: int, specs: tuple[LayerSpec, ...] | list[LayerSpec]) -> NetworkParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1.0.
 
-    For a dense block the uniform bound is sqrt(6/(in+out)); for an LSTM block
-    the per-gate bound uses fan_in = input+hidden, fan_out = hidden.
+    For the dense head the uniform bound is sqrt(6/(in+out)); for the LSTM
+    block the per-gate bound uses fan_in = input+hidden, fan_out = hidden.
     """
     specs = tuple(specs)
-    _validate_specs(specs)
+    _validate_specs(specs)  # a bad dim is named before it sizes the buffer
+    params = NetworkParams(specs, np.zeros(sum(spec.n_params() for spec in specs)))
     rng = np.random.default_rng(seed)
-    tensors: list[dict[str, np.ndarray]] = []
-    for spec in specs:
-        shapes = spec.tensor_shapes()
+    for spec, block in zip(params.specs, params.tensors):
         if spec.kind == "lstm":
             hid = spec.output_dim
             bound = np.sqrt(6.0 / (spec.input_dim + 2 * hid))
-            w = rng.uniform(-bound, bound, size=shapes["w"])
-            b = np.zeros(shapes["b"])
-            b[hid : 2 * hid] = 1.0
+            block["b"][hid : 2 * hid] = 1.0
         else:
             bound = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
-            w = rng.uniform(-bound, bound, size=shapes["w"])
-            b = np.zeros(shapes["b"])
-        tensors.append({"w": w, "b": b})
-    return NetworkParams(specs, tensors)
-
-
-@dataclass
-class _BlockCache:
-    kind: str
-    data: dict
+        block["w"][...] = rng.uniform(-bound, bound, size=block["w"].shape)
+    return params
 
 
 @dataclass
 class ForwardCache:
+    """What ``backward`` needs of one forward pass: the inputs, the LSTM's
+    gate activations, cell states and hidden states, and the head's output
+    ``y``. ``cs[t + 1]``/``hs[t + 1]`` are the states after step t."""
+
     params: NetworkParams
     version: int
-    blocks: list[_BlockCache]
-    squeezed: bool
-    output_shape: tuple[int, ...]
+    x: np.ndarray
+    cond: np.ndarray | None
+    gates: np.ndarray
+    cs: np.ndarray
+    tanh_c: np.ndarray
+    hs: np.ndarray
+    y: np.ndarray
+
+    @property
+    def output_shape(self) -> tuple[int, ...]:
+        return self.y.shape
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -198,11 +211,10 @@ def rnn_forward(
     *,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the block stack over a sequence.
+    """Run the LSTM and then the dense head over a batch of sequences.
 
-    ``inputs`` is ``[T, Dx]`` or ``[T, B, Dx]``; the output has the same
-    leading shape with the final block's output dim. ``condition`` is an
-    optional time-constant input to the first (LSTM) block, ``[C]`` for one
+    ``inputs`` is ``[T, B, Dx]``; the output is ``[T, B, Dy]``.
+    ``condition`` is an optional time-constant input, ``[C]`` for one
     vector shared by every sequence or ``[B, C]`` for one per sequence, with
     ``Dx + C`` equal to the network's input dim. It gives the same result as
     appending the condition to the inputs at every step.
@@ -212,11 +224,8 @@ def rnn_forward(
     is kept (inference).
     """
     x = np.asarray(inputs, dtype=np.float64)
-    squeezed = x.ndim == 2
-    if squeezed:
-        x = x[:, None, :]
     if x.ndim != 3:
-        raise InputError(f"inputs must be [T, D] or [T, B, D], got {x.shape}")
+        raise InputError(f"inputs must be [T, B, D], got {x.shape}")
     cond = None
     if condition is not None:
         cond = np.asarray(condition, dtype=np.float64)
@@ -226,8 +235,6 @@ def rnn_forward(
             raise InputError(
                 f"condition must be [C] or [B, C] with B = {x.shape[1]}, got {cond.shape}"
             )
-        if params.specs[0].kind != "lstm":
-            raise InputError("a condition needs an LSTM first block")
     cond_dim = 0 if cond is None else cond.shape[1]
     if x.shape[2] + cond_dim != params.input_dim:
         raise InputError(
@@ -238,26 +245,53 @@ def rnn_forward(
     if cond is not None:
         _check_finite(cond, "condition")
 
-    caches: list[_BlockCache] = []
-    for spec, block in zip(params.specs, params.tensors):
-        if spec.kind == "lstm":
-            x, cache = _lstm_forward(spec, block, x, cond, keep_cache)
-            cond = None
-        else:
-            x, cache = _dense_forward(spec, block, x)
-        caches.append(cache)
-
-    out = x[:, 0, :] if squeezed else x
+    head, head_tensors = params.specs[1], params.tensors[1]
+    hs, gates, cs, tanh_c = _lstm_forward(params.specs[0], params.tensors[0], x, cond, keep_cache)
+    z = hs[1:] @ head_tensors["w"] + head_tensors["b"]
+    y = _sigmoid(z) if head.activation == "sigmoid" else z
     if not keep_cache:
-        return out, None
-    fwd = ForwardCache(
-        params=params,
-        version=params.version,
-        blocks=caches,
-        squeezed=squeezed,
-        output_shape=out.shape,
-    )
-    return out, fwd
+        return y, None
+    return y, ForwardCache(params, params.version, x, cond, gates, cs, tanh_c, hs, y)
+
+
+def _lstm_forward(
+    spec: LayerSpec,
+    block: dict[str, np.ndarray],
+    x: np.ndarray,
+    cond: np.ndarray | None,
+    keep_cache: bool,
+):
+    """The LSTM over ``x`` ([T, B, Dx]). Returns ``(hs, gates, cs, tanh_c)``
+    where ``hs[t + 1]`` is h_t and ``cs[t + 1]`` is c_t, row 0 being the
+    zero initial state; without ``keep_cache`` only ``hs`` is returned and
+    the rest is None, so the gate buffer is freed before the head runs."""
+    steps, batch, in_dim = x.shape
+    hid = spec.output_dim
+    w, b = block["w"], block["b"]
+    w_h = w[spec.input_dim :]
+
+    # Everything but h @ W_h is known before the loop: one GEMM projects the
+    # inputs of all steps, and the time-constant condition rows fold into
+    # the bias once per sequence. The buffer then holds the gates in place.
+    bias = b if cond is None else b + cond @ w[in_dim : spec.input_dim]
+    gates = (x.reshape(-1, in_dim) @ w[:in_dim]).reshape(steps, batch, _GATES * hid)
+    gates += bias
+
+    hs = np.zeros((steps + 1, batch, hid))
+    c = np.zeros((batch, hid))
+    if keep_cache:
+        cs = np.zeros((steps + 1, batch, hid))
+        tanh_cs = np.empty((steps, batch, hid))
+    for t in range(steps):
+        z = gates[t]
+        z += hs[t] @ w_h
+        c, tanh_c = _lstm_step(z, c, hid, hs[t + 1])
+        if keep_cache:
+            cs[t + 1] = c
+            tanh_cs[t] = tanh_c
+    if not keep_cache:
+        return hs, None, None, None
+    return hs, gates, cs, tanh_cs
 
 
 def _lstm_step(z: np.ndarray, c: np.ndarray, hid: int, h_out: np.ndarray):
@@ -274,69 +308,6 @@ def _lstm_step(z: np.ndarray, c: np.ndarray, hid: int, h_out: np.ndarray):
     return c, tanh_c
 
 
-def _lstm_forward(
-    spec: LayerSpec,
-    block: dict[str, np.ndarray],
-    x: np.ndarray,
-    cond: np.ndarray | None,
-    keep_cache: bool,
-) -> tuple[np.ndarray, _BlockCache | None]:
-    steps, batch, in_dim = x.shape
-    hid = spec.output_dim
-    w, b = block["w"], block["b"]
-    w_h = w[spec.input_dim :]
-
-    # Everything but h @ W_h is known before the loop: one GEMM projects the
-    # inputs of all steps, and the time-constant condition rows fold into
-    # the bias once per sequence. The buffer then holds the gates in place.
-    bias = b if cond is None else b + cond @ w[in_dim : spec.input_dim]
-    gates = (x.reshape(-1, in_dim) @ w[:in_dim]).reshape(steps, batch, _GATES * hid)
-    gates += bias
-
-    # hs[t + 1] is h_t and cs[t + 1] is c_t; row 0 is the zero initial state.
-    hs = np.zeros((steps + 1, batch, hid))
-    c = np.zeros((batch, hid))
-    if keep_cache:
-        cs = np.zeros((steps + 1, batch, hid))
-        tanh_cs = np.empty((steps, batch, hid))
-    for t in range(steps):
-        z = gates[t]
-        z += hs[t] @ w_h
-        c, tanh_c = _lstm_step(z, c, hid, hs[t + 1])
-        if keep_cache:
-            cs[t + 1] = c
-            tanh_cs[t] = tanh_c
-
-    if not keep_cache:
-        return hs[1:], None
-    cache = _BlockCache(
-        kind="lstm",
-        data={
-            "spec": spec,
-            "x": x,
-            "cond": cond,
-            "gates": gates,
-            "cs": cs,
-            "tanh_c": tanh_cs,
-            "hs": hs,
-            "w": w,
-        },
-    )
-    return hs[1:], cache
-
-
-def _dense_forward(
-    spec: LayerSpec, block: dict[str, np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, _BlockCache]:
-    z = x @ block["w"] + block["b"]
-    y = _sigmoid(z) if spec.activation == "sigmoid" else z
-    cache = _BlockCache(
-        kind="dense",
-        data={"spec": spec, "x": x, "y": y, "w": block["w"]},
-    )
-    return y, cache
-
-
 def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the cached forward pass.
 
@@ -345,7 +316,8 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
     gradients have the shape of the forward's ``inputs`` (the time-varying
     part only, without the condition).
     """
-    if cache.version != cache.params.version:
+    params = cache.params
+    if cache.version != params.version:
         raise StateError("parameters changed since the cached forward pass")
     dy = np.asarray(upstream, dtype=np.float64)
     if dy.shape != cache.output_shape:
@@ -353,50 +325,22 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
             f"upstream gradient shape {dy.shape}, expected {cache.output_shape}"
         )
     _check_finite(dy, "upstream gradient")
-    if cache.squeezed:
-        dy = dy[:, None, :]
 
-    grads: list[np.ndarray] = []
-    for block_cache in reversed(cache.blocks):
-        if block_cache.kind == "dense":
-            dw, db, dy = _dense_backward(block_cache, dy)
-        else:
-            dw, db, dy = _lstm_backward(block_cache, dy)
-        grads.append(db.ravel())
-        grads.append(dw.ravel())
-    grads.reverse()
-    flat = np.concatenate(grads)
-    d_inputs = dy[:, 0, :] if cache.squeezed else dy
-    return flat, d_inputs
-
-
-def _dense_backward(block_cache: _BlockCache, dy: np.ndarray):
-    data = block_cache.data
-    spec: LayerSpec = data["spec"]
-    x, y, w = data["x"], data["y"], data["w"]
-    dz = dy * (y * (1.0 - y)) if spec.activation == "sigmoid" else dy
-    dz2 = dz.reshape(-1, spec.output_dim)
-    dw = x.reshape(-1, spec.input_dim).T @ dz2
-    db = dz2.sum(axis=0)
-    dx = dz @ w.T
-    return dw, db, dx
-
-
-def _lstm_backward(block_cache: _BlockCache, dh_out: np.ndarray):
-    data = block_cache.data
-    spec: LayerSpec = data["spec"]
-    x, cond, gates, cs, tanh_c, hs, w = (
-        data["x"],
-        data["cond"],
-        data["gates"],
-        data["cs"],
-        data["tanh_c"],
-        data["hs"],
-        data["w"],
+    lstm, head = params.specs
+    w, head_w = params.tensors[0]["w"], params.tensors[1]["w"]
+    grads = np.empty(params.n_params)
+    d_lstm, d_head = _tensor_views(params.specs, grads)
+    x, cond, gates, cs, tanh_c, hs, y = (
+        cache.x, cache.cond, cache.gates, cache.cs, cache.tanh_c, cache.hs, cache.y
     )
     steps, batch, in_dim = x.shape
-    hid = spec.output_dim
-    w_h_t = w[spec.input_dim :].T
+    hid = lstm.output_dim
+
+    dz_head = dy * (y * (1.0 - y)) if head.activation == "sigmoid" else dy
+    dz2_head = dz_head.reshape(-1, head.output_dim)
+    d_head["w"][...] = hs[1:].reshape(-1, hid).T @ dz2_head
+    d_head["b"][...] = dz2_head.sum(axis=0)
+    dh_out = dz_head @ head_w.T
 
     # Everything that does not depend on the recurrence is computed for all
     # steps before the loop: the gate derivatives (s(1-s) for the sigmoid
@@ -409,6 +353,7 @@ def _lstm_backward(block_cache: _BlockCache, dh_out: np.ndarray):
     # Per step only the recurrence runs: dz_t from (dh, dc), and
     # dh_{t-1} = dz_t @ W_h^T. dz of every step is kept so the weight
     # gradients are one GEMM each afterwards.
+    w_h_t = w[lstm.input_dim :].T
     dz = np.empty((steps, batch, _GATES * hid))
     dh_next = np.zeros((batch, hid))
     dc_next = np.zeros((batch, hid))
@@ -425,17 +370,17 @@ def _lstm_backward(block_cache: _BlockCache, dh_out: np.ndarray):
         dh_next = dz_t @ w_h_t
 
     dz2 = dz.reshape(-1, _GATES * hid)
-    dw = np.empty_like(w)
+    dw = d_lstm["w"]
     dw[:in_dim] = x.reshape(-1, in_dim).T @ dz2
-    dw[spec.input_dim :] = hs[:-1].reshape(-1, hid).T @ dz2
+    dw[lstm.input_dim :] = hs[:-1].reshape(-1, hid).T @ dz2
     if cond is not None:
         dz_seq = dz.sum(axis=0)
         if cond.shape[0] != batch:
             dz_seq = dz_seq.sum(axis=0, keepdims=True)
-        dw[in_dim : spec.input_dim] = cond.T @ dz_seq
-    db = dz2.sum(axis=0)
-    dx = (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
-    return dw, db, dx
+        dw[in_dim : lstm.input_dim] = cond.T @ dz_seq
+    d_lstm["b"][...] = dz2.sum(axis=0)
+    d_inputs = (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
+    return grads, d_inputs
 
 
 def sgd_step(
@@ -458,16 +403,10 @@ def sgd_step(
         )
     _check_finite(grads, "gradients")
     params.version += 1
-    offset = 0
-    for block in params.tensors:
-        for name in ("w", "b"):
-            tensor = block[name]
-            size = tensor.size
-            tensor -= learning_rate * grads[offset : offset + size].reshape(tensor.shape)
-            if clip_limit is not None:
-                np.clip(tensor, -clip_limit, clip_limit, out=tensor)
-            _check_finite(tensor, "parameters after the update")
-            offset += size
+    params.buffer -= learning_rate * grads
+    if clip_limit is not None:
+        np.clip(params.buffer, -clip_limit, clip_limit, out=params.buffer)
+    _check_finite(params.buffer, "parameters after the update")
     return params
 
 
@@ -513,7 +452,7 @@ _WEIGHT_DTYPE = np.dtype("<f8")
 
 
 def params_to_payload(params: NetworkParams) -> dict:
-    weight_bytes = params.flat().astype(_WEIGHT_DTYPE).tobytes()
+    weight_bytes = params.buffer.astype(_WEIGHT_DTYPE).tobytes()
     return {
         "layer_specs": [
             {
@@ -556,14 +495,5 @@ def params_from_payload(payload: dict) -> NetworkParams:
         raise CheckpointError(f"weight count {flat.size} does not match specs ({n_params})")
     if not np.isfinite(flat).all():
         raise CheckpointError("non-finite weights in checkpoint")
-    # one writable native-order copy per tensor (frombuffer's array is
-    # read-only), laid out in ``flat()`` order
-    tensors, offset = [], 0
-    for spec in specs:
-        block = {}
-        for name, shape in spec.tensor_shapes().items():
-            size = int(np.prod(shape))
-            block[name] = flat[offset : offset + size].astype(np.float64).reshape(shape)
-            offset += size
-        tensors.append(block)
-    return NetworkParams(specs, tensors)
+    # one writable native-order copy (frombuffer's array is read-only)
+    return NetworkParams(specs, flat.astype(np.float64))

@@ -80,13 +80,13 @@ def test_04_gradient_correctness_every_architecture():
             return fn
 
         cases = {
-            "embedder": mse_loss(model.embedder, rng.normal(size=(steps, 1)),
-                                 rng.uniform(size=(steps, 3))),
-            "recovery": mse_loss(model.recovery, rng.normal(size=(steps, 3)),
-                                 rng.uniform(size=(steps, 1))),
-            "generator": mse_loss(model.generator, rng.normal(size=(steps, 8)),
-                                  rng.normal(size=(steps, 3))),
-            "discriminator": mean_loss(model.discriminator, rng.normal(size=(steps, 8))),
+            "embedder": mse_loss(model.embedder, rng.normal(size=(steps, 1, 1)),
+                                 rng.uniform(size=(steps, 1, 3))),
+            "recovery": mse_loss(model.recovery, rng.normal(size=(steps, 1, 3)),
+                                 rng.uniform(size=(steps, 1, 1))),
+            "generator": mse_loss(model.generator, rng.normal(size=(steps, 1, 8)),
+                                  rng.normal(size=(steps, 1, 3))),
+            "discriminator": mean_loss(model.discriminator, rng.normal(size=(steps, 1, 8))),
         }
         for role, loss_fn in cases.items():
             err = seqnet.gradient_check(getattr(model, role), loss_fn, 1e-5)

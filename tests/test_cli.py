@@ -108,8 +108,9 @@ def test_train_checkpoint_loads(workspace):
     assert len(log_lines) == 3 * 80
     logged = [json.loads(line) for line in log_lines]
     assert logged == model.training_log
+    phase3_keys = {"d_loss", "sup_loss", "adv_loss", "recon_loss", "critic_clip_fraction"}
     for record in logged:
-        extra = {"d_loss"} if record["phase"] == 3 else set()
+        extra = phase3_keys if record["phase"] == 3 else set()
         assert set(record) == {"phase", "iteration", "loss"} | extra
 
 
@@ -211,6 +212,24 @@ def test_evaluate_missing_day_named(workspace, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "missing actuals" in err or "no complete day" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["predict", "--date", "2024-13-01"], "--date '2024-13-01' is not a date YYYY-MM-DD"),
+        (["predict", "--date", "yesterday"], "--date 'yesterday' is not a date YYYY-MM-DD"),
+        (["evaluate", "--from", "2023-02-30", "--to", "2023-03-02"],
+         "--from '2023-02-30' is not a date YYYY-MM-DD"),
+        (["evaluate", "--from", "2023-02-27", "--to", "2023-3-2"],
+         "--to '2023-3-2' is not a date YYYY-MM-DD"),
+    ],
+    ids=["month-13", "word", "february-30", "unpadded"],
+)
+def test_bad_date_flag_named(workspace, capsys, flags, message):
+    capsys.readouterr()
+    assert cli.main([flags[0], "--config", str(workspace["cfg"]), *flags[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} (")
 
 
 def test_report_bundle(workspace):

@@ -147,12 +147,19 @@ def test_condition_dim_mismatch_rejected():
         ctsgan.train_phase1_autoencoder(model, *bad_days, quick_config())
 
 
+PHASE3_LOG_KEYS = {"d_loss", "sup_loss", "adv_loss", "recon_loss", "critic_clip_fraction"}
+
+
 def test_training_log_schema():
     model = train_all(small_model(), toy_days(), iters=10)
     for record in model.training_log:
-        extra = {"d_loss"} if record["phase"] == 3 else set()
+        extra = PHASE3_LOG_KEYS if record["phase"] == 3 else set()
         assert set(record) == {"phase", "iteration", "loss"} | extra
         json.dumps(record)  # stream-safe
+    for record in model.training_log:
+        if record["phase"] == 3:
+            assert record["loss"] == 10.0 * record["sup_loss"] + record["adv_loss"]
+            assert 0.0 <= record["critic_clip_fraction"] <= 1.0
 
 
 # --- generation -----------------------------------------------------------------------
@@ -223,6 +230,36 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match="format 99 != 2; re-train"):
+        ctsgan.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda p: [p], "does not hold a JSON object"),
+        (lambda p: p.update(latent_shift=[0.0] * 3, latent_scale=[1.0] * 4),
+         "latent_shift must hold 4 finite values, got shape \\(3,\\)"),
+        (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=None),
+         "latent_shift and latent_scale must both be null or both be set"),
+        (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[1.0, 1.0, 1.0, float("nan")]),
+         "latent_scale must hold 4 finite values"),
+        (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[0.0] * 4),
+         "latent_scale must be positive"),
+        (lambda p: p.update(latent_autocorr=5.0), "latent_autocorr 5.0 is outside \\[0, 0.99\\]"),
+        (lambda p: p.update(latent_autocorr=-0.1), "latent_autocorr -0.1 is outside"),
+    ],
+    ids=["not-an-object", "shift-length", "scale-null", "scale-nan", "scale-zero",
+         "autocorr-above", "autocorr-below"],
+)
+def test_model_bad_whitening_or_payload_type_rejected(tmp_path, mangle, message):
+    """A checkpoint whose whitening could not generate a valid band, or that
+    is not a JSON object, is refused when it is read."""
+    path = tmp_path / "model.json"
+    ctsgan.save_model(small_model(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = mangle(payload) or payload
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=message):
         ctsgan.load_model(path)
 
 

@@ -80,6 +80,16 @@ def test_off_grid_timestamp_rejected(tmp_path):
         di.load_dataset(path)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = write_csv(tmp_path / "d.csv", days=1)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff\xfe" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(InputError) as excinfo:
+        di.load_dataset(path)
+    assert str(excinfo.value).startswith(f"cannot read dataset {path} (not UTF-8 text")
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(HEADER + "\n", encoding="utf-8")

@@ -31,14 +31,16 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 def test_init_dense_glorot_bound():
-    params = seqnet.init_params(0, (seqnet.LayerSpec("dense", 10, 5, "linear"),))
+    specs = (seqnet.LayerSpec("lstm", 3, 10), seqnet.LayerSpec("dense", 10, 5, "linear"))
+    params = seqnet.init_params(0, specs)
     bound = math.sqrt(6.0 / 15.0)
-    assert np.abs(params.tensors[0]["w"]).max() <= bound
-    assert np.array_equal(params.tensors[0]["b"], np.zeros(5))
+    assert np.abs(params.tensors[1]["w"]).max() <= bound
+    assert np.array_equal(params.tensors[1]["b"], np.zeros(5))
 
 
 def test_init_forget_gate_bias_is_one():
-    params = seqnet.init_params(0, (seqnet.LayerSpec("lstm", 3, 4),))
+    specs = (seqnet.LayerSpec("lstm", 3, 4), seqnet.LayerSpec("dense", 4, 1))
+    params = seqnet.init_params(0, specs)
     bias = params.tensors[0]["b"]
     assert np.array_equal(bias[4:8], np.ones(4))
     assert np.array_equal(bias[:4], np.zeros(4))
@@ -65,19 +67,21 @@ def test_zero_network_outputs_head_bias():
     flat = params.flat()
     flat[-2:] = [0.25, -1.5]
     params.load_flat(flat)
-    out, _ = seqnet.rnn_forward(params, np.zeros((6, 3)))
+    out, _ = seqnet.rnn_forward(params, np.zeros((6, 1, 3)))
     sig = 1.0 / (1.0 + math.exp(0.0))
     expected = np.array([1.0 / (1.0 + math.exp(-0.25)), 1.0 / (1.0 + math.exp(1.5))])
-    assert np.allclose(out, np.tile(expected, (6, 1)), atol=1e-15)
+    assert np.allclose(out[:, 0], np.tile(expected, (6, 1)), atol=1e-15)
     assert sig == 0.5  # zero hidden state contributes nothing
 
 
 def test_single_step_equals_sequence_of_one():
+    """A one-step sequence gives the first step of any longer sequence that
+    starts with the same input."""
     params = seqnet.init_params(5, LSTM_DENSE)
-    x = np.random.default_rng(1).normal(size=(1, 3))
+    x = np.random.default_rng(1).normal(size=(4, 1, 3))
+    out_step, _ = seqnet.rnn_forward(params, x[:1])
     out_seq, _ = seqnet.rnn_forward(params, x)
-    out_batchless, _ = seqnet.rnn_forward(params, x.reshape(1, 1, 3))
-    assert np.array_equal(out_seq, out_batchless[:, 0, :])
+    assert np.array_equal(out_step[0], out_seq[0])
 
 
 def _scalar_sigmoid(v):
@@ -116,8 +120,8 @@ def _scalar_forward(params, x):
 def test_forward_matches_scalar_reimplementation():
     params = seqnet.init_params(9, LSTM_DENSE)
     x = np.random.default_rng(2).normal(size=(5, 3))
-    out, _ = seqnet.rnn_forward(params, x)
-    assert np.abs(out - _scalar_forward(params, x)).max() < 1e-12
+    out, _ = seqnet.rnn_forward(params, x[:, None, :])
+    assert np.abs(out[:, 0] - _scalar_forward(params, x)).max() < 1e-12
 
 
 # rows of the first LSTM weight: 2 time-varying inputs, then a 4-dim condition
@@ -187,10 +191,12 @@ def test_condition_gradients_finite_difference():
 
 def test_forward_rejects_bad_shapes_and_nan():
     params = seqnet.init_params(0, LSTM_DENSE)
+    with pytest.raises(InputError, match=r"inputs must be \[T, B, D\]"):
+        seqnet.rnn_forward(params, np.zeros((4, 3)))
     with pytest.raises(InputError, match="does not match network input dim"):
-        seqnet.rnn_forward(params, np.zeros((4, 7)))
+        seqnet.rnn_forward(params, np.zeros((4, 1, 7)))
     with pytest.raises(NumericalError, match="inputs"):
-        seqnet.rnn_forward(params, np.full((4, 3), np.nan))
+        seqnet.rnn_forward(params, np.full((4, 1, 3), np.nan))
 
     cond_params = seqnet.init_params(0, COND_NET)
     x = np.zeros((4, 3, 2))
@@ -199,14 +205,14 @@ def test_forward_rejects_bad_shapes_and_nan():
     with pytest.raises(InputError, match="B = 3"):  # 2 conditions for a batch of 3
         seqnet.rnn_forward(cond_params, x, np.zeros((2, 4)))
     with pytest.raises(InputError, match="condition dim 1"):  # network without one
-        seqnet.rnn_forward(params, np.zeros((4, 3)), np.zeros(1))
+        seqnet.rnn_forward(params, np.zeros((4, 1, 3)), np.zeros(1))
     with pytest.raises(NumericalError, match="condition"):
         seqnet.rnn_forward(cond_params, x, np.full(4, np.inf))
 
 
 def test_forward_deterministic():
     params = seqnet.init_params(4, LSTM_DENSE)
-    x = np.random.default_rng(3).normal(size=(8, 3))
+    x = np.random.default_rng(3).normal(size=(8, 1, 3))
     a, _ = seqnet.rnn_forward(params, x)
     b, _ = seqnet.rnn_forward(params, x)
     assert a.tobytes() == b.tobytes()
@@ -217,10 +223,10 @@ def test_forward_deterministic():
 def test_gradient_zero_for_unused_output():
     params = seqnet.init_params(6, LSTM_DENSE)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(4, 3))
+    x = rng.normal(size=(4, 1, 3))
     out, cache = seqnet.rnn_forward(params, x)
     upstream = np.zeros_like(out)
-    upstream[:, 0] = 1.0  # loss touches head output 0 only
+    upstream[..., 0] = 1.0  # loss touches head output 0 only
     grads, _ = seqnet.backward(cache, upstream)
     n_lstm = params.specs[0].n_params()
     head_w = grads[n_lstm : n_lstm + 10].reshape(5, 2)
@@ -231,43 +237,37 @@ def test_gradient_zero_for_unused_output():
 
 
 def test_dense_gradient_matches_least_squares():
-    spec = (seqnet.LayerSpec("dense", 3, 2, "linear"),)
-    params = seqnet.init_params(7, spec)
+    """The linear head's gradient is the least-squares gradient of its
+    inputs, the LSTM's hidden states."""
+    specs = (seqnet.LayerSpec("lstm", 4, 3), seqnet.LayerSpec("dense", 3, 2, "linear"))
+    params = seqnet.init_params(7, specs)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(6, 3))
+    inputs = rng.normal(size=(6, 1, 4))
     y = rng.normal(size=(6, 2))
-    out, cache = seqnet.rnn_forward(params, x)
-    grads, _ = seqnet.backward(cache, 2.0 * (out - y))
-    w = params.tensors[0]["w"]
-    b = params.tensors[0]["b"]
+    out, cache = seqnet.rnn_forward(params, inputs)
+    grads, _ = seqnet.backward(cache, 2.0 * (out - y[:, None, :]))
+    x = cache.hs[1:, 0]
+    w = params.tensors[1]["w"]
+    b = params.tensors[1]["b"]
     residual = x @ w + b - y
     dw = 2.0 * x.T @ residual
     db = 2.0 * residual.sum(axis=0)
-    assert np.allclose(grads, np.concatenate([dw.ravel(), db]), atol=1e-12)
+    n_lstm = specs[0].n_params()
+    assert np.allclose(grads[n_lstm:], np.concatenate([dw.ravel(), db]), atol=1e-12)
 
 
 def test_full_network_finite_difference():
     params = seqnet.init_params(8, LSTM_DENSE)
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(5, 3))
-    target = rng.uniform(size=(5, 2))
+    x = rng.normal(size=(5, 1, 3))
+    target = rng.uniform(size=(5, 1, 2))
     err = seqnet.gradient_check(params, lambda p: mse_loss(p, x, target), 1e-5)
     assert err < 1e-4
 
 
-def test_quadratic_dense_gradient_check_tight():
-    spec = (seqnet.LayerSpec("dense", 4, 3, "linear"),)
-    params = seqnet.init_params(9, spec)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(5, 4))
-    target = rng.normal(size=(5, 3))
-    err = seqnet.gradient_check(params, lambda p: mse_loss(p, x, target), 1e-5)
-    assert err < 1e-8
-
-
 def test_backward_stale_cache():
     params = seqnet.init_params(10, LSTM_DENSE)
-    x = np.random.default_rng(8).normal(size=(3, 3))
+    x = np.random.default_rng(8).normal(size=(3, 1, 3))
     out, cache = seqnet.rnn_forward(params, x)
     seqnet.sgd_step(params, np.zeros(params.n_params), 0.02)
     with pytest.raises(StateError):
@@ -276,9 +276,9 @@ def test_backward_stale_cache():
 
 def test_backward_shape_check():
     params = seqnet.init_params(11, LSTM_DENSE)
-    out, cache = seqnet.rnn_forward(params, np.zeros((3, 3)))
+    out, cache = seqnet.rnn_forward(params, np.zeros((3, 1, 3)))
     with pytest.raises(InputError, match="upstream gradient shape"):
-        seqnet.backward(cache, np.zeros((3, 7)))
+        seqnet.backward(cache, np.zeros((3, 1, 7)))
 
 
 # --- optimizer ------------------------------------------------------------------------
@@ -295,13 +295,15 @@ def test_sgd_zero_gradient_only_clamps():
 
 
 def test_sgd_single_step_arithmetic():
-    spec = (seqnet.LayerSpec("dense", 1, 1, "linear"),)
-    params = seqnet.init_params(0, spec)
-    params.load_flat(np.zeros(2))
-    grads = np.array([1.0, 0.0])
+    params = seqnet.init_params(0, LSTM_DENSE)
+    params.load_flat(np.zeros(params.n_params))
+    n_lstm = params.specs[0].n_params()
+    grads = np.zeros(params.n_params)
+    grads[n_lstm] = 1.0  # first weight of the dense head
     version = params.version
     seqnet.sgd_step(params, grads, 0.02)
-    assert params.flat()[0] == pytest.approx(-0.02, abs=1e-15)
+    assert params.tensors[1]["w"][0, 0] == pytest.approx(-0.02, abs=1e-15)
+    assert np.count_nonzero(params.flat()) == 1
     assert params.version == version + 1
 
 
@@ -362,6 +364,30 @@ def test_checkpoint_rejects_bad_layer_specs():
     payload = seqnet.params_to_payload(seqnet.init_params(21, LSTM_DENSE))
     payload["layer_specs"][0]["kind"] = "gru"
     with pytest.raises(CheckpointError, match="bad layer specs: unknown layer kind"):
+        seqnet.params_from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        (seqnet.LayerSpec("dense", 3, 2),),
+        (*LSTM_DENSE, seqnet.LayerSpec("dense", 2, 1)),
+    ],
+    ids=["dense-only", "three-blocks"],
+)
+def test_checkpoint_rejects_other_network_shapes(specs):
+    """A payload that is not one lstm block then one dense head is refused,
+    even when its weight count matches its specs."""
+    n_params = sum(spec.n_params() for spec in specs)
+    payload = {
+        "layer_specs": [
+            {"kind": s.kind, "input_dim": s.input_dim, "output_dim": s.output_dim,
+             "activation": s.activation}
+            for s in specs
+        ],
+        "flat_weights": base64.b64encode(np.zeros(n_params).astype("<f8").tobytes()).decode("ascii"),
+    }
+    with pytest.raises(CheckpointError, match="bad layer specs: network must be an lstm block"):
         seqnet.params_from_payload(payload)
 
 
