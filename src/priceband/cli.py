@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -101,7 +102,8 @@ def _from_section(cls, section: dict):
     cast to the type of the field's default (taken as is where that default
     is None); other fields keep their defaults and other keys are ignored.
     A field without a plain default (a nested config) is never read. A
-    value that does not cast raises ``InputError`` naming the key."""
+    value that does not cast, or a float that is not finite, raises
+    ``InputError`` naming the key."""
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in section and f.default is not dataclasses.MISSING:
@@ -110,10 +112,12 @@ def _from_section(cls, section: dict):
                 kind = type(f.default)
                 try:
                     value = kind(value)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise InputError(
                         f"config key {f.name!r}: cannot read {value!r} as {kind.__name__}"
                     ) from exc
+                if kind is float and not math.isfinite(value):
+                    raise InputError(f"config key {f.name!r}: {value!r} is not a finite number")
             values[f.name] = value
     return cls(**values)
 
@@ -205,14 +209,39 @@ def _phase_span(model: ctsgan.CTSGANModel, phase: int) -> tuple[float, float, in
     return (losses[0], losses[-1], len(losses)) if losses else (float("nan"), float("nan"), 0)
 
 
+def _logged_lines(path: Path, phases: set[int]) -> list[str]:
+    """The lines of the training log at ``path`` whose record belongs to one
+    of ``phases``; none when there is no such file."""
+    if not path.exists():
+        return []
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return [line for line in lines if line and json.loads(line)["phase"] in phases]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise InputError(f"cannot read training log {path} ({type(exc).__name__}: {exc})") from exc
+
+
 def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
+    """Run each phase the checkpoint does not mark done. After each phase,
+    rewrite training_log.jsonl (the kept lines of earlier runs, then this
+    run's records), then save the checkpoint; a resume keeps only the lines
+    of the phases the checkpoint marks done, so each phase is logged once."""
     dataset = _load_dataset(cfg)
     if not dataset.target_days:
         raise InputError("dataset has no day with a complete previous day")
 
+    phases = (
+        ("phase1", 1, ctsgan.train_phase1_autoencoder),
+        ("phase2", 2, ctsgan.train_phase2_supervised),
+        ("phase3", 3, ctsgan.train_phase3_joint),
+    )
+    log_path = cfg.out_dir / "training_log.jsonl"
+    kept = []
     if resume and cfg.checkpoint.exists():
         model = ctsgan.load_model(cfg.checkpoint)
         log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
+        done = {number for flag, number, _ in phases if model.training_flags.get(flag)}
+        kept = _logged_lines(log_path, done)
     else:
         model = ctsgan.build_model(
             condition_dim=dataset.conditions.shape[1],
@@ -222,11 +251,6 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
             latent_dispersion_gain=cfg.dispersion_gain,
         )
 
-    phases = (
-        ("phase1", 1, ctsgan.train_phase1_autoencoder),
-        ("phase2", 2, ctsgan.train_phase2_supervised),
-        ("phase3", 3, ctsgan.train_phase3_joint),
-    )
     for flag, number, trainer in phases:
         if model.training_flags.get(flag):
             print(f"phase {number} already trained, skipping")
@@ -235,11 +259,10 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
         trainer(model, conditions=dataset.conditions, targets=dataset.targets, config=cfg.training)
         first, last, n = _phase_span(model, number)
         print(f"phase {number} complete: loss {first:.6f} -> {last:.6f} over {n} iterations")
+        lines = kept + [json.dumps(record) for record in model.training_log]
+        _atomic_write(log_path, "\n".join(lines) + "\n")
         ctsgan.save_model(model, cfg.checkpoint)
 
-    log_path = cfg.out_dir / "training_log.jsonl"
-    lines = [json.dumps(record) for record in model.training_log]
-    _atomic_write(log_path, "\n".join(lines) + "\n")
     if model.adversarial_report:
         print(
             "critic check: real {d_score_real:.4f} generated {d_score_fake:.4f} "
@@ -260,7 +283,8 @@ def _load_thresholds(path: Path) -> VolatilityThresholds:
 
 
 def _override_variances(override) -> dict[str, float]:
-    """The config's "variance_override": one number per volatility factor."""
+    """The config's "variance_override": one finite number per volatility
+    factor."""
     if not isinstance(override, dict):
         raise InputError(f"variance_override must map each factor to a number, got {override!r}")
     variances = {}
@@ -273,6 +297,10 @@ def _override_variances(override) -> dict[str, float]:
             raise InputError(
                 f"variance_override value {override[factor]!r} for factor {factor!r} is not a number"
             ) from exc
+        if not math.isfinite(variances[factor]):
+            raise InputError(
+                f"variance_override value {override[factor]!r} for factor {factor!r} is not finite"
+            )
     return variances
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_ingest import HALF_HOURS_PER_DAY
 from .errors import CheckpointError, InputError, NumericalError, StateError
 from .seeding import derive_seed
 from .seqnet import (
@@ -46,7 +47,7 @@ from .seqnet import (
     sgd_step,
 )
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _ROLES = ("embedder", "recovery", "generator", "discriminator")
 
@@ -86,20 +87,18 @@ class CTSGANModel:
     """The four-network parameter bundle plus training bookkeeping.
 
     ``latent_shift``/``latent_scale`` hold the whitening affine fixed at the
-    end of phase 1 (identity until then).
+    end of phase 1 (identity until then). The latent and condition dims are
+    read off the networks; each price path is one value per half-hour.
+    ``training_log`` holds the records of the phases trained in this process
+    only: checkpoints leave it out.
     """
 
     embedder: NetworkParams
     recovery: NetworkParams
     generator: NetworkParams
     discriminator: NetworkParams
-    latent_dim: int
-    condition_dim: int
-    data_dim: int = 1
-    hidden_dim: int = HIDDEN_DIM
-    data_horizon: int = 48
-    latent_shift: np.ndarray | None = None
-    latent_scale: np.ndarray | None = None
+    latent_shift: np.ndarray
+    latent_scale: np.ndarray
     latent_autocorr: float = 0.0
     training_flags: dict = field(
         default_factory=lambda: {p: False for p in _PHASES}
@@ -108,12 +107,14 @@ class CTSGANModel:
     adversarial_report: dict | None = None
 
     def __post_init__(self):
+        if self.condition_dim < 0:
+            raise InputError(
+                f"generator input dim {self.generator.input_dim} < latent dim {self.latent_dim}"
+            )
         checks = (
-            (self.embedder.input_dim, self.data_dim, "embedder input"),
-            (self.embedder.output_dim, self.latent_dim, "embedder output"),
+            (self.embedder.input_dim, 1, "embedder input"),
             (self.recovery.input_dim, self.latent_dim, "recovery input"),
-            (self.recovery.output_dim, self.data_dim, "recovery output"),
-            (self.generator.input_dim, self.latent_dim + self.condition_dim, "generator input"),
+            (self.recovery.output_dim, 1, "recovery output"),
             (self.generator.output_dim, self.latent_dim, "generator output"),
             (self.discriminator.input_dim, self.latent_dim + self.condition_dim, "discriminator input"),
             (self.discriminator.output_dim, 1, "discriminator output"),
@@ -123,16 +124,22 @@ class CTSGANModel:
                 raise InputError(f"{what} dim {actual} != {expected}")
 
     @property
+    def latent_dim(self) -> int:
+        return self.embedder.output_dim
+
+    @property
+    def condition_dim(self) -> int:
+        return self.generator.input_dim - self.latent_dim
+
+    @property
     def is_trained(self) -> bool:
         return all(self.training_flags.get(p, False) for p in _PHASES)
 
 
 def build_model(
     condition_dim: int,
-    data_dim: int = 1,
     hidden_dim: int = HIDDEN_DIM,
     latent_dim: int = LATENT_DIM,
-    data_horizon: int = 48,
     seed: int = 0,
     latent_dispersion_gain: float = LATENT_DISPERSION_GAIN,
 ) -> CTSGANModel:
@@ -151,20 +158,17 @@ def build_model(
         )
         return init_params(derive_seed(seed, f"init-{role}"), specs)
 
-    embedder = net("embedder", data_dim, latent_dim, "sigmoid")
+    embedder = net("embedder", 1, latent_dim, "sigmoid")
     embedder.tensors[-1]["w"] *= latent_dispersion_gain
     embedder.version += 1
 
     return CTSGANModel(
         embedder=embedder,
-        recovery=net("recovery", latent_dim, data_dim, "sigmoid"),
+        recovery=net("recovery", latent_dim, 1, "sigmoid"),
         generator=net("generator", latent_dim + condition_dim, latent_dim, "linear"),
         discriminator=net("discriminator", latent_dim + condition_dim, 1, "linear"),
-        latent_dim=latent_dim,
-        condition_dim=condition_dim,
-        data_dim=data_dim,
-        hidden_dim=hidden_dim,
-        data_horizon=data_horizon,
+        latent_shift=np.zeros(latent_dim),
+        latent_scale=np.ones(latent_dim),
     )
 
 
@@ -179,9 +183,9 @@ def _prepare_days(model: CTSGANModel, conditions, targets) -> tuple[np.ndarray, 
         raise InputError(
             f"condition dim {conds.shape[1]} != model condition dim {model.condition_dim}"
         )
-    if paths.shape != (conds.shape[0], model.data_horizon):
+    if paths.shape != (conds.shape[0], HALF_HOURS_PER_DAY):
         raise InputError(
-            f"targets must be [{conds.shape[0]}, {model.data_horizon}], got {paths.shape}"
+            f"targets must be [{conds.shape[0]}, {HALF_HOURS_PER_DAY}], got {paths.shape}"
         )
     if not (np.isfinite(conds).all() and np.isfinite(paths).all()):
         raise InputError("non-finite values in training data")
@@ -232,8 +236,6 @@ def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
 def _embed(model: CTSGANModel, x: np.ndarray) -> np.ndarray:
     """Whitened embedder latents of the paths ``x`` ([T, N, 1]); no cache."""
     latents, _ = rnn_forward(model.embedder, x, keep_cache=False)
-    if model.latent_shift is None:
-        return latents
     return (latents - model.latent_shift) / model.latent_scale
 
 
@@ -257,8 +259,6 @@ def _generate_latents(
 
 
 def _dewhiten(model: CTSGANModel, calibrated: np.ndarray) -> np.ndarray:
-    if model.latent_shift is None:
-        return calibrated
     return calibrated * model.latent_scale + model.latent_shift
 
 
@@ -349,7 +349,7 @@ def train_phase3_joint(
     conds, targets = _prepare_days(model, conditions, targets)
     train_idx, hold_idx = _train_holdout_split(conds.shape[0], config)
     rng = np.random.default_rng(derive_seed(config.seed, "phase3"))
-    steps = model.data_horizon
+    steps = HALF_HOURS_PER_DAY
     lam = config.supervised_weight
 
     for it in range(config.iterations_per_phase):
@@ -412,7 +412,7 @@ def _score_real_vs_generated(
     cond = conds[idx]
     latents_real = _embed(model, targets[:, idx, :])
     latents_fake, _ = _generate_latents(
-        model, rng, cond, idx.size, model.data_horizon, 1.0, keep_cache=False
+        model, rng, cond, idx.size, HALF_HOURS_PER_DAY, 1.0, keep_cache=False
     )
     score_real, _ = rnn_forward(model.discriminator, latents_real, cond, keep_cache=False)
     score_fake, _ = rnn_forward(model.discriminator, latents_fake, cond, keep_cache=False)
@@ -453,7 +453,7 @@ def generate_scenarios(
     count: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """``count`` normalized price paths, ``[count, data_horizon]``: fresh
+    """``count`` normalized price paths, ``[count, 48]``: fresh
     N(0, std^2) noise (std >= 1) mapped through generator and recovery
     under the ``[condition_dim]`` row ``condition``.
 
@@ -471,11 +471,11 @@ def generate_scenarios(
     if count < 0:
         raise InputError("scenario count must be >= 0")
     if count == 0:
-        return np.empty((0, model.data_horizon))
+        return np.empty((0, HALF_HOURS_PER_DAY))
 
     rng = np.random.default_rng(seed)
     latents, _ = _generate_latents(
-        model, rng, cond, count, model.data_horizon, std, keep_cache=False
+        model, rng, cond, count, HALF_HOURS_PER_DAY, std, keep_cache=False
     )
     paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
     return np.clip(paths[:, :, 0].T, 0.0, 1.0)
@@ -484,24 +484,19 @@ def generate_scenarios(
 def save_model(model: CTSGANModel, path) -> None:
     """Versioned JSON checkpoint; reload reproduces generation bit-exactly.
 
-    Metadata, whitening and the training log are JSON values; each network's
-    weights are base64 float64 bytes (see ``seqnet.params_to_payload``).
+    Whitening, flags and critic report are JSON values; each network's
+    weights are base64 float64 bytes (see ``seqnet.params_to_payload``). The
+    training log is not saved: the CLI writes it to ``training_log.jsonl``.
     """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "latent_dim": model.latent_dim,
-        "condition_dim": model.condition_dim,
-        "data_dim": model.data_dim,
-        "hidden_dim": model.hidden_dim,
-        "data_horizon": model.data_horizon,
-        "latent_shift": None if model.latent_shift is None else model.latent_shift.tolist(),
-        "latent_scale": None if model.latent_scale is None else model.latent_scale.tolist(),
+        "latent_shift": model.latent_shift.tolist(),
+        "latent_scale": model.latent_scale.tolist(),
         "latent_autocorr": model.latent_autocorr,
         "networks": {
             role: params_to_payload(getattr(model, role)) for role in _ROLES
         },
         "training_flags": model.training_flags,
-        "training_log": model.training_log,
         "adversarial_report": model.adversarial_report,
     }
     tmp = f"{path}.tmp"
@@ -512,18 +507,13 @@ def save_model(model: CTSGANModel, path) -> None:
 
 def _whitening_from_payload(payload: dict, latent_dim: int):
     """The checkpoint's ``(latent_shift, latent_scale, latent_autocorr)``:
-    shift and scale are both null or both ``latent_dim`` finite values with
-    a positive scale, and the autocorrelation is in [0, 0.99]."""
+    shift and scale are each ``latent_dim`` finite values with a positive
+    scale, and the autocorrelation is in [0, 0.99]."""
     autocorr = float(payload["latent_autocorr"])
     if not 0.0 <= autocorr <= 0.99:
         raise CheckpointError(f"latent_autocorr {autocorr} is outside [0, 0.99]")
-    shift, scale = payload["latent_shift"], payload["latent_scale"]
-    if shift is None and scale is None:
-        return None, None, autocorr
-    if shift is None or scale is None:
-        raise CheckpointError("latent_shift and latent_scale must both be null or both be set")
-    shift = np.asarray(shift, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
+    shift = np.asarray(payload["latent_shift"], dtype=np.float64)
+    scale = np.asarray(payload["latent_scale"], dtype=np.float64)
     for name, values in (("latent_shift", shift), ("latent_scale", scale)):
         if values.shape != (latent_dim,) or not np.isfinite(values).all():
             raise CheckpointError(
@@ -552,23 +542,15 @@ def load_model(path) -> CTSGANModel:
         networks = {
             role: params_from_payload(payload["networks"][role]) for role in _ROLES
         }
-        latent_dim = int(payload["latent_dim"])
-        shift, scale, autocorr = _whitening_from_payload(payload, latent_dim)
+        shift, scale, autocorr = _whitening_from_payload(
+            payload, networks["embedder"].output_dim
+        )
         model = CTSGANModel(
-            embedder=networks["embedder"],
-            recovery=networks["recovery"],
-            generator=networks["generator"],
-            discriminator=networks["discriminator"],
-            latent_dim=latent_dim,
-            condition_dim=int(payload["condition_dim"]),
-            data_dim=int(payload["data_dim"]),
-            hidden_dim=int(payload["hidden_dim"]),
-            data_horizon=int(payload["data_horizon"]),
+            **networks,
             latent_shift=shift,
             latent_scale=scale,
             latent_autocorr=autocorr,
             training_flags=dict(payload["training_flags"]),
-            training_log=list(payload["training_log"]),
             adversarial_report=payload.get("adversarial_report"),
         )
     except (KeyError, TypeError, ValueError, InputError) as exc:

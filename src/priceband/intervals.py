@@ -113,8 +113,7 @@ def build_interval(scenarios: np.ndarray, nominal: float) -> PredictionInterval:
             f"{arr.shape[0]} scenarios < {needed} required for nominal {nominal}"
         )
     tail = (1.0 - nominal) / 2.0
-    lower = np.quantile(arr, tail, axis=0)
-    upper = np.quantile(arr, 1.0 - tail, axis=0)
+    lower, upper = np.quantile(arr, [tail, 1.0 - tail], axis=0)
     return PredictionInterval(lower=lower, upper=upper)
 
 

@@ -20,6 +20,9 @@ from .data_ingest import CSV_COLUMNS, HALF_HOURS_PER_DAY
 
 _T = np.arange(HALF_HOURS_PER_DAY)
 
+START = date(2021, 1, 1)
+VOLATILE_SHARE = 0.15
+
 
 def _day_channels(rng: np.random.Generator, day_index: int, volatile: bool) -> dict[str, np.ndarray]:
     season = np.sin(2 * np.pi * (day_index % 365) / 365.0)
@@ -93,43 +96,20 @@ def _day_channels(rng: np.random.Generator, day_index: int, volatile: bool) -> d
     }
 
 
-def generate_market_frame(
-    days: int = 60,
-    seed: int = 0,
-    start: date = date(2021, 1, 1),
-    volatile_share: float = 0.15,
-) -> tuple[list[tuple[datetime, dict[str, float]]], list[bool]]:
-    """Rows of (timestamp, channel values) plus the per-day volatile flags."""
+def generate_market_csv(path, days: int = 60, seed: int = 0) -> Path:
+    """Write a schema-conforming CSV of ``days`` days from ``START``; returns
+    the path."""
     rng = np.random.default_rng(seed)
-    rows = []
-    flags = []
-    for d in range(days):
-        volatile = bool(rng.random() < volatile_share)
-        flags.append(volatile)
-        channels = _day_channels(rng, d, volatile)
-        day_start = datetime.combine(start + timedelta(days=d), datetime.min.time())
-        for k in range(HALF_HOURS_PER_DAY):
-            ts = day_start + timedelta(minutes=30 * k)
-            rows.append((ts, {name: float(vals[k]) for name, vals in channels.items()}))
-    return rows, flags
-
-
-def generate_market_csv(
-    path,
-    days: int = 60,
-    seed: int = 0,
-    start: date = date(2021, 1, 1),
-    volatile_share: float = 0.15,
-) -> Path:
-    """Write a schema-conforming CSV; returns the path."""
-    rows, _ = generate_market_frame(days=days, seed=seed, start=start, volatile_share=volatile_share)
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for ts, values in rows:
-            writer.writerow(
-                [ts.isoformat()]
-                + [repr(values[name]) for name in CSV_COLUMNS[1:]]
-            )
+        for d in range(days):
+            volatile = bool(rng.random() < VOLATILE_SHARE)
+            channels = _day_channels(rng, d, volatile)
+            columns = [channels[name].tolist() for name in CSV_COLUMNS[1:]]
+            day_start = datetime.combine(START + timedelta(days=d), datetime.min.time())
+            for k, values in enumerate(zip(*columns)):
+                ts = day_start + timedelta(minutes=30 * k)
+                writer.writerow([ts.isoformat(), *map(repr, values)])
     return path

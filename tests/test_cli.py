@@ -1,11 +1,15 @@
+import importlib.util
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from priceband import cli, ctsgan, data_ingest, synthetic
 from priceband import weather_volatility as wv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +111,9 @@ def test_train_checkpoint_loads(workspace):
     log_lines = (workspace["out"] / "training_log.jsonl").read_text(encoding="utf-8").strip().splitlines()
     assert len(log_lines) == 3 * 80
     logged = [json.loads(line) for line in log_lines]
-    assert logged == model.training_log
+    assert [(r["phase"], r["iteration"]) for r in logged] == [
+        (phase, it) for phase in (1, 2, 3) for it in range(80)
+    ]
     phase3_keys = {"d_loss", "sup_loss", "adv_loss", "recon_loss", "critic_clip_fraction"}
     for record in logged:
         extra = phase3_keys if record["phase"] == 3 else set()
@@ -309,8 +315,12 @@ def test_calibrate_and_train_print_load_report(workspace, capsys):
          "variance_override value 'high' for factor 'irradiance' is not a number"),
         ([0.004, 0.07, 0.02],
          "variance_override must map each factor to a number, got [0.004, 0.07, 0.02]"),
+        ({"temperature": float("nan"), "irradiance": float("nan"), "wind": 0.02},
+         "variance_override value nan for factor 'temperature' is not finite"),
+        ({"temperature": 0.004, "irradiance": 0.07, "wind": float("-inf")},
+         "variance_override value -inf for factor 'wind' is not finite"),
     ],
-    ids=["missing-factor", "non-numeric", "not-a-map"],
+    ids=["missing-factor", "non-numeric", "not-a-map", "nan", "minus-infinity"],
 )
 def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, override, message):
     raw = json.loads(workspace["cfg_override"].read_text(encoding="utf-8"))
@@ -325,16 +335,28 @@ def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, overri
 
 
 @pytest.mark.parametrize(
-    "section, key, value, kind",
-    [("prediction", "scenarios", "many", "int"), ("training", "learning_rate", "fast", "float")],
+    "section, key, value, message",
+    [
+        ("prediction", "scenarios", "many", "cannot read 'many' as int"),
+        ("training", "learning_rate", "fast", "cannot read 'fast' as float"),
+        ("prediction", "scenarios", float("inf"), "cannot read inf as int"),
+        ("metrics", "delta_target", float("nan"), "nan is not a finite number"),
+        ("training", "dispersion_gain", float("nan"), "nan is not a finite number"),
+        ("training", "learning_rate", float("inf"), "inf is not a finite number"),
+    ],
+    ids=[
+        "prediction-scenarios-many-int", "training-learning_rate-fast-float",
+        "prediction-scenarios-inf-int", "metrics-delta_target-nan", "training-dispersion_gain-nan",
+        "training-learning_rate-inf",
+    ],
 )
-def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, kind):
+def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, message):
+    """A value that does not cast to its setting's type, or a float setting
+    that is NaN or infinite (JSON parsers accept both), is refused by name."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
     assert cli.main(["calibrate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.strip() == (
-        f"error: config key {key!r}: cannot read {value!r} as {kind}"
-    )
+    assert capsys.readouterr().err.strip() == f"error: config key {key!r}: {message}"
 
 
 def test_config_unknown_key_is_named(tmp_path, capsys):
@@ -473,3 +495,64 @@ def test_train_passes_config_where_the_benchmark_tracer_reads_it(workspace, tmp_
     assert cli.main(["train", "--config", str(cfg)]) == 0
     assert len(seen) == 3
     assert all(isinstance(config, ctsgan.TrainingConfig) for config in seen)
+
+
+def test_benchmark_tracer_reads_every_hook_on_a_cli_chain(workspace, tmp_path):
+    """bench/tracer.py wraps a calibrate, train and evaluate chain with no
+    hook error and no missing entry point, and each trainer span carries the
+    configured iteration count."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"] = {"dataset": raw["paths"]["dataset"], "out_dir": str(tmp_path)}
+    raw["training"]["iterations_per_phase"] = 3
+    raw["metrics"]["runs"] = 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    day = workspace["calm_date"].isoformat()
+    tracer = tracer_module.Tracer(roles={})
+    with tracer.window("chain"):
+        for command, *dates in (["calibrate"], ["train"], ["evaluate", "--from", day, "--to", day]):
+            assert cli.main([command, "--config", str(cfg), *dates]) == 0
+    assert tracer.hook_errors == 0
+    assert tracer.missing == []
+    trainers = [span for span in tracer.spans if span.name.startswith("ctsgan.train_phase")]
+    assert [span.attrs.get("iterations") for span in trainers] == [3, 3, 3]
+
+
+def test_resume_after_a_crash_before_the_checkpoint_logs_each_phase_once(
+    workspace, tmp_path, monkeypatch
+):
+    """train writes a phase's log lines before its checkpoint. When the save
+    after phase 2 fails, --resume reruns phase 2, keeps only phase 1's lines
+    and ends with the log and checkpoint of an uninterrupted run."""
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"]["checkpoint"] = str(tmp_path / "model.json")
+    raw["paths"]["out_dir"] = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    save_model = ctsgan.save_model
+    saves = []
+
+    def save_once(model, path):
+        saves.append(path)
+        if len(saves) == 2:
+            raise OSError("disk full")
+        save_model(model, path)
+
+    monkeypatch.setattr(ctsgan, "save_model", save_once)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["train", "--config", str(cfg)])
+    log_path = tmp_path / "training_log.jsonl"
+    phases = [json.loads(line)["phase"] for line in log_path.read_text(encoding="utf-8").splitlines()]
+    assert phases == [1] * 80 + [2] * 80
+
+    monkeypatch.setattr(ctsgan, "save_model", save_model)
+    assert cli.main(["train", "--config", str(cfg), "--resume"]) == 0
+    logged = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+    assert [(r["phase"], r["iteration"]) for r in logged] == [
+        (phase, it) for phase in (1, 2, 3) for it in range(80)
+    ]
+    for name in ("training_log.jsonl", "model.json"):
+        assert (tmp_path / name).read_bytes() == (workspace["out"] / name).read_bytes(), name

@@ -229,7 +229,7 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="format 99 != 2; re-train"):
+    with pytest.raises(CheckpointError, match="format 99 != 3; re-train"):
         ctsgan.load_model(path)
 
 
@@ -239,8 +239,6 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
         (lambda p: [p], "does not hold a JSON object"),
         (lambda p: p.update(latent_shift=[0.0] * 3, latent_scale=[1.0] * 4),
          "latent_shift must hold 4 finite values, got shape \\(3,\\)"),
-        (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=None),
-         "latent_shift and latent_scale must both be null or both be set"),
         (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[1.0, 1.0, 1.0, float("nan")]),
          "latent_scale must hold 4 finite values"),
         (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[0.0] * 4),
@@ -248,7 +246,7 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
         (lambda p: p.update(latent_autocorr=5.0), "latent_autocorr 5.0 is outside \\[0, 0.99\\]"),
         (lambda p: p.update(latent_autocorr=-0.1), "latent_autocorr -0.1 is outside"),
     ],
-    ids=["not-an-object", "shift-length", "scale-null", "scale-nan", "scale-zero",
+    ids=["not-an-object", "shift-length", "scale-nan", "scale-zero",
          "autocorr-above", "autocorr-below"],
 )
 def test_model_bad_whitening_or_payload_type_rejected(tmp_path, mangle, message):
@@ -261,6 +259,34 @@ def test_model_bad_whitening_or_payload_type_rejected(tmp_path, mangle, message)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match=message):
         ctsgan.load_model(path)
+
+
+def test_checkpoint_stores_each_fact_once(tmp_path):
+    """Format 3 holds the networks, the whitening, the flags and the critic
+    report; the dims are read off the networks and the log is not saved."""
+    model = train_all(small_model(), toy_days(), iters=5)
+    path = tmp_path / "model.json"
+    ctsgan.save_model(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert set(payload) == {
+        "format_version", "networks", "latent_shift", "latent_scale", "latent_autocorr",
+        "training_flags", "adversarial_report",
+    }
+    loaded = ctsgan.load_model(path)
+    assert (loaded.latent_dim, loaded.condition_dim) == (4, COND_DIM)
+    assert loaded.training_log == []
+    payload["latent_scale"] = None
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="latent_scale must hold 4 finite values"):
+        ctsgan.load_model(path)
+
+
+def test_fresh_model_whitening_is_the_identity():
+    model = small_model()
+    x = np.random.default_rng(0).uniform(size=(HORIZON, 3, 1))
+    latents, _ = seqnet.rnn_forward(model.embedder, x)
+    assert np.array_equal(ctsgan._embed(model, x), latents)
+    assert np.array_equal(ctsgan._dewhiten(model, latents), latents)
 
 
 def test_model_save_load_save_byte_identical(tmp_path):
@@ -280,7 +306,6 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     rng = np.random.default_rng(5)
     model.latent_shift = rng.normal(size=100)
     model.latent_scale = rng.uniform(0.1, 2.0, size=100)
-    model.training_log = [{"phase": 1, "iteration": 0, "loss": 0.1 + 1e-17}]
     path = tmp_path / "model.json"
     ctsgan.save_model(model, path)
     loaded = ctsgan.load_model(path)
@@ -290,7 +315,6 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     assert loaded.latent_shift.tobytes() == model.latent_shift.tobytes()
     assert loaded.latent_scale.tobytes() == model.latent_scale.tobytes()
     assert loaded.training_flags == model.training_flags
-    assert loaded.training_log == model.training_log
 
 
 # --- desk-scale properties (shared trained fixture) ----------------------------------------
