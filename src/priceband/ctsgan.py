@@ -259,7 +259,11 @@ def _generate_latents(
 
 
 def _dewhiten(model: CTSGANModel, calibrated: np.ndarray) -> np.ndarray:
-    return calibrated * model.latent_scale + model.latent_shift
+    """Undo the whitening of ``calibrated`` in place and return it, so the
+    recovery pass reads the only copy of the latents."""
+    calibrated *= model.latent_scale
+    calibrated += model.latent_shift
+    return calibrated
 
 
 def _check_finite_loss(loss: float, phase: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .data_ingest import HALF_HOURS_PER_DAY
 from .errors import InputError
@@ -223,7 +223,8 @@ def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThreshol
 
 def pearson_correlation(x, y) -> tuple[float, float]:
     """Sample Pearson r and the two-sided p-value from the t statistic
-    t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom."""
+    t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom, whose upper
+    tail is the Student t CDF at -|t|."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -242,7 +243,7 @@ def pearson_correlation(x, y) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, p
 
 

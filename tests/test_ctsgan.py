@@ -286,7 +286,7 @@ def test_fresh_model_whitening_is_the_identity():
     x = np.random.default_rng(0).uniform(size=(HORIZON, 3, 1))
     latents, _ = seqnet.rnn_forward(model.embedder, x)
     assert np.array_equal(ctsgan._embed(model, x), latents)
-    assert np.array_equal(ctsgan._dewhiten(model, latents), latents)
+    assert np.array_equal(ctsgan._dewhiten(model, latents.copy()), latents)
 
 
 def test_model_save_load_save_byte_identical(tmp_path):

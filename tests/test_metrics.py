@@ -1,13 +1,16 @@
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from priceband import ctsgan, metrics
+from priceband import ctsgan, intervals, metrics
 from priceband import weather_volatility as wv
-from priceband.errors import InputError
+from priceband.errors import InputError, StateError
+from priceband.seeding import derive_seed
 
 
 def run_of(actuals, lower, upper):
@@ -259,3 +262,87 @@ def test_report_json_schema(mini_model, toy_dataset, toy_thresholds):
     }
     assert set(payload["targets"]) == {"delta_prime", "xi_prime"}
     assert all(set(r) == {"s", "ecpas", "eawapi"} for r in payload["runs"])
+
+
+# --- threaded harness ----------------------------------------------------------------
+
+HARNESS_KWARGS = dict(count=30, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=41)
+
+
+def four_days_one_reinforced(dataset):
+    """Day-axis rows 10..13 with the noise sigma of the second set above 1."""
+    return dataset.conditions[10:14], dataset.targets[10:14], [1.0, 1.8, 1.0, 1.0]
+
+
+def serial_bounds(model, conditions, sigmas, runs, count, nominal, master_seed):
+    """``[runs, D, T]`` lower and upper bounds from one ``predict_pipeline``
+    call per (run, day), made one after another with the harness's seeds."""
+    lower, upper = [], []
+    for s in range(runs):
+        run_seed = derive_seed(master_seed, f"run-{s}")
+        for d in range(len(conditions)):
+            interval, _ = intervals.predict_pipeline(
+                model, conditions[d], sigmas[d], count, nominal, derive_seed(run_seed, f"day-{d}")
+            )
+            lower.append(interval.lower)
+            upper.append(interval.upper)
+    block = (runs, len(conditions), -1)
+    return np.reshape(lower, block), np.reshape(upper, block)
+
+
+def assert_matches_serial(report, model, days, runs):
+    conditions, actuals, sigmas = days
+    kwargs = {k: HARNESS_KWARGS[k] for k in ("count", "nominal", "master_seed")}
+    lower, upper = serial_bounds(model, conditions, sigmas, runs, **kwargs)
+    assert np.array_equal(report.coverages, metrics.ecpas(actuals, lower, upper, axis=(1, 2)))
+    assert np.array_equal(report.widths, metrics.eawapi(actuals, lower, upper, axis=(1, 2)))
+    assert np.array_equal(report.day_coverages, metrics.ecpas(actuals, lower, upper, axis=2))
+    assert np.array_equal(report.day_widths, metrics.eawapi(actuals, lower, upper, axis=2))
+
+
+def test_harness_equals_serial_predictions(mini_model, toy_dataset):
+    days = four_days_one_reinforced(toy_dataset)
+    report = metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
+    assert report.day_coverages.shape == (3, 4)
+    assert_matches_serial(report, mini_model, days, runs=3)
+
+
+def test_harness_with_more_workers_than_cores_and_fast_switching(
+    mini_model, toy_dataset, monkeypatch
+):
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 8)
+    days = four_days_one_reinforced(toy_dataset)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_matches_serial(report, mini_model, days, runs=3)
+
+
+def test_harness_runs_requests_at_the_same_time(mini_model, toy_dataset, monkeypatch):
+    """With two workers, every request waits at a two-party barrier, which
+    only a second request running at the same time can release."""
+    barrier = threading.Barrier(2, timeout=10)
+    predict = metrics.predict_pipeline
+
+    def meet_then_predict(*args):
+        barrier.wait()
+        return predict(*args)
+
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(metrics, "predict_pipeline", meet_then_predict)
+    days = four_days_one_reinforced(toy_dataset)
+    report = metrics.repeated_sampling_harness(mini_model, *days, runs=2, **HARNESS_KWARGS)
+    assert report.day_coverages.shape == (2, 4)
+
+
+def test_harness_failure_is_named_and_leaves_no_worker(toy_dataset, monkeypatch):
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 8)
+    days = four_days_one_reinforced(toy_dataset)
+    untrained = ctsgan.build_model(condition_dim=days[0].shape[1], hidden_dim=4, latent_dim=3, seed=0)
+    before = set(threading.enumerate())
+    with pytest.raises(StateError, match="requires all three training phases"):
+        metrics.repeated_sampling_harness(untrained, *days, runs=3, **HARNESS_KWARGS)
+    assert set(threading.enumerate()) == before

@@ -1,12 +1,16 @@
 """Import structure of the package: every import sits at module level, the
-modules of ``priceband`` import each other without a cycle, only the CLI
-turns weather volatility into a noise sigma, and every entry point the
+modules of ``priceband`` import each other without a cycle, importing the
+CLI loads no ``scipy.stats`` and starts no thread, only the CLI turns
+weather volatility into a noise sigma, and every entry point the
 benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +73,25 @@ def test_package_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_importing_the_cli_loads_no_scipy_stats_and_starts_no_thread():
+    """Checked in a fresh interpreter: ``scipy.stats`` costs about 46 MB and
+    0.7 s of import, and the evaluation pool is made per call."""
+    code = (
+        "import sys, threading, priceband.cli; "
+        "print('scipy.stats' in sys.modules, threading.active_count())"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.split() == ["False", "1"]
 
 
 def test_only_cli_imports_weather_volatility():
