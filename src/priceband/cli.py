@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ctsgan, data_ingest, metrics
 from .errors import InputError, PricebandError
-from .intervals import DEFAULT_BINS, PredictionInterval, predict_pipeline, stack_density
+from .intervals import DEFAULT_BINS, predict_pipeline, stack_density
 from .seeding import derive_seed
 from .weather_volatility import (
     FACTORS,
@@ -65,14 +65,14 @@ class RunConfig:
     plus the top-level "seed", and every other field from the key of the
     same name in the "paths", "training", "prediction" or "metrics"
     section. ``checkpoint`` and ``thresholds`` default to files in
-    ``out_dir``.
+    ``out_dir``; ``load_config`` reads them as paths.
     """
 
     training: ctsgan.TrainingConfig = field(default_factory=ctsgan.TrainingConfig)
     dataset: Path = Path("dataset.csv")
     out_dir: Path = Path(".")
-    checkpoint: Path | None = None
-    thresholds: Path | None = None
+    checkpoint: Path | None = field(default=None, metadata={"kind": Path})
+    thresholds: Path | None = field(default=None, metadata={"kind": Path})
     hidden_dim: int = ctsgan.HIDDEN_DIM
     latent_dim: int = ctsgan.LATENT_DIM
     dispersion_gain: float = ctsgan.LATENT_DISPERSION_GAIN
@@ -89,8 +89,6 @@ class RunConfig:
             self.checkpoint = self.out_dir / "model.json"
         if self.thresholds is None:
             self.thresholds = self.out_dir / "thresholds.json"
-        self.checkpoint = Path(self.checkpoint)
-        self.thresholds = Path(self.thresholds)
 
     @property
     def seed(self) -> int:
@@ -99,25 +97,30 @@ class RunConfig:
 
 def _from_section(cls, section: dict):
     """A ``cls`` dataclass holding each of its fields that ``section`` names,
-    cast to the type of the field's default (taken as is where that default
-    is None); other fields keep their defaults and other keys are ignored.
-    A field without a plain default (a nested config) is never read. A
-    value that does not cast, or a float that is not finite, raises
+    cast to the field's ``"kind"`` metadata, else to the type of its default
+    (taken as is where that default is None); other fields keep their
+    defaults and other keys are ignored. A field without a plain default (a
+    nested config) is never read. A value that does not cast, a float that
+    is not finite, or a fraction or boolean given to an int raises
     ``InputError`` naming the key."""
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in section and f.default is not dataclasses.MISSING:
             value = section[f.name]
-            if f.default is not None:
-                kind = type(f.default)
+            kind = f.metadata.get("kind", type(f.default))
+            if kind is not type(None):
                 try:
-                    value = kind(value)
+                    cast = kind(value)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise InputError(
                         f"config key {f.name!r}: cannot read {value!r} as {kind.__name__}"
                     ) from exc
-                if kind is float and not math.isfinite(value):
+                if kind is float and not math.isfinite(cast):
                     raise InputError(f"config key {f.name!r}: {value!r} is not a finite number")
+                fraction = isinstance(value, float) and value != cast
+                if kind is int and (isinstance(value, bool) or fraction):
+                    raise InputError(f"config key {f.name!r}: {value!r} is not an integer")
+                value = cast
             values[f.name] = value
     return cls(**values)
 
@@ -317,7 +320,7 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
         variances = factor_variances(dataset, dataset.record_for(day))
     sigma = noise_sigma(variances, thresholds)
 
-    interval, scenarios = predict_pipeline(
+    bounds, scenarios = predict_pipeline(
         model,
         dataset.conditions[row],
         sigma,
@@ -326,11 +329,14 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
         seed=derive_seed(cfg.seed, f"predict-{day.isoformat()}"),
     )
     print(f"sigma={sigma:.3f} reinforced={'true' if sigma > 1 else 'false'}")
+    # every artifact is computed before the first is written, so a failure
+    # leaves no interval without its density
+    edges, mass = stack_density(scenarios, cfg.bins)
+    density = json.dumps({"bin_edges": edges.tolist(), "mass": mass.tolist()}, allow_nan=False)
 
     tag = day.isoformat()
-    _write_interval_csv(cfg.out_dir / f"interval_{tag}.csv", interval, dataset.norm["price"])
-    density = stack_density(scenarios, cfg.bins)
-    _atomic_write(cfg.out_dir / f"density_{tag}.json", density.to_json())
+    _write_interval_csv(cfg.out_dir / f"interval_{tag}.csv", bounds, dataset.norm["price"])
+    _atomic_write(cfg.out_dir / f"density_{tag}.json", density)
     _write_scenarios_csv(cfg.out_dir / f"scenarios_{tag}.csv", scenarios, cfg.scenarios)
     print(f"artifacts -> {cfg.out_dir}/interval_{tag}.csv, density_{tag}.json, scenarios_{tag}.csv")
 
@@ -339,12 +345,14 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
 # plain; numpy 2 scalars repr as "np.float64(x)", which no CSV reader parses.
 
 
-def _write_interval_csv(path: Path, interval: PredictionInterval, price_norm) -> None:
+def _write_interval_csv(path: Path, bounds: np.ndarray, price_norm) -> None:
+    """The ``[2, T]`` lower and upper ``bounds``, normalized and in AUD."""
+    lower, upper = bounds
     columns = (
-        interval.lower.tolist(),
-        interval.upper.tolist(),
-        data_ingest.denormalize(interval.lower, price_norm).tolist(),
-        data_ingest.denormalize(interval.upper, price_norm).tolist(),
+        lower.tolist(),
+        upper.tolist(),
+        data_ingest.denormalize(lower, price_norm).tolist(),
+        data_ingest.denormalize(upper, price_norm).tolist(),
     )
     rows = ["timestep,lower,upper,lower_denorm_aud,upper_denorm_aud"]
     for t, values in enumerate(zip(*columns)):
@@ -434,23 +442,28 @@ def _print_evaluation_table(report: metrics.RepeatedSamplingReport, breakdown: d
 def cmd_report(cfg: RunConfig) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
 
-    # dated predict outputs only: report's own interval_overlay.csv and
-    # density_heatmap.json share the prefixes and would sort last
+    # dated predict outputs only: report's own interval_overlay.csv shares
+    # the prefix and would sort last
     interval_files = sorted(cfg.out_dir.glob("interval_[0-9]*.csv"))
-    density_files = sorted(cfg.out_dir.glob("density_[0-9]*.json"))
     metrics_file = cfg.out_dir / "metrics_report.json"
-    if not interval_files or not density_files:
+    if not interval_files:
         raise InputError("required artifact missing: prediction outputs (run `priceband predict` first)")
     if not metrics_file.exists():
         raise InputError("required artifact missing: metrics_report.json (run `priceband evaluate` first)")
+    latest = interval_files[-1]
+    day = date_type.fromisoformat(latest.stem.removeprefix("interval_"))
+    density_file = cfg.out_dir / f"density_{day.isoformat()}.json"
+    if not density_file.exists():
+        raise InputError(
+            f"required artifact missing: {density_file.name} for {latest.name} "
+            "(run `priceband predict` for that date again)"
+        )
 
     # spike histogram over the whole dataset, one row per half-hour slot
     counts = spike_histogram(np.stack([rec.channel("price") for rec in dataset.day_records]))
     hist_rows = ["half_hour_index,count"] + [f"{k},{int(c)}" for k, c in enumerate(counts)]
     _atomic_write(cfg.out_dir / "spike_histogram.csv", "\n".join(hist_rows) + "\n")
 
-    latest = interval_files[-1]
-    day = date_type.fromisoformat(latest.stem.removeprefix("interval_"))
     actuals = dataset.targets[dataset.target_index(day)].tolist()
     overlay_rows = ["timestep,actual,lower,upper"]
     with open(latest, encoding="utf-8") as fh:
@@ -459,10 +472,7 @@ def cmd_report(cfg: RunConfig) -> None:
             overlay_rows.append(f"{t},{actuals[t]!r},{row['lower']},{row['upper']}")
     _atomic_write(cfg.out_dir / "interval_overlay.csv", "\n".join(overlay_rows) + "\n")
 
-    density_latest = density_files[-1]
-    _atomic_write(
-        cfg.out_dir / "density_heatmap.json", density_latest.read_text(encoding="utf-8")
-    )
+    _atomic_write(cfg.out_dir / "density_heatmap.json", density_file.read_text(encoding="utf-8"))
 
     manifest = {
         "source_date": day.isoformat(),

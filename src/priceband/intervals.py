@@ -2,8 +2,11 @@
 
 Scenarios are normalized price paths: the rows of an ``[M, T]`` float64
 array with values in [0, 1], as ``ctsgan.generate_scenarios`` returns them.
-Densities are per-timestep histograms over equal-width bins; intervals are
-symmetric empirical quantiles with linear interpolation between order
+A density is the pair ``(edges, mass)`` that ``np.histogram`` gives, with
+one row of ``mass`` per timestep: the ``bins + 1`` equal-width edges on
+[0, 1] and a ``[T, bins]`` array whose rows sum to 1. An interval is a
+``[2, T]`` array of symmetric empirical quantiles, lower bounds in row 0
+and upper bounds in row 1, with linear interpolation between order
 statistics. The caller decides a day's noise sigma
 (``weather_volatility.noise_sigma``); on a reinforced day (sigma > 1) the
 baseline rows and the wide-noise rows are stacked into one matrix, so the
@@ -12,9 +15,7 @@ afternoon spike window picks up extra spread.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,50 +24,6 @@ from .errors import InputError
 from .seeding import derive_seed
 
 DEFAULT_BINS = 50
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Per-timestep probability mass over equal-width bins on [0, 1]."""
-
-    bin_edges: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        mass = np.asarray(self.mass, dtype=np.float64)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "mass", mass)
-        if mass.shape[1] != edges.size - 1:
-            raise InputError("mass columns must match bin count")
-        if (mass < 0).any():
-            raise InputError("density mass must be non-negative")
-        if not np.allclose(mass.sum(axis=1), 1.0, atol=1e-9):
-            raise InputError("each density row must sum to 1")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"bin_edges": self.bin_edges.tolist(), "mass": self.mass.tolist()},
-            allow_nan=False,
-        )
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    """Per-timestep bounds [L_t, U_t] on the normalized price scale."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64)
-        hi = np.asarray(self.upper, dtype=np.float64)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape:
-            raise InputError("lower and upper must have equal length")
-        if (lo > hi).any():
-            raise InputError("interval bounds must satisfy L_t <= U_t")
 
 
 def _scenario_rows(scenarios, what: str) -> np.ndarray:
@@ -79,42 +36,42 @@ def _scenario_rows(scenarios, what: str) -> np.ndarray:
     return arr
 
 
-def stack_density(scenarios: np.ndarray, bins: int = DEFAULT_BINS) -> DensityGrid:
+def stack_density(scenarios: np.ndarray, bins: int = DEFAULT_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep normalized histogram of the ``[M, T]`` ``scenarios`` over
-    ``bins`` equal-width bins on [0, 1]."""
+    ``bins`` equal-width bins on [0, 1]: ``(edges, mass)`` with ``bins + 1``
+    edges and a ``[T, bins]`` mass whose rows sum to 1. A value outside
+    [0, 1], or NaN, would fall in no bin and raises ``InputError``."""
     arr = _scenario_rows(scenarios, "stack")
     if bins < 2:
         raise InputError(f"need at least 2 bins, got {bins}")
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise InputError("scenario values must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)
     mass = np.empty((arr.shape[1], bins))
     for t in range(arr.shape[1]):
         counts, _ = np.histogram(arr[:, t], bins=edges)
         mass[t] = counts / arr.shape[0]
-    return DensityGrid(bin_edges=edges, mass=mass)
+    return edges, mass
 
 
-def min_scenarios_for(nominal: float) -> int:
-    # epsilon guards float artifacts like 2/(1-0.8) = 10.000000000000002
-    return math.ceil(2.0 / (1.0 - nominal) - 1e-9)
-
-
-def build_interval(scenarios: np.ndarray, nominal: float) -> PredictionInterval:
+def build_interval(scenarios: np.ndarray, nominal: float) -> np.ndarray:
     """Symmetric empirical-quantile interval of the ``[M, T]`` ``scenarios``
-    at ``nominal`` coverage.
+    at ``nominal`` coverage: a ``[2, T]`` array holding the lower bounds in
+    row 0 and the upper bounds in row 1.
 
     Quantiles interpolate linearly between adjacent order statistics.
     """
     if not 0.0 < nominal < 1.0:
         raise InputError(f"nominal coverage must be in (0, 1), got {nominal}")
     arr = _scenario_rows(scenarios, "build an interval from")
-    needed = min_scenarios_for(nominal)
+    # epsilon guards float artifacts like 2/(1-0.8) = 10.000000000000002
+    needed = math.ceil(2.0 / (1.0 - nominal) - 1e-9)
     if arr.shape[0] < needed:
         raise InputError(
             f"{arr.shape[0]} scenarios < {needed} required for nominal {nominal}"
         )
     tail = (1.0 - nominal) / 2.0
-    lower, upper = np.quantile(arr, [tail, 1.0 - tail], axis=0)
-    return PredictionInterval(lower=lower, upper=upper)
+    return np.quantile(arr, [tail, 1.0 - tail], axis=0)
 
 
 def predict_pipeline(
@@ -124,14 +81,15 @@ def predict_pipeline(
     count: int,
     nominal: float,
     seed: int = 0,
-) -> tuple[PredictionInterval, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full prediction for one day under the noise std ``sigma``: generate
     scenarios (baseline plus reinforced when ``sigma`` exceeds 1) and reduce
     them to an interval.
 
-    Returns ``(interval, scenarios)``. ``scenarios`` holds ``count``
-    baseline rows, then, on a reinforced day (``sigma > 1``), ``count``
-    wide-noise rows.
+    Returns ``(bounds, scenarios)``: the ``[2, T]`` interval of
+    :func:`build_interval` and the scenario matrix. ``scenarios`` holds
+    ``count`` baseline rows, then, on a reinforced day (``sigma > 1``),
+    ``count`` wide-noise rows.
     """
     scenarios = generate_scenarios(
         model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")

@@ -167,9 +167,10 @@ def repeated_sampling_harness(
     noise std ``sigmas[d]`` and scored against the normalized path
     ``actuals[d]``. Each run re-generates scenarios with its own derived
     noise seed stream (the only stochastic element once the model is
-    trained). The bounds of all runs stack into one ``[runs, D, T]`` block,
-    and a run's coverage and width reduce its whole ``[D, T]`` block. The
-    report is reproducible from ``master_seed``.
+    trained). The ``[2, T]`` bounds of all runs stack into one
+    ``[runs, D, 2, T]`` block, and a run's coverage and width reduce its
+    whole ``[D, T]`` blocks of lower and upper bounds. The report is
+    reproducible from ``master_seed``.
     """
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
@@ -182,20 +183,15 @@ def repeated_sampling_harness(
         run_seed = derive_seed(master_seed, f"run-{s}")
         seeds.extend(derive_seed(run_seed, f"day-{d}") for d in range(days))
 
-    def bounds(request: int):
+    def bounds(request: int) -> np.ndarray:
         d = request % days
-        interval, _ = predict_pipeline(
-            model, conditions[d], sigmas[d], count, nominal, seeds[request]
-        )
-        return interval.lower, interval.upper
+        return predict_pipeline(model, conditions[d], sigmas[d], count, nominal, seeds[request])[0]
 
     # map yields in request order; a failed request cancels the pending ones
     # and re-raises here, and leaving the block joins every worker.
     with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(seeds))) as pool:
-        lower, upper = zip(*pool.map(bounds, range(len(seeds))))
-    block = (runs, days, -1)
-    lower = np.reshape(lower, block)
-    upper = np.reshape(upper, block)
+        block = np.reshape(list(pool.map(bounds, range(len(seeds)))), (runs, days, 2, -1))
+    lower, upper = block[:, :, 0], block[:, :, 1]
     coverages = ecpas(actuals, lower, upper, axis=(1, 2))
     widths = eawapi(actuals, lower, upper, axis=(1, 2))
     return RepeatedSamplingReport(

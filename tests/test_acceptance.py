@@ -105,9 +105,9 @@ def test_05_threshold_calibration_oracle():
 
 def test_06_coverage_oracle_independent_of_model():
     with criterion(6, "coverage oracle on a known process"):
-        interval = iv.build_interval(ar1_paths(4000, seed=60), nominal=0.90)
+        lower, upper = iv.build_interval(ar1_paths(4000, seed=60), nominal=0.90)
         fresh = ar1_paths(1000, seed=61)
-        covered = (fresh >= interval.lower) & (fresh <= interval.upper)
+        covered = (fresh >= lower) & (fresh <= upper)
         assert abs(covered.mean() - 0.90) <= 0.03
 
 
@@ -152,21 +152,21 @@ def test_09_reinforced_widening_direction(trained_toy, toy_dataset, toy_threshol
             baseline_set = ctsgan.generate_scenarios(
                 model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
             )
-            baseline = iv.build_interval(baseline_set, 0.9)
+            base_lower, base_upper = iv.build_interval(baseline_set, 0.9)
             sigma = wv.noise_sigma(variances, toy_thresholds)
-            reinforced, _ = iv.predict_pipeline(model, condition, sigma, count, 0.9, seed=seed)
+            (lower, upper), _ = iv.predict_pipeline(model, condition, sigma, count, 0.9, seed=seed)
             if sigma > 1.0:
                 reinforced_days += 1
-            inside_b = (actual[afternoon] >= baseline.lower[afternoon]) & (
-                actual[afternoon] <= baseline.upper[afternoon]
+            inside_b = (actual[afternoon] >= base_lower[afternoon]) & (
+                actual[afternoon] <= base_upper[afternoon]
             )
-            inside_r = (actual[afternoon] >= reinforced.lower[afternoon]) & (
-                actual[afternoon] <= reinforced.upper[afternoon]
+            inside_r = (actual[afternoon] >= lower[afternoon]) & (
+                actual[afternoon] <= upper[afternoon]
             )
             cov_normal.append(inside_b.mean())
             cov_reinforced.append(inside_r.mean())
-            width_normal.append((baseline.upper - baseline.lower)[afternoon].mean())
-            width_reinforced.append((reinforced.upper - reinforced.lower)[afternoon].mean())
+            width_normal.append((base_upper - base_lower)[afternoon].mean())
+            width_reinforced.append((upper - lower)[afternoon].mean())
 
         assert len(cov_normal) == 20
         assert reinforced_days >= 1, "no test day triggered the reinforced branch"

@@ -187,6 +187,50 @@ def test_predict_density_rows_sum_to_one(workspace):
     assert np.allclose(mass.sum(axis=1), 1.0, atol=1e-9)
 
 
+def _config_in(workspace, tmp_path, **prediction):
+    """The workspace config writing to ``tmp_path / "out"``, with
+    ``prediction`` settings replaced."""
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"]["out_dir"] = str(tmp_path / "out")
+    raw["prediction"].update(prediction)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    return str(cfg)
+
+
+def test_failed_predict_writes_nothing(workspace, tmp_path, capsys):
+    """A density that cannot be stacked fails predict before the interval
+    or the scenarios are written."""
+    cfg = _config_in(workspace, tmp_path, bins=1)
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", cfg, "--date", workspace["calm_date"].isoformat()]) == 1
+    assert capsys.readouterr().err.strip() == "error: need at least 2 bins, got 1"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_report_pairs_interval_and_density_of_one_date(workspace, tmp_path, capsys):
+    """report takes the density of the newest interval's date, and names
+    that density when it is missing instead of taking an older one."""
+    cfg = _config_in(workspace, tmp_path)
+    out = tmp_path / "out"
+    first = workspace["calm_date"]
+    newest = (first + timedelta(days=1)).isoformat()
+    for day in (first.isoformat(), newest):
+        assert cli.main(["predict", "--config", cfg, "--date", day]) == 0
+    assert cli.main(["evaluate", "--config", cfg, "--from", newest, "--to", newest]) == 0
+    assert cli.main(["report", "--config", cfg]) == 0
+    density = (out / f"density_{newest}.json").read_bytes()
+    assert (out / "density_heatmap.json").read_bytes() == density
+    assert json.loads((out / "report_manifest.json").read_text(encoding="utf-8"))["source_date"] == newest
+
+    (out / f"density_{newest}.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: required artifact missing: density_{newest}.json for interval_{newest}.csv"
+    )
+
+
 def test_evaluate_report_and_determinism(workspace, capsys):
     start = workspace["dataset"].day_records[1].day
     argv = [
@@ -343,16 +387,22 @@ def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, overri
         ("metrics", "delta_target", float("nan"), "nan is not a finite number"),
         ("training", "dispersion_gain", float("nan"), "nan is not a finite number"),
         ("training", "learning_rate", float("inf"), "inf is not a finite number"),
+        ("paths", "checkpoint", 5, "cannot read 5 as Path"),
+        ("paths", "thresholds", 5, "cannot read 5 as Path"),
+        ("metrics", "runs", 2.9, "2.9 is not an integer"),
+        ("prediction", "bins", True, "True is not an integer"),
     ],
     ids=[
         "prediction-scenarios-many-int", "training-learning_rate-fast-float",
         "prediction-scenarios-inf-int", "metrics-delta_target-nan", "training-dispersion_gain-nan",
-        "training-learning_rate-inf",
+        "training-learning_rate-inf", "paths-checkpoint-int", "paths-thresholds-int",
+        "metrics-runs-fraction", "prediction-bins-boolean",
     ],
 )
 def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, message):
-    """A value that does not cast to its setting's type, or a float setting
-    that is NaN or infinite (JSON parsers accept both), is refused by name."""
+    """A value that does not cast to its setting's type, a float setting
+    that is NaN or infinite (JSON parsers accept both), or a fraction or
+    boolean given to an int setting is refused by name."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
     assert cli.main(["calibrate", "--config", str(cfg)]) == 1
@@ -373,6 +423,13 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert cli.main(["calibrate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_config_whole_number_float_reads_as_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metrics": {"runs": 2.0}}), encoding="utf-8")
+    runs = cli.load_config(cfg).runs
+    assert runs == 2 and type(runs) is int
 
 
 def test_config_training_seed_is_ignored(tmp_path):

@@ -281,11 +281,11 @@ def serial_bounds(model, conditions, sigmas, runs, count, nominal, master_seed):
     for s in range(runs):
         run_seed = derive_seed(master_seed, f"run-{s}")
         for d in range(len(conditions)):
-            interval, _ = intervals.predict_pipeline(
+            (day_lower, day_upper), _ = intervals.predict_pipeline(
                 model, conditions[d], sigmas[d], count, nominal, derive_seed(run_seed, f"day-{d}")
             )
-            lower.append(interval.lower)
-            upper.append(interval.upper)
+            lower.append(day_lower)
+            upper.append(day_upper)
     block = (runs, len(conditions), -1)
     return np.reshape(lower, block), np.reshape(upper, block)
 
