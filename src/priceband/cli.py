@@ -57,32 +57,35 @@ NORMAL_TAG = "normal"
 VOLATILE_TAG = "volatile"
 
 
+def _setting(default, section: str, kind=None):
+    """A ``RunConfig`` field read from the config file's ``section`` and cast
+    to ``kind`` (by default the type of ``default``)."""
+    return field(default=default, metadata={"section": section, "kind": kind or type(default)})
+
+
 @dataclass
 class RunConfig:
     """Everything a command needs; see README for the config file schema.
 
     ``load_config`` fills ``training`` from the file's "training" section
     plus the top-level "seed", and every other field from the key of the
-    same name in the "paths", "training", "prediction" or "metrics"
-    section. ``checkpoint`` and ``thresholds`` default to files in
-    ``out_dir``; ``load_config`` reads them as paths.
+    same name in the section its metadata names, and in no other.
+    ``checkpoint`` and ``thresholds`` default to files in ``out_dir``;
+    ``load_config`` reads them as paths.
     """
 
     training: ctsgan.TrainingConfig = field(default_factory=ctsgan.TrainingConfig)
-    dataset: Path = Path("dataset.csv")
-    out_dir: Path = Path(".")
-    checkpoint: Path | None = field(default=None, metadata={"kind": Path})
-    thresholds: Path | None = field(default=None, metadata={"kind": Path})
-    hidden_dim: int = ctsgan.HIDDEN_DIM
-    latent_dim: int = ctsgan.LATENT_DIM
-    dispersion_gain: float = ctsgan.LATENT_DISPERSION_GAIN
-    scenarios: int = 500
-    nominal: float = 0.9
-    bins: int = DEFAULT_BINS
-    variance_override: dict | None = None
-    delta_target: float = 0.9
-    xi_target: float = 0.25
-    runs: int = 10
+    dataset: Path = _setting(Path("dataset.csv"), "paths")
+    out_dir: Path = _setting(Path("."), "paths")
+    checkpoint: Path | None = _setting(None, "paths", Path)
+    thresholds: Path | None = _setting(None, "paths", Path)
+    scenarios: int = _setting(500, "prediction")
+    nominal: float = _setting(0.9, "prediction")
+    bins: int = _setting(DEFAULT_BINS, "prediction")
+    variance_override: dict | None = _setting(None, "prediction")
+    delta_target: float = _setting(0.9, "metrics")
+    xi_target: float = _setting(0.25, "metrics")
+    runs: int = _setting(10, "metrics")
 
     def __post_init__(self):
         if self.checkpoint is None:
@@ -98,7 +101,7 @@ class RunConfig:
 def _from_section(cls, section: dict):
     """A ``cls`` dataclass holding each of its fields that ``section`` names,
     cast to the field's ``"kind"`` metadata, else to the type of its default
-    (taken as is where that default is None); other fields keep their
+    (taken as is where that kind is ``NoneType``); other fields keep their
     defaults and other keys are ignored. A field without a plain default (a
     nested config) is never read. A value that does not cast, a float that
     is not finite, or a fraction or boolean given to an int raises
@@ -135,29 +138,28 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
     training = {k: v for k, v in raw.get("training", {}).items() if k != "seed"}
     if seed is not None or "seed" in raw:
         training["seed"] = seed if seed is not None else raw["seed"]
-    sections = {
-        **raw.get("paths", {}),
-        **training,
-        **raw.get("prediction", {}),
-        **raw.get("metrics", {}),
+    settings = {
+        f.name: raw[f.metadata["section"]][f.name]
+        for f in dataclasses.fields(RunConfig)
+        if f.name in raw.get(f.metadata.get("section"), {})
     }
     if out is not None:
-        sections["out_dir"] = out
-    cfg = _from_section(RunConfig, sections)
+        settings["out_dir"] = out
+    cfg = _from_section(RunConfig, settings)
     cfg.training = _from_section(ctsgan.TrainingConfig, training)
     return cfg
 
 
 def _check_config_keys(raw) -> None:
     """Raise ``InputError`` naming a key of the config file that no setting
-    reads, or a part that is not a JSON object; "seed" in "training" is
-    ignored, as documented."""
+    reads, a key that sits outside its setting's section, or a part that is
+    not a JSON object; "seed" in "training" is ignored, as documented."""
     if not isinstance(raw, dict):
         raise InputError("config file must hold a JSON object")
-    fields = dataclasses.fields
-    run_keys = {f.name for f in fields(RunConfig) if f.default is not dataclasses.MISSING}
-    known = {"paths": run_keys, "prediction": run_keys, "metrics": run_keys}
-    known["training"] = run_keys | {f.name for f in fields(ctsgan.TrainingConfig)}
+    known = {"training": {f.name for f in dataclasses.fields(ctsgan.TrainingConfig)}}
+    for f in dataclasses.fields(RunConfig):
+        if "section" in f.metadata:
+            known.setdefault(f.metadata["section"], set()).add(f.name)
     for key in sorted(raw.keys() - {"seed", *known}):
         raise InputError(f"config has unknown key {key!r}")
     for section, keys in known.items():
@@ -195,13 +197,8 @@ def cmd_calibrate(cfg: RunConfig) -> None:
     _atomic_write(cfg.thresholds, thresholds.to_json())
 
     report = {
-        factor: {
-            "samples": len(samples[factor]),
-            "low_cut": thresholds.cuts[factor].low_cut,
-            "med_cut": thresholds.cuts[factor].med_cut,
-            "high_cut": thresholds.cuts[factor].high_cut,
-        }
-        for factor in FACTORS
+        factor: {"samples": len(samples[factor]), **cuts}
+        for factor, cuts in thresholds.by_factor().items()
     }
     _atomic_write(cfg.out_dir / "calibration_report.json", json.dumps(report, sort_keys=True))
     print(f"calibrated thresholds on {dataset.n_days} days -> {cfg.thresholds}")
@@ -248,10 +245,10 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     else:
         model = ctsgan.build_model(
             condition_dim=dataset.conditions.shape[1],
-            hidden_dim=cfg.hidden_dim,
-            latent_dim=cfg.latent_dim,
+            hidden_dim=cfg.training.hidden_dim,
+            latent_dim=cfg.training.latent_dim,
             seed=cfg.seed,
-            latent_dispersion_gain=cfg.dispersion_gain,
+            latent_dispersion_gain=cfg.training.dispersion_gain,
         )
 
     for flag, number, trainer in phases:
@@ -442,16 +439,23 @@ def _print_evaluation_table(report: metrics.RepeatedSamplingReport, breakdown: d
 def cmd_report(cfg: RunConfig) -> None:
     dataset = data_ingest.load_dataset(cfg.dataset)
 
-    # dated predict outputs only: report's own interval_overlay.csv shares
-    # the prefix and would sort last
-    interval_files = sorted(cfg.out_dir.glob("interval_[0-9]*.csv"))
+    # only the names predict writes, interval_YYYY-MM-DD.csv: report's own
+    # interval_overlay.csv and any other interval_*.csv are skipped
+    intervals = {}
+    for path in cfg.out_dir.glob("interval_*.csv"):
+        try:
+            day = date_type.fromisoformat(path.stem.removeprefix("interval_"))
+        except ValueError:
+            continue
+        if path.name == f"interval_{day.isoformat()}.csv":
+            intervals[day] = path
     metrics_file = cfg.out_dir / "metrics_report.json"
-    if not interval_files:
+    if not intervals:
         raise InputError("required artifact missing: prediction outputs (run `priceband predict` first)")
     if not metrics_file.exists():
         raise InputError("required artifact missing: metrics_report.json (run `priceband evaluate` first)")
-    latest = interval_files[-1]
-    day = date_type.fromisoformat(latest.stem.removeprefix("interval_"))
+    day = max(intervals)
+    latest = intervals[day]
     density_file = cfg.out_dir / f"density_{day.isoformat()}.json"
     if not density_file.exists():
         raise InputError(

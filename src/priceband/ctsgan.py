@@ -61,7 +61,8 @@ LATENT_DISPERSION_GAIN = 8.0
 
 @dataclass
 class TrainingConfig:
-    """Knobs for all three phases; one seed fixes the whole run."""
+    """Knobs for all three phases and the sizes ``build_model`` is given; one
+    seed fixes the whole run."""
 
     batch_size: int = 7
     iterations_per_phase: int = 10000
@@ -70,6 +71,9 @@ class TrainingConfig:
     seed: int = 0
     supervised_weight: float = 10.0
     holdout_fraction: float = 0.1
+    hidden_dim: int = HIDDEN_DIM
+    latent_dim: int = LATENT_DIM
+    dispersion_gain: float = LATENT_DISPERSION_GAIN
 
     def __post_init__(self):
         if self.batch_size <= 0:

@@ -1,11 +1,13 @@
 """Weather-factor volatility over the spike-prone afternoon window.
 
-A factor's daily variance (computed on normalized values) is classified
-against percentile thresholds into Normal/Low/Medium/High and the per-factor
-levels map to the reinforced-noise standard deviation; ``noise_sigma`` takes
-a day's variances to its sigma in one call. Half-hour index ranges:
-12:00-19:00 is ``range(24, 39)`` (temperature and wind); irradiance stops at
-17:00, ``range(24, 35)``, because there is little light after that.
+A factor's daily variance (computed on normalized values) is banded by the
+factor's row of a ``[3 factors, 3 cuts]`` threshold array into a level 0-3
+(Normal/Low/Medium/High), the number of cuts at or below it. Each level adds
+``LEVEL_INCREMENTS[level]`` to the reinforced-noise standard deviation,
+summed over factors and floored at 1; ``noise_sigma`` takes a day's
+variances to its sigma in one call. Half-hour index ranges: 12:00-19:00 is
+``range(24, 39)`` (temperature and wind); irradiance stops at 17:00,
+``range(24, 35)``, because there is little light after that.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 from scipy.special import stdtr
@@ -53,82 +54,40 @@ MEDIUM_PERCENTILE = 0.95
 # Fewest variance samples per factor that calibration accepts.
 MIN_CALIBRATION_SAMPLES = 100
 
+# Noise-std increment per volatility level 0-3, the same for every factor.
+LEVEL_INCREMENTS = np.array([0.0, 0.333, 0.667, 1.0])
 
-class VolatilityLevel(IntEnum):
-    NORMAL = 0
-    LOW = 1
-    MEDIUM = 2
-    HIGH = 3
-
-
-@dataclass(frozen=True)
-class FactorCuts:
-    """Variance thresholds for one factor, in normalized-units variance."""
-
-    low_cut: float
-    med_cut: float
-    high_cut: float
-
-    def __post_init__(self):
-        if not (0 < self.low_cut < self.med_cut < self.high_cut):
-            raise InputError(
-                f"cuts must satisfy 0 < low < med < high, got "
-                f"({self.low_cut}, {self.med_cut}, {self.high_cut})"
-            )
+_CUT_NAMES = ("low_cut", "med_cut", "high_cut")
 
 
 @dataclass(frozen=True)
 class VolatilityThresholds:
-    """Per-factor variance cuts separating the four volatility levels."""
+    """Variance cuts separating the four volatility levels: ``cuts[k]`` holds
+    the low, med and high cut of ``FACTORS[k]``, in normalized-units
+    variance."""
 
-    cuts: dict[str, FactorCuts]
+    cuts: np.ndarray
 
     def __post_init__(self):
-        missing = [f for f in FACTORS if f not in self.cuts]
-        if missing:
-            raise InputError(f"thresholds missing factors: {missing}")
+        for low, med, high in self.cuts.tolist():
+            if not 0 < low < med < high:
+                raise InputError(f"cuts must satisfy 0 < low < med < high, got ({low}, {med}, {high})")
+
+    def by_factor(self) -> dict[str, dict[str, float]]:
+        """``{factor: {"low_cut": .., "med_cut": .., "high_cut": ..}}``."""
+        return {f: dict(zip(_CUT_NAMES, row)) for f, row in zip(FACTORS, self.cuts.tolist())}
 
     def to_json(self) -> str:
-        payload = {
-            factor: {
-                "low_cut": cuts.low_cut,
-                "med_cut": cuts.med_cut,
-                "high_cut": cuts.high_cut,
-            }
-            for factor, cuts in self.cuts.items()
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self.by_factor(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VolatilityThresholds":
         payload = json.loads(text)
-        return cls(
-            {
-                factor: FactorCuts(v["low_cut"], v["med_cut"], v["high_cut"])
-                for factor, v in payload.items()
-            }
-        )
-
-
-def default_thresholds() -> VolatilityThresholds:
-    """Bundled reference cuts for the three factors on normalized series
-    (derived from five years of New South Wales market weather)."""
-    return VolatilityThresholds(
-        {
-            "temperature": FactorCuts(0.0019, 0.0030, 0.0058),
-            "irradiance": FactorCuts(0.0246, 0.0419, 0.0622),
-            "wind": FactorCuts(0.0052, 0.0079, 0.0173),
-        }
-    )
-
-
-# Noise-std increment per level, the same for every factor.
-LEVEL_INCREMENTS = {
-    VolatilityLevel.NORMAL: 0.0,
-    VolatilityLevel.LOW: 0.333,
-    VolatilityLevel.MEDIUM: 0.667,
-    VolatilityLevel.HIGH: 1.0,
-}
+        missing = [f for f in FACTORS if f not in payload]
+        if missing:
+            raise InputError(f"thresholds missing factors: {missing}")
+        rows = [[payload[f][name] for name in _CUT_NAMES] for f in FACTORS]
+        return cls(np.array(rows, dtype=np.float64))
 
 
 def window_variance(values, window: range = TEMPERATURE_WINDOW) -> float:
@@ -164,31 +123,22 @@ def factor_variances(dataset, rec) -> dict[str, float]:
     }
 
 
-def classify_volatility(
-    factor: str, variance: float, thresholds: VolatilityThresholds
-) -> VolatilityLevel:
-    """Band a variance into a level; bands are lower-inclusive, so a variance
-    exactly on a cut belongs to the higher level."""
+def classify_volatility(factor: str, variance: float, thresholds: VolatilityThresholds) -> int:
+    """Band a variance into a level 0-3, the number of the factor's cuts at or
+    below it: bands are lower-inclusive, so a variance exactly on a cut
+    belongs to the higher level."""
     if variance < 0:
         raise InputError(f"variance must be non-negative, got {variance}")
-    cuts = thresholds.cuts[factor]
-    if variance < cuts.low_cut:
-        return VolatilityLevel.NORMAL
-    if variance < cuts.med_cut:
-        return VolatilityLevel.LOW
-    if variance < cuts.high_cut:
-        return VolatilityLevel.MEDIUM
-    return VolatilityLevel.HIGH
+    return int(np.searchsorted(thresholds.cuts[FACTORS.index(factor)], variance, side="right"))
 
 
-def sigma_from_levels(levels: dict[str, VolatilityLevel]) -> float:
+def sigma_from_levels(levels: dict[str, int]) -> float:
     """Noise std: max(1, sum of per-factor increments).
 
     The floor keeps the all-Normal case at the baseline N(0,1) noise; summed
     increments alone would give 0 there.
     """
-    total = sum(LEVEL_INCREMENTS[levels[factor]] for factor in FACTORS)
-    return max(1.0, total)
+    return max(1.0, float(LEVEL_INCREMENTS[[levels[f] for f in FACTORS]].sum()))
 
 
 def noise_sigma(variances: dict[str, float], thresholds: VolatilityThresholds) -> float:
@@ -200,7 +150,7 @@ def noise_sigma(variances: dict[str, float], thresholds: VolatilityThresholds) -
 
 def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThresholds:
     """Empirical 60th/85th/95th percentile cuts per factor."""
-    cuts = {}
+    cuts = []
     for factor in FACTORS:
         if factor not in variances:
             raise InputError(f"no variance samples for factor {factor!r}")
@@ -217,8 +167,8 @@ def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThreshol
                 f"{factor}: percentile cuts not strictly increasing "
                 f"({low}, {med}, {high})"
             )
-        cuts[factor] = FactorCuts(float(low), float(med), float(high))
-    return VolatilityThresholds(cuts)
+        cuts.append((low, med, high))
+    return VolatilityThresholds(np.array(cuts))
 
 
 def pearson_correlation(x, y) -> tuple[float, float]:

@@ -43,6 +43,17 @@ def toy_thresholds(toy_dataset):
 
 
 @pytest.fixture(scope="session")
+def reference_thresholds():
+    """The worked example's reference cuts, one row of low, med and high cut
+    per factor in ``wv.FACTORS`` order: the afternoon variances 0.004
+    (temperature), 0.07 (irradiance) and 0.02 (wind) fall in levels 2, 3 and
+    3 and give sigma 2.667."""
+    return wv.VolatilityThresholds(
+        np.array([[0.0019, 0.0030, 0.0058], [0.0246, 0.0419, 0.0622], [0.0052, 0.0079, 0.0173]])
+    )
+
+
+@pytest.fixture(scope="session")
 def mini_model(toy_dataset):
     """Fully flagged model at throwaway scale (contract tests only)."""
     days = toy_dataset.conditions[:20], toy_dataset.targets[:20]

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
+def workspace(tmp_path_factory, reference_thresholds):
     """Calibrated + trained tiny pipeline, shared by the command tests."""
     root = tmp_path_factory.mktemp("cli")
     synthetic.generate_market_csv(root / "toy.csv", days=120, seed=11)
@@ -55,10 +55,10 @@ def workspace(tmp_path_factory):
             break
     assert calm_date is not None
 
-    # the worked example pairs the injected variances with the bundled
-    # reference thresholds, not the corpus-calibrated ones
+    # the worked example pairs the injected variances with its reference
+    # thresholds, not the corpus-calibrated ones
     reference = root / "reference_thresholds.json"
-    reference.write_text(wv.default_thresholds().to_json(), encoding="utf-8")
+    reference.write_text(reference_thresholds.to_json(), encoding="utf-8")
     override_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
     override_cfg["paths"]["thresholds"] = str(reference)
     override_cfg["prediction"]["variance_override"] = {
@@ -229,6 +229,20 @@ def test_report_pairs_interval_and_density_of_one_date(workspace, tmp_path, caps
     assert capsys.readouterr().err.startswith(
         f"error: required artifact missing: density_{newest}.json for interval_{newest}.csv"
     )
+
+
+def test_report_skips_interval_files_not_named_for_a_date(workspace, tmp_path, capsys):
+    """A stray interval_*.csv whose name holds no date, even one that sorts
+    after the newest dated interval, is not taken for a predict output."""
+    cfg = _config_in(workspace, tmp_path)
+    out = tmp_path / "out"
+    day = workspace["calm_date"].isoformat()
+    assert cli.main(["predict", "--config", cfg, "--date", day]) == 0
+    assert cli.main(["evaluate", "--config", cfg, "--from", day, "--to", day]) == 0
+    (out / f"interval_{day}_old.csv").write_bytes((out / f"interval_{day}.csv").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 0
+    assert json.loads((out / "report_manifest.json").read_text(encoding="utf-8"))["source_date"] == day
 
 
 def test_evaluate_report_and_determinism(workspace, capsys):
@@ -410,11 +424,16 @@ def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key
 
 
 def test_config_unknown_key_is_named(tmp_path, capsys):
-    """A misspelt key fails instead of leaving its setting at the default,
-    and so does a config that is not made of JSON objects."""
+    """A misspelt key, or a key outside its setting's own section, fails
+    instead of leaving its setting at the default or overriding another
+    section, and so does a config that is not made of JSON objects."""
     for raw, message in (
         ({"training": {"iteration_per_phase": 2}}, "config section 'training' has unknown key 'iteration_per_phase'"),
         ({"prediction": {"batch_size": 7}}, "config section 'prediction' has unknown key 'batch_size'"),
+        ({"paths": {"runs": 3}}, "config section 'paths' has unknown key 'runs'"),
+        ({"metrics": {"dataset": "x.csv"}}, "config section 'metrics' has unknown key 'dataset'"),
+        ({"training": {"scenarios": 7}}, "config section 'training' has unknown key 'scenarios'"),
+        ({"prediction": {"hidden_dim": 8}}, "config section 'prediction' has unknown key 'hidden_dim'"),
         ({"predicton": {"scenarios": 7}}, "config has unknown key 'predicton'"),
         ({"paths": ["dataset.csv"]}, "config section 'paths' must be a JSON object"),
         ([{"seed": 1}], "config file must hold a JSON object"),

@@ -127,22 +127,22 @@ def branch_rows(model, condition, std, count, seed, branch):
     )
 
 
-def test_combine_with_empty_volatile_is_identity(mini_model, toy_dataset):
+def test_combine_with_empty_volatile_is_identity(mini_model, toy_dataset, reference_thresholds):
     """A calm day adds no wide-noise rows: the pipeline's scenarios are the
     baseline branch, bit for bit."""
     condition = toy_dataset.conditions[0]
-    sigma = wv.noise_sigma(CALM, wv.default_thresholds())
+    sigma = wv.noise_sigma(CALM, reference_thresholds)
     _, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 30, 0.9, seed=14)
     assert sigma == 1.0
     baseline = branch_rows(mini_model, condition, 1.0, 30, 14, "normal")
     assert scenarios.tobytes() == baseline.tobytes()
 
 
-def test_combine_counts_and_provenance(mini_model, toy_dataset):
+def test_combine_counts_and_provenance(mini_model, toy_dataset, reference_thresholds):
     """A reinforced day stacks ``count`` baseline rows, then ``count``
     wide-noise rows: a row's index tells which branch produced it."""
     condition = toy_dataset.conditions[0]
-    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    sigma = wv.noise_sigma(WORKED, reference_thresholds)
     _, scenarios = iv.predict_pipeline(mini_model, condition, sigma, 30, 0.9, seed=15)
     assert scenarios.shape == (60, HORIZON)
     baseline = branch_rows(mini_model, condition, 1.0, 30, 15, "normal")
@@ -172,27 +172,27 @@ def test_ar1_coverage_oracle():
 
 # --- pipeline --------------------------------------------------------------------------
 
-def test_pipeline_calm_day_stays_baseline(mini_model, toy_dataset):
+def test_pipeline_calm_day_stays_baseline(mini_model, toy_dataset, reference_thresholds):
     condition = toy_dataset.conditions[0]
-    sigma = wv.noise_sigma(CALM, wv.default_thresholds())
+    sigma = wv.noise_sigma(CALM, reference_thresholds)
     (lower, upper), scenarios = iv.predict_pipeline(mini_model, condition, sigma, 40, 0.9, seed=11)
     assert sigma == 1.0
     assert scenarios.shape == (40, HORIZON)
     assert (lower <= upper).all()
 
 
-def test_pipeline_worked_example_triggers_reinforcement(mini_model, toy_dataset):
+def test_pipeline_worked_example_triggers_reinforcement(mini_model, toy_dataset, reference_thresholds):
     condition = toy_dataset.conditions[0]
-    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    sigma = wv.noise_sigma(WORKED, reference_thresholds)
     (lower, upper), scenarios = iv.predict_pipeline(mini_model, condition, sigma, 40, 0.9, seed=12)
     assert sigma == pytest.approx(2.667, abs=1e-9)
     assert scenarios.shape == (80, HORIZON)
     assert (lower <= upper).all()
 
 
-def test_pipeline_deterministic(mini_model, toy_dataset):
+def test_pipeline_deterministic(mini_model, toy_dataset, reference_thresholds):
     condition = toy_dataset.conditions[0]
-    sigma = wv.noise_sigma(WORKED, wv.default_thresholds())
+    sigma = wv.noise_sigma(WORKED, reference_thresholds)
     a = iv.predict_pipeline(mini_model, condition, sigma, 20, 0.9, seed=13)
     b = iv.predict_pipeline(mini_model, condition, sigma, 20, 0.9, seed=13)
     assert np.array_equal(a[0], b[0])

@@ -2,7 +2,8 @@
 modules of ``priceband`` import each other without a cycle, importing the
 CLI loads no ``scipy.stats`` and starts no thread, only the CLI turns
 weather volatility into a noise sigma, and every entry point the
-benchmark's tracer wraps exists."""
+benchmark's tracer wraps and every module attribute its workloads read
+exists."""
 
 from __future__ import annotations
 
@@ -105,9 +106,24 @@ def test_only_cli_imports_weather_volatility():
     assert importers == ["cli"]
 
 
+def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:
+    """``("wv", "VolatilityThresholds", "from_json")`` for the expression
+    ``wv.VolatilityThresholds.from_json``; None unless it is names joined by
+    dots."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(names)) if isinstance(node, ast.Name) else None
+
+
 def test_bench_entry_points_resolve():
-    """Each ``ENTRY_POINTS`` name in bench/tracer.py, read with ``ast`` so
-    that ``bench`` is not imported, is a callable of its priceband module."""
+    """Each ``ENTRY_POINTS`` name in bench/tracer.py is a callable of its
+    priceband module, and each attribute chain that bench/workloads.py reads
+    off a priceband module it imports (``wv.classify_volatility``,
+    ``wv.VolatilityThresholds.from_json``, ``data_ingest.load_dataset``, ...)
+    resolves. Both files are read with ``ast``, so ``bench`` is not
+    imported."""
     tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
     entry_points = next(
         ast.literal_eval(node.value)
@@ -122,3 +138,28 @@ def test_bench_entry_points_resolve():
         if not callable(getattr(importlib.import_module(f"priceband.{module}"), name, None))
     ]
     assert entry_points and missing == []
+
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"priceband.{alias.name}")
+        for node in workloads.body
+        if isinstance(node, ast.ImportFrom) and node.module == "priceband"
+        for alias in node.names
+    }
+    chains = {
+        chain
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute)
+        and (chain := _attribute_chain(node)) is not None
+        and chain[0] in modules
+    }
+    unresolved = []
+    for root, *names in sorted(chains):
+        target = modules[root]
+        for name in names:
+            if not hasattr(target, name):
+                unresolved.append(".".join([root, *names]))
+                break
+            target = getattr(target, name)
+    assert {"wv", "data_ingest", "ctsgan"} <= modules.keys() and len(chains) > len(modules)
+    assert unresolved == []

@@ -45,58 +45,90 @@ def test_incomplete_window_rejected():
 
 # --- classification -------------------------------------------------------------
 
-def test_classification_reference_bands():
-    thresholds = wv.default_thresholds()
-    assert wv.classify_volatility("temperature", 0.001, thresholds) is wv.VolatilityLevel.NORMAL
-    assert wv.classify_volatility("temperature", 0.004, thresholds) is wv.VolatilityLevel.MEDIUM
-    assert wv.classify_volatility("irradiance", 0.07, thresholds) is wv.VolatilityLevel.HIGH
-    assert wv.classify_volatility("wind", 0.02, thresholds) is wv.VolatilityLevel.HIGH
+def test_classification_reference_bands(reference_thresholds):
+    assert wv.classify_volatility("temperature", 0.001, reference_thresholds) == 0
+    assert wv.classify_volatility("temperature", 0.004, reference_thresholds) == 2
+    assert wv.classify_volatility("irradiance", 0.07, reference_thresholds) == 3
+    assert wv.classify_volatility("wind", 0.02, reference_thresholds) == 3
 
 
-def test_classification_boundary_is_lower_inclusive():
-    thresholds = wv.default_thresholds()
-    assert wv.classify_volatility("temperature", 0.0019, thresholds) is wv.VolatilityLevel.LOW
-    assert wv.classify_volatility("temperature", 0.0058, thresholds) is wv.VolatilityLevel.HIGH
+@pytest.mark.parametrize("cut", [0, 1, 2], ids=["low_cut", "med_cut", "high_cut"])
+@pytest.mark.parametrize("factor", wv.FACTORS)
+def test_classification_boundary_is_lower_inclusive(reference_thresholds, factor, cut):
+    """A variance exactly on a cut takes the higher level; the float just
+    below it keeps the lower one."""
+    value = reference_thresholds.cuts[wv.FACTORS.index(factor), cut]
+    assert wv.classify_volatility(factor, value, reference_thresholds) == cut + 1
+    below = np.nextafter(value, 0.0)
+    assert wv.classify_volatility(factor, below, reference_thresholds) == cut
 
 
-def test_classification_monotone():
-    thresholds = wv.default_thresholds()
+def test_classification_nan_is_high_and_negative_is_refused(reference_thresholds):
+    assert wv.classify_volatility("wind", float("nan"), reference_thresholds) == 3
+    with pytest.raises(InputError, match="variance must be non-negative"):
+        wv.classify_volatility("wind", -1e-12, reference_thresholds)
+
+
+def test_classification_monotone(reference_thresholds):
     rng = np.random.default_rng(3)
     variances = np.sort(rng.uniform(0, 0.03, 100))
-    levels = [wv.classify_volatility("temperature", v, thresholds) for v in variances]
+    levels = [wv.classify_volatility("temperature", v, reference_thresholds) for v in variances]
     assert all(a <= b for a, b in zip(levels, levels[1:]))
+
+
+def test_threshold_cuts_must_increase():
+    cuts = np.array([[0.1, 0.2, 0.3], [0.1, 0.3, 0.2], [0.1, 0.2, 0.3]])
+    with pytest.raises(InputError, match=r"0 < low < med < high, got \(0.1, 0.3, 0.2\)"):
+        wv.VolatilityThresholds(cuts)
 
 
 # --- sigma selection -------------------------------------------------------------
 
-def test_sigma_worked_example():
-    thresholds = wv.default_thresholds()
+def test_sigma_worked_example(reference_thresholds):
     levels = {
-        "temperature": wv.classify_volatility("temperature", 0.004, thresholds),
-        "irradiance": wv.classify_volatility("irradiance", 0.07, thresholds),
-        "wind": wv.classify_volatility("wind", 0.02, thresholds),
+        "temperature": wv.classify_volatility("temperature", 0.004, reference_thresholds),
+        "irradiance": wv.classify_volatility("irradiance", 0.07, reference_thresholds),
+        "wind": wv.classify_volatility("wind", 0.02, reference_thresholds),
     }
     assert wv.sigma_from_levels(levels) == pytest.approx(2.667, abs=1e-9)
 
 
 def test_sigma_floor_and_ceiling():
-    normal = {f: wv.VolatilityLevel.NORMAL for f in wv.FACTORS}
-    high = {f: wv.VolatilityLevel.HIGH for f in wv.FACTORS}
-    assert wv.sigma_from_levels(normal) == 1.0
-    assert wv.sigma_from_levels(high) == 3.0
+    assert wv.sigma_from_levels({f: 0 for f in wv.FACTORS}) == 1.0
+    assert wv.sigma_from_levels({f: 3 for f in wv.FACTORS}) == 3.0
 
 
 def test_sigma_monotone_in_each_factor():
-    order = list(wv.VolatilityLevel)
     for factor in wv.FACTORS:
         previous = 0.0
-        for level in order:
-            levels = {f: wv.VolatilityLevel.NORMAL for f in wv.FACTORS}
+        for level in range(4):
+            levels = {f: 0 for f in wv.FACTORS}
             levels[factor] = level
             sigma = wv.sigma_from_levels(levels)
             assert 1.0 <= sigma <= 3.0
             assert sigma >= previous
             previous = sigma
+
+
+def test_benchmark_sigma_route_matches_noise_sigma(toy_dataset, toy_thresholds):
+    """The route bench/workloads.py takes to each day's expected sigma
+    (thresholds read back from JSON, then ``classify_volatility`` and
+    ``sigma_from_levels``) gives ``noise_sigma``'s value bit for bit on
+    every day of the toy corpus."""
+    thresholds = wv.VolatilityThresholds.from_json(toy_thresholds.to_json())
+    for rec in toy_dataset.day_records:
+        variances = wv.factor_variances(toy_dataset, rec)
+        levels = {
+            f: wv.classify_volatility(
+                f,
+                wv.window_variance(
+                    toy_dataset.normalized_channel(rec, wv.FACTOR_CHANNELS[f]), wv.FACTOR_WINDOWS[f]
+                ),
+                thresholds,
+            )
+            for f in wv.FACTORS
+        }
+        assert wv.sigma_from_levels(levels) == wv.noise_sigma(variances, toy_thresholds), rec.day
 
 
 # --- calibration ------------------------------------------------------------------
@@ -105,10 +137,10 @@ def test_calibrate_uniform_quantiles():
     rng = np.random.default_rng(5)
     sample = rng.uniform(0, 1, 10_000)
     thresholds = wv.calibrate_thresholds({f: sample for f in wv.FACTORS})
-    cuts = thresholds.cuts["temperature"]
-    assert cuts.low_cut == pytest.approx(0.60, abs=0.02)
-    assert cuts.med_cut == pytest.approx(0.85, abs=0.02)
-    assert cuts.high_cut == pytest.approx(0.95, abs=0.02)
+    low, med, high = thresholds.cuts[wv.FACTORS.index("temperature")]
+    assert low == pytest.approx(0.60, abs=0.02)
+    assert med == pytest.approx(0.85, abs=0.02)
+    assert high == pytest.approx(0.95, abs=0.02)
 
 
 def test_calibrate_matches_reference_temperature_band():
@@ -119,17 +151,17 @@ def test_calibrate_matches_reference_temperature_band():
     knots_v = np.array([0.0, 0.0019, 0.0030, 0.0058, 0.02])
     sample = np.interp(u, knots_p, knots_v)
     thresholds = wv.calibrate_thresholds({f: sample for f in wv.FACTORS})
-    cuts = thresholds.cuts["temperature"]
-    assert cuts.low_cut == pytest.approx(0.0019, rel=0.05)
-    assert cuts.med_cut == pytest.approx(0.0030, rel=0.05)
-    assert cuts.high_cut == pytest.approx(0.0058, rel=0.05)
+    low, med, high = thresholds.cuts[wv.FACTORS.index("temperature")]
+    assert low == pytest.approx(0.0019, rel=0.05)
+    assert med == pytest.approx(0.0030, rel=0.05)
+    assert high == pytest.approx(0.0058, rel=0.05)
 
 
 def test_calibrate_normal_share():
     rng = np.random.default_rng(13)
     sample = rng.uniform(0, 1, 5000)
     thresholds = wv.calibrate_thresholds({f: sample for f in wv.FACTORS})
-    share = np.mean(sample < thresholds.cuts["wind"].low_cut)
+    share = np.mean(sample < thresholds.cuts[wv.FACTORS.index("wind"), 0])
     assert share == pytest.approx(0.60, abs=1.0 / np.sqrt(sample.size))
 
 
@@ -140,10 +172,9 @@ def test_calibrate_degenerate_and_insufficient():
         wv.calibrate_thresholds({f: np.linspace(0, 1, 50) for f in wv.FACTORS})
 
 
-def test_thresholds_json_round_trip():
-    thresholds = wv.default_thresholds()
-    again = wv.VolatilityThresholds.from_json(thresholds.to_json())
-    assert again == thresholds
+def test_thresholds_json_round_trip(reference_thresholds):
+    again = wv.VolatilityThresholds.from_json(reference_thresholds.to_json())
+    assert np.array_equal(again.cuts, reference_thresholds.cuts)
 
 
 # --- correlation --------------------------------------------------------------------
