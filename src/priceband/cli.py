@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ctsgan, data_ingest, metrics
 from .errors import InputError, PricebandError
-from .intervals import DEFAULT_BINS, predict_pipeline, stack_density
+from .intervals import predict_pipeline, stack_density
 from .seeding import derive_seed
 from .weather_volatility import (
     FACTORS,
@@ -81,7 +81,7 @@ class RunConfig:
     thresholds: Path | None = _setting(None, "paths", Path)
     scenarios: int = _setting(500, "prediction")
     nominal: float = _setting(0.9, "prediction")
-    bins: int = _setting(DEFAULT_BINS, "prediction")
+    bins: int = _setting(50, "prediction")
     variance_override: dict | None = _setting(None, "prediction")
     delta_target: float = _setting(0.9, "metrics")
     xi_target: float = _setting(0.25, "metrics")
@@ -103,9 +103,9 @@ def _from_section(cls, section: dict):
     cast to the field's ``"kind"`` metadata, else to the type of its default
     (taken as is where that kind is ``NoneType``); other fields keep their
     defaults and other keys are ignored. A field without a plain default (a
-    nested config) is never read. A value that does not cast, a float that
-    is not finite, or a fraction or boolean given to an int raises
-    ``InputError`` naming the key."""
+    nested config) is never read. A value that does not cast, a boolean or
+    a float that is not finite given to a float, or a fraction or boolean
+    given to an int raises ``InputError`` naming the key."""
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in section and f.default is not dataclasses.MISSING:
@@ -118,7 +118,7 @@ def _from_section(cls, section: dict):
                     raise InputError(
                         f"config key {f.name!r}: cannot read {value!r} as {kind.__name__}"
                     ) from exc
-                if kind is float and not math.isfinite(cast):
+                if kind is float and (isinstance(value, bool) or not math.isfinite(cast)):
                     raise InputError(f"config key {f.name!r}: {value!r} is not a finite number")
                 fraction = isinstance(value, float) and value != cast
                 if kind is int and (isinstance(value, bool) or fraction):
@@ -240,16 +240,17 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     if resume and cfg.checkpoint.exists():
         model = ctsgan.load_model(cfg.checkpoint)
         log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
+        sizes = {"hidden_dim": model.embedder.specs[0].output_dim, "latent_dim": model.latent_dim}
+        for key, size in sizes.items():
+            if size != getattr(cfg.training, key):
+                raise InputError(
+                    f"checkpoint {cfg.checkpoint} has {key} {size}, "
+                    f"config has {getattr(cfg.training, key)}"
+                )
         done = {number for flag, number, _ in phases if model.training_flags.get(flag)}
         kept = _logged_lines(log_path, done)
     else:
-        model = ctsgan.build_model(
-            condition_dim=dataset.conditions.shape[1],
-            hidden_dim=cfg.training.hidden_dim,
-            latent_dim=cfg.training.latent_dim,
-            seed=cfg.seed,
-            latent_dispersion_gain=cfg.training.dispersion_gain,
-        )
+        model = ctsgan.build_model(dataset.conditions.shape[1], cfg.training)
 
     for flag, number, trainer in phases:
         if model.training_flags.get(flag):
@@ -284,7 +285,7 @@ def _load_thresholds(path: Path) -> VolatilityThresholds:
 
 def _override_variances(override) -> dict[str, float]:
     """The config's "variance_override": one finite number per volatility
-    factor."""
+    factor; ``true`` and ``false`` are not numbers."""
     if not isinstance(override, dict):
         raise InputError(f"variance_override must map each factor to a number, got {override!r}")
     variances = {}
@@ -292,6 +293,8 @@ def _override_variances(override) -> dict[str, float]:
         if factor not in override:
             raise InputError(f"variance_override has no value for factor {factor!r}")
         try:
+            if isinstance(override[factor], bool):
+                raise TypeError("a boolean is not a number")
             variances[factor] = float(override[factor])
         except (TypeError, ValueError) as exc:
             raise InputError(

@@ -5,7 +5,11 @@ it, the recovery maps back out, the generator maps (noise, condition) into it,
 and the discriminator scores (latent, condition) sequences. Training runs in
 three phases: autoencoding, supervised next-step prediction in latent space
 (through the generator itself, teacher-forced on real latents), and joint
-adversarial training with a weight-clipped critic.
+adversarial training with a weight-clipped critic. The three trainers share
+one loop, ``_run_phase``: it checks that the earlier phases are done, draws
+each batch from the training days with the phase's own seeded generator,
+logs each iteration's record and sets the phase's flag; each trainer gives
+it only the step it runs on a batch.
 
 The generator and discriminator take the day's condition vector as a
 time-constant input (``rnn_forward``'s ``condition``), not as columns
@@ -53,16 +57,11 @@ _ROLES = ("embedder", "recovery", "generator", "discriminator")
 
 _PHASES = ("phase1", "phase2", "phase3")
 
-# Paper dims; a config file's "training" section overrides them.
-HIDDEN_DIM = 100
-LATENT_DIM = 100
-LATENT_DISPERSION_GAIN = 8.0
-
 
 @dataclass
 class TrainingConfig:
-    """Knobs for all three phases and the sizes ``build_model`` is given; one
-    seed fixes the whole run."""
+    """Knobs for all three phases and the sizes ``build_model`` reads (paper
+    dims by default); one seed fixes the whole run."""
 
     batch_size: int = 7
     iterations_per_phase: int = 10000
@@ -71,9 +70,9 @@ class TrainingConfig:
     seed: int = 0
     supervised_weight: float = 10.0
     holdout_fraction: float = 0.1
-    hidden_dim: int = HIDDEN_DIM
-    latent_dim: int = LATENT_DIM
-    dispersion_gain: float = LATENT_DISPERSION_GAIN
+    hidden_dim: int = 100
+    latent_dim: int = 100
+    dispersion_gain: float = 8.0
 
     def __post_init__(self):
         if self.batch_size <= 0:
@@ -140,30 +139,27 @@ class CTSGANModel:
         return all(self.training_flags.get(p, False) for p in _PHASES)
 
 
-def build_model(
-    condition_dim: int,
-    hidden_dim: int = HIDDEN_DIM,
-    latent_dim: int = LATENT_DIM,
-    seed: int = 0,
-    latent_dispersion_gain: float = LATENT_DISPERSION_GAIN,
-) -> CTSGANModel:
-    """Fresh model with Glorot-initialized networks, seeds derived per role.
+def build_model(condition_dim: int, config: TrainingConfig) -> CTSGANModel:
+    """Fresh model with Glorot-initialized networks of ``config``'s hidden and
+    latent sizes, seeds derived per role from ``config.seed``.
 
-    The embedder's output head is scaled by ``latent_dispersion_gain`` so the
+    The embedder's output head is scaled by ``config.dispersion_gain`` so the
     initial latent code spreads across the sigmoid's range instead of
     clustering at 0.5. Plain SGD keeps whatever code scale it starts from, and
     a near-collapsed code leaves the downstream whitening ill-conditioned.
     """
+
+    hidden_dim, latent_dim = config.hidden_dim, config.latent_dim
 
     def net(role: str, in_dim: int, out_dim: int, activation: str) -> NetworkParams:
         specs = (
             LayerSpec("lstm", in_dim, hidden_dim),
             LayerSpec("dense", hidden_dim, out_dim, activation),
         )
-        return init_params(derive_seed(seed, f"init-{role}"), specs)
+        return init_params(derive_seed(config.seed, f"init-{role}"), specs)
 
     embedder = net("embedder", 1, latent_dim, "sigmoid")
-    embedder.tensors[-1]["w"] *= latent_dispersion_gain
+    embedder.tensors[-1]["w"] *= config.dispersion_gain
     embedder.version += 1
 
     return CTSGANModel(
@@ -248,15 +244,14 @@ def _generate_latents(
     rng: np.random.Generator,
     cond: np.ndarray,
     count: int,
-    length: int,
     std: float,
     keep_cache: bool,
 ):
     """Generator output for ``count`` fresh AR(1)-shaped N(0, std^2) noise
-    paths of ``length`` steps under ``cond`` ([C] or [count, C]); returns
+    paths of one day's steps under ``cond`` ([C] or [count, C]); returns
     ``rnn_forward``'s ``(latents, cache)``."""
     noise = _shape_noise(
-        rng.normal(0.0, std, size=(length, count, model.latent_dim)),
+        rng.normal(0.0, std, size=(HALF_HOURS_PER_DAY, count, model.latent_dim)),
         model.latent_autocorr,
     )
     return rnn_forward(model.generator, noise, cond, keep_cache=keep_cache)
@@ -292,22 +287,47 @@ def _autoencoder_step(
     return loss
 
 
-def train_phase1_autoencoder(
-    model: CTSGANModel, conditions, targets, config: TrainingConfig
-) -> CTSGANModel:
-    """Embedder + recovery minimize reconstruction MSE of normalized paths."""
-    conds, targets = _prepare_days(model, conditions, targets)
-    train_idx, _ = _train_holdout_split(conds.shape[0], config)
-    rng = np.random.default_rng(derive_seed(config.seed, "phase1"))
+def _run_phase(
+    model: CTSGANModel, conditions, targets, config: TrainingConfig, number: int, step
+):
+    """Train phase ``number`` (1-3): check that every earlier phase in
+    ``_PHASES`` is done, then run ``config.iterations_per_phase`` calls of
+    ``step(x, cond, rng)`` on batches drawn from the training rows, logging
+    each returned record after its phase and iteration, and set the phase's
+    flag. Returns the checked days (``[N, cond_dim]`` conditions and
+    ``[T, N, 1]`` paths) and the training and holdout rows."""
+    missing = [
+        f"phase {k}" for k, flag in enumerate(_PHASES[: number - 1], start=1)
+        if not model.training_flags[flag]
+    ]
+    if missing:
+        raise StateError(f"phase {number} requires {' and '.join(missing)} first")
+    conds, paths = _prepare_days(model, conditions, targets)
+    train_idx, hold_idx = _train_holdout_split(conds.shape[0], config)
+    flag = _PHASES[number - 1]
+    rng = np.random.default_rng(derive_seed(config.seed, flag))
 
     for it in range(config.iterations_per_phase):
         batch = rng.choice(train_idx, size=config.batch_size)
-        loss = _autoencoder_step(model, targets[:, batch, :], config.learning_rate, "phase1")
-        model.training_log.append({"phase": 1, "iteration": it, "loss": loss})
+        record = step(paths[:, batch, :], conds[batch], rng)
+        model.training_log.append({"phase": number, "iteration": it, **record})
 
-    all_latents, _ = rnn_forward(model.embedder, targets[:, train_idx, :], keep_cache=False)
+    model.training_flags[flag] = True
+    return conds, paths, train_idx, hold_idx
+
+
+def train_phase1_autoencoder(
+    model: CTSGANModel, conditions, targets, config: TrainingConfig
+) -> CTSGANModel:
+    """Embedder + recovery minimize reconstruction MSE of normalized paths;
+    the whitening is then fitted on the training days' latents."""
+
+    def step(x, cond, rng):
+        return {"loss": _autoencoder_step(model, x, config.learning_rate, "phase1")}
+
+    _, paths, train_idx, _ = _run_phase(model, conditions, targets, config, 1, step)
+    all_latents, _ = rnn_forward(model.embedder, paths[:, train_idx, :], keep_cache=False)
     _calibrate_latent_space(model, all_latents)
-    model.training_flags["phase1"] = True
     return model
 
 
@@ -316,24 +336,18 @@ def train_phase2_supervised(
 ) -> CTSGANModel:
     """Generator learns next-step latent prediction, teacher-forced on the
     embedder's latents and conditioned on the day's condition vector."""
-    if not model.training_flags["phase1"]:
-        raise StateError("phase 2 requires a trained embedder (run phase 1)")
-    conds, targets = _prepare_days(model, conditions, targets)
-    train_idx, _ = _train_holdout_split(conds.shape[0], config)
-    rng = np.random.default_rng(derive_seed(config.seed, "phase2"))
 
-    for it in range(config.iterations_per_phase):
-        batch = rng.choice(train_idx, size=config.batch_size)
-        latents = _embed(model, targets[:, batch, :])
-        predicted, cache_g = rnn_forward(model.generator, latents[:-1], conds[batch])
+    def step(x, cond, rng):
+        latents = _embed(model, x)
+        predicted, cache_g = rnn_forward(model.generator, latents[:-1], cond)
         diff = predicted - latents[1:]
         loss = float(np.mean(diff * diff))
         _check_finite_loss(loss, "phase2")
         g_g, _ = backward(cache_g, 2.0 * diff / diff.size)
         sgd_step(model.generator, g_g, config.learning_rate)
-        model.training_log.append({"phase": 2, "iteration": it, "loss": loss})
+        return {"loss": loss}
 
-    model.training_flags["phase2"] = True
+    _run_phase(model, conditions, targets, config, 2, step)
     return model
 
 
@@ -352,24 +366,12 @@ def train_phase3_joint(
     Critic scores on held-out real days and fresh generated days are logged
     at the end.
     """
-    if not (model.training_flags["phase1"] and model.training_flags["phase2"]):
-        raise StateError("phase 3 requires phases 1 and 2 first")
-    conds, targets = _prepare_days(model, conditions, targets)
-    train_idx, hold_idx = _train_holdout_split(conds.shape[0], config)
-    rng = np.random.default_rng(derive_seed(config.seed, "phase3"))
-    steps = HALF_HOURS_PER_DAY
     lam = config.supervised_weight
 
-    for it in range(config.iterations_per_phase):
-        batch = rng.choice(train_idx, size=config.batch_size)
-        x = targets[:, batch, :]
-        cond = conds[batch]
-
+    def step(x, cond, rng):
         # critic step: real vs generated latents, clip weights afterwards
         latents_real = _embed(model, x)
-        latents_fake, _ = _generate_latents(
-            model, rng, cond, config.batch_size, steps, 1.0, keep_cache=False
-        )
+        latents_fake, _ = _generate_latents(model, rng, cond, x.shape[1], 1.0, keep_cache=False)
         score_real, cache_dr = rnn_forward(model.discriminator, latents_real, cond)
         score_fake, cache_df = rnn_forward(model.discriminator, latents_fake, cond)
         d_loss = float(np.mean(score_fake) - np.mean(score_real))
@@ -380,7 +382,7 @@ def train_phase3_joint(
 
         # generator step: adversarial + supervised
         fake_latents, cache_g = _generate_latents(
-            model, rng, cond, config.batch_size, steps, 1.0, keep_cache=True
+            model, rng, cond, x.shape[1], 1.0, keep_cache=True
         )
         score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
         adv_loss = float(-np.mean(score))
@@ -398,15 +400,13 @@ def train_phase3_joint(
         recon_loss = _autoencoder_step(model, x, config.learning_rate, "phase3 reconstruction")
 
         clip_fraction = float(np.mean(np.abs(model.discriminator.buffer) == config.clip_limit))
-        model.training_log.append(
-            {"phase": 3, "iteration": it, "loss": loss, "d_loss": d_loss, "sup_loss": sup_loss,
-             "adv_loss": adv_loss, "recon_loss": recon_loss, "critic_clip_fraction": clip_fraction}
-        )
+        return {"loss": loss, "d_loss": d_loss, "sup_loss": sup_loss, "adv_loss": adv_loss,
+                "recon_loss": recon_loss, "critic_clip_fraction": clip_fraction}
 
-    model.training_flags["phase3"] = True
+    conds, paths, train_idx, hold_idx = _run_phase(model, conditions, targets, config, 3, step)
     score_idx = hold_idx if hold_idx.size else train_idx
     model.adversarial_report = _score_real_vs_generated(
-        model, conds, targets, score_idx, derive_seed(config.seed, "phase3-report")
+        model, conds, paths, score_idx, derive_seed(config.seed, "phase3-report")
     )
     return model
 
@@ -419,9 +419,7 @@ def _score_real_vs_generated(
     rng = np.random.default_rng(seed)
     cond = conds[idx]
     latents_real = _embed(model, targets[:, idx, :])
-    latents_fake, _ = _generate_latents(
-        model, rng, cond, idx.size, HALF_HOURS_PER_DAY, 1.0, keep_cache=False
-    )
+    latents_fake, _ = _generate_latents(model, rng, cond, idx.size, 1.0, keep_cache=False)
     score_real, _ = rnn_forward(model.discriminator, latents_real, cond, keep_cache=False)
     score_fake, _ = rnn_forward(model.discriminator, latents_fake, cond, keep_cache=False)
     mean_real = float(np.mean(score_real))
@@ -482,9 +480,7 @@ def generate_scenarios(
         return np.empty((0, HALF_HOURS_PER_DAY))
 
     rng = np.random.default_rng(seed)
-    latents, _ = _generate_latents(
-        model, rng, cond, count, HALF_HOURS_PER_DAY, std, keep_cache=False
-    )
+    latents, _ = _generate_latents(model, rng, cond, count, std, keep_cache=False)
     paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
     return np.clip(paths[:, :, 0].T, 0.0, 1.0)
 

@@ -23,8 +23,6 @@ from .ctsgan import generate_scenarios
 from .errors import InputError
 from .seeding import derive_seed
 
-DEFAULT_BINS = 50
-
 
 def _scenario_rows(scenarios, what: str) -> np.ndarray:
     """``scenarios`` as a float64 ``[M, T]`` matrix holding at least one row."""
@@ -36,7 +34,7 @@ def _scenario_rows(scenarios, what: str) -> np.ndarray:
     return arr
 
 
-def stack_density(scenarios: np.ndarray, bins: int = DEFAULT_BINS) -> tuple[np.ndarray, np.ndarray]:
+def stack_density(scenarios: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep normalized histogram of the ``[M, T]`` ``scenarios`` over
     ``bins`` equal-width bins on [0, 1]: ``(edges, mass)`` with ``bins + 1``
     edges and a ``[T, bins]`` mass whose rows sum to 1. A value outside

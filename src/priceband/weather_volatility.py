@@ -69,9 +69,11 @@ class VolatilityThresholds:
     cuts: np.ndarray
 
     def __post_init__(self):
-        for low, med, high in self.cuts.tolist():
+        for factor, (low, med, high) in zip(FACTORS, self.cuts.tolist()):
             if not 0 < low < med < high:
-                raise InputError(f"cuts must satisfy 0 < low < med < high, got ({low}, {med}, {high})")
+                raise InputError(
+                    f"{factor}: cuts must satisfy 0 < low < med < high, got ({low}, {med}, {high})"
+                )
 
     def by_factor(self) -> dict[str, dict[str, float]]:
         """``{factor: {"low_cut": .., "med_cut": .., "high_cut": ..}}``."""
@@ -149,7 +151,9 @@ def noise_sigma(variances: dict[str, float], thresholds: VolatilityThresholds) -
 
 
 def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThresholds:
-    """Empirical 60th/85th/95th percentile cuts per factor."""
+    """Empirical 60th/85th/95th percentile cuts per factor; cuts that are not
+    ``0 < low < med < high`` fail in ``VolatilityThresholds``, naming the
+    factor."""
     cuts = []
     for factor in FACTORS:
         if factor not in variances:
@@ -159,15 +163,7 @@ def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThreshol
             raise InputError(
                 f"{factor}: {sample.size} samples < required {MIN_CALIBRATION_SAMPLES}"
             )
-        low, med, high = np.quantile(
-            sample, (NORMAL_PERCENTILE, LOW_PERCENTILE, MEDIUM_PERCENTILE)
-        )
-        if not low < med < high:
-            raise InputError(
-                f"{factor}: percentile cuts not strictly increasing "
-                f"({low}, {med}, {high})"
-            )
-        cuts.append((low, med, high))
+        cuts.append(np.quantile(sample, (NORMAL_PERCENTILE, LOW_PERCENTILE, MEDIUM_PERCENTILE)))
     return VolatilityThresholds(np.array(cuts))
 
 

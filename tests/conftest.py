@@ -58,7 +58,7 @@ def mini_model(toy_dataset):
     """Fully flagged model at throwaway scale (contract tests only)."""
     days = toy_dataset.conditions[:20], toy_dataset.targets[:20]
     model = ctsgan.build_model(
-        condition_dim=days[0].shape[1], hidden_dim=6, latent_dim=4, seed=3
+        days[0].shape[1], ctsgan.TrainingConfig(hidden_dim=6, latent_dim=4, seed=3)
     )
     cfg = ctsgan.TrainingConfig(iterations_per_phase=40, seed=3, learning_rate=0.05)
     ctsgan.train_phase1_autoencoder(model, *days, cfg)
@@ -77,10 +77,8 @@ def trained_toy(toy_dataset):
     """
     train_days = toy_dataset.conditions[:80], toy_dataset.targets[:80]
     model = ctsgan.build_model(
-        condition_dim=train_days[0].shape[1],
-        hidden_dim=16,
-        latent_dim=8,
-        seed=TOY_MODEL_SEED,
+        train_days[0].shape[1],
+        ctsgan.TrainingConfig(hidden_dim=16, latent_dim=8, seed=TOY_MODEL_SEED),
     )
 
     started = time.monotonic()

@@ -58,7 +58,7 @@ def test_03_normalization_round_trip():
 
 def test_04_gradient_correctness_every_architecture():
     with criterion(4, "gradient correctness on all four networks"):
-        model = ctsgan.build_model(condition_dim=5, hidden_dim=5, latent_dim=3, seed=40)
+        model = ctsgan.build_model(5, ctsgan.TrainingConfig(hidden_dim=5, latent_dim=3, seed=40))
         rng = np.random.default_rng(41)
         steps = 6
 

@@ -127,6 +127,33 @@ def test_train_resume_skips_completed_phases(workspace, capsys):
         assert f"phase {phase} already trained, skipping" in out
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"hidden_dim": 9, "latent_dim": 5}, "has hidden_dim 8, config has 9"),
+        ({"hidden_dim": 8, "latent_dim": 5}, "has latent_dim 4, config has 5"),
+    ],
+    ids=["hidden-and-latent", "latent-only"],
+)
+def test_train_resume_refuses_a_checkpoint_of_other_sizes(
+    workspace, tmp_path, capsys, sizes, message
+):
+    """--resume on a checkpoint whose hidden or latent size is not the
+    config's fails naming both values and leaves the checkpoint as it was."""
+    checkpoint = tmp_path / "model.json"
+    checkpoint.write_bytes((workspace["out"] / "model.json").read_bytes())
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    raw["paths"]["checkpoint"] = str(checkpoint)
+    raw["paths"]["out_dir"] = str(tmp_path)
+    raw["training"].update(sizes)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--resume"]) == 1
+    assert capsys.readouterr().err.strip() == f"error: checkpoint {checkpoint} {message}"
+    assert checkpoint.read_bytes() == (workspace["out"] / "model.json").read_bytes()
+
+
 def test_train_corrupt_dataset_leaves_no_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,price\ngarbage,10\n", encoding="utf-8")
@@ -377,8 +404,13 @@ def test_calibrate_and_train_print_load_report(workspace, capsys):
          "variance_override value nan for factor 'temperature' is not finite"),
         ({"temperature": 0.004, "irradiance": 0.07, "wind": float("-inf")},
          "variance_override value -inf for factor 'wind' is not finite"),
+        ({"temperature": True, "irradiance": False, "wind": 0.02},
+         "variance_override value True for factor 'temperature' is not a number"),
+        ({"temperature": 0.004, "irradiance": False, "wind": 0.02},
+         "variance_override value False for factor 'irradiance' is not a number"),
     ],
-    ids=["missing-factor", "non-numeric", "not-a-map", "nan", "minus-infinity"],
+    ids=["missing-factor", "non-numeric", "not-a-map", "nan", "minus-infinity", "booleans",
+         "false"],
 )
 def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, override, message):
     raw = json.loads(workspace["cfg_override"].read_text(encoding="utf-8"))
@@ -405,18 +437,22 @@ def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, overri
         ("paths", "thresholds", 5, "cannot read 5 as Path"),
         ("metrics", "runs", 2.9, "2.9 is not an integer"),
         ("prediction", "bins", True, "True is not an integer"),
+        ("training", "learning_rate", True, "True is not a finite number"),
+        ("metrics", "delta_target", True, "True is not a finite number"),
+        ("prediction", "nominal", False, "False is not a finite number"),
     ],
     ids=[
         "prediction-scenarios-many-int", "training-learning_rate-fast-float",
         "prediction-scenarios-inf-int", "metrics-delta_target-nan", "training-dispersion_gain-nan",
         "training-learning_rate-inf", "paths-checkpoint-int", "paths-thresholds-int",
-        "metrics-runs-fraction", "prediction-bins-boolean",
+        "metrics-runs-fraction", "prediction-bins-boolean", "training-learning_rate-boolean",
+        "metrics-delta_target-boolean", "prediction-nominal-boolean",
     ],
 )
 def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, message):
     """A value that does not cast to its setting's type, a float setting
-    that is NaN or infinite (JSON parsers accept both), or a fraction or
-    boolean given to an int setting is refused by name."""
+    that is NaN or infinite (JSON parsers accept both) or a boolean, or a
+    fraction or boolean given to an int setting is refused by name."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
     assert cli.main(["calibrate", "--config", str(cfg)]) == 1

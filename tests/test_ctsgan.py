@@ -8,6 +8,7 @@ from priceband.errors import CheckpointError, InputError, StateError
 
 COND_DIM = 6
 HORIZON = 48
+ROLES = ("embedder", "recovery", "generator", "discriminator")
 
 
 def toy_days(n_days=12, seed=0, horizon=HORIZON):
@@ -25,7 +26,9 @@ def toy_days(n_days=12, seed=0, horizon=HORIZON):
 
 
 def small_model(seed=1):
-    return ctsgan.build_model(condition_dim=COND_DIM, hidden_dim=6, latent_dim=4, seed=seed)
+    return ctsgan.build_model(
+        COND_DIM, ctsgan.TrainingConfig(hidden_dim=6, latent_dim=4, seed=seed)
+    )
 
 
 def quick_config(iters=60, seed=1, **kw):
@@ -64,24 +67,36 @@ def test_generate_rejects_noise_std_below_one():
 
 # --- phase ordering -----------------------------------------------------------------
 
-def test_phase2_requires_phase1():
-    with pytest.raises(StateError, match="phase 2 requires"):
-        ctsgan.train_phase2_supervised(small_model(), *toy_days(), quick_config())
-
-
-def test_phase3_requires_phase2():
+@pytest.mark.parametrize(
+    "done, trainer, message",
+    [
+        ((), ctsgan.train_phase2_supervised, "phase 2 requires phase 1 first"),
+        ((ctsgan.train_phase1_autoencoder,), ctsgan.train_phase3_joint,
+         "phase 3 requires phase 2 first"),
+        ((), ctsgan.train_phase3_joint, "phase 3 requires phase 1 and phase 2 first"),
+    ],
+    ids=["phase2-fresh", "phase3-after-phase1", "phase3-fresh"],
+)
+def test_phase_requires_every_earlier_phase(done, trainer, message):
+    """A phase run before its predecessors is refused naming exactly the
+    missing ones, and the refused call changes no flag, log line or weight."""
     model = small_model()
-    ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=5))
-    with pytest.raises(StateError, match="phase 3 requires"):
-        ctsgan.train_phase3_joint(model, *toy_days(), quick_config())
+    for train in done:
+        train(model, *toy_days(), quick_config(iters=5))
+    flags, log = dict(model.training_flags), list(model.training_log)
+    weights = {role: getattr(model, role).flat() for role in ROLES}
+    with pytest.raises(StateError) as refused:
+        trainer(model, *toy_days(), quick_config())
+    assert str(refused.value) == message
+    assert model.training_flags == flags
+    assert model.training_log == log
+    for role, flat in weights.items():
+        assert np.array_equal(getattr(model, role).flat(), flat)
 
 
 def test_zero_iterations_leaves_parameters_unchanged():
     model = small_model()
-    before = {
-        role: getattr(model, role).flat()
-        for role in ("embedder", "recovery", "generator", "discriminator")
-    }
+    before = {role: getattr(model, role).flat() for role in ROLES}
     ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=0))
     for role, flat in before.items():
         assert np.array_equal(getattr(model, role).flat(), flat)
@@ -94,7 +109,7 @@ def test_zero_iterations_leaves_parameters_unchanged():
 def test_conditioned_network_gradient_check(role):
     """Generator and critic take the condition as its own argument; a
     different condition per batch member checks the condition weight rows."""
-    model = ctsgan.build_model(condition_dim=5, hidden_dim=5, latent_dim=3, seed=40)
+    model = ctsgan.build_model(5, ctsgan.TrainingConfig(hidden_dim=5, latent_dim=3, seed=40))
     rng = np.random.default_rng(42)
     latents = rng.normal(size=(6, 3, 3))
     conds = rng.uniform(size=(3, 5))
@@ -130,7 +145,7 @@ def test_training_is_seed_deterministic():
     days = toy_days()
     a = train_all(small_model(seed=2), days, iters=40, seed=5)
     b = train_all(small_model(seed=2), days, iters=40, seed=5)
-    for role in ("embedder", "recovery", "generator", "discriminator"):
+    for role in ROLES:
         assert np.array_equal(getattr(a, role).flat(), getattr(b, role).flat())
     assert a.training_log == b.training_log
 
@@ -300,7 +315,7 @@ def test_model_save_load_save_byte_identical(tmp_path):
 def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     """At paper dims every weight and the whitening come back with the same
     bits, including -0.0, subnormals and the largest finite float."""
-    model = ctsgan.build_model(condition_dim=263, hidden_dim=100, latent_dim=100, seed=5)
+    model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5))
     extremes = np.array([-0.0, 5e-324, -2.2250738585072014e-308, np.finfo(np.float64).max])
     model.generator.tensors[0]["w"].ravel()[: extremes.size] = extremes
     rng = np.random.default_rng(5)
@@ -309,7 +324,7 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     path = tmp_path / "model.json"
     ctsgan.save_model(model, path)
     loaded = ctsgan.load_model(path)
-    for role in ("embedder", "recovery", "generator", "discriminator"):
+    for role in ROLES:
         assert getattr(loaded, role).specs == getattr(model, role).specs
         assert getattr(loaded, role).flat().tobytes() == getattr(model, role).flat().tobytes()
     assert loaded.latent_shift.tobytes() == model.latent_shift.tobytes()

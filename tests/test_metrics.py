@@ -219,7 +219,9 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
     """All-zero networks generate the same scenarios whatever the noise, so
     every run scores identically and the confidence curve is a step."""
     days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
-    model = ctsgan.build_model(condition_dim=days[0].shape[1], hidden_dim=4, latent_dim=3, seed=0)
+    model = ctsgan.build_model(
+        days[0].shape[1], ctsgan.TrainingConfig(hidden_dim=4, latent_dim=3, seed=0)
+    )
     for role in ("embedder", "recovery", "generator", "discriminator"):
         net = getattr(model, role)
         net.load_flat(np.zeros(net.n_params))
@@ -341,7 +343,9 @@ def test_harness_runs_requests_at_the_same_time(mini_model, toy_dataset, monkeyp
 def test_harness_failure_is_named_and_leaves_no_worker(toy_dataset, monkeypatch):
     monkeypatch.setattr(metrics, "_available_cpus", lambda: 8)
     days = four_days_one_reinforced(toy_dataset)
-    untrained = ctsgan.build_model(condition_dim=days[0].shape[1], hidden_dim=4, latent_dim=3, seed=0)
+    untrained = ctsgan.build_model(
+        days[0].shape[1], ctsgan.TrainingConfig(hidden_dim=4, latent_dim=3, seed=0)
+    )
     before = set(threading.enumerate())
     with pytest.raises(StateError, match="requires all three training phases"):
         metrics.repeated_sampling_harness(untrained, *days, runs=3, **HARNESS_KWARGS)

@@ -78,7 +78,8 @@ def test_classification_monotone(reference_thresholds):
 
 def test_threshold_cuts_must_increase():
     cuts = np.array([[0.1, 0.2, 0.3], [0.1, 0.3, 0.2], [0.1, 0.2, 0.3]])
-    with pytest.raises(InputError, match=r"0 < low < med < high, got \(0.1, 0.3, 0.2\)"):
+    message = r"^irradiance: cuts must satisfy 0 < low < med < high, got \(0.1, 0.3, 0.2\)"
+    with pytest.raises(InputError, match=message):
         wv.VolatilityThresholds(cuts)
 
 
@@ -166,10 +167,21 @@ def test_calibrate_normal_share():
 
 
 def test_calibrate_degenerate_and_insufficient():
-    with pytest.raises(InputError, match="not strictly increasing"):
+    with pytest.raises(InputError, match="temperature: cuts must satisfy 0 < low < med < high"):
         wv.calibrate_thresholds({f: np.full(200, 0.5) for f in wv.FACTORS})
     with pytest.raises(InputError, match="50 samples < required 100"):
         wv.calibrate_thresholds({f: np.linspace(0, 1, 50) for f in wv.FACTORS})
+
+
+def test_calibrate_zero_heavy_factor_is_named():
+    """A factor whose afternoon variance is zero on 60% of days or more has a
+    low cut of 0, which no level can sit below; the error names it."""
+    rng = np.random.default_rng(17)
+    sample = rng.uniform(0, 1, 500)
+    wind = np.where(np.arange(500) < 350, 0.0, sample)
+    message = r"^wind: cuts must satisfy 0 < low < med < high, got \(0\.0, "
+    with pytest.raises(InputError, match=message):
+        wv.calibrate_thresholds({"temperature": sample, "irradiance": sample, "wind": wind})
 
 
 def test_thresholds_json_round_trip(reference_thresholds):
