@@ -23,10 +23,10 @@ orders of magnitude off-scale and starve the adversarial phase of signal.
 Generation de-whitens before the recovery network.
 
 Every noise -> generator pass goes through ``_generate_latents``, every
-whitened real-latent embedding through ``_embed``, and every autoencoder
-update through ``_autoencoder_step``. Conditions are float64 rows of
-``condition_dim`` values, and generation returns a plain ``[count, T]``
-array of normalized price paths.
+whitening of real latents through ``_whiten``, and every autoencoder update
+through ``_autoencoder_step``, which takes the caller's cached embedder
+forward. Conditions are float64 rows of ``condition_dim`` values, and
+generation returns a plain ``[count, T]`` array of normalized price paths.
 """
 
 from __future__ import annotations
@@ -202,13 +202,18 @@ def _train_holdout_split(n: int, config: TrainingConfig) -> tuple[np.ndarray, np
 
 _MIN_LATENT_SCALE = 1e-3
 
+# Gate-buffer budget of one chunk of phase 1's whitening pass: a [T, days, 4H]
+# float64 block. 54 days at hidden 100, 341 at hidden 16 (so toy dims stay
+# one batch).
+_WHITEN_GATE_BYTES = 8 * 2**20
+
 
 def _calibrate_latent_space(model: CTSGANModel, latents: np.ndarray) -> None:
     """Freeze the whitening affine and the lag-1 autocorrelation of the
-    phase-1 latents ([T, N, latent])."""
+    phase-1 latents ([T, N, latent]), which are whitened in place."""
     model.latent_shift = latents.mean(axis=(0, 1))
     model.latent_scale = np.maximum(latents.std(axis=(0, 1)), _MIN_LATENT_SCALE)
-    white = (latents - model.latent_shift) / model.latent_scale
+    white = _whiten(model, latents, out=latents)
     a = white[:-1].reshape(-1, white.shape[2])
     b = white[1:].reshape(-1, white.shape[2])
     ac = (a * b).mean(axis=0) / np.maximum(a.std(axis=0) * b.std(axis=0), 1e-12)
@@ -233,10 +238,17 @@ def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
     return shaped
 
 
+def _whiten(model: CTSGANModel, latents: np.ndarray, out=None) -> np.ndarray:
+    """``(latents - latent_shift) / latent_scale``, written to ``out`` if given."""
+    white = np.subtract(latents, model.latent_shift, out=out)
+    white /= model.latent_scale
+    return white
+
+
 def _embed(model: CTSGANModel, x: np.ndarray) -> np.ndarray:
     """Whitened embedder latents of the paths ``x`` ([T, N, 1]); no cache."""
     latents, _ = rnn_forward(model.embedder, x, keep_cache=False)
-    return (latents - model.latent_shift) / model.latent_scale
+    return _whiten(model, latents, out=latents)
 
 
 def _generate_latents(
@@ -271,11 +283,12 @@ def _check_finite_loss(loss: float, phase: str) -> None:
 
 
 def _autoencoder_step(
-    model: CTSGANModel, x: np.ndarray, learning_rate: float, phase: str
+    model: CTSGANModel, x: np.ndarray, embedded, learning_rate: float, phase: str
 ) -> float:
     """One SGD step of embedder + recovery on the reconstruction MSE of the
-    paths ``x``; returns the loss before the step."""
-    latents, cache_e = rnn_forward(model.embedder, x)
+    paths ``x``, whose cached embedder forward ``(latents, cache)`` is
+    ``embedded``; returns the loss before the step."""
+    latents, cache_e = embedded
     recon, cache_r = rnn_forward(model.recovery, latents)
     diff = recon - x
     loss = float(np.mean(diff * diff))
@@ -320,14 +333,34 @@ def train_phase1_autoencoder(
     model: CTSGANModel, conditions, targets, config: TrainingConfig
 ) -> CTSGANModel:
     """Embedder + recovery minimize reconstruction MSE of normalized paths;
-    the whitening is then fitted on the training days' latents."""
+    the whitening is then fitted on the training days' latents.
+
+    Those latents fill one ``[T, N_train, latent]`` array, a chunk of days
+    per embedder pass, with each chunk's gate buffer within
+    ``_WHITEN_GATE_BYTES``: the pass's working set does not grow with the
+    number of days. A chunk that holds every training day (toy dims) is the
+    one-batch pass, bit for bit.
+    """
 
     def step(x, cond, rng):
-        return {"loss": _autoencoder_step(model, x, config.learning_rate, "phase1")}
+        embedded = rnn_forward(model.embedder, x)
+        return {"loss": _autoencoder_step(model, x, embedded, config.learning_rate, "phase1")}
 
     _, paths, train_idx, _ = _run_phase(model, conditions, targets, config, 1, step)
-    all_latents, _ = rnn_forward(model.embedder, paths[:, train_idx, :], keep_cache=False)
-    _calibrate_latent_space(model, all_latents)
+    steps, hidden = paths.shape[0], model.embedder.specs[0].output_dim
+    days = max(1, _WHITEN_GATE_BYTES // (steps * 4 * hidden * 8))
+    latents = None
+    for start in range(0, train_idx.size, days):
+        chunk, _ = rnn_forward(
+            model.embedder, paths[:, train_idx[start : start + days], :], keep_cache=False
+        )
+        # Allocated only after the first pass, so a one-chunk pass allocates
+        # in the one-batch order. Allocating it first left the heap so that
+        # the toy-dims evaluate commands after training peaked ~0.8 MB higher.
+        if latents is None:
+            latents = np.empty((steps, train_idx.size, model.latent_dim))
+        latents[:, start : start + chunk.shape[1]] = chunk
+    _calibrate_latent_space(model, latents)
     return model
 
 
@@ -369,8 +402,11 @@ def train_phase3_joint(
     lam = config.supervised_weight
 
     def step(x, cond, rng):
-        # critic step: real vs generated latents, clip weights afterwards
-        latents_real = _embed(model, x)
+        # critic step: real vs generated latents, clip weights afterwards.
+        # The embedder is not stepped before the autoencoder refresh, so its
+        # one cached forward serves both.
+        embedded = rnn_forward(model.embedder, x)
+        latents_real = _whiten(model, embedded[0])
         latents_fake, _ = _generate_latents(model, rng, cond, x.shape[1], 1.0, keep_cache=False)
         score_real, cache_dr = rnn_forward(model.discriminator, latents_real, cond)
         score_fake, cache_df = rnn_forward(model.discriminator, latents_fake, cond)
@@ -397,7 +433,9 @@ def train_phase3_joint(
         _check_finite_loss(loss, "phase3 generator")
         sgd_step(model.generator, g_adv + g_sup, config.learning_rate)
 
-        recon_loss = _autoencoder_step(model, x, config.learning_rate, "phase3 reconstruction")
+        recon_loss = _autoencoder_step(
+            model, x, embedded, config.learning_rate, "phase3 reconstruction"
+        )
 
         clip_fraction = float(np.mean(np.abs(model.discriminator.buffer) == config.clip_limit))
         return {"loss": loss, "d_loss": d_loss, "sup_loss": sup_loss, "adv_loss": adv_loss,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,104 @@ def test_condition_dim_mismatch_rejected():
     bad_days = (np.zeros((1, COND_DIM + 1)), np.full((1, HORIZON), 0.5))
     with pytest.raises(InputError, match="condition dim"):
         ctsgan.train_phase1_autoencoder(model, *bad_days, quick_config())
+
+
+# --- phase-1 whitening pass and phase-3 embedder forwards -------------------------------
+
+def count_forwards(monkeypatch, network_of):
+    """Count ``ctsgan.rnn_forward`` calls on the network ``network_of()``
+    returns; the calls still run."""
+    calls = []
+    forward = ctsgan.rnn_forward
+
+    def counted(params, *args, **kwargs):
+        calls.append(params is network_of())
+        return forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(ctsgan, "rnn_forward", counted)
+    return calls
+
+
+def one_batch_whitening(model, days):
+    """Shift, scale, lag-1 autocorrelation and whitened latents of the
+    training days embedded in one ``rnn_forward`` batch, as phase 1 computed
+    them before its pass was chunked."""
+    train_idx, _ = ctsgan._train_holdout_split(len(days[0]), quick_config())
+    x = np.ascontiguousarray(days[1][train_idx].T)[:, :, None]
+    latents, _ = seqnet.rnn_forward(model.embedder, x, keep_cache=False)
+    shift = latents.mean(axis=(0, 1))
+    scale = np.maximum(latents.std(axis=(0, 1)), 1e-3)
+    white = (latents - shift) / scale
+    a = white[:-1].reshape(-1, white.shape[2])
+    b = white[1:].reshape(-1, white.shape[2])
+    ac = (a * b).mean(axis=0) / np.maximum(a.std(axis=0) * b.std(axis=0), 1e-12)
+    return shift, scale, float(np.clip(np.mean(ac), 0.0, 0.99)), white
+
+
+def test_whitening_pass_in_one_chunk_is_the_one_batch_pass(monkeypatch):
+    """At toy dims every training day fits one chunk, so the whitening and
+    the whitened latents are bit-equal to a one-batch embedding."""
+    days = toy_days(n_days=80)
+    model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=16, latent_dim=8, seed=7))
+    seen = []
+    calibrate = ctsgan._calibrate_latent_space
+
+    def calibrate_and_keep(m, latents):
+        calibrate(m, latents)
+        seen.append(latents.copy())  # whitened in place by now
+
+    monkeypatch.setattr(ctsgan, "_calibrate_latent_space", calibrate_and_keep)
+    ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=20))
+    shift, scale, autocorr, white = one_batch_whitening(model, days)
+    assert model.latent_shift.tobytes() == shift.tobytes()
+    assert model.latent_scale.tobytes() == scale.tobytes()
+    assert model.latent_autocorr == autocorr
+    assert seen[0].tobytes() == white.tobytes()
+
+
+def test_whitening_pass_in_chunks_matches_one_batch(monkeypatch):
+    """At paper dims 120 training days take three chunks (54, 54, 12); the
+    whitening agrees with a one-batch embedding to rounding."""
+    days = toy_days(n_days=133, seed=3)
+    model = ctsgan.build_model(
+        COND_DIM, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5)
+    )
+    calls = count_forwards(monkeypatch, lambda: model.embedder)
+    ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=0))
+    assert calls == [True] * 3
+    shift, scale, autocorr, _ = one_batch_whitening(model, days)
+    np.testing.assert_allclose(model.latent_shift, shift, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(model.latent_scale, scale, rtol=0, atol=1e-15)
+    assert abs(model.latent_autocorr - autocorr) <= 1e-15
+
+
+def test_whitening_pass_memory_stays_below_one_batch_gate_buffer():
+    """At paper dims on 300 days (270 training days) the pass allocates less
+    at its peak than the one-batch pass's gate buffer alone."""
+    days = toy_days(n_days=300, seed=4)
+    model = ctsgan.build_model(
+        COND_DIM, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5)
+    )
+    one_batch_gates = HORIZON * 270 * 400 * 8
+    tracemalloc.start()
+    try:
+        ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_batch_gates, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_phase3_runs_the_embedder_once_per_iteration(monkeypatch):
+    """Each phase-3 iteration embeds its batch once, for the critic, the
+    generator and the autoencoder refresh alike; the critic report adds one."""
+    model = small_model()
+    cfg = quick_config(iters=3)
+    ctsgan.train_phase1_autoencoder(model, *toy_days(), cfg)
+    ctsgan.train_phase2_supervised(model, *toy_days(), cfg)
+    calls = count_forwards(monkeypatch, lambda: model.embedder)
+    ctsgan.train_phase3_joint(model, *toy_days(), cfg)
+    assert sum(calls) == 3 + 1
 
 
 PHASE3_LOG_KEYS = {"d_loss", "sup_loss", "adv_loss", "recon_loss", "critic_clip_fraction"}
