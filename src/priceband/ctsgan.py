@@ -202,11 +202,6 @@ def _train_holdout_split(n: int, config: TrainingConfig) -> tuple[np.ndarray, np
 
 _MIN_LATENT_SCALE = 1e-3
 
-# Gate-buffer budget of one chunk of phase 1's whitening pass: a [T, days, 4H]
-# float64 block. 54 days at hidden 100, 341 at hidden 16 (so toy dims stay
-# one batch).
-_WHITEN_GATE_BYTES = 8 * 2**20
-
 
 def _calibrate_latent_space(model: CTSGANModel, latents: np.ndarray) -> None:
     """Freeze the whitening affine and the lag-1 autocorrelation of the
@@ -221,8 +216,9 @@ def _calibrate_latent_space(model: CTSGANModel, latents: np.ndarray) -> None:
 
 
 def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
-    """Turn i.i.d. per-timestep draws into an AR(1) sequence with the latent
-    process's autocorrelation; marginals keep the original mean and std.
+    """Turn i.i.d. per-timestep draws ``eps`` ([T, ...]) into an AR(1)
+    sequence with the latent process's autocorrelation, in place; marginals
+    keep the original mean and std.
 
     Temporally white input noise gets integrated away by the recurrent
     decoder, leaving near-deterministic scenarios; correlated noise produces
@@ -230,12 +226,11 @@ def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
     """
     if autocorr <= 0.0:
         return eps
-    shaped = np.empty_like(eps)
-    shaped[0] = eps[0]
     innovation = np.sqrt(1.0 - autocorr * autocorr)
     for t in range(1, eps.shape[0]):
-        shaped[t] = autocorr * shaped[t - 1] + innovation * eps[t]
-    return shaped
+        eps[t] *= innovation
+        eps[t] += autocorr * eps[t - 1]
+    return eps
 
 
 def _whiten(model: CTSGANModel, latents: np.ndarray, out=None) -> np.ndarray:
@@ -333,13 +328,8 @@ def train_phase1_autoencoder(
     model: CTSGANModel, conditions, targets, config: TrainingConfig
 ) -> CTSGANModel:
     """Embedder + recovery minimize reconstruction MSE of normalized paths;
-    the whitening is then fitted on the training days' latents.
-
-    Those latents fill one ``[T, N_train, latent]`` array, a chunk of days
-    per embedder pass, with each chunk's gate buffer within
-    ``_WHITEN_GATE_BYTES``: the pass's working set does not grow with the
-    number of days. A chunk that holds every training day (toy dims) is the
-    one-batch pass, bit for bit.
+    the whitening is then fitted on the training days' latents, which one
+    cache-free embedder pass computes a time step at a time.
     """
 
     def step(x, cond, rng):
@@ -347,19 +337,7 @@ def train_phase1_autoencoder(
         return {"loss": _autoencoder_step(model, x, embedded, config.learning_rate, "phase1")}
 
     _, paths, train_idx, _ = _run_phase(model, conditions, targets, config, 1, step)
-    steps, hidden = paths.shape[0], model.embedder.specs[0].output_dim
-    days = max(1, _WHITEN_GATE_BYTES // (steps * 4 * hidden * 8))
-    latents = None
-    for start in range(0, train_idx.size, days):
-        chunk, _ = rnn_forward(
-            model.embedder, paths[:, train_idx[start : start + days], :], keep_cache=False
-        )
-        # Allocated only after the first pass, so a one-chunk pass allocates
-        # in the one-batch order. Allocating it first left the heap so that
-        # the toy-dims evaluate commands after training peaked ~0.8 MB higher.
-        if latents is None:
-            latents = np.empty((steps, train_idx.size, model.latent_dim))
-        latents[:, start : start + chunk.shape[1]] = chunk
+    latents, _ = rnn_forward(model.embedder, paths[:, train_idx, :], keep_cache=False)
     _calibrate_latent_space(model, latents)
     return model
 

@@ -11,18 +11,20 @@ The LSTM packs its weights as one ``[input_dim + H, 4H]`` matrix whose rows
 are ``[x | cond | h]``: the time-varying inputs, then the optional
 time-constant condition (``input_dim = Dx + C``), then the recurrent state.
 Columns are the gates in the order input, forget, candidate, output. The
-forward projects the inputs of all T steps with one GEMM and the condition
-once per sequence (folded into the bias), so only ``h @ W_h`` runs inside
-the time loop.
+forward projects the condition once per sequence (folded into the bias) and
+the inputs with one GEMM per span of steps, so only ``h @ W_h`` runs inside
+the time loop; the head then runs on the span's hidden states. A training
+pass is one span of all T steps, kept as its backward cache; an inference
+pass runs one step per span and holds no ``[T, B, 4H]`` gate block.
 
 A network's weights live in one float64 vector in ``flat()`` order: LSTM
 w, LSTM b, head w, head b. ``NetworkParams.tensors`` holds views into it,
 so the optimizer updates the whole vector at once, and ``backward`` writes
 each gradient into the same layout of one gradient vector.
 
-``rnn_forward`` has two modes that share one step implementation: with a
-backward cache (training) and, with ``keep_cache=False``, without one
-(inference, e.g. scenario generation).
+``rnn_forward`` has two modes that share one loop: with a backward cache
+(training) and, with ``keep_cache=False``, without one (inference, e.g.
+scenario generation).
 
 ``params_to_payload``/``params_from_payload`` give one network's JSON
 payload: its layer specs plus ``flat_weights``, the base64 text of the
@@ -220,8 +222,10 @@ def rnn_forward(
     appending the condition to the inputs at every step.
 
     With ``keep_cache`` the returned cache is sufficient for an exact
-    backward pass; without it the cache is ``None`` and no per-step state
-    is kept (inference).
+    backward pass. Without it the cache is ``None`` and no per-step state
+    is kept (inference): besides its inputs and output, the pass holds one
+    time step's gates and states, whatever T is. Both modes give the same
+    output bit for bit, except that a batch of one may differ by rounding.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3:
@@ -245,53 +249,68 @@ def rnn_forward(
     if cond is not None:
         _check_finite(cond, "condition")
 
-    head, head_tensors = params.specs[1], params.tensors[1]
-    hs, gates, cs, tanh_c = _lstm_forward(params.specs[0], params.tensors[0], x, cond, keep_cache)
-    z = hs[1:] @ head_tensors["w"] + head_tensors["b"]
-    y = _sigmoid(z) if head.activation == "sigmoid" else z
+    y, hs, gates, cs, tanh_c = _lstm_forward(params, x, cond, keep_cache)
     if not keep_cache:
         return y, None
     return y, ForwardCache(params, params.version, x, cond, gates, cs, tanh_c, hs, y)
 
 
 def _lstm_forward(
-    spec: LayerSpec,
-    block: dict[str, np.ndarray],
-    x: np.ndarray,
-    cond: np.ndarray | None,
-    keep_cache: bool,
+    params: NetworkParams, x: np.ndarray, cond: np.ndarray | None, keep_cache: bool
 ):
-    """The LSTM over ``x`` ([T, B, Dx]). Returns ``(hs, gates, cs, tanh_c)``
-    where ``hs[t + 1]`` is h_t and ``cs[t + 1]`` is c_t, row 0 being the
-    zero initial state; without ``keep_cache`` only ``hs`` is returned and
-    the rest is None, so the gate buffer is freed before the head runs."""
+    """The LSTM and its head over ``x`` ([T, B, Dx]). Returns ``(y, hs,
+    gates, cs, tanh_c)``: the head's output ``y`` ([T, B, Dy]) and, with
+    ``keep_cache``, the gate activations and the states, ``hs[t + 1]`` being
+    h_t and ``cs[t + 1]`` c_t with row 0 the zero initial state.
+
+    Each span of steps projects its inputs with one GEMM, steps the cells
+    and writes the head's output for its steps. With ``keep_cache`` the span
+    is all T steps, whose buffers are the cache. Without it the span is one
+    step: besides its output the pass holds one ``[B, 4H]`` gate row, the
+    bias rows and two state rows (carried and current), whatever T is.
+    """
+    (lstm, head), (block, head_block) = params.specs, params.tensors
     steps, batch, in_dim = x.shape
-    hid = spec.output_dim
-    w, b = block["w"], block["b"]
-    w_h = w[spec.input_dim :]
+    hid = lstm.output_dim
+    w = block["w"]
+    w_h = w[lstm.input_dim :]
+    # The time-constant condition rows fold into the bias once per sequence.
+    bias = block["b"] if cond is None else block["b"] + cond @ w[in_dim : lstm.input_dim]
+    # One bias row per sequence keeps the per-step adds free of broadcasting:
+    # numpy's broadcasting iterator allocates with the GIL released, which in
+    # threaded generation raced with tracemalloc.stop() (CPython 3.11).
+    bias = np.broadcast_to(bias, (batch, _GATES * hid)).copy()
+    head_b = np.broadcast_to(head_block["b"], (batch, head.output_dim)).copy()
 
-    # Everything but h @ W_h is known before the loop: one GEMM projects the
-    # inputs of all steps, and the time-constant condition rows fold into
-    # the bias once per sequence. The buffer then holds the gates in place.
-    bias = b if cond is None else b + cond @ w[in_dim : spec.input_dim]
-    gates = (x.reshape(-1, in_dim) @ w[:in_dim]).reshape(steps, batch, _GATES * hid)
-    gates += bias
-
-    hs = np.zeros((steps + 1, batch, hid))
+    span = steps if keep_cache else 1
+    gates = np.empty((span, batch, _GATES * hid))
+    hs = np.zeros((span + 1, batch, hid))
     c = np.zeros((batch, hid))
-    if keep_cache:
-        cs = np.zeros((steps + 1, batch, hid))
-        tanh_cs = np.empty((steps, batch, hid))
-    for t in range(steps):
-        z = gates[t]
-        z += hs[t] @ w_h
-        c, tanh_c = _lstm_step(z, c, hid, hs[t + 1])
-        if keep_cache:
-            cs[t + 1] = c
-            tanh_cs[t] = tanh_c
-    if not keep_cache:
-        return hs, None, None, None
-    return hs, gates, cs, tanh_cs
+    y = np.empty((steps, batch, head.output_dim))
+    cs = np.zeros((steps + 1, batch, hid)) if keep_cache else None
+    tanh_cs = np.empty((steps, batch, hid)) if keep_cache else None
+    for t0 in range(0, steps, span or 1):  # (T = 0 runs no span)
+        # Everything but h @ W_h is known before the span's steps: one GEMM
+        # projects their inputs, and the buffer then holds the gates in place.
+        np.matmul(
+            x[t0 : t0 + span].reshape(-1, in_dim), w[:in_dim],
+            out=gates.reshape(-1, _GATES * hid),
+        )
+        gates += bias
+        hs[0] = hs[-1]  # the state carried in: zero on the first span
+        for s in range(span):
+            z = gates[s]
+            z += hs[s] @ w_h
+            c, tanh_c = _lstm_step(z, c, hid, hs[s + 1])
+            if keep_cache:
+                cs[t0 + s + 1] = c
+                tanh_cs[t0 + s] = tanh_c
+        out = y[t0 : t0 + span]
+        np.matmul(hs[1:], head_block["w"], out=out)
+        out += head_b
+        if head.activation == "sigmoid":
+            _sigmoid(out, out=out)
+    return y, hs, gates, cs, tanh_cs
 
 
 def _lstm_step(z: np.ndarray, c: np.ndarray, hid: int, h_out: np.ndarray):

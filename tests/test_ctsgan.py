@@ -60,6 +60,22 @@ def test_shaped_noise_keeps_marginal_law(std):
     assert lag1 == pytest.approx(0.5, abs=0.02)
 
 
+def test_shaped_noise_in_place_is_the_two_array_recursion():
+    """Shaping in place on the draws runs the same IEEE operations as
+    writing ``a * shaped[t - 1] + sqrt(1 - a^2) * eps[t]`` into a second
+    array."""
+    eps = np.random.default_rng(5).normal(0.0, 1.7, size=(48, 33, 4))
+    autocorr = 0.8123
+    shaped = np.empty_like(eps)
+    shaped[0] = eps[0]
+    innovation = np.sqrt(1.0 - autocorr * autocorr)
+    for t in range(1, eps.shape[0]):
+        shaped[t] = autocorr * shaped[t - 1] + innovation * eps[t]
+    in_place = ctsgan._shape_noise(eps, autocorr)
+    assert in_place is eps
+    assert in_place.tobytes() == shaped.tobytes()
+
+
 def test_generate_rejects_noise_std_below_one():
     model = train_all(small_model(), toy_days(), iters=10)
     with pytest.raises(InputError, match="std must be >= 1"):
@@ -181,11 +197,11 @@ def count_forwards(monkeypatch, network_of):
 
 def one_batch_whitening(model, days):
     """Shift, scale, lag-1 autocorrelation and whitened latents of the
-    training days embedded in one ``rnn_forward`` batch, as phase 1 computed
-    them before its pass was chunked."""
+    training days embedded by one cached ``rnn_forward``, which projects the
+    inputs of all steps of all days with one GEMM."""
     train_idx, _ = ctsgan._train_holdout_split(len(days[0]), quick_config())
     x = np.ascontiguousarray(days[1][train_idx].T)[:, :, None]
-    latents, _ = seqnet.rnn_forward(model.embedder, x, keep_cache=False)
+    latents, _ = seqnet.rnn_forward(model.embedder, x)
     shift = latents.mean(axis=(0, 1))
     scale = np.maximum(latents.std(axis=(0, 1)), 1e-3)
     white = (latents - shift) / scale
@@ -195,9 +211,10 @@ def one_batch_whitening(model, days):
     return shift, scale, float(np.clip(np.mean(ac), 0.0, 0.99)), white
 
 
-def test_whitening_pass_in_one_chunk_is_the_one_batch_pass(monkeypatch):
-    """At toy dims every training day fits one chunk, so the whitening and
-    the whitened latents are bit-equal to a one-batch embedding."""
+def test_whitening_pass_is_the_one_batch_pass(monkeypatch):
+    """At toy dims after training, the whitening and the whitened latents
+    of phase 1's one-step-at-a-time pass are bit-equal to a one-batch
+    all-steps embedding."""
     days = toy_days(n_days=80)
     model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=16, latent_dim=8, seed=7))
     seen = []
@@ -216,20 +233,20 @@ def test_whitening_pass_in_one_chunk_is_the_one_batch_pass(monkeypatch):
     assert seen[0].tobytes() == white.tobytes()
 
 
-def test_whitening_pass_in_chunks_matches_one_batch(monkeypatch):
-    """At paper dims 120 training days take three chunks (54, 54, 12); the
-    whitening agrees with a one-batch embedding to rounding."""
+def test_whitening_pass_at_paper_dims_is_one_embedder_forward(monkeypatch):
+    """At paper dims the 120 training days are embedded by one forward, and
+    the whitening is bit-equal to a one-batch all-steps embedding."""
     days = toy_days(n_days=133, seed=3)
     model = ctsgan.build_model(
         COND_DIM, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5)
     )
     calls = count_forwards(monkeypatch, lambda: model.embedder)
     ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=0))
-    assert calls == [True] * 3
+    assert calls == [True]
     shift, scale, autocorr, _ = one_batch_whitening(model, days)
-    np.testing.assert_allclose(model.latent_shift, shift, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(model.latent_scale, scale, rtol=0, atol=1e-15)
-    assert abs(model.latent_autocorr - autocorr) <= 1e-15
+    assert model.latent_shift.tobytes() == shift.tobytes()
+    assert model.latent_scale.tobytes() == scale.tobytes()
+    assert model.latent_autocorr == autocorr
 
 
 def test_whitening_pass_memory_stays_below_one_batch_gate_buffer():
@@ -302,6 +319,24 @@ def test_generate_paths_distinct_and_bounded():
     assert out.shape == (500, HORIZON)
     assert (out >= 0).all() and (out <= 1).all()
     assert np.unique(out, axis=0).shape[0] >= 499
+
+
+def test_generation_memory_stays_below_one_gate_block():
+    """One toy-dims call for 500 paths allocates less at its peak than one
+    ``[T, 500, 4H]`` gate block: a cache-free pass holds one time step of
+    gates and states."""
+    model = ctsgan.build_model(
+        COND_DIM, ctsgan.TrainingConfig(hidden_dim=16, latent_dim=8, seed=7)
+    )
+    train_all(model, toy_days(), iters=0)
+    gate_block = HORIZON * 500 * 4 * 16 * 8
+    tracemalloc.start()
+    try:
+        ctsgan.generate_scenarios(model, np.full(COND_DIM, 0.5), 1.5, 500, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gate_block, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_generate_seed_determinism():

@@ -149,15 +149,40 @@ def test_condition_matches_concatenated_scalar_reimplementation():
     assert np.abs(shared - expected).max() < 1e-12
 
 
+def _paper_net(head_dim, activation):
+    return (
+        seqnet.LayerSpec("lstm", 100 + 263, 100),
+        seqnet.LayerSpec("dense", 100, head_dim, activation),
+    )
+
+
 def test_cache_free_forward_equals_cached_forward():
-    params = seqnet.init_params(21, COND_NET)
+    """The cached forward projects the inputs of all T steps with one GEMM
+    and applies the head to all of them at once; the cache-free one does
+    both one step at a time. The outputs are bit-equal at batches 2, 7 and
+    500, at toy and at paper dims (hidden 100, latent 100, a [B, 263]
+    condition), under a sigmoid and a linear head.
+
+    Batch 1 is left out: numpy sends a [1, K] @ [K, N] product to gemv,
+    which may round the one-step projection 1-2 ulp differently from the
+    [T, K] @ [K, N] GEMM of the cached pass."""
+    nets = {
+        "toy-sigmoid": (COND_NET, 2),
+        "toy-linear": ((COND_NET[0], seqnet.LayerSpec("dense", 5, 2)), 2),
+        "paper-sigmoid": (_paper_net(1, "sigmoid"), 100),
+        "paper-linear": (_paper_net(100, "linear"), 100),
+    }
     rng = np.random.default_rng(22)
-    x = rng.normal(size=(7, 4, 2))
-    cond = rng.normal(size=(4, 4))
-    cached, cache = seqnet.rnn_forward(params, x, cond)
-    free, none = seqnet.rnn_forward(params, x, cond, keep_cache=False)
-    assert cache is not None and none is None
-    assert np.array_equal(cached, free)
+    for name, (specs, x_dim) in nets.items():
+        params = seqnet.init_params(21, specs)
+        steps = 7 if name.startswith("toy") else 48
+        for batch in (2, 7, 500):
+            x = rng.normal(size=(steps, batch, x_dim))
+            cond = rng.normal(size=(batch, specs[0].input_dim - x_dim))
+            cached, cache = seqnet.rnn_forward(params, x, cond)
+            free, none = seqnet.rnn_forward(params, x, cond, keep_cache=False)
+            assert cache is not None and none is None
+            assert np.array_equal(cached, free), f"{name}, batch {batch}"
 
 
 def test_condition_gradients_finite_difference():
