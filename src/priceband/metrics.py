@@ -10,8 +10,8 @@ achieved-at-90%-confidence values: the largest coverage target met by at
 least 90% of runs and the smallest width target met by at least 90% of runs.
 
 The harness predicts its (run, day) requests on a pool of threads, one per
-CPU the process may run on. Generation spends its time in numpy, BLAS and
-scipy calls that release the GIL, so independent requests overlap. Each
+CPU the process may run on. Generation spends its time in numpy and BLAS
+calls that release the GIL, so independent requests overlap. Each
 request draws from its own derived seed and the bounds are gathered in
 request order, so the report does not depend on the thread count.
 """

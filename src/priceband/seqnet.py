@@ -17,6 +17,13 @@ the time loop; the head then runs on the span's hidden states. A training
 pass is one span of all T steps, kept as its backward cache; an inference
 pass runs one step per span and holds no ``[T, B, 4H]`` gate block.
 
+Every sigmoid is computed as sigmoid(x) = 0.5 * tanh(0.5 * x) + 0.5. A
+per-call copy of the weights holds the sigmoid gates' columns halved, so one
+tanh over all four gates, then times 0.5 and plus 0.5 in those columns,
+gives the gate activations; the dense head's sigmoid works the same way.
+The stored weights are not halved: ``backward`` takes them as they are and
+reads sigmoid(x) from the cached activations.
+
 A network's weights live in one float64 vector in ``flat()`` order: LSTM
 w, LSTM b, head w, head b. ``NetworkParams.tensors`` holds views into it,
 so the optimizer updates the whole vector at once, and ``backward`` writes
@@ -39,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from .errors import CheckpointError, InputError, NumericalError, StateError
 
@@ -267,28 +273,38 @@ def _lstm_forward(
     and writes the head's output for its steps. With ``keep_cache`` the span
     is all T steps, whose buffers are the cache. Without it the span is one
     step: besides its output the pass holds one ``[B, 4H]`` gate row, the
-    bias rows and two state rows (carried and current), whatever T is.
+    bias and gate-affine rows and two rows of each state (carried and
+    current), whatever T is.
+
+    The per-call copies of the weights halve the sigmoid gates' columns (and
+    a sigmoid head's): halving is exact in binary, so the projections give
+    exactly z/2 there.
     """
     (lstm, head), (block, head_block) = params.specs, params.tensors
     steps, batch, in_dim = x.shape
     hid = lstm.output_dim
-    w = block["w"]
+    affine = _gate_affine(batch, hid)
+    w = block["w"] * affine[0, 0]
     w_h = w[lstm.input_dim :]
+    b = block["b"] * affine[0, 0]
     # The time-constant condition rows fold into the bias once per sequence.
-    bias = block["b"] if cond is None else block["b"] + cond @ w[in_dim : lstm.input_dim]
+    bias = b if cond is None else b + cond @ w[in_dim : lstm.input_dim]
     # One bias row per sequence keeps the per-step adds free of broadcasting:
     # numpy's broadcasting iterator allocates with the GIL released, which in
     # threaded generation raced with tracemalloc.stop() (CPython 3.11).
     bias = np.broadcast_to(bias, (batch, _GATES * hid)).copy()
-    head_b = np.broadcast_to(head_block["b"], (batch, head.output_dim)).copy()
+    sigmoid_head = head.activation == "sigmoid"
+    head_w, head_b = head_block["w"], head_block["b"]
+    if sigmoid_head:
+        head_w, head_b = head_w * 0.5, head_b * 0.5
+    head_b = np.broadcast_to(head_b, (batch, head.output_dim)).copy()
 
     span = steps if keep_cache else 1
     gates = np.empty((span, batch, _GATES * hid))
     hs = np.zeros((span + 1, batch, hid))
-    c = np.zeros((batch, hid))
+    cs = np.zeros((span + 1, batch, hid))
+    tanh_cs = np.empty((span, batch, hid))
     y = np.empty((steps, batch, head.output_dim))
-    cs = np.zeros((steps + 1, batch, hid)) if keep_cache else None
-    tanh_cs = np.empty((steps, batch, hid)) if keep_cache else None
     for t0 in range(0, steps, span or 1):  # (T = 0 runs no span)
         # Everything but h @ W_h is known before the span's steps: one GEMM
         # projects their inputs, and the buffer then holds the gates in place.
@@ -297,34 +313,60 @@ def _lstm_forward(
             out=gates.reshape(-1, _GATES * hid),
         )
         gates += bias
-        hs[0] = hs[-1]  # the state carried in: zero on the first span
+        hs[0] = hs[-1]  # the states carried in: zero on the first span
+        cs[0] = cs[-1]
         for s in range(span):
             z = gates[s]
             z += hs[s] @ w_h
-            c, tanh_c = _lstm_step(z, c, hid, hs[s + 1])
-            if keep_cache:
-                cs[t0 + s + 1] = c
-                tanh_cs[t0 + s] = tanh_c
+            _lstm_step(z, affine, cs[s], cs[s + 1], tanh_cs[s], hs[s + 1])
         out = y[t0 : t0 + span]
-        np.matmul(hs[1:], head_block["w"], out=out)
+        np.matmul(hs[1:], head_w, out=out)
         out += head_b
-        if head.activation == "sigmoid":
-            _sigmoid(out, out=out)
+        if sigmoid_head:
+            np.tanh(out, out=out)
+            out *= 0.5
+            out += 0.5
     return y, hs, gates, cs, tanh_cs
 
 
-def _lstm_step(z: np.ndarray, c: np.ndarray, hid: int, h_out: np.ndarray):
-    """One LSTM cell update. ``z`` holds the gate pre-activations and is
-    overwritten with the gate activations (i, f, g, o); the new hidden state
-    is written to ``h_out``. Returns ``(c, tanh(c))``."""
-    _sigmoid(z[:, : 2 * hid], out=z[:, : 2 * hid])
-    np.tanh(z[:, 2 * hid : 3 * hid], out=z[:, 2 * hid : 3 * hid])
-    _sigmoid(z[:, 3 * hid :], out=z[:, 3 * hid :])
+def _gate_affine(batch: int, hid: int) -> np.ndarray:
+    """``[scale, shift]``, two ``[B, 4H]`` rows that finish the gates after
+    one tanh: 0.5 and 0.5 in the sigmoid gates' columns, where
+    tanh(z/2) * 0.5 + 0.5 is sigmoid(z), and 1.0 and -0.0 in the
+    candidate's, where tanh(z) * 1.0 + (-0.0) is tanh(z) exactly, signed
+    zero included. ``scale`` also halves the sigmoid columns of the weights.
+    Whole rows keep the per-step ufuncs on contiguous blocks, which numpy
+    runs without an iterator buffer."""
+    affine = np.full((2, batch, _GATES * hid), 0.5)
+    affine[0, :, 2 * hid : 3 * hid] = 1.0
+    affine[1, :, 2 * hid : 3 * hid] = -0.0
+    return affine
+
+
+def _lstm_step(
+    z: np.ndarray,
+    affine: np.ndarray,
+    c: np.ndarray,
+    c_out: np.ndarray,
+    tanh_c_out: np.ndarray,
+    h_out: np.ndarray,
+) -> None:
+    """One LSTM cell update. ``z`` holds the gate pre-activations, halved in
+    the sigmoid gates' columns, and is overwritten with the gate activations
+    (i, f, g, o): one tanh, then ``affine`` (``_gate_affine``) times and
+    plus. From the previous cell state ``c`` it writes c_t = f*c + i*g to
+    ``c_out``, tanh(c_t) to ``tanh_c_out`` and h_t = o*tanh(c_t) to
+    ``h_out``."""
+    np.tanh(z, out=z)
+    z *= affine[0]
+    z += affine[1]
+    hid = c.shape[1]
     i, f, g, o = (z[:, k * hid : (k + 1) * hid] for k in range(_GATES))
-    c = f * c + i * g
-    tanh_c = np.tanh(c)
-    np.multiply(o, tanh_c, out=h_out)
-    return c, tanh_c
+    np.multiply(f, c, out=c_out)
+    np.multiply(i, g, out=tanh_c_out)  # i*g, before the row holds tanh(c_t)
+    c_out += tanh_c_out
+    np.tanh(c_out, out=tanh_c_out)
+    np.multiply(o, tanh_c_out, out=h_out)
 
 
 def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data_ingest import HALF_HOURS_PER_DAY
 from .errors import InputError
@@ -169,8 +168,7 @@ def calibrate_thresholds(variances: dict[str, np.ndarray]) -> VolatilityThreshol
 
 def pearson_correlation(x, y) -> tuple[float, float]:
     """Sample Pearson r and the two-sided p-value from the t statistic
-    t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom, whose upper
-    tail is the Student t CDF at -|t|."""
+    t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -189,8 +187,28 @@ def pearson_correlation(x, y) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return r, p
+    return r, _student_t_two_sided(t, n - 2)
+
+
+def _student_t_two_sided(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with a whole number ``dof`` of degrees
+    of freedom: one minus the finite series A(t|dof) of Abramowitz & Stegun
+    26.7.3 (odd dof) and 26.7.4 (even dof) in theta = atan(|t|/sqrt(dof))."""
+    cos2 = dof / (dof + t * t)
+    sin = abs(t) / math.sqrt(dof + t * t)
+    if dof % 2:
+        term, total = math.sqrt(cos2), 0.0
+        for k in range(1, (dof - 1) // 2 + 1):  # empty for dof = 1
+            total += term
+            term *= cos2 * 2 * k / (2 * k + 1)
+        inside = 2.0 / math.pi * (math.atan2(abs(t), math.sqrt(dof)) + sin * total)
+    else:
+        term, total = 1.0, 0.0
+        for k in range(1, dof // 2 + 1):
+            total += term
+            term *= cos2 * (2 * k - 1) / (2 * k)
+        inside = sin * total
+    return min(1.0, max(0.0, 1.0 - inside))
 
 
 def spike_histogram(prices) -> np.ndarray:

@@ -124,6 +124,38 @@ def test_forward_matches_scalar_reimplementation():
     assert np.abs(out[:, 0] - _scalar_forward(params, x)).max() < 1e-12
 
 
+def test_gate_math_on_extreme_pre_activations():
+    """One cell step on a [B, 4H] block in which every gate holds 0, -0.0,
+    +-1e-300, +-20, +-40 and +-800: the sigmoid gates stay in [0, 1] within
+    2.3e-16 of 1 / (1 + exp(-x)), the candidate is np.tanh (signed zero
+    included), and at 0 the sigmoid gates are exactly 0.5 and the candidate
+    exactly 0, so gate columns finished by the wrong function fail."""
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 40.0, -40.0, 800.0, -800.0])
+    batch, hid = 3, values.size
+    pre = np.tile(values, (batch, 4))
+    # The forward halves the sigmoid gates' (i, f, o) columns in its weights.
+    z = pre.copy()
+    z[:, : 2 * hid] *= 0.5
+    z[:, 3 * hid :] *= 0.5
+    c = np.full((batch, hid), 0.25)
+    c_out, tanh_c, h = (np.empty((batch, hid)) for _ in range(3))
+    seqnet._lstm_step(z, seqnet._gate_affine(batch, hid), c, c_out, tanh_c, h)
+
+    oracle = np.array([0.0 if v < -700 else 1.0 / (1.0 + math.exp(-v)) for v in values])
+    i, f, g, o = (z[:, k * hid : (k + 1) * hid] for k in range(4))
+    zero = values == 0.0
+    for gate in (i, f, o):
+        assert ((gate >= 0.0) & (gate <= 1.0)).all()
+        assert np.abs(gate - oracle).max() <= 2.3e-16
+        assert (gate[:, zero] == 0.5).all()
+    assert np.array_equal(g, np.tanh(pre[:, 2 * hid : 3 * hid]))
+    assert np.array_equal(np.signbit(g), np.signbit(pre[:, 2 * hid : 3 * hid]))
+    assert (g[:, zero] == 0.0).all()
+    assert np.array_equal(c_out, f * c + i * g)
+    assert np.array_equal(tanh_c, np.tanh(c_out))
+    assert np.array_equal(h, o * tanh_c)
+
+
 # rows of the first LSTM weight: 2 time-varying inputs, then a 4-dim condition
 COND_NET = (
     seqnet.LayerSpec("lstm", 2 + 4, 5),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -206,6 +208,21 @@ def test_pearson_matches_scipy():
     y = 0.4 * x + rng.normal(size=50)
     r, p = wv.pearson_correlation(x, y)
     expected = stats.pearsonr(x, y)
+    assert r == pytest.approx(expected.statistic, abs=1e-10)
+    assert p == pytest.approx(expected.pvalue, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 303, 304])
+def test_pearson_p_value_matches_scipy_at_few_and_many_dof(n):
+    """The closed-form Student t tail at n - 2 = 1, 2 (the shortest odd and
+    even series) and 301, 302 degrees of freedom, on data whose p-value is
+    neither near 0 nor near 1."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = 2.0 / math.sqrt(n) * x + rng.normal(size=n)
+    r, p = wv.pearson_correlation(x, y)
+    expected = stats.pearsonr(x, y)
+    assert 0.01 < expected.pvalue < 0.99
     assert r == pytest.approx(expected.statistic, abs=1e-10)
     assert p == pytest.approx(expected.pvalue, abs=1e-8)
 
