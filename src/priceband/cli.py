@@ -240,11 +240,10 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     if resume and cfg.checkpoint.exists():
         model = ctsgan.load_model(cfg.checkpoint)
         log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
-        sizes = {"hidden_dim": model.embedder.specs[0].output_dim, "latent_dim": model.latent_dim}
-        for key, size in sizes.items():
-            if size != getattr(cfg.training, key):
+        for key in ("hidden_dim", "latent_dim"):
+            if getattr(model, key) != getattr(cfg.training, key):
                 raise InputError(
-                    f"checkpoint {cfg.checkpoint} has {key} {size}, "
+                    f"checkpoint {cfg.checkpoint} has {key} {getattr(model, key)}, "
                     f"config has {getattr(cfg.training, key)}"
                 )
         done = {number for flag, number, _ in phases if model.training_flags.get(flag)}

@@ -27,10 +27,15 @@ whitening of real latents through ``_whiten``, and every autoencoder update
 through ``_autoencoder_step``, which takes the caller's cached embedder
 forward. Conditions are float64 rows of ``condition_dim`` values, and
 generation returns a plain ``[count, T]`` array of normalized price paths.
+
+Three dims, condition, hidden and latent, fix every network's shape through
+``_network_specs``, from which ``build_model`` and ``load_model`` both build.
+This module alone knows the checkpoint format (``save_model``).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import dataclass, field
@@ -45,15 +50,11 @@ from .seqnet import (
     NetworkParams,
     backward,
     init_params,
-    params_from_payload,
-    params_to_payload,
     rnn_forward,
     sgd_step,
 )
 
-MODEL_FORMAT_VERSION = 3
-
-_ROLES = ("embedder", "recovery", "generator", "discriminator")
+MODEL_FORMAT_VERSION = 4
 
 _PHASES = ("phase1", "phase2", "phase3")
 
@@ -90,8 +91,8 @@ class CTSGANModel:
     """The four-network parameter bundle plus training bookkeeping.
 
     ``latent_shift``/``latent_scale`` hold the whitening affine fixed at the
-    end of phase 1 (identity until then). The latent and condition dims are
-    read off the networks; each price path is one value per half-hour.
+    end of phase 1 (identity until then). The three dims are read off the
+    networks; each price path is one value per half-hour.
     ``training_log`` holds the records of the phases trained in this process
     only: checkpoints leave it out.
     """
@@ -109,22 +110,9 @@ class CTSGANModel:
     training_log: list = field(default_factory=list)
     adversarial_report: dict | None = None
 
-    def __post_init__(self):
-        if self.condition_dim < 0:
-            raise InputError(
-                f"generator input dim {self.generator.input_dim} < latent dim {self.latent_dim}"
-            )
-        checks = (
-            (self.embedder.input_dim, 1, "embedder input"),
-            (self.recovery.input_dim, self.latent_dim, "recovery input"),
-            (self.recovery.output_dim, 1, "recovery output"),
-            (self.generator.output_dim, self.latent_dim, "generator output"),
-            (self.discriminator.input_dim, self.latent_dim + self.condition_dim, "discriminator input"),
-            (self.discriminator.output_dim, 1, "discriminator output"),
-        )
-        for actual, expected, what in checks:
-            if actual != expected:
-                raise InputError(f"{what} dim {actual} != {expected}")
+    @property
+    def hidden_dim(self) -> int:
+        return self.embedder.specs[0].output_dim
 
     @property
     def latent_dim(self) -> int:
@@ -139,6 +127,26 @@ class CTSGANModel:
         return all(self.training_flags.get(p, False) for p in _PHASES)
 
 
+def _network_specs(condition_dim: int, hidden_dim: int, latent_dim: int) -> dict:
+    """Each role's ``(LSTM block, dense head)`` specs, the one place that writes
+    the networks' kinds, dims and activations, from three whole numbers >= 0."""
+    dims = {"condition_dim": condition_dim, "hidden_dim": hidden_dim, "latent_dim": latent_dim}
+    for name, dim in dims.items():
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"{name} must be a whole number >= 0, got {dim!r}")
+    heads = {
+        "embedder": (1, latent_dim, "sigmoid"),
+        "recovery": (latent_dim, 1, "sigmoid"),
+        "generator": (latent_dim + condition_dim, latent_dim, "linear"),
+        "discriminator": (latent_dim + condition_dim, 1, "linear"),
+    }
+    return {
+        role: (LayerSpec("lstm", in_dim, hidden_dim),
+               LayerSpec("dense", hidden_dim, out_dim, activation))
+        for role, (in_dim, out_dim, activation) in heads.items()
+    }
+
+
 def build_model(condition_dim: int, config: TrainingConfig) -> CTSGANModel:
     """Fresh model with Glorot-initialized networks of ``config``'s hidden and
     latent sizes, seeds derived per role from ``config.seed``.
@@ -148,27 +156,17 @@ def build_model(condition_dim: int, config: TrainingConfig) -> CTSGANModel:
     clustering at 0.5. Plain SGD keeps whatever code scale it starts from, and
     a near-collapsed code leaves the downstream whitening ill-conditioned.
     """
-
-    hidden_dim, latent_dim = config.hidden_dim, config.latent_dim
-
-    def net(role: str, in_dim: int, out_dim: int, activation: str) -> NetworkParams:
-        specs = (
-            LayerSpec("lstm", in_dim, hidden_dim),
-            LayerSpec("dense", hidden_dim, out_dim, activation),
-        )
-        return init_params(derive_seed(config.seed, f"init-{role}"), specs)
-
-    embedder = net("embedder", 1, latent_dim, "sigmoid")
-    embedder.tensors[-1]["w"] *= config.dispersion_gain
-    embedder.version += 1
-
+    specs = _network_specs(condition_dim, config.hidden_dim, config.latent_dim)
+    networks = {
+        role: init_params(derive_seed(config.seed, f"init-{role}"), role_specs)
+        for role, role_specs in specs.items()
+    }
+    networks["embedder"].tensors[-1]["w"] *= config.dispersion_gain
+    networks["embedder"].version += 1
     return CTSGANModel(
-        embedder=embedder,
-        recovery=net("recovery", latent_dim, 1, "sigmoid"),
-        generator=net("generator", latent_dim + condition_dim, latent_dim, "linear"),
-        discriminator=net("discriminator", latent_dim + condition_dim, 1, "linear"),
-        latent_shift=np.zeros(latent_dim),
-        latent_scale=np.ones(latent_dim),
+        **networks,
+        latent_shift=np.zeros(config.latent_dim),
+        latent_scale=np.ones(config.latent_dim),
     )
 
 
@@ -504,17 +502,21 @@ def generate_scenarios(
 def save_model(model: CTSGANModel, path) -> None:
     """Versioned JSON checkpoint; reload reproduces generation bit-exactly.
 
-    Whitening, flags and critic report are JSON values; each network's
-    weights are base64 float64 bytes (see ``seqnet.params_to_payload``). The
-    training log is not saved: the CLI writes it to ``training_log.jsonl``.
+    It holds the three dims of ``_network_specs``, each network's ``flat()``
+    weights as base64 little-endian float64 bytes, and the whitening, flags
+    and critic report; the CLI writes the training log to its own file.
     """
+    dims = {"condition_dim": model.condition_dim, "hidden_dim": model.hidden_dim,
+            "latent_dim": model.latent_dim}
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
+        "dims": dims,
         "latent_shift": model.latent_shift.tolist(),
         "latent_scale": model.latent_scale.tolist(),
         "latent_autocorr": model.latent_autocorr,
         "networks": {
-            role: params_to_payload(getattr(model, role)) for role in _ROLES
+            role: base64.b64encode(getattr(model, role).buffer.astype("<f8").tobytes()).decode()
+            for role in _network_specs(**dims)
         },
         "training_flags": model.training_flags,
         "adversarial_report": model.adversarial_report,
@@ -525,10 +527,11 @@ def save_model(model: CTSGANModel, path) -> None:
     os.replace(tmp, path)
 
 
-def _whitening_from_payload(payload: dict, latent_dim: int):
-    """The checkpoint's ``(latent_shift, latent_scale, latent_autocorr)``:
-    shift and scale are each ``latent_dim`` finite values with a positive
-    scale, and the autocorrelation is in [0, 0.99]."""
+def _whitening_from_payload(payload: dict, latent_dim: int) -> dict:
+    """The checkpoint's ``latent_shift``, ``latent_scale`` and
+    ``latent_autocorr`` by name: shift and scale are each ``latent_dim``
+    finite values with a positive scale, and the autocorrelation is in
+    [0, 0.99]."""
     autocorr = float(payload["latent_autocorr"])
     if not 0.0 <= autocorr <= 0.99:
         raise CheckpointError(f"latent_autocorr {autocorr} is outside [0, 0.99]")
@@ -541,10 +544,39 @@ def _whitening_from_payload(payload: dict, latent_dim: int):
             )
     if (scale <= 0).any():
         raise CheckpointError("latent_scale must be positive")
-    return shift, scale, autocorr
+    return {"latent_shift": shift, "latent_scale": scale, "latent_autocorr": autocorr}
+
+
+def _flags_from_payload(flags) -> dict:
+    """The checkpoint's ``training_flags``: exactly the ``_PHASES``, each
+    mapped to a boolean, with no phase done before an earlier one."""
+    full = isinstance(flags, dict) and len(flags) == len(_PHASES)
+    done = [flags.get(p) for p in _PHASES] if full else [None]
+    if any(type(d) is not bool for d in done) or done != sorted(done, reverse=True):
+        raise CheckpointError(
+            f"training_flags must map {', '.join(_PHASES)} to booleans with no phase "
+            f"done before an earlier one, got {flags!r}"
+        )
+    return dict(zip(_PHASES, done))
+
+
+def _report_from_payload(report) -> dict | None:
+    """The checkpoint's ``adversarial_report``: ``None``, or finite numbers
+    for the critic's scores and accuracy and an integer ``scored_days``."""
+    keys = ("d_score_real", "d_score_fake", "real_vs_fake_accuracy", "scored_days")
+    values = [report.get(k) for k in keys] if isinstance(report, dict) else [None]
+    numbers = all(type(v) in (int, float) for v in values) and np.isfinite(values).all()
+    if report is not None and not (numbers and type(values[-1]) is int):
+        raise CheckpointError(
+            f"adversarial_report must be null or hold finite numbers {', '.join(keys[:3])} "
+            f"and an integer scored_days, got {report!r}"
+        )
+    return report
 
 
 def load_model(path) -> CTSGANModel:
+    """The model ``save_model`` wrote to ``path``; any other file, or one whose
+    dims, weights, whitening, flags or report are malformed, raises ``CheckpointError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -559,20 +591,16 @@ def load_model(path) -> CTSGANModel:
             "re-train with this package version"
         )
     try:
-        networks = {
-            role: params_from_payload(payload["networks"][role]) for role in _ROLES
-        }
-        shift, scale, autocorr = _whitening_from_payload(
-            payload, networks["embedder"].output_dim
-        )
-        model = CTSGANModel(
-            **networks,
-            latent_shift=shift,
-            latent_scale=scale,
-            latent_autocorr=autocorr,
-            training_flags=dict(payload["training_flags"]),
-            adversarial_report=payload.get("adversarial_report"),
+        specs = _network_specs(**payload["dims"])
+        return CTSGANModel(
+            # one network at a time, as a writable native-order copy (frombuffer's is
+            # read-only): decoding all four first raised the backtest benchmark's peak RSS
+            **{role: NetworkParams(role_specs, np.frombuffer(
+                base64.b64decode(payload["networks"][role], validate=True), dtype="<f8"
+            ).astype(np.float64)) for role, role_specs in specs.items()},
+            **_whitening_from_payload(payload, payload["dims"]["latent_dim"]),
+            training_flags=_flags_from_payload(payload["training_flags"]),
+            adversarial_report=_report_from_payload(payload.get("adversarial_report")),
         )
     except (KeyError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"bad model checkpoint structure: {exc}") from exc
-    return model

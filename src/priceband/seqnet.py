@@ -33,21 +33,18 @@ each gradient into the same layout of one gradient vector.
 (training) and, with ``keep_cache=False``, without one (inference, e.g.
 scenario generation).
 
-``params_to_payload``/``params_from_payload`` give one network's JSON
-payload: its layer specs plus ``flat_weights``, the base64 text of the
-weight vector as little-endian float64 bytes, so a reload is bit-exact.
-The model checkpoint (``ctsgan.save_model``) embeds one per network.
+This module knows no file format: ``ctsgan`` saves and loads the networks,
+handing ``NetworkParams`` the specs and a ``flat()`` vector to check.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, InputError, NumericalError, StateError
+from .errors import InputError, NumericalError, StateError
 
 _ACTIVATIONS = ("linear", "sigmoid")
 
@@ -504,57 +501,3 @@ def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-# --- checkpointing -------------------------------------------------------------
-
-# Byte layout of ``flat_weights``: little-endian float64 on every platform.
-_WEIGHT_DTYPE = np.dtype("<f8")
-
-
-def params_to_payload(params: NetworkParams) -> dict:
-    weight_bytes = params.buffer.astype(_WEIGHT_DTYPE).tobytes()
-    return {
-        "layer_specs": [
-            {
-                "kind": s.kind,
-                "input_dim": s.input_dim,
-                "output_dim": s.output_dim,
-                "activation": s.activation,
-            }
-            for s in params.specs
-        ],
-        "flat_weights": base64.b64encode(weight_bytes).decode("ascii"),
-    }
-
-
-def params_from_payload(payload: dict) -> NetworkParams:
-    try:
-        specs = tuple(
-            LayerSpec(
-                kind=s["kind"],
-                input_dim=int(s["input_dim"]),
-                output_dim=int(s["output_dim"]),
-                activation=s.get("activation", "linear"),
-            )
-            for s in payload["layer_specs"]
-        )
-        weight_bytes = base64.b64decode(payload["flat_weights"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad network payload: {exc}") from exc
-    if len(weight_bytes) % _WEIGHT_DTYPE.itemsize:
-        raise CheckpointError(
-            f"weight data of {len(weight_bytes)} bytes is not a whole number of float64 values"
-        )
-    flat = np.frombuffer(weight_bytes, dtype=_WEIGHT_DTYPE)
-    try:
-        _validate_specs(specs)
-    except InputError as exc:
-        raise CheckpointError(f"bad layer specs: {exc}") from exc
-    n_params = sum(spec.n_params() for spec in specs)
-    if flat.shape != (n_params,):
-        raise CheckpointError(f"weight count {flat.size} does not match specs ({n_params})")
-    if not np.isfinite(flat).all():
-        raise CheckpointError("non-finite weights in checkpoint")
-    # one writable native-order copy (frombuffer's array is read-only)
-    return NetworkParams(specs, flat.astype(np.float64))

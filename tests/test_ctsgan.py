@@ -1,3 +1,4 @@
+import base64
 import json
 import tracemalloc
 
@@ -378,7 +379,7 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="format 99 != 3; re-train"):
+    with pytest.raises(CheckpointError, match="format 99 != 4; re-train"):
         ctsgan.load_model(path)
 
 
@@ -401,26 +402,159 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
 def test_model_bad_whitening_or_payload_type_rejected(tmp_path, mangle, message):
     """A checkpoint whose whitening could not generate a valid band, or that
     is not a JSON object, is refused when it is read."""
+    with pytest.raises(CheckpointError, match=message):
+        load_mangled(tmp_path, small_model(), mangle)
+
+
+def load_mangled(tmp_path, model, mangle):
+    """Save ``model``, let ``mangle`` edit the JSON payload in place or
+    return a replacement, and load the result."""
     path = tmp_path / "model.json"
-    ctsgan.save_model(small_model(), path)
+    ctsgan.save_model(model, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload = mangle(payload) or payload
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match=message):
-        ctsgan.load_model(path)
+    return ctsgan.load_model(path)
+
+
+def generator_weights(payload):
+    return np.frombuffer(base64.b64decode(payload["networks"]["generator"]), dtype="<f8")
+
+
+def set_generator_weights(payload, weights):
+    payload["networks"]["generator"] = base64.b64encode(
+        np.asarray(weights, dtype="<f8").tobytes()
+    ).decode("ascii")
+
+
+def nan_at_3(weights):
+    weights = weights.copy()
+    weights[3] = np.nan
+    return weights
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda p: p["dims"].update(latent_dim=True),
+         "latent_dim must be a whole number >= 0, got True"),
+        (lambda p: p["dims"].update(hidden_dim=2.5),
+         "hidden_dim must be a whole number >= 0, got 2.5"),
+        (lambda p: p["dims"].update(condition_dim=-1),
+         "condition_dim must be a whole number >= 0, got -1"),
+        (lambda p: {key: value for key, value in p.items() if key != "dims"}, "'dims'"),
+        (lambda p: p["networks"].update(generator="not base64!" + p["networks"]["generator"]),
+         "(Only base64 data is allowed|Non-base64 digit found)"),
+        (lambda p: p["networks"].update(generator=p["networks"]["generator"][:-1]), "padding"),
+        (lambda p: p["networks"].update(generator=p["networks"]["generator"][:-4]),
+         "buffer size must be a multiple of element size"),
+        (lambda p: set_generator_weights(p, generator_weights(p)[:-1]),
+         "parameter buffer is float64 \\(435,\\), expected float64 \\(436,\\)"),
+        (lambda p: set_generator_weights(p, nan_at_3(generator_weights(p))), "non-finite parameter"),
+        (lambda p: p["networks"].update(generator=generator_weights(p).tolist()),
+         "bytes-like object or ASCII string, not 'list'"),
+        (lambda p: p["networks"].update(recovery=None), "not 'NoneType'"),
+    ],
+    ids=["dims-true", "dims-fraction", "dims-negative-condition", "dims-missing",
+         "weights-non-base64", "weights-cut-padding", "weights-cut-bytes", "weights-one-short",
+         "weights-nan", "weights-float-list", "weights-null"],
+)
+def test_load_model_refuses_malformed_dims_or_weights(tmp_path, mangle, message):
+    """Format 4 shapes every network from the three dims: a dim that is not a
+    whole number >= 0, or a network whose weights are not base64 text of
+    exactly its count of finite little-endian float64 values, is refused."""
+    with pytest.raises(CheckpointError, match=f"bad model checkpoint structure: .*{message}"):
+        load_mangled(tmp_path, small_model(), mangle)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"phase1": "no", "phase2": "no", "phase3": "no"},
+        {"phase1": True, "phase2": True},
+        {"phase3": True},
+        {"phase1": False, "phase2": True, "phase3": False},
+        {"phase1": 1, "phase2": 1, "phase3": 1},
+        None,
+    ],
+    ids=["string", "missing-key", "phase3-alone", "phase2-before-phase1", "integers", "null"],
+)
+def test_load_model_refuses_malformed_training_flags(tmp_path, flags):
+    """Flags other than each phase mapped to a boolean, with no phase done
+    before an earlier one, could let an untrained model generate bands."""
+    with pytest.raises(CheckpointError, match="^training_flags must map phase1, phase2, phase3"):
+        load_mangled(tmp_path, small_model(), lambda p: p.update(training_flags=flags))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda r: r.pop("d_score_real"),
+        lambda r: r.update(d_score_fake="0.1"),
+        lambda r: r.update(real_vs_fake_accuracy=float("nan")),
+        lambda r: r.update(scored_days=True),
+        lambda r: r.update(scored_days=2.0),
+    ],
+    ids=["missing-score", "string-score", "nan-accuracy", "boolean-days", "float-days"],
+)
+def test_load_model_refuses_a_malformed_adversarial_report(tmp_path, edit):
+    model = small_model()
+    model.adversarial_report = {
+        "d_score_real": 0.25, "d_score_fake": -0.5, "real_vs_fake_accuracy": 0.5, "scored_days": 3,
+    }
+
+    def mangle(payload):
+        edit(payload["adversarial_report"])
+
+    with pytest.raises(CheckpointError, match="^adversarial_report must be null or hold"):
+        load_mangled(tmp_path, model, mangle)
+
+
+def test_format_3_checkpoint_refused_with_retrain_hint(tmp_path):
+    """Version 3 stored each network's layer specs, which let a file change
+    the architecture (a head's activation, say); it is not read."""
+
+    def as_format_3(payload):
+        payload["format_version"] = 3
+        del payload["dims"]
+        for role, text in payload["networks"].items():
+            payload["networks"][role] = {"layer_specs": [], "flat_weights": text}
+
+    with pytest.raises(CheckpointError, match="format 3 != 4; re-train with this package version"):
+        load_mangled(tmp_path, small_model(), as_format_3)
+
+
+def test_loaded_model_takes_an_in_place_sgd_step(tmp_path):
+    """Each loaded network is writable, so ``sgd_step`` updates it in place
+    with the same arithmetic as on the saved network."""
+    model = small_model()
+    loaded = load_mangled(tmp_path, model, lambda p: None)
+    rng = np.random.default_rng(20)
+    for role in ROLES:
+        saved, params = getattr(model, role), getattr(loaded, role)
+        assert params.version == 0
+        grads = rng.normal(size=params.n_params)
+        seqnet.sgd_step(params, grads, 0.1)
+        seqnet.sgd_step(saved, grads, 0.1)
+        assert params.version == 1
+        assert params.flat().tobytes() == saved.flat().tobytes()
 
 
 def test_checkpoint_stores_each_fact_once(tmp_path):
-    """Format 3 holds the networks, the whitening, the flags and the critic
-    report; the dims are read off the networks and the log is not saved."""
+    """Format 4 holds the three dims once, each network's weights as one
+    base64 string, the whitening, the flags and the critic report; the log
+    is not saved."""
     model = train_all(small_model(), toy_days(), iters=5)
     path = tmp_path / "model.json"
     ctsgan.save_model(model, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert set(payload) == {
-        "format_version", "networks", "latent_shift", "latent_scale", "latent_autocorr",
+        "format_version", "dims", "networks", "latent_shift", "latent_scale", "latent_autocorr",
         "training_flags", "adversarial_report",
     }
+    assert payload["dims"] == {"condition_dim": COND_DIM, "hidden_dim": 6, "latent_dim": 4}
+    assert set(payload["networks"]) == set(ROLES)
+    assert all(isinstance(text, str) for text in payload["networks"].values())
     loaded = ctsgan.load_model(path)
     assert (loaded.latent_dim, loaded.condition_dim) == (4, COND_DIM)
     assert loaded.training_log == []
@@ -428,6 +562,24 @@ def test_checkpoint_stores_each_fact_once(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match="latent_scale must hold 4 finite values"):
         ctsgan.load_model(path)
+
+
+def test_built_and_loaded_models_have_the_four_networks_of_the_paper(tmp_path):
+    """Each network is an LSTM of the hidden size and a dense head; the
+    embedder and recovery heads are sigmoids, the generator and critic heads
+    linear, and the generator and critic read latent + condition inputs."""
+    heads = {  # role: (LSTM input dim, head output dim, head activation)
+        "embedder": (1, 4, "sigmoid"),
+        "recovery": (4, 1, "sigmoid"),
+        "generator": (4 + COND_DIM, 4, "linear"),
+        "discriminator": (4 + COND_DIM, 1, "linear"),
+    }
+    model = small_model()
+    loaded = load_mangled(tmp_path, model, lambda p: None)
+    for role, (in_dim, out_dim, activation) in heads.items():
+        specs = (seqnet.LayerSpec("lstm", in_dim, 6), seqnet.LayerSpec("dense", 6, out_dim, activation))
+        assert getattr(model, role).specs == specs
+        assert getattr(loaded, role).specs == specs
 
 
 def test_fresh_model_whitening_is_the_identity():

@@ -1,11 +1,10 @@
-import base64
 import math
 
 import numpy as np
 import pytest
 
 from priceband import seqnet
-from priceband.errors import CheckpointError, InputError, NumericalError, StateError
+from priceband.errors import InputError, NumericalError, StateError
 
 LSTM_DENSE = (
     seqnet.LayerSpec("lstm", 3, 5),
@@ -56,6 +55,23 @@ def test_init_invalid_dims():
         seqnet.init_params(
             0, (seqnet.LayerSpec("lstm", 3, 4), seqnet.LayerSpec("dense", 5, 1))
         )
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        ((seqnet.LayerSpec("gru", 3, 5), LSTM_DENSE[1]), "unknown layer kind"),
+        ((seqnet.LayerSpec("dense", 3, 2),), "network must be an lstm block"),
+        ((*LSTM_DENSE, seqnet.LayerSpec("dense", 2, 1)), "network must be an lstm block"),
+    ],
+    ids=["unknown-kind", "dense-only", "three-blocks"],
+)
+def test_network_params_refuse_other_shapes(specs, message):
+    """Weights of the right count are refused unless the specs are one lstm
+    block then one dense head."""
+    n_params = sum(spec.n_params() for spec in specs)
+    with pytest.raises(InputError, match=message):
+        seqnet.NetworkParams(specs, np.zeros(n_params))
 
 
 # --- forward ------------------------------------------------------------------------
@@ -384,100 +400,3 @@ def test_gradient_check_rejects_zero_eps():
     params = seqnet.init_params(14, LSTM_DENSE)
     with pytest.raises(InputError, match="eps"):
         seqnet.gradient_check(params, lambda p: (0.0, np.zeros(p.n_params)), 0.0)
-
-
-# --- checkpoint payload ------------------------------------------------------------------
-
-def test_checkpoint_round_trip_exact():
-    params = seqnet.init_params(15, LSTM_DENSE)
-    loaded = seqnet.params_from_payload(seqnet.params_to_payload(params))
-    assert loaded.specs == params.specs
-    assert loaded.flat().tobytes() == params.flat().tobytes()
-    assert seqnet.params_to_payload(loaded) == seqnet.params_to_payload(params)
-
-
-def test_loaded_network_takes_an_in_place_sgd_step():
-    """A loaded network's tensors are writable, so ``sgd_step`` can update
-    them in place, with the same arithmetic as on the saved network."""
-    params = seqnet.init_params(20, LSTM_DENSE)
-    loaded = seqnet.params_from_payload(seqnet.params_to_payload(params))
-    assert loaded.version == 0
-    grads = np.random.default_rng(20).normal(size=params.n_params)
-    seqnet.sgd_step(loaded, grads, 0.1)
-    seqnet.sgd_step(params, grads, 0.1)
-    assert loaded.version == 1
-    assert loaded.flat().tobytes() == params.flat().tobytes()
-
-
-def test_checkpoint_weight_count_mismatch():
-    payload = seqnet.params_to_payload(seqnet.init_params(18, LSTM_DENSE))
-    flat = np.frombuffer(base64.b64decode(payload["flat_weights"]), dtype="<f8")
-    payload["flat_weights"] = base64.b64encode(flat[:-1].tobytes()).decode("ascii")
-    with pytest.raises(CheckpointError, match="weight count"):
-        seqnet.params_from_payload(payload)
-
-
-def test_checkpoint_rejects_bad_layer_specs():
-    payload = seqnet.params_to_payload(seqnet.init_params(21, LSTM_DENSE))
-    payload["layer_specs"][0]["kind"] = "gru"
-    with pytest.raises(CheckpointError, match="bad layer specs: unknown layer kind"):
-        seqnet.params_from_payload(payload)
-
-
-@pytest.mark.parametrize(
-    "specs",
-    [
-        (seqnet.LayerSpec("dense", 3, 2),),
-        (*LSTM_DENSE, seqnet.LayerSpec("dense", 2, 1)),
-    ],
-    ids=["dense-only", "three-blocks"],
-)
-def test_checkpoint_rejects_other_network_shapes(specs):
-    """A payload that is not one lstm block then one dense head is refused,
-    even when its weight count matches its specs."""
-    n_params = sum(spec.n_params() for spec in specs)
-    payload = {
-        "layer_specs": [
-            {"kind": s.kind, "input_dim": s.input_dim, "output_dim": s.output_dim,
-             "activation": s.activation}
-            for s in specs
-        ],
-        "flat_weights": base64.b64encode(np.zeros(n_params).astype("<f8").tobytes()).decode("ascii"),
-    }
-    with pytest.raises(CheckpointError, match="bad layer specs: network must be an lstm block"):
-        seqnet.params_from_payload(payload)
-
-
-def test_checkpoint_rejects_float_list_weights():
-    """The format-1 layout (a JSON list of floats) is not read."""
-    params = seqnet.init_params(19, LSTM_DENSE)
-    payload = seqnet.params_to_payload(params)
-    payload["flat_weights"] = params.flat().tolist()
-    with pytest.raises(CheckpointError, match="bad network payload"):
-        seqnet.params_from_payload(payload)
-
-
-@pytest.mark.parametrize(
-    "mangle, message",
-    [
-        (lambda text: "not base64!" + text, "bad network payload"),
-        (lambda text: text[:-1], "bad network payload"),  # broken padding
-        (lambda text: text[:-4], "not a whole number of float64 values"),
-    ],
-    ids=["non-base64", "cut-padding", "cut-bytes"],
-)
-def test_checkpoint_rejects_bad_weight_text(mangle, message):
-    payload = seqnet.params_to_payload(seqnet.init_params(20, LSTM_DENSE))
-    payload["flat_weights"] = mangle(payload["flat_weights"])
-    with pytest.raises(CheckpointError, match=message):
-        seqnet.params_from_payload(payload)
-
-
-def test_checkpoint_rejects_non_finite_weights():
-    params = seqnet.init_params(21, LSTM_DENSE)
-    flat = params.flat()
-    flat[3] = np.nan
-    payload = seqnet.params_to_payload(params)
-    payload["flat_weights"] = base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
-    with pytest.raises(CheckpointError, match="non-finite"):
-        seqnet.params_from_payload(payload)

@@ -1,7 +1,8 @@
 """Import structure of the package: every import sits at module level, the
 modules of ``priceband`` import each other without a cycle, importing the
 CLI loads no ``scipy`` module and starts no thread, only the CLI turns
-weather volatility into a noise sigma, and every entry point the
+weather volatility into a noise sigma, only ``ctsgan`` knows the model
+file's format, and every entry point the
 benchmark's tracer wraps and every module attribute its workloads read
 exists."""
 
@@ -106,6 +107,23 @@ def test_only_cli_imports_weather_volatility():
         if "weather_volatility" in _package_imports(tree, modules)
     ]
     assert importers == ["cli"]
+
+
+def test_only_ctsgan_knows_the_checkpoint_format():
+    """No module but ``ctsgan`` imports ``base64`` or names
+    ``CheckpointError`` (``errors`` defines it), so the model file's format
+    sits behind one module."""
+    knowers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "base64" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "base64"
+                or "CheckpointError" in {getattr(node, f, None) for f in ("id", "attr", "name")}
+            ):
+                knowers.add(name)
+    assert knowers == {"ctsgan", "errors"}
 
 
 def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:
