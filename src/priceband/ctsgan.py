@@ -200,17 +200,45 @@ def _train_holdout_split(n: int, config: TrainingConfig) -> tuple[np.ndarray, np
 
 _MIN_LATENT_SCALE = 1e-3
 
+# The whitening's temporaries are made one block of latent columns at a
+# time, in this many blocks where the columns allow it: each then holds an
+# eighth of the latents.
+_WHITENING_BLOCKS = 8
+
+
+def _column_blocks(width: int) -> list[slice]:
+    """``width`` columns as up to ``_WHITENING_BLOCKS`` contiguous blocks of
+    near-equal width, each at least two columns wide unless ``width`` is 1.
+    numpy sums a one-column block over steps and days pairwise, where a
+    wider block adds its rows one by one, as the whole array does."""
+    count = max(1, min(_WHITENING_BLOCKS, width // 2))
+    return [slice(k * width // count, (k + 1) * width // count) for k in range(count)]
+
 
 def _calibrate_latent_space(model: CTSGANModel, latents: np.ndarray) -> None:
     """Freeze the whitening affine and the lag-1 autocorrelation of the
-    phase-1 latents ([T, N, latent]), which are whitened in place."""
+    phase-1 latents ([T, N, latent]), which are whitened in place.
+
+    The mean and the whitening make no temporary. The standard deviations
+    and the autocorrelation do, so they are computed one ``_column_blocks``
+    block at a time: each temporary holds one block of the latents, not all
+    of them. Each is a per-column reduction, so every column is summed in
+    the same order, with the same bits, as in one whole-array pass.
+    """
+    blocks = _column_blocks(latents.shape[2])
     model.latent_shift = latents.mean(axis=(0, 1))
-    model.latent_scale = np.maximum(latents.std(axis=(0, 1)), _MIN_LATENT_SCALE)
+    std = np.concatenate([latents[:, :, cols].std(axis=(0, 1)) for cols in blocks])
+    model.latent_scale = np.maximum(std, _MIN_LATENT_SCALE)
     white = _whiten(model, latents, out=latents)
-    a = white[:-1].reshape(-1, white.shape[2])
-    b = white[1:].reshape(-1, white.shape[2])
-    ac = (a * b).mean(axis=0) / np.maximum(a.std(axis=0) * b.std(axis=0), 1e-12)
+    ac = np.concatenate([_lag1_autocorr(white[:, :, cols]) for cols in blocks])
     model.latent_autocorr = float(np.clip(np.mean(ac), 0.0, 0.99))
+
+
+def _lag1_autocorr(white: np.ndarray) -> np.ndarray:
+    """Per-column lag-1 autocorrelation of ``white`` ([T, N, width])."""
+    a = white[:-1].reshape(-1, white.shape[2])  # views: steps and days merge into one axis
+    b = white[1:].reshape(-1, white.shape[2])
+    return (a * b).mean(axis=0) / np.maximum(a.std(axis=0) * b.std(axis=0), 1e-12)
 
 
 def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
@@ -287,7 +315,7 @@ def _autoencoder_step(
     loss = float(np.mean(diff * diff))
     _check_finite_loss(loss, phase)
     g_r, d_latents = backward(cache_r, 2.0 * diff / diff.size)
-    g_e, _ = backward(cache_e, d_latents)
+    g_e, _ = backward(cache_e, d_latents, input_grads=False)
     sgd_step(model.recovery, g_r, learning_rate)
     sgd_step(model.embedder, g_e, learning_rate)
     return loss
@@ -352,7 +380,7 @@ def train_phase2_supervised(
         diff = predicted - latents[1:]
         loss = float(np.mean(diff * diff))
         _check_finite_loss(loss, "phase2")
-        g_g, _ = backward(cache_g, 2.0 * diff / diff.size)
+        g_g, _ = backward(cache_g, 2.0 * diff / diff.size, input_grads=False)
         sgd_step(model.generator, g_g, config.learning_rate)
         return {"loss": loss}
 
@@ -374,41 +402,65 @@ def train_phase3_joint(
     reconstruction loss and the share of critic weights at the clip bound.
     Critic scores on held-out real days and fresh generated days are logged
     at the end.
+
+    An iteration embeds its batch once, then runs a critic sub-step and a
+    generator sub-step, each of which frees its forward caches and gradient
+    vectors once its update is done, and then the autoencoder refresh. The
+    critic draws its noise before the generator does.
     """
     lam = config.supervised_weight
 
-    def step(x, cond, rng):
-        # critic step: real vs generated latents, clip weights afterwards.
-        # The embedder is not stepped before the autoencoder refresh, so its
-        # one cached forward serves both.
-        embedded = rnn_forward(model.embedder, x)
-        latents_real = _whiten(model, embedded[0])
-        latents_fake, _ = _generate_latents(model, rng, cond, x.shape[1], 1.0, keep_cache=False)
+    def critic_step(latents_real, cond, rng) -> float:
+        """Critic update on real vs freshly generated latents, weights
+        clipped afterwards; returns the critic loss."""
+        count = latents_real.shape[1]
+        latents_fake, _ = _generate_latents(model, rng, cond, count, 1.0, keep_cache=False)
         score_real, cache_dr = rnn_forward(model.discriminator, latents_real, cond)
         score_fake, cache_df = rnn_forward(model.discriminator, latents_fake, cond)
         d_loss = float(np.mean(score_fake) - np.mean(score_real))
         _check_finite_loss(d_loss, "phase3 critic")
-        g_df, _ = backward(cache_df, np.full(score_fake.shape, 1.0 / score_fake.size))
-        g_dr, _ = backward(cache_dr, np.full(score_real.shape, -1.0 / score_real.size))
-        sgd_step(model.discriminator, g_df + g_dr, config.learning_rate, config.clip_limit)
-
-        # generator step: adversarial + supervised
-        fake_latents, cache_g = _generate_latents(
-            model, rng, cond, x.shape[1], 1.0, keep_cache=True
+        g_df, _ = backward(
+            cache_df, np.full(score_fake.shape, 1.0 / score_fake.size), input_grads=False
         )
-        score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
-        adv_loss = float(-np.mean(score))
-        _, d_fake_latents = backward(cache_d, np.full(score.shape, -1.0 / score.size))
-        g_adv, _ = backward(cache_g, d_fake_latents)
+        g_dr, _ = backward(
+            cache_dr, np.full(score_real.shape, -1.0 / score_real.size), input_grads=False
+        )
+        g_df += g_dr
+        sgd_step(model.discriminator, g_df, config.learning_rate, config.clip_limit)
+        return d_loss
 
+    def adversarial_gradient(cond, count, rng) -> tuple[np.ndarray, float]:
+        """The generator's gradient of the adversarial loss, the negative
+        mean critic score of ``count`` fresh generated sequences, and that loss."""
+        fake_latents, cache_g = _generate_latents(model, rng, cond, count, 1.0, keep_cache=True)
+        score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
+        _, d_fake_latents = backward(cache_d, np.full(score.shape, -1.0 / score.size))
+        g_adv, _ = backward(cache_g, d_fake_latents, input_grads=False)
+        return g_adv, float(-np.mean(score))
+
+    def generator_step(latents_real, cond, rng) -> tuple[float, float, float]:
+        """Generator update on the adversarial plus the weighted supervised
+        loss; returns the loss and its supervised and adversarial parts. The
+        adversarial passes' caches are freed before the supervised pass."""
+        g_adv, adv_loss = adversarial_gradient(cond, latents_real.shape[1], rng)
         predicted, cache_s = rnn_forward(model.generator, latents_real[:-1], cond)
         sup_diff = predicted - latents_real[1:]
         sup_loss = float(np.mean(sup_diff * sup_diff))
-        g_sup, _ = backward(cache_s, 2.0 * lam * sup_diff / sup_diff.size)
+        g_sup, _ = backward(cache_s, 2.0 * lam * sup_diff / sup_diff.size, input_grads=False)
         loss = lam * sup_loss + adv_loss
         _check_finite_loss(loss, "phase3 generator")
-        sgd_step(model.generator, g_adv + g_sup, config.learning_rate)
+        g_adv += g_sup
+        sgd_step(model.generator, g_adv, config.learning_rate)
+        return loss, sup_loss, adv_loss
 
+    def step(x, cond, rng):
+        # The embedder is not stepped before the autoencoder refresh, so its
+        # one cached forward serves the critic, the generator and the refresh.
+        # Each sub-step's caches and gradients are freed when it returns.
+        embedded = rnn_forward(model.embedder, x)
+        latents_real = _whiten(model, embedded[0])
+        d_loss = critic_step(latents_real, cond, rng)
+        loss, sup_loss, adv_loss = generator_step(latents_real, cond, rng)
         recon_loss = _autoencoder_step(
             model, x, embedded, config.learning_rate, "phase3 reconstruction"
         )
@@ -505,25 +557,33 @@ def save_model(model: CTSGANModel, path) -> None:
     It holds the three dims of ``_network_specs``, each network's ``flat()``
     weights as base64 little-endian float64 bytes, and the whitening, flags
     and critic report; the CLI writes the training log to its own file.
+
+    The file is the text of ``json.dumps(payload, allow_nan=False)``, written
+    in pieces: ``json`` encodes the small fields, and each network's base64
+    bytes go straight from ``base64.b64encode`` into the file (base64 needs
+    no JSON escaping), so no copy of the weights as text is held.
     """
     dims = {"condition_dim": model.condition_dim, "hidden_dim": model.hidden_dim,
             "latent_dim": model.latent_dim}
-    payload = {
+    head = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "dims": dims,
         "latent_shift": model.latent_shift.tolist(),
         "latent_scale": model.latent_scale.tolist(),
         "latent_autocorr": model.latent_autocorr,
-        "networks": {
-            role: base64.b64encode(getattr(model, role).buffer.astype("<f8").tobytes()).decode()
-            for role in _network_specs(**dims)
-        },
+    }, allow_nan=False)
+    tail = json.dumps({
         "training_flags": model.training_flags,
         "adversarial_report": model.adversarial_report,
-    }
+    }, allow_nan=False)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, allow_nan=False))
+    with open(tmp, "wb") as fh:
+        fh.write(f'{head[:-1]}, "networks": {{'.encode("ascii"))
+        for k, role in enumerate(_network_specs(**dims)):
+            fh.write(f'{", " if k else ""}{json.dumps(role)}: "'.encode("ascii"))
+            fh.write(base64.b64encode(getattr(model, role).buffer.astype("<f8", copy=False)))
+            fh.write(b'"')
+        fh.write(f"}}, {tail[1:]}".encode("ascii"))
     os.replace(tmp, path)
 
 
@@ -531,20 +591,28 @@ def _whitening_from_payload(payload: dict, latent_dim: int) -> dict:
     """The checkpoint's ``latent_shift``, ``latent_scale`` and
     ``latent_autocorr`` by name: shift and scale are each ``latent_dim``
     finite values with a positive scale, and the autocorrelation is in
-    [0, 0.99]."""
-    autocorr = float(payload["latent_autocorr"])
+    [0, 0.99]. Each value must be a JSON number: a string or a boolean is
+    refused, not converted."""
+    autocorr = payload["latent_autocorr"]
+    if type(autocorr) not in (int, float):
+        raise CheckpointError(f"latent_autocorr must be a JSON number, got {autocorr!r}")
     if not 0.0 <= autocorr <= 0.99:
         raise CheckpointError(f"latent_autocorr {autocorr} is outside [0, 0.99]")
-    shift = np.asarray(payload["latent_shift"], dtype=np.float64)
-    scale = np.asarray(payload["latent_scale"], dtype=np.float64)
-    for name, values in (("latent_shift", shift), ("latent_scale", scale)):
+    whitening = {"latent_autocorr": float(autocorr)}
+    for name in ("latent_shift", "latent_scale"):
+        raw = payload[name]
+        bad = [v for v in raw if type(v) not in (int, float)] if isinstance(raw, list) else []
+        if bad:
+            raise CheckpointError(f"{name} must hold JSON numbers, got {bad[0]!r}")
+        values = np.asarray(raw, dtype=np.float64)
         if values.shape != (latent_dim,) or not np.isfinite(values).all():
             raise CheckpointError(
                 f"{name} must hold {latent_dim} finite values, got shape {values.shape}"
             )
-    if (scale <= 0).any():
+        whitening[name] = values
+    if (whitening["latent_scale"] <= 0).any():
         raise CheckpointError("latent_scale must be positive")
-    return {"latent_shift": shift, "latent_scale": scale, "latent_autocorr": autocorr}
+    return whitening
 
 
 def _flags_from_payload(flags) -> dict:

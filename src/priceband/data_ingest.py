@@ -261,6 +261,7 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read dataset {path} ({exc})") from exc
+    stamps, values, lines = [], [], []
     try:
         with fh:
             reader = csv.reader(fh)
@@ -274,7 +275,6 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
             ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
             value_fields = itemgetter(*value_cols)
 
-            stamps, values, lines = [], [], []
             for row in reader:
                 if not row:
                     continue
@@ -289,6 +289,9 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
                     pass
                 _check_finite(values, lines)  # an earlier row's error comes first
                 _raise_row_error(row, columns, reader.line_num)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        _check_finite(values, lines)
+        raise MalformedRow(reader.line_num, f"unreadable CSV record: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read dataset {path} (not UTF-8 text: {exc.reason})") from exc
     return stamps, _check_finite(values, lines)

@@ -366,13 +366,18 @@ def _lstm_step(
     np.multiply(o, tanh_c_out, out=h_out)
 
 
-def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(
+    cache: ForwardCache, upstream: np.ndarray, *, input_grads: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact gradients of the cached forward pass.
 
     ``upstream`` is d(loss)/d(outputs) with the same shape as the forward
     output. Returns ``(flat parameter gradients, input gradients)``; input
     gradients have the shape of the forward's ``inputs`` (the time-varying
-    part only, without the condition).
+    part only, without the condition). A caller that does not read them
+    passes ``input_grads=False`` and gets ``None`` in their place, which
+    skips one ``[T*B, 4H] @ [4H, Dx]`` GEMM; the parameter gradients are the
+    same bits either way.
     """
     params = cache.params
     if cache.version != params.version:
@@ -437,8 +442,9 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
             dz_seq = dz_seq.sum(axis=0, keepdims=True)
         dw[in_dim : lstm.input_dim] = cond.T @ dz_seq
     d_lstm["b"][...] = dz2.sum(axis=0)
-    d_inputs = (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
-    return grads, d_inputs
+    if not input_grads:
+        return grads, None
+    return grads, (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
 
 
 def sgd_step(

@@ -143,6 +143,24 @@ def test_conditioned_network_gradient_check(role):
     assert err < 1e-4, f"{role}: finite-difference error {err}"
 
 
+@pytest.mark.parametrize("role", ROLES)
+def test_skipping_the_input_gradient_keeps_the_parameter_gradients(role):
+    """``backward`` without input gradients returns ``None`` for them and
+    the same parameter-gradient bits as with them, for all four networks."""
+    model = ctsgan.build_model(5, ctsgan.TrainingConfig(hidden_dim=5, latent_dim=3, seed=41))
+    params = getattr(model, role)
+    rng = np.random.default_rng(44)
+    cond = rng.uniform(size=(4, 5)) if role in ("generator", "discriminator") else None
+    inputs = rng.uniform(size=(6, 4, params.input_dim - (0 if cond is None else 5)))
+    out, cache = seqnet.rnn_forward(params, inputs, cond)
+    upstream = rng.normal(size=out.shape)
+    grads, d_inputs = seqnet.backward(cache, upstream)
+    param_grads, skipped = seqnet.backward(cache, upstream, input_grads=False)
+    assert d_inputs.shape == inputs.shape
+    assert skipped is None
+    assert param_grads.tobytes() == grads.tobytes()
+
+
 # --- training behaviour ----------------------------------------------------------------
 
 def test_phase1_loss_decreases():
@@ -203,6 +221,12 @@ def one_batch_whitening(model, days):
     train_idx, _ = ctsgan._train_holdout_split(len(days[0]), quick_config())
     x = np.ascontiguousarray(days[1][train_idx].T)[:, :, None]
     latents, _ = seqnet.rnn_forward(model.embedder, x)
+    return whole_array_whitening(latents)
+
+
+def whole_array_whitening(latents):
+    """Shift, scale, lag-1 autocorrelation and whitened copy of ``latents``
+    ([T, N, width]), each statistic one numpy reduction over all columns."""
     shift = latents.mean(axis=(0, 1))
     scale = np.maximum(latents.std(axis=(0, 1)), 1e-3)
     white = (latents - shift) / scale
@@ -250,6 +274,39 @@ def test_whitening_pass_at_paper_dims_is_one_embedder_forward(monkeypatch):
     assert model.latent_autocorr == autocorr
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 37])
+def test_blocked_whitening_is_the_whole_array_whitening(width):
+    """The standard deviations and autocorrelations taken one block of
+    latent columns at a time are bit-equal to whole-array reductions, and so
+    are the whitened latents. Width 3 stays one block (a 2 + 1 split would
+    sum its last column pairwise); widths 5, 17 and 37 split into blocks of
+    2 to 5 columns."""
+    latents = np.random.default_rng(width).uniform(size=(HORIZON, 61, width)) ** 3
+    shift, scale, autocorr, white = whole_array_whitening(latents.copy())
+    model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=2, latent_dim=width))
+    ctsgan._calibrate_latent_space(model, latents)
+    assert model.latent_shift.tobytes() == shift.tobytes()
+    assert model.latent_scale.tobytes() == scale.tobytes()
+    assert model.latent_autocorr == autocorr
+    assert latents.tobytes() == white.tobytes()
+
+
+def test_whitening_statistics_make_no_latents_sized_temporary():
+    """At paper dims on 329 training days the calibration allocates, beyond
+    its 12.6 MB input, less than a quarter of that input at its peak (1.8 MB
+    measured): each temporary holds one of eight column blocks. One
+    whole-array ``std`` makes a temporary the size of the input."""
+    latents = np.random.default_rng(8).uniform(size=(HORIZON, 329, 100))
+    model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=2, latent_dim=100))
+    tracemalloc.start()
+    try:
+        ctsgan._calibrate_latent_space(model, latents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < latents.nbytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_whitening_pass_memory_stays_below_one_batch_gate_buffer():
     """At paper dims on 300 days (270 training days) the pass allocates less
     at its peak than the one-batch pass's gate buffer alone."""
@@ -277,6 +334,27 @@ def test_phase3_runs_the_embedder_once_per_iteration(monkeypatch):
     calls = count_forwards(monkeypatch, lambda: model.embedder)
     ctsgan.train_phase3_joint(model, *toy_days(), cfg)
     assert sum(calls) == 3 + 1
+
+
+def test_paper_dims_phase3_iteration_frees_each_sub_step():
+    """One paper-dims phase-3 iteration at batch 7 peaks at 13.7 MB of
+    tracemalloc (the weights excluded): the critic's caches and gradients
+    are freed before the generator's passes run, and the adversarial
+    passes' before the supervised pass. The 15 MB bound leaves 1.3 MB (9%)
+    of margin and fails either slip: holding the adversarial caches through
+    the supervised pass peaks at 16.4 MB, and keeping every cache and
+    gradient of the iteration in one scope at 26.4 MB."""
+    rng = np.random.default_rng(9)
+    conds, paths = rng.uniform(size=(10, 263)), rng.uniform(0.1, 0.6, size=(10, HORIZON))
+    model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5))
+    model.training_flags.update(phase1=True, phase2=True)
+    tracemalloc.start()
+    try:
+        ctsgan.train_phase3_joint(model, conds, paths, quick_config(iters=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
 
 PHASE3_LOG_KEYS = {"d_loss", "sup_loss", "adv_loss", "recon_loss", "critic_clip_fraction"}
@@ -395,13 +473,27 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
          "latent_scale must be positive"),
         (lambda p: p.update(latent_autocorr=5.0), "latent_autocorr 5.0 is outside \\[0, 0.99\\]"),
         (lambda p: p.update(latent_autocorr=-0.1), "latent_autocorr -0.1 is outside"),
+        (lambda p: p.update(latent_autocorr="0.5"),
+         "latent_autocorr must be a JSON number, got '0.5'"),
+        (lambda p: p.update(latent_autocorr=True),
+         "latent_autocorr must be a JSON number, got True"),
+        (lambda p: p.update(latent_shift=["0.25", 0.0, 0.0, 0.0]),
+         "latent_shift must hold JSON numbers, got '0.25'"),
+        (lambda p: p.update(latent_shift=[0.25, False, 0.0, 0.0]),
+         "latent_shift must hold JSON numbers, got False"),
+        (lambda p: p.update(latent_scale=[True, 2.0, 1.0, 1.0]),
+         "latent_scale must hold JSON numbers, got True"),
+        (lambda p: p.update(latent_scale=[1.0, "2", 1.0, 1.0]),
+         "latent_scale must hold JSON numbers, got '2'"),
     ],
     ids=["not-an-object", "shift-length", "scale-nan", "scale-zero",
-         "autocorr-above", "autocorr-below"],
+         "autocorr-above", "autocorr-below", "autocorr-string", "autocorr-boolean",
+         "shift-string", "shift-boolean", "scale-boolean", "scale-string"],
 )
 def test_model_bad_whitening_or_payload_type_rejected(tmp_path, mangle, message):
-    """A checkpoint whose whitening could not generate a valid band, or that
-    is not a JSON object, is refused when it is read."""
+    """A checkpoint whose whitening could not generate a valid band, holds
+    a string or a boolean where a number belongs, or is not a JSON object,
+    is refused when it is read."""
     with pytest.raises(CheckpointError, match=message):
         load_mangled(tmp_path, small_model(), mangle)
 
@@ -616,6 +708,32 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     assert loaded.latent_shift.tobytes() == model.latent_shift.tobytes()
     assert loaded.latent_scale.tobytes() == model.latent_scale.tobytes()
     assert loaded.training_flags == model.training_flags
+
+
+def test_paper_dims_save_holds_no_copy_of_the_file(tmp_path):
+    """At paper dims ``save_model`` allocates less at its peak than the size
+    of the 5.5 MB file it writes: each network's base64 bytes go straight
+    into the file. The file is still the text ``json.dumps`` gives its
+    payload."""
+    model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5))
+    rng = np.random.default_rng(6)
+    model.latent_shift = rng.normal(size=100)
+    model.latent_scale = rng.uniform(0.1, 2.0, size=100)
+    model.latent_autocorr = 0.8123
+    model.adversarial_report = {
+        "d_score_real": -0.25, "d_score_fake": 0.5, "real_vs_fake_accuracy": 0.75, "scored_days": 3,
+    }
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        ctsgan.save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), allow_nan=False)
 
 
 # --- desk-scale properties (shared trained fixture) ----------------------------------------

@@ -1,3 +1,4 @@
+import csv
 from datetime import date
 
 import numpy as np
@@ -71,6 +72,28 @@ def test_malformed_value_reports_line_number(tmp_path):
     with pytest.raises(MalformedRow) as err:
         di.load_dataset(path)
     assert err.value.line_no == 11  # header is line 1
+
+
+@pytest.mark.parametrize(
+    "nan_line, message",
+    [(None, "line 6: unreadable CSV record: field larger than field limit"),
+     (3, "line 3: non-finite price value")],
+    ids=["oversized-field", "earlier-nan-first"],
+)
+def test_oversized_field_is_a_malformed_row(tmp_path, nan_line, message):
+    """A field longer than the csv module's limit is a named row error with
+    its physical line, not a raw ``csv.Error``; an earlier row's error still
+    comes first."""
+    path = write_csv(tmp_path / "d.csv", days=1)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[5] = lines[5].replace(",6000,", "," + "9" * (csv.field_size_limit() + 1) + ",")
+    if nan_line is not None:
+        parts = lines[nan_line - 1].split(",")
+        parts[1] = "nan"
+        lines[nan_line - 1] = ",".join(parts)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRow, match=f"^malformed row at {message}"):
+        di.load_dataset(path)
 
 
 def test_off_grid_timestamp_rejected(tmp_path):
