@@ -22,11 +22,14 @@ arbitrarily small latent scale, which would leave the N(0, sigma) noise input
 orders of magnitude off-scale and starve the adversarial phase of signal.
 Generation de-whitens before the recovery network.
 
-Every noise -> generator pass goes through ``_generate_latents``, every
-whitening of real latents through ``_whiten``, and every autoencoder update
-through ``_autoencoder_step``, which takes the caller's cached embedder
-forward. Conditions are float64 rows of ``condition_dim`` values, and
-generation returns a plain ``[count, T]`` array of normalized price paths.
+All generator noise comes from ``_ar1_noise``. Every noise -> generator
+pass of training goes through ``_generate_latents``, every whitening of real
+latents through ``_whiten``, and every autoencoder update through
+``_autoencoder_step``, which takes the caller's cached embedder forward.
+Generation steps the generator and the recovery network together, one
+half-hour at a time, with the bits of the stacked passes. Conditions are
+float64 rows of ``condition_dim`` values, and generation returns a plain
+``[count, T]`` array of normalized price paths.
 
 Three dims, condition, hidden and latent, fix every network's shape through
 ``_network_specs``, from which ``build_model`` and ``load_model`` both build.
@@ -48,6 +51,7 @@ from .seeding import derive_seed
 from .seqnet import (
     LayerSpec,
     NetworkParams,
+    Stepper,
     backward,
     init_params,
     rnn_forward,
@@ -241,10 +245,11 @@ def _lag1_autocorr(white: np.ndarray) -> np.ndarray:
     return (a * b).mean(axis=0) / np.maximum(a.std(axis=0) * b.std(axis=0), 1e-12)
 
 
-def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
+def _shape_noise(eps: np.ndarray, autocorr: float, prev: np.ndarray | None = None) -> np.ndarray:
     """Turn i.i.d. per-timestep draws ``eps`` ([T, ...]) into an AR(1)
     sequence with the latent process's autocorrelation, in place; marginals
-    keep the original mean and std.
+    keep the original mean and std. ``prev`` is the shaped step before
+    ``eps[0]``, if there is one.
 
     Temporally white input noise gets integrated away by the recurrent
     decoder, leaving near-deterministic scenarios; correlated noise produces
@@ -253,10 +258,34 @@ def _shape_noise(eps: np.ndarray, autocorr: float) -> np.ndarray:
     if autocorr <= 0.0:
         return eps
     innovation = np.sqrt(1.0 - autocorr * autocorr)
-    for t in range(1, eps.shape[0]):
-        eps[t] *= innovation
-        eps[t] += autocorr * eps[t - 1]
+    for t in range(eps.shape[0]):
+        before = eps[t - 1] if t else prev
+        if before is not None:
+            eps[t] *= innovation
+            eps[t] += autocorr * before
     return eps
+
+
+# Streamed generation draws and holds its noise and latents in blocks of as
+# many steps as fit in this many bytes of float64s: 8 steps of 500 paths at
+# toy dims (latent 8), where fewer numpy calls per step pay, and one step at
+# paper dims (latent 100).
+_BLOCK_BYTES = 1 << 18
+
+
+def _ar1_noise(model: CTSGANModel, rng: np.random.Generator, std: float, count: int, steps: int):
+    """One day's AR(1)-shaped N(0, std^2) noise for ``count`` paths, the one
+    noise source of the generator: yields ``[k, count, latent]`` blocks of
+    ``steps`` steps (the last may be shorter) in time order. Each block is
+    one ``rng.normal`` call shaped against the block before it, so the draws
+    and the arithmetic are those of one ``[T, count, latent]`` draw shaped
+    in one pass, whatever ``steps`` is."""
+    prev = None
+    for t0 in range(0, HALF_HOURS_PER_DAY, steps):
+        size = (min(steps, HALF_HOURS_PER_DAY - t0), count, model.latent_dim)
+        block = _shape_noise(rng.normal(0.0, std, size=size), model.latent_autocorr, prev)
+        prev = block[-1]
+        yield block
 
 
 def _whiten(model: CTSGANModel, latents: np.ndarray, out=None) -> np.ndarray:
@@ -283,10 +312,7 @@ def _generate_latents(
     """Generator output for ``count`` fresh AR(1)-shaped N(0, std^2) noise
     paths of one day's steps under ``cond`` ([C] or [count, C]); returns
     ``rnn_forward``'s ``(latents, cache)``."""
-    noise = _shape_noise(
-        rng.normal(0.0, std, size=(HALF_HOURS_PER_DAY, count, model.latent_dim)),
-        model.latent_autocorr,
-    )
+    (noise,) = _ar1_noise(model, rng, std, count, HALF_HOURS_PER_DAY)
     return rnn_forward(model.generator, noise, cond, keep_cache=keep_cache)
 
 
@@ -434,7 +460,9 @@ def train_phase3_joint(
         mean critic score of ``count`` fresh generated sequences, and that loss."""
         fake_latents, cache_g = _generate_latents(model, rng, cond, count, 1.0, keep_cache=True)
         score, cache_d = rnn_forward(model.discriminator, fake_latents, cond)
-        _, d_fake_latents = backward(cache_d, np.full(score.shape, -1.0 / score.size))
+        _, d_fake_latents = backward(
+            cache_d, np.full(score.shape, -1.0 / score.size), param_grads=False
+        )
         g_adv, _ = backward(cache_g, d_fake_latents, input_grads=False)
         return g_adv, float(-np.mean(score))
 
@@ -524,12 +552,20 @@ def generate_scenarios(
     std: float,
     count: int,
     seed: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``count`` normalized price paths, ``[count, 48]``: fresh
     N(0, std^2) noise (std >= 1) mapped through generator and recovery
-    under the ``[condition_dim]`` row ``condition``.
+    under the ``[condition_dim]`` row ``condition``, written to ``out``
+    (a float64 ``[count, 48]`` array) if given.
 
     Outputs are clamped to [0, 1]; distinct seeds give distinct paths.
+
+    The chain runs one time step at a time and holds no ``[48, count, ·]``
+    tensor: the noise of a step (``_ar1_noise``, drawn a few steps per call)
+    goes through one generator step, de-whitening and one recovery step.
+    The result has the bits of the stacked chain, ``_generate_latents``,
+    ``_dewhiten`` and a cache-free recovery ``rnn_forward``.
     """
     if not model.is_trained:
         raise StateError("generation requires all three training phases")
@@ -538,17 +574,37 @@ def generate_scenarios(
         raise InputError(
             f"condition has shape {cond.shape}, model expects ({model.condition_dim},)"
         )
-    if std < 1.0:
-        raise InputError(f"noise std must be >= 1, got {std}")
+    if not 1.0 <= std < np.inf:
+        raise InputError(f"noise std must be >= 1 and finite, got {std}")
     if count < 0:
         raise InputError("scenario count must be >= 0")
+    if out is None:
+        out = np.empty((count, HALF_HOURS_PER_DAY))
+    elif out.shape != (count, HALF_HOURS_PER_DAY) or out.dtype != np.float64:
+        raise InputError(
+            f"out is {out.dtype} {out.shape}, expected float64 ({count}, {HALF_HOURS_PER_DAY})"
+        )
     if count == 0:
-        return np.empty((0, HALF_HOURS_PER_DAY))
+        return out
 
     rng = np.random.default_rng(seed)
-    latents, _ = _generate_latents(model, rng, cond, count, std, keep_cache=False)
-    paths, _ = rnn_forward(model.recovery, _dewhiten(model, latents), keep_cache=False)
-    return np.clip(paths[:, :, 0].T, 0.0, 1.0)
+    generator = Stepper(model.generator, cond, count)
+    recovery = Stepper(model.recovery, None, count, affine=generator.affine)
+    steps = max(1, _BLOCK_BYTES // (8 * count * model.latent_dim))
+    latents = np.empty((min(steps, HALF_HOURS_PER_DAY), count, model.latent_dim))
+    paths = np.empty((HALF_HOURS_PER_DAY, count, 1))
+    t = 0
+    for noise in _ar1_noise(model, rng, std, count, steps):
+        block = latents[: len(noise)]
+        for eps, latent in zip(noise, block):
+            generator.step(eps, latent)
+        _dewhiten(model, block)
+        if not np.isfinite(block).all():
+            raise NumericalError("non-finite values in generated latents")
+        for latent in block:
+            recovery.step(latent, paths[t])
+            t += 1
+    return np.clip(paths[:, :, 0].T, 0.0, 1.0, out=out)
 
 
 def save_model(model: CTSGANModel, path) -> None:

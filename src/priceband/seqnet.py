@@ -11,11 +11,25 @@ The LSTM packs its weights as one ``[input_dim + H, 4H]`` matrix whose rows
 are ``[x | cond | h]``: the time-varying inputs, then the optional
 time-constant condition (``input_dim = Dx + C``), then the recurrent state.
 Columns are the gates in the order input, forget, candidate, output. The
-forward projects the condition once per sequence (folded into the bias) and
-the inputs with one GEMM per span of steps, so only ``h @ W_h`` runs inside
-the time loop; the head then runs on the span's hidden states. A training
-pass is one span of all T steps, kept as its backward cache; an inference
-pass runs one step per span and holds no ``[T, B, 4H]`` gate block.
+forward projects the condition once per sequence, folded into the bias.
+
+Inference is a ``Stepper``: it advances a batch of sequences one time step
+per call (input GEMM, ``h @ W_h``, cell update, head) and holds one step's
+gates and states, never a ``[T, B, 4H]`` gate block. The cache-free
+``rnn_forward`` runs one over its T steps, and scenario generation steps
+the generator and the recovery network together through one. A training
+pass (``rnn_forward`` with its cache) prepares its weights in a
+``Stepper`` too, then projects the inputs of all T steps with one GEMM,
+runs only ``h @ W_h`` and the cell update per step, keeping every step as
+the backward cache, and applies the head to all T hidden states at once.
+Both give the same bits, except that a batch of one may round differently
+(numpy sends a ``[1, K] @ [K, N]`` product to gemv).
+
+A pass's batch is not split into row blocks to save memory: that is not
+bit-exact. With one OpenBLAS thread, the paper-dims embedding pass over 329
+days run in 64-row blocks differed from the whole pass on every row; in
+200-row blocks it was equal. Plain 2-D GEMMs split by rows stayed equal
+except for 1-row blocks.
 
 Every sigmoid is computed as sigmoid(x) = 0.5 * tanh(0.5 * x) + 0.5. A
 per-call copy of the weights holds the sigmoid gates' columns halved, so one
@@ -28,10 +42,6 @@ A network's weights live in one float64 vector in ``flat()`` order: LSTM
 w, LSTM b, head w, head b. ``NetworkParams.tensors`` holds views into it,
 so the optimizer updates the whole vector at once, and ``backward`` writes
 each gradient into the same layout of one gradient vector.
-
-``rnn_forward`` has two modes that share one loop: with a backward cache
-(training) and, with ``keep_cache=False``, without one (inference, e.g.
-scenario generation).
 
 This module knows no file format: ``ctsgan`` saves and loads the networks,
 handing ``NetworkParams`` the specs and a ``flat()`` vector to check.
@@ -225,104 +235,156 @@ def rnn_forward(
     appending the condition to the inputs at every step.
 
     With ``keep_cache`` the returned cache is sufficient for an exact
-    backward pass. Without it the cache is ``None`` and no per-step state
-    is kept (inference): besides its inputs and output, the pass holds one
-    time step's gates and states, whatever T is. Both modes give the same
-    output bit for bit, except that a batch of one may differ by rounding.
+    backward pass. Without it the cache is ``None`` and the pass is a
+    ``Stepper`` run over the T steps (inference): besides its inputs and
+    output, it holds one time step's gates and states, whatever T is. Both
+    modes give the same output bit for bit, except that a batch of one may
+    differ by rounding.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3:
         raise InputError(f"inputs must be [T, B, D], got {x.shape}")
-    cond = None
-    if condition is not None:
-        cond = np.asarray(condition, dtype=np.float64)
-        if cond.ndim == 1:
-            cond = cond[None, :]
-        if cond.ndim != 2 or cond.shape[0] not in (1, x.shape[1]):
-            raise InputError(
-                f"condition must be [C] or [B, C] with B = {x.shape[1]}, got {cond.shape}"
-            )
-    cond_dim = 0 if cond is None else cond.shape[1]
-    if x.shape[2] + cond_dim != params.input_dim:
+    steps, batch, x_dim = x.shape
+    net = Stepper(params, condition, batch)
+    if x_dim != net.x_dim:
         raise InputError(
-            f"input dim {x.shape[2]} + condition dim {cond_dim} does not match "
-            f"network input dim {params.input_dim}"
+            f"input dim {x_dim} + condition dim {params.input_dim - net.x_dim} does not "
+            f"match network input dim {params.input_dim}"
         )
     _check_finite(x, "inputs")
-    if cond is not None:
-        _check_finite(cond, "condition")
 
-    y, hs, gates, cs, tanh_c = _lstm_forward(params, x, cond, keep_cache)
     if not keep_cache:
+        y = np.empty((steps, batch, params.output_dim))
+        for t in range(steps):
+            net.step(x[t], y[t])
         return y, None
-    return y, ForwardCache(params, params.version, x, cond, gates, cs, tanh_c, hs, y)
+    y, hs, gates, cs, tanh_c = _lstm_forward(net, x)
+    return y, ForwardCache(params, params.version, x, net.cond, gates, cs, tanh_c, hs, y)
 
 
-def _lstm_forward(
-    params: NetworkParams, x: np.ndarray, cond: np.ndarray | None, keep_cache: bool
-):
-    """The LSTM and its head over ``x`` ([T, B, Dx]). Returns ``(y, hs,
-    gates, cs, tanh_c)``: the head's output ``y`` ([T, B, Dy]) and, with
-    ``keep_cache``, the gate activations and the states, ``hs[t + 1]`` being
-    h_t and ``cs[t + 1]`` c_t with row 0 the zero initial state.
+class Stepper:
+    """Cache-free inference over a batch of ``batch`` sequences, one time
+    step per ``step`` call, under an optional time-constant ``condition``
+    (``[C]`` or ``[batch, C]``, as for ``rnn_forward``).
 
-    Each span of steps projects its inputs with one GEMM, steps the cells
-    and writes the head's output for its steps. With ``keep_cache`` the span
-    is all T steps, whose buffers are the cache. Without it the span is one
-    step: besides its output the pass holds one ``[B, 4H]`` gate row, the
-    bias and gate-affine rows and two rows of each state (carried and
-    current), whatever T is.
+    It holds what every step reads: per-call copies of the weights with the
+    sigmoid gates' columns halved (and a sigmoid head's), one bias row per
+    sequence with the condition folded in, the gate-affine rows
+    (``_gate_affine``), and one time step's gates and states. Two networks
+    of one hidden size stepped over one batch can share the gate-affine
+    rows: pass the first stepper's ``affine`` to the second.
 
-    The per-call copies of the weights halve the sigmoid gates' columns (and
-    a sigmoid head's): halving is exact in binary, so the projections give
-    exactly z/2 there.
+    Halving is exact in binary, so the projections give exactly z/2 in the
+    halved columns. The bias and head-bias rows keep the per-step adds free
+    of broadcasting: numpy's broadcasting iterator allocates with the GIL
+    released, which in threaded generation raced with tracemalloc.stop()
+    (CPython 3.11).
     """
-    (lstm, head), (block, head_block) = params.specs, params.tensors
-    steps, batch, in_dim = x.shape
-    hid = lstm.output_dim
-    affine = _gate_affine(batch, hid)
-    w = block["w"] * affine[0, 0]
-    w_h = w[lstm.input_dim :]
-    b = block["b"] * affine[0, 0]
-    # The time-constant condition rows fold into the bias once per sequence.
-    bias = b if cond is None else b + cond @ w[in_dim : lstm.input_dim]
-    # One bias row per sequence keeps the per-step adds free of broadcasting:
-    # numpy's broadcasting iterator allocates with the GIL released, which in
-    # threaded generation raced with tracemalloc.stop() (CPython 3.11).
-    bias = np.broadcast_to(bias, (batch, _GATES * hid)).copy()
-    sigmoid_head = head.activation == "sigmoid"
-    head_w, head_b = head_block["w"], head_block["b"]
-    if sigmoid_head:
-        head_w, head_b = head_w * 0.5, head_b * 0.5
-    head_b = np.broadcast_to(head_b, (batch, head.output_dim)).copy()
 
-    span = steps if keep_cache else 1
-    gates = np.empty((span, batch, _GATES * hid))
-    hs = np.zeros((span + 1, batch, hid))
-    cs = np.zeros((span + 1, batch, hid))
-    tanh_cs = np.empty((span, batch, hid))
-    y = np.empty((steps, batch, head.output_dim))
-    for t0 in range(0, steps, span or 1):  # (T = 0 runs no span)
-        # Everything but h @ W_h is known before the span's steps: one GEMM
-        # projects their inputs, and the buffer then holds the gates in place.
-        np.matmul(
-            x[t0 : t0 + span].reshape(-1, in_dim), w[:in_dim],
-            out=gates.reshape(-1, _GATES * hid),
-        )
-        gates += bias
-        hs[0] = hs[-1]  # the states carried in: zero on the first span
-        cs[0] = cs[-1]
-        for s in range(span):
-            z = gates[s]
-            z += hs[s] @ w_h
-            _lstm_step(z, affine, cs[s], cs[s + 1], tanh_cs[s], hs[s + 1])
-        out = y[t0 : t0 + span]
-        np.matmul(hs[1:], head_w, out=out)
-        out += head_b
-        if sigmoid_head:
+    def __init__(
+        self,
+        params: NetworkParams,
+        condition: np.ndarray | None,
+        batch: int,
+        affine: np.ndarray | None = None,
+    ):
+        (lstm, head), (block, head_block) = params.specs, params.tensors
+        hid = lstm.output_dim
+        self.cond = _condition_rows(params, condition, batch)
+        self.x_dim = lstm.input_dim - (0 if self.cond is None else self.cond.shape[1])
+        if affine is None:
+            affine = _gate_affine(batch, hid)
+        elif affine.shape != (2, batch, _GATES * hid):
+            raise InputError(
+                f"gate-affine rows are {affine.shape}, expected {(2, batch, _GATES * hid)}"
+            )
+        self.affine = affine
+        w = block["w"] * affine[0, 0]
+        self.w_x, self.w_h = w[: self.x_dim], w[lstm.input_dim :]
+        bias = block["b"] * affine[0, 0]
+        if self.cond is not None:
+            bias = bias + self.cond @ w[self.x_dim : lstm.input_dim]
+        self.bias = np.broadcast_to(bias, (batch, _GATES * hid)).copy()
+        self.sigmoid_head = head.activation == "sigmoid"
+        head_w, head_b = head_block["w"], head_block["b"]
+        if self.sigmoid_head:
+            head_w, head_b = head_w * 0.5, head_b * 0.5
+        self.head_w = head_w
+        self.head_b = np.broadcast_to(head_b, (batch, head.output_dim)).copy()
+        self._z = np.empty((batch, _GATES * hid))
+        self._h = np.zeros((batch, hid))
+        self._c = np.zeros((batch, hid))
+        self._tanh_c = np.empty((batch, hid))
+
+    def step(self, x_t: np.ndarray, out: np.ndarray) -> None:
+        """Advance every sequence one step on the inputs ``x_t`` ([B, Dx])
+        and write the head's output for that step to ``out`` ([B, Dy]).
+        The states are updated in place: h is read before it is written."""
+        z = self._z
+        np.matmul(x_t, self.w_x, out=z)
+        z += self.bias
+        z += self._h @ self.w_h
+        _lstm_step(z, self.affine, self._c, self._c, self._tanh_c, self._h)
+        self.head(self._h, out)
+
+    def head(self, hs: np.ndarray, out: np.ndarray) -> None:
+        """The dense head on hidden states ``hs`` ([..., B, H]), written to
+        ``out`` ([..., B, Dy])."""
+        np.matmul(hs, self.head_w, out=out)
+        out += self.head_b
+        if self.sigmoid_head:
             np.tanh(out, out=out)
             out *= 0.5
             out += 0.5
+
+
+def _condition_rows(
+    params: NetworkParams, condition: np.ndarray | None, batch: int
+) -> np.ndarray | None:
+    """``condition`` as ``[1, C]`` or ``[batch, C]`` finite rows (``None``
+    stays ``None``); ``C`` may not exceed the network's input dim."""
+    if condition is None:
+        return None
+    cond = np.asarray(condition, dtype=np.float64)
+    if cond.ndim == 1:
+        cond = cond[None, :]
+    if cond.ndim != 2 or cond.shape[0] not in (1, batch):
+        raise InputError(
+            f"condition must be [C] or [B, C] with B = {batch}, got {cond.shape}"
+        )
+    if cond.shape[1] > params.input_dim:
+        raise InputError(
+            f"condition dim {cond.shape[1]} exceeds network input dim {params.input_dim}"
+        )
+    _check_finite(cond, "condition")
+    return cond
+
+
+def _lstm_forward(net: Stepper, x: np.ndarray):
+    """The cached pass of the LSTM and its head over ``x`` ([T, B, Dx]),
+    with the weights ``net`` prepared. Returns ``(y, hs, gates, cs,
+    tanh_c)``: the head's output ``y`` ([T, B, Dy]), the gate activations
+    and the states, ``hs[t + 1]`` being h_t and ``cs[t + 1]`` c_t with row
+    0 the zero initial state.
+
+    One GEMM projects the inputs of all T steps into the gate buffer, which
+    then holds the gates in place; only ``h @ W_h`` runs per step. The head
+    then runs on all T hidden states at once.
+    """
+    steps, batch, x_dim = x.shape
+    hid = net.w_h.shape[0]
+    gates = np.empty((steps, batch, _GATES * hid))
+    np.matmul(x.reshape(-1, x_dim), net.w_x, out=gates.reshape(-1, _GATES * hid))
+    gates += net.bias
+    hs = np.zeros((steps + 1, batch, hid))
+    cs = np.zeros((steps + 1, batch, hid))
+    tanh_cs = np.empty((steps, batch, hid))
+    for t in range(steps):
+        z = gates[t]
+        z += hs[t] @ net.w_h
+        _lstm_step(z, net.affine, cs[t], cs[t + 1], tanh_cs[t], hs[t + 1])
+    y = np.empty((steps, batch, net.head_w.shape[1]))
+    net.head(hs[1:], y)
     return y, hs, gates, cs, tanh_cs
 
 
@@ -353,7 +415,7 @@ def _lstm_step(
     (i, f, g, o): one tanh, then ``affine`` (``_gate_affine``) times and
     plus. From the previous cell state ``c`` it writes c_t = f*c + i*g to
     ``c_out``, tanh(c_t) to ``tanh_c_out`` and h_t = o*tanh(c_t) to
-    ``h_out``."""
+    ``h_out``. Every write is elementwise, so ``c_out`` may be ``c``."""
     np.tanh(z, out=z)
     z *= affine[0]
     z += affine[1]
@@ -367,17 +429,22 @@ def _lstm_step(
 
 
 def backward(
-    cache: ForwardCache, upstream: np.ndarray, *, input_grads: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+    cache: ForwardCache,
+    upstream: np.ndarray,
+    *,
+    input_grads: bool = True,
+    param_grads: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact gradients of the cached forward pass.
 
     ``upstream`` is d(loss)/d(outputs) with the same shape as the forward
     output. Returns ``(flat parameter gradients, input gradients)``; input
     gradients have the shape of the forward's ``inputs`` (the time-varying
-    part only, without the condition). A caller that does not read them
-    passes ``input_grads=False`` and gets ``None`` in their place, which
-    skips one ``[T*B, 4H] @ [4H, Dx]`` GEMM; the parameter gradients are the
-    same bits either way.
+    part only, without the condition). A caller that does not read one of
+    the two passes ``input_grads=False`` or ``param_grads=False`` and gets
+    ``None`` in its place: the first skips one ``[T*B, 4H] @ [4H, Dx]``
+    GEMM, the second the weight-gradient GEMMs and the bias sums. The
+    gradients that are computed are the same bits either way.
     """
     params = cache.params
     if cache.version != params.version:
@@ -391,8 +458,6 @@ def backward(
 
     lstm, head = params.specs
     w, head_w = params.tensors[0]["w"], params.tensors[1]["w"]
-    grads = np.empty(params.n_params)
-    d_lstm, d_head = _tensor_views(params.specs, grads)
     x, cond, gates, cs, tanh_c, hs, y = (
         cache.x, cache.cond, cache.gates, cache.cs, cache.tanh_c, cache.hs, cache.y
     )
@@ -400,9 +465,6 @@ def backward(
     hid = lstm.output_dim
 
     dz_head = dy * (y * (1.0 - y)) if head.activation == "sigmoid" else dy
-    dz2_head = dz_head.reshape(-1, head.output_dim)
-    d_head["w"][...] = hs[1:].reshape(-1, hid).T @ dz2_head
-    d_head["b"][...] = dz2_head.sum(axis=0)
     dh_out = dz_head @ head_w.T
 
     # Everything that does not depend on the recurrence is computed for all
@@ -433,6 +495,27 @@ def backward(
         dh_next = dz_t @ w_h_t
 
     dz2 = dz.reshape(-1, _GATES * hid)
+    grads = _param_grads(params, cache, dz_head, dz) if param_grads else None
+    if not input_grads:
+        return grads, None
+    return grads, (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
+
+
+def _param_grads(
+    params: NetworkParams, cache: ForwardCache, dz_head: np.ndarray, dz: np.ndarray
+) -> np.ndarray:
+    """The flat parameter gradient of ``backward``, from the head's and the
+    gates' pre-activation gradients ``dz_head`` ([T, B, Dy]) and ``dz``
+    ([T, B, 4H])."""
+    lstm, head = params.specs
+    x, cond, hs = cache.x, cache.cond, cache.hs
+    batch, in_dim, hid = x.shape[1], x.shape[2], lstm.output_dim
+    grads = np.empty(params.n_params)
+    d_lstm, d_head = _tensor_views(params.specs, grads)
+    dz2_head = dz_head.reshape(-1, head.output_dim)
+    d_head["w"][...] = hs[1:].reshape(-1, hid).T @ dz2_head
+    d_head["b"][...] = dz2_head.sum(axis=0)
+    dz2 = dz.reshape(-1, _GATES * hid)
     dw = d_lstm["w"]
     dw[:in_dim] = x.reshape(-1, in_dim).T @ dz2
     dw[lstm.input_dim :] = hs[:-1].reshape(-1, hid).T @ dz2
@@ -442,9 +525,7 @@ def backward(
             dz_seq = dz_seq.sum(axis=0, keepdims=True)
         dw[in_dim : lstm.input_dim] = cond.T @ dz_seq
     d_lstm["b"][...] = dz2.sum(axis=0)
-    if not input_grads:
-        return grads, None
-    return grads, (dz2 @ w[:in_dim].T).reshape(steps, batch, in_dim)
+    return grads
 
 
 def sgd_step(

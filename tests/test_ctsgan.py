@@ -77,6 +77,21 @@ def test_shaped_noise_in_place_is_the_two_array_recursion():
     assert in_place.tobytes() == shaped.tobytes()
 
 
+@pytest.mark.parametrize("block_steps", [1, 5, 8, HORIZON])
+def test_blocked_noise_is_one_draw_shaped_in_one_pass(block_steps):
+    """The noise source's blocks, joined, are one ``[T, count, latent]``
+    draw shaped in one pass, bit for bit, whatever the block length."""
+    model = small_model()
+    model.latent_autocorr = 0.7311
+    blocks = list(ctsgan._ar1_noise(model, np.random.default_rng(6), 1.8, 9, block_steps))
+    assert [len(b) for b in blocks] == [
+        min(block_steps, HORIZON - t0) for t0 in range(0, HORIZON, block_steps)
+    ]
+    whole = np.random.default_rng(6).normal(0.0, 1.8, size=(HORIZON, 9, model.latent_dim))
+    ctsgan._shape_noise(whole, model.latent_autocorr)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
 def test_generate_rejects_noise_std_below_one():
     model = train_all(small_model(), toy_days(), iters=10)
     with pytest.raises(InputError, match="std must be >= 1"):
@@ -159,6 +174,26 @@ def test_skipping_the_input_gradient_keeps_the_parameter_gradients(role):
     assert d_inputs.shape == inputs.shape
     assert skipped is None
     assert param_grads.tobytes() == grads.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 3), (263, 100, 100)])
+def test_skipping_the_parameter_gradient_keeps_the_input_gradients(dims):
+    """The adversarial gradient reads only the critic's input gradients:
+    ``backward`` without parameter gradients returns ``None`` for them and
+    the same input-gradient bits as the full backward, at toy and at paper
+    dims (batch 7, a [7, C] condition)."""
+    cond_dim, hidden_dim, latent_dim = dims
+    model = ctsgan.build_model(
+        cond_dim, ctsgan.TrainingConfig(hidden_dim=hidden_dim, latent_dim=latent_dim, seed=41)
+    )
+    rng = np.random.default_rng(45)
+    latents = rng.normal(size=(HORIZON, 7, latent_dim))
+    score, cache = seqnet.rnn_forward(model.discriminator, latents, rng.uniform(size=(7, cond_dim)))
+    upstream = np.full(score.shape, -1.0 / score.size)
+    _, d_latents = seqnet.backward(cache, upstream)
+    skipped, input_grads = seqnet.backward(cache, upstream, param_grads=False)
+    assert skipped is None
+    assert input_grads.tobytes() == d_latents.tobytes()
 
 
 # --- training behaviour ----------------------------------------------------------------
@@ -416,6 +451,81 @@ def test_generation_memory_stays_below_one_gate_block():
     finally:
         tracemalloc.stop()
     assert peak < gate_block, f"peak {peak / 1e6:.1f} MB"
+
+
+def generation_model(cond_dim, hidden_dim, latent_dim, autocorr):
+    """A model marked trained, with a random whitening affine and the given
+    noise autocorrelation, for generation checks that need no training."""
+    model = ctsgan.build_model(
+        cond_dim, ctsgan.TrainingConfig(hidden_dim=hidden_dim, latent_dim=latent_dim, seed=12)
+    )
+    rng = np.random.default_rng(13)
+    model.latent_shift = rng.normal(size=latent_dim)
+    model.latent_scale = rng.uniform(0.5, 2.0, size=latent_dim)
+    model.latent_autocorr = autocorr
+    model.training_flags.update(phase1=True, phase2=True, phase3=True)
+    return model
+
+
+def stacked_chain(model, cond, std, count, seed):
+    """The generation chain one whole tensor at a time: noise and generator
+    (``_generate_latents``), de-whitening, a cache-free recovery pass, clip."""
+    rng = np.random.default_rng(seed)
+    latents, _ = ctsgan._generate_latents(model, rng, cond, count, std, keep_cache=False)
+    paths, _ = seqnet.rnn_forward(model.recovery, ctsgan._dewhiten(model, latents), keep_cache=False)
+    return np.clip(paths[:, :, 0].T, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dims, count", [((COND_DIM, 16, 8), 1), ((COND_DIM, 16, 8), 500), ((263, 100, 100), 500)]
+)
+@pytest.mark.parametrize("autocorr", [0.0, 0.83])
+@pytest.mark.parametrize("std", [1.0, 1.8])
+def test_streamed_generation_is_the_stacked_chain(dims, count, autocorr, std):
+    """Generation stepped one half-hour at a time through noise, generator,
+    de-whitening and recovery gives the stacked chain's paths bit for bit:
+    at sigma 1 and above, with and without noise shaping, for one path and
+    for 500, at toy and at paper dims (the recovery shares the generator's
+    gate-affine rows there, and the noise comes in blocks of 8 steps at toy
+    dims and of 1 at paper dims)."""
+    model = generation_model(dims[0], dims[1], dims[2], autocorr)
+    cond = np.random.default_rng(14).uniform(size=dims[0])
+    streamed = ctsgan.generate_scenarios(model, cond, std, count, seed=15)
+    assert streamed.tobytes() == stacked_chain(model, cond, std, count, 15).tobytes()
+    out = np.full((count, HORIZON), np.nan)
+    assert ctsgan.generate_scenarios(model, cond, std, count, seed=15, out=out) is out
+    assert out.tobytes() == streamed.tobytes()
+
+
+@pytest.mark.parametrize("std", [np.inf, np.nan])
+def test_generate_rejects_a_non_finite_noise_std(std):
+    """The stepped chain checks the latents, not the noise: a non-finite
+    std is refused before any draw."""
+    model = generation_model(COND_DIM, 4, 3, 0.5)
+    with pytest.raises(InputError, match="std must be >= 1 and finite"):
+        ctsgan.generate_scenarios(model, np.zeros(COND_DIM), std, 5)
+
+
+def test_generate_refuses_an_out_block_of_another_shape():
+    model = generation_model(COND_DIM, 4, 3, 0.5)
+    with pytest.raises(InputError, match="out is float64"):
+        ctsgan.generate_scenarios(model, np.zeros(COND_DIM), 1.0, 5, out=np.empty((5, HORIZON - 1)))
+
+
+def test_paper_dims_generation_holds_no_day_sized_tensor():
+    """One paper-dims call for 500 paths peaks at 17.3 MB of tracemalloc:
+    the stepped chain holds one step of noise, latents, gates and states.
+    The stacked chain peaked at 50.3 MB: its noise and latents are 19.2 MB
+    each."""
+    model = generation_model(263, 100, 100, 0.83)
+    cond = np.random.default_rng(16).uniform(size=263)
+    tracemalloc.start()
+    try:
+        ctsgan.generate_scenarios(model, cond, 1.8, 500, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_generate_seed_determinism():
