@@ -552,12 +552,10 @@ def generate_scenarios(
     std: float,
     count: int,
     seed: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``count`` normalized price paths, ``[count, 48]``: fresh
     N(0, std^2) noise (std >= 1) mapped through generator and recovery
-    under the ``[condition_dim]`` row ``condition``, written to ``out``
-    (a float64 ``[count, 48]`` array) if given.
+    under the ``[condition_dim]`` row ``condition``.
 
     Outputs are clamped to [0, 1]; distinct seeds give distinct paths.
 
@@ -578,14 +576,8 @@ def generate_scenarios(
         raise InputError(f"noise std must be >= 1 and finite, got {std}")
     if count < 0:
         raise InputError("scenario count must be >= 0")
-    if out is None:
-        out = np.empty((count, HALF_HOURS_PER_DAY))
-    elif out.shape != (count, HALF_HOURS_PER_DAY) or out.dtype != np.float64:
-        raise InputError(
-            f"out is {out.dtype} {out.shape}, expected float64 ({count}, {HALF_HOURS_PER_DAY})"
-        )
     if count == 0:
-        return out
+        return np.empty((0, HALF_HOURS_PER_DAY))
 
     rng = np.random.default_rng(seed)
     generator = Stepper(model.generator, cond, count)
@@ -604,7 +596,7 @@ def generate_scenarios(
         for latent in block:
             recovery.step(latent, paths[t])
             t += 1
-    return np.clip(paths[:, :, 0].T, 0.0, 1.0, out=out)
+    return np.clip(paths[:, :, 0].T, 0.0, 1.0)
 
 
 def save_model(model: CTSGANModel, path) -> None:

@@ -9,7 +9,7 @@ one row of ``mass`` per timestep: the ``bins + 1`` equal-width edges on
 and upper bounds in row 1, with linear interpolation between order
 statistics. The caller decides a day's noise sigma
 (``weather_volatility.noise_sigma``); on a reinforced day (sigma > 1) the
-baseline rows and the wide-noise rows are generated into one matrix, so the
+baseline rows and the wide-noise rows are stacked into one matrix, so the
 afternoon spike window picks up extra spread.
 """
 
@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .ctsgan import generate_scenarios
-from .data_ingest import HALF_HOURS_PER_DAY
 from .errors import InputError
 from .seeding import derive_seed
 
@@ -88,19 +87,14 @@ def predict_pipeline(
     Returns ``(bounds, scenarios)``: the ``[2, T]`` interval of
     :func:`build_interval` and the scenario matrix. ``scenarios`` holds
     ``count`` baseline rows, then, on a reinforced day (``sigma > 1``),
-    ``count`` wide-noise rows. Each branch writes its rows straight into
-    the one scenario matrix.
+    ``count`` wide-noise rows.
     """
-    branches = 2 if sigma > 1.0 else 1
-    # a negative count allocates no rows; generate_scenarios refuses it
-    scenarios = np.empty((branches * max(count, 0), HALF_HOURS_PER_DAY))
-    generate_scenarios(
-        model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal"),
-        out=scenarios[:count],
+    scenarios = generate_scenarios(
+        model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
     )
     if sigma > 1.0:
-        generate_scenarios(
-            model, condition, sigma, count, seed=derive_seed(seed, "scenarios-volatile"),
-            out=scenarios[count:],
+        volatile = generate_scenarios(
+            model, condition, sigma, count, seed=derive_seed(seed, "scenarios-volatile")
         )
+        scenarios = np.vstack([scenarios, volatile])
     return build_interval(scenarios, nominal), scenarios

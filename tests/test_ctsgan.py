@@ -492,9 +492,6 @@ def test_streamed_generation_is_the_stacked_chain(dims, count, autocorr, std):
     cond = np.random.default_rng(14).uniform(size=dims[0])
     streamed = ctsgan.generate_scenarios(model, cond, std, count, seed=15)
     assert streamed.tobytes() == stacked_chain(model, cond, std, count, 15).tobytes()
-    out = np.full((count, HORIZON), np.nan)
-    assert ctsgan.generate_scenarios(model, cond, std, count, seed=15, out=out) is out
-    assert out.tobytes() == streamed.tobytes()
 
 
 @pytest.mark.parametrize("std", [np.inf, np.nan])
@@ -504,12 +501,6 @@ def test_generate_rejects_a_non_finite_noise_std(std):
     model = generation_model(COND_DIM, 4, 3, 0.5)
     with pytest.raises(InputError, match="std must be >= 1 and finite"):
         ctsgan.generate_scenarios(model, np.zeros(COND_DIM), std, 5)
-
-
-def test_generate_refuses_an_out_block_of_another_shape():
-    model = generation_model(COND_DIM, 4, 3, 0.5)
-    with pytest.raises(InputError, match="out is float64"):
-        ctsgan.generate_scenarios(model, np.zeros(COND_DIM), 1.0, 5, out=np.empty((5, HORIZON - 1)))
 
 
 def test_paper_dims_generation_holds_no_day_sized_tensor():
