@@ -269,7 +269,9 @@ def _shape_noise(eps: np.ndarray, autocorr: float, prev: np.ndarray | None = Non
 # Streamed generation draws and holds its noise and latents in blocks of as
 # many steps as fit in this many bytes of float64s: 8 steps of 500 paths at
 # toy dims (latent 8), where fewer numpy calls per step pay, and one step at
-# paper dims (latent 100).
+# paper dims (latent 100). On a 2-CPU VM, toy-dims evaluate ran 19% slower
+# with 1-step blocks and peaked 6.4 MB higher with 48-step blocks; a
+# paper-dims predict ran 16% slower with 8-step blocks (BENCH_18.json).
 _BLOCK_BYTES = 1 << 18
 
 

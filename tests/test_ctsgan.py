@@ -504,7 +504,7 @@ def test_generate_rejects_a_non_finite_noise_std(std):
 
 
 def test_paper_dims_generation_holds_no_day_sized_tensor():
-    """One paper-dims call for 500 paths peaks at 17.3 MB of tracemalloc:
+    """One paper-dims call for 500 paths peaks at 17.1 MB of tracemalloc:
     the stepped chain holds one step of noise, latents, gates and states.
     The stacked chain peaked at 50.3 MB: its noise and latents are 19.2 MB
     each."""

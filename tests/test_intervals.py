@@ -155,7 +155,7 @@ def test_combine_counts_and_provenance(mini_model, toy_dataset, reference_thresh
 
 def test_paper_dims_reinforced_pipeline_memory():
     """A reinforced paper-dims day with 500 scenarios per branch peaks at
-    17.5 MB of tracemalloc (50.5 MB with the stacked chain): each branch's
+    17.3 MB of tracemalloc (50.5 MB with the stacked chain): each branch's
     generation holds one time step at a time, and stacking the two
     ``[count, 48]`` results happens after both have freed their working sets."""
     model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=3))
