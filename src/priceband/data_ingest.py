@@ -249,46 +249,115 @@ def _raise_row_error(row: list[str], columns: list[int], line_no: int) -> None:
 
 
 def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
-    """Read the CSV in one ``csv.reader`` pass.
-
-    Columns are found by header name (the last of duplicate names wins and
-    extra columns are ignored, as with ``csv.DictReader``), and blank lines
-    are skipped. Returns the row timestamps and a ``[rows, 7]`` float64
-    array of the ``_VALUE_CHANNELS``. Errors carry the physical line number
-    and are raised in file order, as a row-by-row check would meet them.
-    """
+    """Row timestamps and a ``[rows, 7]`` float64 array of the
+    ``_VALUE_CHANNELS``: by ``_stream_rows`` when the file is plain enough
+    for it, otherwise by ``_read_rows``, the reference reader, which also
+    names every error. Both give the same result on any file the first
+    accepts."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read dataset {path} ({exc})") from exc
+    with fh:
+        parsed = _stream_rows(fh)
+        if parsed is not None:
+            return parsed
+        fh.seek(0)
+        return _read_rows(fh, path)
+
+
+def _plain_line(line: str, limit: int) -> bool:
+    """A line that ``str.split(",")`` and numpy's C reader split and read
+    as ``csv.reader`` and ``float`` do: no lone CR, no longer than the csv
+    module's field limit, no quote or NUL, which csv treats apart, and no
+    ASCII separator (\\x1c-\\x1f), which ``np.loadtxt`` strips from a field
+    as whitespace and ``float`` refuses. The tests are spelt out: a regex
+    search per line took three times as long."""
+    return not (
+        len(line) > limit or line.endswith("\r")
+        or '"' in line or "\0" in line
+        or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+    )
+
+
+def _stream_rows(fh) -> tuple[list[datetime], np.ndarray] | None:
+    """Read the open file in two streamed passes without a Python object per
+    value: one over its lines for the timestamps, then numpy's C reader for
+    the values. Returns None, having decided nothing, for any file the row
+    reader might read differently or reject: a line that is not
+    ``_plain_line``, a field ``float`` would take and ``np.loadtxt`` does
+    not (``1_000``), a non-finite value, a bad or off-grid timestamp, row
+    counts that differ between the passes, no data row, or bytes that are
+    not UTF-8."""
+    limit = csv.field_size_limit()
+    try:
+        header = fh.readline()
+        if not _plain_line(header, limit):
+            return None
+        position = {name: k for k, name in enumerate(next(csv.reader([header]), []))}
+        if any(name not in position for name in CSV_COLUMNS):
+            return None
+        ts_col, *value_cols = (position[name] for name in CSV_COLUMNS)
+        start = fh.tell()
+        stamps = []
+        for line in fh:
+            if line in ("\n", "\r\n"):  # a blank line, which csv skips
+                continue
+            if not _plain_line(line, limit):
+                return None
+            ts = datetime.fromisoformat(line.split(",", ts_col + 1)[ts_col].strip())
+            if ts.minute not in (0, 30) or ts.second or ts.microsecond:
+                return None
+            stamps.append(ts)
+        if not stamps:  # loadtxt warns on a file without data
+            return None
+        fh.seek(start)
+        values = np.loadtxt(
+            fh, delimiter=",", usecols=value_cols, dtype=np.float64, ndmin=2,
+            comments=None, quotechar=None,
+        )
+    except (IndexError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if len(values) != len(stamps) or not np.isfinite(values).all():
+        return None
+    return stamps, values
+
+
+def _read_rows(fh, path) -> tuple[list[datetime], np.ndarray]:
+    """Read the open CSV in one ``csv.reader`` pass.
+
+    Columns are found by header name (the last of duplicate names wins and
+    extra columns are ignored, as with ``csv.DictReader``), and blank lines
+    are skipped. Errors carry the physical line number and are raised in
+    file order, as a row-by-row check would meet them.
+    """
     stamps, values, lines = [], [], []
     try:
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path} has no header row")
-            position = {name: k for k, name in enumerate(header)}
-            for column in CSV_COLUMNS:
-                if column not in position:
-                    raise MalformedRow(1, f"header missing column {column!r}")
-            ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
-            value_fields = itemgetter(*value_cols)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path} has no header row")
+        position = {name: k for k, name in enumerate(header)}
+        for column in CSV_COLUMNS:
+            if column not in position:
+                raise MalformedRow(1, f"header missing column {column!r}")
+        ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
+        value_fields = itemgetter(*value_cols)
 
-            for row in reader:
-                if not row:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                ts = datetime.fromisoformat(row[ts_col].strip())
+                if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
+                    values.append(tuple(map(float, value_fields(row))))
+                    stamps.append(ts)
+                    lines.append(reader.line_num)
                     continue
-                try:
-                    ts = datetime.fromisoformat(row[ts_col].strip())
-                    if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
-                        values.append(tuple(map(float, value_fields(row))))
-                        stamps.append(ts)
-                        lines.append(reader.line_num)
-                        continue
-                except (IndexError, ValueError):
-                    pass
-                _check_finite(values, lines)  # an earlier row's error comes first
-                _raise_row_error(row, columns, reader.line_num)
+            except (IndexError, ValueError):
+                pass
+            _check_finite(values, lines)  # an earlier row's error comes first
+            _raise_row_error(row, columns, reader.line_num)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         _check_finite(values, lines)
         raise MalformedRow(reader.line_num, f"unreadable CSV record: {exc}") from exc

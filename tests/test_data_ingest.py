@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
 from priceband import data_ingest as di
+from priceband import synthetic
 from priceband.errors import InputError, MalformedRow
 
 HEADER = "timestamp,price,demand,temperature,irradiance,wind_speed,gas_price,coal_price"
@@ -370,3 +372,175 @@ def test_mixed_utc_offsets_rejected(tmp_path):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(InputError, match="mixes UTC offsets"):
         di.load_dataset(path)
+
+
+# --- streamed reader: the row reader's result or its error, bit for bit ----------------------
+
+def _market_lines(days=3, seed=0):
+    """Header and rows of ``days`` complete days of random values, each
+    written as ``repr`` of its float."""
+    rng = np.random.default_rng(seed)
+    lines = [HEADER]
+    for d in range(days):
+        for k in range(48):
+            ts = f"2021-03-{d + 1:02d}T{k // 2:02d}:{30 * (k % 2):02d}:00"
+            values = rng.uniform(-20, 600, 7) * 10.0 ** rng.integers(-3, 4, 7)
+            lines.append(",".join([ts, *map(repr, values.tolist())]))
+    return lines
+
+
+def _lf(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _with_field(lines, row, col, text):
+    lines = list(lines)
+    parts = lines[row].split(",")
+    parts[col] = text
+    lines[row] = ",".join(parts)
+    return lines
+
+
+def _reordered(lines):
+    """Columns shuffled, an ignored ``note`` column, and ``price`` given
+    twice: the last one wins, so the first may hold anything."""
+    order = [3, 1, 0, 5, 2, 7, 6, 4]
+    out = ["note,price," + ",".join(HEADER.split(",")[k] for k in order)]
+    for line in lines[1:]:
+        parts = line.split(",")
+        out.append("n/a,junk," + ",".join(parts[k] for k in order))
+    return _lf(out)
+
+
+def _inserted(lines, at, *extra):
+    return lines[:at] + list(extra) + lines[at:]
+
+
+def _after_line(data, line, text):
+    """``data`` with ``text`` put after the terminator of line ``line``."""
+    head = data.split(b"\n", line)
+    return b"\n".join(head[:-1]) + b"\n" + text + head[-1]
+
+
+def _utc_offsets(lines, offsets):
+    return [lines[0]] + [
+        line.replace(",", offsets(k) + ",", 1) for k, line in enumerate(lines[1:])
+    ]
+
+
+LINES = _market_lines()
+
+# id -> (file bytes, whether the streamed reader takes the file)
+PARITY = {
+    "lf": (_lf(LINES), True),
+    "crlf": (("\r\n".join(LINES) + "\r\n").encode(), True),
+    "no-final-newline": ("\n".join(LINES).encode(), True),
+    "reordered-extra-duplicate-columns": (_reordered(LINES), True),
+    "blank-lines": (_lf(_inserted(LINES, 7, "", "") + [""]), True),
+    "crlf-blank-lines": (("\r\n".join(_inserted(LINES, 3, "")) + "\r\n\r\n").encode(), True),
+    "whitespace-only-line": (_lf(_inserted(LINES, 9, "  ")), False),
+    "padded-timestamps": (_lf([LINES[0]] + [" " + ln.replace(",", "\t ,", 1) for ln in LINES[1:]]), True),
+    "padded-values": (_lf(_with_field(LINES, 4, 2, " \t4.5e2 \xa0")), True),
+    "quoted-field": (_lf(_with_field(LINES, 4, 2, '" 6.5e3 "')), False),
+    "underscore-number": (_lf(_with_field(LINES, 6, 3, "1_000")), False),
+    "unicode-digits": (_lf(_with_field(LINES, 6, 3, "١٢")), False),
+    "separator-padding": (_lf(_with_field(LINES, 6, 3, "12\x1f")), False),
+    "nul": (_lf(_with_field(LINES, 6, 3, "1\x002")), False),
+    "lone-cr": (_after_line(_lf(LINES[:20]), 19, b"\r") + _lf(LINES[20:]), False),
+    "short-row": (_lf(LINES[:12] + [",".join(LINES[12].split(",")[:3])] + LINES[13:]), False),
+    "oversized-ignored-field": (
+        _lf([LINES[0] + ",note"] + [ln + ",x" for ln in LINES[1:9]]
+            + [LINES[9] + "," + "y" * (csv.field_size_limit() + 1)] + LINES[10:]),
+        False,
+    ),
+    "nan": (_lf(_with_field(LINES, 30, 5, "nan")), False),
+    "inf": (_lf(_with_field(LINES, 30, 1, "-inf")), False),
+    "overflow": (_lf(_with_field(LINES, 30, 1, "1e400")), False),
+    "off-grid": (_lf(_with_field(LINES, 31, 0, "2021-03-01T15:17:00")), False),
+    "bad-timestamp": (_lf(_with_field(LINES, 31, 0, "2021-03-01 25:00")), False),
+    "utc-offset": (_lf(_utc_offsets(LINES, lambda k: "+10:00")), True),
+    "mixed-utc-offsets": (_lf(_utc_offsets(LINES, lambda k: "+10:00" if k < 100 else "+11:00")), True),
+    "bad-utf8": (_after_line(_lf(LINES), 1, b"\xff"), False),
+    "bad-utf8-after-malformed-row": (
+        _after_line(_lf(_with_field(LINES, 5, 2, "x")), 140, b"\xfe"), False
+    ),
+    "header-only": (_lf(LINES[:1]), False),
+    "header-missing-column": (_lf([LINES[0].replace("demand", "load")] + LINES[1:]), False),
+    "empty-file": (b"", False),
+}
+
+
+def _dataset_bits(ds):
+    """Everything a ``Dataset`` holds, its arrays as bytes with dtype and shape."""
+    def bits(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    records = tuple(
+        (rec.day, tuple((name, bits(v)) for name, v in rec.channels.items()))
+        for rec in ds.day_records
+    )
+    return records, ds.norm, ds.report, bits(ds.conditions), bits(ds.targets), ds.target_days
+
+
+def _outcome(load):
+    try:
+        return "loaded", _dataset_bits(load())
+    except (InputError, MalformedRow) as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@pytest.mark.parametrize("case", PARITY)
+def test_stream_reader_is_the_row_reader(tmp_path, monkeypatch, case):
+    """Every file loads to the same bits, or fails with the same exception
+    type, message and line, whether the streamed reader takes it or leaves
+    it to the row reader."""
+    data, streamed = PARITY[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    with open(path, newline="", encoding="utf-8") as fh:
+        parsed = di._stream_rows(fh)
+    assert (parsed is not None) == streamed
+    if streamed:
+        with open(path, newline="", encoding="utf-8") as fh:
+            want_stamps, want_values = di._read_rows(fh, path)
+        stamps, values = parsed
+        assert stamps == want_stamps
+        assert [ts.utcoffset() for ts in stamps] == [ts.utcoffset() for ts in want_stamps]
+        assert (values.dtype, values.shape) == (want_values.dtype, want_values.shape)
+        assert values.tobytes() == want_values.tobytes()
+    got = _outcome(lambda: di.load_dataset(path))
+    monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
+    assert got == _outcome(lambda: di.load_dataset(path))
+
+
+@pytest.fixture(scope="module")
+def year_csv(tmp_path_factory):
+    return synthetic.generate_market_csv(tmp_path_factory.mktemp("year") / "year.csv", days=366, seed=19)
+
+
+def test_year_corpus_takes_the_stream_reader(year_csv, monkeypatch):
+    """A one-year synthetic corpus never reaches the row reader, and loads
+    to the bits the row reader gives."""
+    monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
+    want = _dataset_bits(di.load_dataset(year_csv))
+    monkeypatch.undo()
+
+    def refuse(fh, path):
+        raise AssertionError("row reader used")
+
+    monkeypatch.setattr(di, "_read_rows", refuse)
+    assert _dataset_bits(di.load_dataset(year_csv)) == want
+
+
+def test_year_corpus_load_memory(year_csv):
+    """Loading a one-year corpus peaks at 4.75 MB of tracemalloc, set after
+    the parse by the day records and condition rows; a row reader holding
+    a Python list, a float tuple and a datetime per row peaked at 7.85 MB."""
+    di.load_dataset(year_csv)
+    tracemalloc.start()
+    try:
+        di.load_dataset(year_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6, f"peak {peak / 1e6:.2f} MB"
