@@ -8,6 +8,14 @@ market-local time as written; half-hour index 0 is 00:00. Each day with a
 complete previous day is one row of the dataset's day axis: a float64
 condition row of ``CONDITION_DIM`` columns (``build_conditions``) and a
 48-step normalized price target.
+
+A plain file (no quote, NUL, lone CR or ASCII separator character, no line
+past the csv field limit, and only on-grid timestamps and finite values
+that numpy's C reader parses) is read by ``_stream_rows``: one pass over its lines for the timestamps and
+``np.loadtxt`` for the values, with no Python object per row beyond its
+timestamp. Any other file goes to ``_read_rows``, a ``csv.reader`` pass that
+gives the same result on a plain file and names every error with its
+physical line.
 """
 
 from __future__ import annotations

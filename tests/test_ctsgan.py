@@ -311,11 +311,10 @@ def test_whitening_pass_at_paper_dims_is_one_embedder_forward(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 37])
 def test_blocked_whitening_is_the_whole_array_whitening(width):
-    """The standard deviations and autocorrelations taken one block of
-    latent columns at a time are bit-equal to whole-array reductions, and so
-    are the whitened latents. Width 3 stays one block (a 2 + 1 split would
-    sum its last column pairwise); widths 5, 17 and 37 split into blocks of
-    2 to 5 columns."""
+    """The standard deviations and autocorrelations taken as column sums
+    over blocks of rows are bit-equal to whole-array reductions, and so are
+    the whitened latents. The 48 x 61 rows make two full 1024-row blocks
+    and a partial one; width 1, which numpy sums pairwise, stays whole."""
     latents = np.random.default_rng(width).uniform(size=(HORIZON, 61, width)) ** 3
     shift, scale, autocorr, white = whole_array_whitening(latents.copy())
     model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=2, latent_dim=width))
@@ -328,8 +327,8 @@ def test_blocked_whitening_is_the_whole_array_whitening(width):
 
 def test_whitening_statistics_make_no_latents_sized_temporary():
     """At paper dims on 329 training days the calibration allocates, beyond
-    its 12.6 MB input, less than a quarter of that input at its peak (1.8 MB
-    measured): each temporary holds one of eight column blocks. One
+    its 12.6 MB input, less than a quarter of that input at its peak (0.89
+    MB measured): each temporary holds 1024 rows of the latents. One
     whole-array ``std`` makes a temporary the size of the input."""
     latents = np.random.default_rng(8).uniform(size=(HORIZON, 329, 100))
     model = ctsgan.build_model(COND_DIM, ctsgan.TrainingConfig(hidden_dim=2, latent_dim=100))
