@@ -16,17 +16,34 @@ that numpy's C reader parses) is read by ``_stream_rows``: one pass over its lin
 timestamp. Any other file goes to ``_read_rows``, a ``csv.reader`` pass that
 gives the same result on a plain file and names every error with its
 physical line.
+
+A parse leaves a sidecar beside the file, ``.<file name>.priceband-cache``:
+the SHA-256 of the file's bytes, then each row's local wall-clock minute
+since 1970 and its seven values as raw little-endian arrays. A later load
+whose bytes hash to the stored digest reads the rows from it instead of
+parsing; any other sidecar (another digest or format, a wrong size,
+non-finite values, minutes that do not strictly increase) is ignored and
+replaced after the parse. Hit and parse derive the dataset in one function,
+so they give the same bits. The sidecar is written only when the file's
+bytes are unchanged after the parse, through a tmp file moved into place;
+when its directory cannot be written the load goes on without it, and
+deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import math
+import os
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import datetime, timedelta
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -374,16 +391,96 @@ def _read_rows(fh, path) -> tuple[list[datetime], np.ndarray]:
     return stamps, _check_finite(values, lines)
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a CSV into a :class:`Dataset`.
+# A sidecar is this header (magic, the dataset's SHA-256, the row count as
+# little-endian uint64), then every row's minute as little-endian int64 and
+# the ``[rows, 7]`` values as little-endian float64. A new layout takes a new
+# magic, so an old sidecar is a miss.
+_CACHE_MAGIC = b"priceband-rows/1"
+_CACHE_HEADER_BYTES = len(_CACHE_MAGIC) + 32 + 8
+_CACHE_ROW_BYTES = 8 * (1 + len(_VALUE_CHANNELS))
+_MINUTE_DTYPE = np.dtype("<i8")
+_VALUE_DTYPE = np.dtype("<f8")
+_HASH_CHUNK_BYTES = 1 << 16
 
-    Timestamps must be strictly increasing and share one UTC offset (or
-    none), so each calendar day is one contiguous run of rows; a day without
-    all 48 half-hours is dropped and counted. Prices are clipped to
-    [PRICE_CLIP_LO, PRICE_CLIP_HI] and normalized against those bounds; the
-    remaining channels get min-max params fitted on the loaded days (fit on
-    your training file only to avoid leakage).
-    """
+_MINUTES_PER_DAY = 24 * 60
+_EPOCH_ORDINAL = date_type(1970, 1, 1).toordinal()
+
+
+def _sidecar_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(f".{path.name}.priceband-cache")
+
+
+def _file_digest(path) -> bytes | None:
+    """SHA-256 of the file's bytes, streamed through one 64 KiB buffer; None
+    for a path that is not a regular file, such as a named pipe, which can be
+    read only once and so is parsed without a sidecar."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_HASH_CHUNK_BYTES)
+    view = memoryview(buffer)
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                digest.update(view[:size])
+    except OSError as exc:
+        raise InputError(f"cannot read dataset {path} ({exc})") from exc
+    return digest.digest()
+
+
+def _read_sidecar(path, digest: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The minutes and values stored beside ``path`` for ``digest``, or None
+    when there is no usable sidecar: none is readable, its magic or digest
+    differs, its size is not its row count's, or it holds a non-finite value
+    or minutes that do not strictly increase."""
+    n_channels = len(_VALUE_CHANNELS)
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            header = fh.read(_CACHE_HEADER_BYTES)
+            rows = int.from_bytes(header[-8:], "little")
+            if (
+                len(header) != _CACHE_HEADER_BYTES
+                or header[: len(_CACHE_MAGIC)] != _CACHE_MAGIC
+                or header[len(_CACHE_MAGIC) : -8] != digest
+                or rows == 0
+                or os.fstat(fh.fileno()).st_size != _CACHE_HEADER_BYTES + rows * _CACHE_ROW_BYTES
+            ):
+                return None
+            minutes = np.fromfile(fh, dtype=_MINUTE_DTYPE, count=rows)
+            values = np.fromfile(fh, dtype=_VALUE_DTYPE, count=rows * n_channels)
+    except (OSError, ValueError):
+        return None
+    if len(minutes) != rows or len(values) != rows * n_channels:  # shrunk while read
+        return None
+    if not (np.isfinite(values).all() and (np.diff(minutes) > 0).all()):
+        return None
+    return minutes.astype(np.int64, copy=False), values.reshape(rows, n_channels).astype(
+        np.float64, copy=False
+    )
+
+
+def _write_sidecar(path, digest: bytes, minutes: np.ndarray, values: np.ndarray) -> None:
+    """Store the rows parsed from the bytes hashed to ``digest`` beside
+    ``path``: a per-process tmp file moved into place, so a reader sees a
+    whole sidecar or none. When the directory cannot be written, the load
+    goes on without one and leaves no tmp file."""
+    sidecar = _sidecar_path(path)
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC + digest + len(minutes).to_bytes(8, "little"))
+            minutes.astype(_MINUTE_DTYPE, copy=False).tofile(fh)
+            values.astype(_VALUE_DTYPE, copy=False).tofile(fh)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _parse_minutes(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the CSV and check its timestamps: each row's local wall-clock
+    minute since 1970 (int64) and the ``[rows, 7]`` float64 values."""
     stamps, values = _parse_rows(path)
     if not stamps:
         raise InputError(f"{path} contains no data rows")
@@ -391,17 +488,57 @@ def load_dataset(path) -> Dataset:
     offsets = {ts.utcoffset() for ts in stamps}
     if len(offsets) > 1:
         raise InputError(f"{path} mixes UTC offsets {sorted(map(str, offsets))}")
-    for prev_ts, ts in zip(stamps, stamps[1:]):
-        if ts <= prev_ts:
-            raise InputError(f"timestamp {ts} does not follow {prev_ts}")
+    # one C-level map per field: a generator doing the arithmetic per row
+    # took 40% longer
+    ordinals, hours, mins = (
+        np.fromiter(map(get, stamps), dtype=np.int64, count=len(stamps))
+        for get in (datetime.toordinal, attrgetter("hour"), attrgetter("minute"))
+    )
+    minutes = (ordinals - _EPOCH_ORDINAL) * _MINUTES_PER_DAY + hours * 60 + mins
+    # with one offset and every stamp on the grid, minutes order as the stamps do
+    behind = np.flatnonzero(np.diff(minutes) <= 0)
+    if behind.size:
+        k = int(behind[0])
+        raise InputError(f"timestamp {stamps[k + 1]} does not follow {stamps[k]}")
+    return minutes, values
 
-    ordinals = np.fromiter((ts.toordinal() for ts in stamps), dtype=np.int64, count=len(stamps))
-    bounds = [0, *(np.flatnonzero(np.diff(ordinals)) + 1).tolist(), len(stamps)]
+
+def load_dataset(path) -> Dataset:
+    """Parse a CSV into a :class:`Dataset`, or rebuild it from the sidecar
+    that an earlier load of the same bytes left beside the file.
+
+    Timestamps must be strictly increasing and share one UTC offset (or
+    none), so each calendar day is one contiguous run of rows; a day without
+    all 48 half-hours is dropped and counted. Prices are clipped to
+    [PRICE_CLIP_LO, PRICE_CLIP_HI] and normalized against those bounds; the
+    remaining channels get min-max params fitted on the loaded days (fit on
+    your training file only to avoid leakage).
+
+    Bytes that an earlier load parsed are read back from its sidecar (see
+    the module docstring) instead of parsed; hit and parse both derive the
+    dataset in ``_dataset_from_rows``, so they give the same bits.
+    """
+    digest = _file_digest(path)
+    cached = _read_sidecar(path, digest) if digest else None
+    if cached is not None:
+        return _dataset_from_rows(path, *cached)
+    minutes, values = _parse_minutes(path)
+    if digest and _file_digest(path) == digest:  # the rows stored are the parse of those bytes
+        _write_sidecar(path, digest, minutes, values)
+    return _dataset_from_rows(path, minutes, values)
+
+
+def _dataset_from_rows(path, minutes: np.ndarray, values: np.ndarray) -> Dataset:
+    """The :class:`Dataset` of rows at strictly increasing local minutes
+    since 1970 with ``[rows, 7]`` values: the day split, price clipping, day
+    records, norms, load report, condition rows and targets."""
+    days = minutes // _MINUTES_PER_DAY
+    bounds = [0, *(np.flatnonzero(np.diff(days)) + 1).tolist(), len(days)]
 
     records = []
     dropped = []
     for start, end in zip(bounds, bounds[1:]):
-        day = stamps[start].date()
+        day = date_type.fromordinal(_EPOCH_ORDINAL + int(days[start]))
         if end - start != HALF_HOURS_PER_DAY:
             dropped.append(day.isoformat())
             continue
@@ -425,7 +562,7 @@ def load_dataset(path) -> Dataset:
         norm[name] = MinMaxParams(lo, hi)
 
     report = LoadReport(
-        rows_consumed=len(stamps),
+        rows_consumed=len(minutes),
         days_loaded=len(records),
         days_dropped=len(dropped),
         dropped_days=tuple(dropped),

@@ -88,6 +88,11 @@ class VolatilityThresholds:
         if missing:
             raise InputError(f"thresholds missing factors: {missing}")
         rows = [[payload[f][name] for name in _CUT_NAMES] for f in FACTORS]
+        for factor, row in zip(FACTORS, rows):
+            for name, cut in zip(_CUT_NAMES, row):
+                # a string or a boolean is refused, not converted
+                if type(cut) not in (int, float):
+                    raise InputError(f"{factor} {name} must be a JSON number, got {cut!r}")
         return cls(np.array(rows, dtype=np.float64))
 
 

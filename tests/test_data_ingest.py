@@ -1,10 +1,14 @@
 import csv
+import json
+import os
+import threading
 import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
+from priceband import cli
 from priceband import data_ingest as di
 from priceband import synthetic
 from priceband.errors import InputError, MalformedRow
@@ -489,6 +493,26 @@ def _outcome(load):
         return "raised", type(exc), str(exc), getattr(exc, "line_no", None)
 
 
+def _parsed_outcome(path):
+    """``_outcome`` of a load that parses: any sidecar is removed first."""
+    di._sidecar_path(path).unlink(missing_ok=True)
+    return _outcome(lambda: di.load_dataset(path))
+
+
+def _spy(monkeypatch, name):
+    """Replace ``di.<name>`` with a wrapper that records each call's result."""
+    calls = []
+    original = getattr(di, name)
+
+    def spy(*args):
+        calls.append(None)  # counted when it raises too
+        calls[-1] = original(*args)
+        return calls[-1]
+
+    monkeypatch.setattr(di, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", PARITY)
 def test_stream_reader_is_the_row_reader(tmp_path, monkeypatch, case):
     """Every file loads to the same bits, or fails with the same exception
@@ -508,9 +532,12 @@ def test_stream_reader_is_the_row_reader(tmp_path, monkeypatch, case):
         assert [ts.utcoffset() for ts in stamps] == [ts.utcoffset() for ts in want_stamps]
         assert (values.dtype, values.shape) == (want_values.dtype, want_values.shape)
         assert values.tobytes() == want_values.tobytes()
-    got = _outcome(lambda: di.load_dataset(path))
+    row_reads = _spy(monkeypatch, "_read_rows")
+    got = _parsed_outcome(path)
+    assert len(row_reads) == (0 if streamed else 1)
     monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
-    assert got == _outcome(lambda: di.load_dataset(path))
+    assert got == _parsed_outcome(path)
+    assert len(row_reads) == (1 if streamed else 2)
 
 
 @pytest.fixture(scope="module")
@@ -522,25 +549,211 @@ def test_year_corpus_takes_the_stream_reader(year_csv, monkeypatch):
     """A one-year synthetic corpus never reaches the row reader, and loads
     to the bits the row reader gives."""
     monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
-    want = _dataset_bits(di.load_dataset(year_csv))
+    row_reads = _spy(monkeypatch, "_read_rows")
+    want = _parsed_outcome(year_csv)
+    assert len(row_reads) == 1
     monkeypatch.undo()
 
     def refuse(fh, path):
         raise AssertionError("row reader used")
 
     monkeypatch.setattr(di, "_read_rows", refuse)
-    assert _dataset_bits(di.load_dataset(year_csv)) == want
+    streams = _spy(monkeypatch, "_stream_rows")
+    assert _parsed_outcome(year_csv) == want
+    assert len(streams) == 1 and streams[0] is not None
 
 
-def test_year_corpus_load_memory(year_csv):
-    """Loading a one-year corpus peaks at 4.75 MB of tracemalloc, set after
-    the parse by the day records and condition rows; a row reader holding
-    a Python list, a float tuple and a datetime per row peaked at 7.85 MB."""
-    di.load_dataset(year_csv)
+def _load_peak(path) -> int:
     tracemalloc.start()
     try:
-        di.load_dataset(year_csv)
-        peak = tracemalloc.get_traced_memory()[1]
+        di.load_dataset(path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_year_corpus_load_memory(year_csv, monkeypatch):
+    """A load that parses a one-year corpus peaks at 4.04 MB of tracemalloc,
+    set after the parse by the day records and condition rows (4.75 MB while
+    the parsed timestamps stayed alive through them); a row reader holding a
+    Python list, a float tuple and a datetime per row peaked at 7.85 MB."""
+    di.load_dataset(year_csv)
+    di._sidecar_path(year_csv).unlink()
+    parses = _spy(monkeypatch, "_parse_rows")
+    peak = _load_peak(year_csv)
+    assert len(parses) == 1
     assert peak < 5.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_year_corpus_hit_memory(year_csv, monkeypatch):
+    """A load served by the sidecar reads the rows straight into their
+    arrays and peaks at about 4 MB of tracemalloc."""
+    di.load_dataset(year_csv)
+    parses = _spy(monkeypatch, "_parse_rows")
+    peak = _load_peak(year_csv)
+    assert parses == []
+    assert peak < 4.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+# --- the sidecar: a load of unchanged bytes skips the parse, bit for bit ----------------------
+
+def _refuse_parse(monkeypatch):
+    def refuse(path):
+        raise AssertionError("dataset parsed")
+
+    monkeypatch.setattr(di, "_parse_rows", refuse)
+
+
+def _gappy_lines():
+    """Random values over four days with a UTC offset and the second day
+    short of a half-hour: a dropped day, and a day axis that skips it."""
+    lines = _utc_offsets(_market_lines(days=5, seed=3), lambda k: "+10:00")
+    return lines[:60] + lines[61:193]
+
+
+@pytest.mark.parametrize("lines", [LINES, _gappy_lines()], ids=["plain", "gappy-utc-offset"])
+def test_sidecar_hit_equals_parse(tmp_path, monkeypatch, lines):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(lines))
+    want = _parsed_outcome(path)
+    assert want[0] == "loaded"
+    assert di._sidecar_path(path).is_file()
+    _refuse_parse(monkeypatch)
+    assert _outcome(lambda: di.load_dataset(path)) == want
+
+
+def test_sidecar_hit_prints_the_same_load_report(tmp_path, monkeypatch, capsys):
+    """calibrate over a sidecar prints what it prints over the parse and
+    writes the same thresholds."""
+    synthetic.generate_market_csv(tmp_path / "toy.csv", days=120, seed=11)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": {
+        "dataset": str(tmp_path / "toy.csv"), "out_dir": str(tmp_path / "out"),
+    }}), encoding="utf-8")
+    thresholds = tmp_path / "out" / "thresholds.json"
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["calibrate", "--config", str(cfg)]) == 0
+        outputs.append((capsys.readouterr().out, thresholds.read_bytes()))
+        _refuse_parse(monkeypatch)
+    assert outputs[0][0].startswith("loaded 120 days from 5760 rows; dropped 0 incomplete days\n")
+    assert outputs[1] == outputs[0]
+
+
+def _edit_byte(path, old: bytes, new: bytes):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(old, new, 1))
+
+
+def test_edited_byte_misses_and_reparses(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    first = di.load_dataset(path)
+    field = LINES[40].split(",")[2]
+    edited = field[:2] + ("5" if field[2] != "5" else "6") + field[3:]
+    _edit_byte(path, field.encode(), edited.encode())
+    parses = _spy(monkeypatch, "_parse_rows")
+    got = _outcome(lambda: di.load_dataset(path))
+    assert len(parses) == 1
+    assert got != ("loaded", _dataset_bits(first))
+    assert got == _parsed_outcome(path)
+    del parses[:]
+    assert _outcome(lambda: di.load_dataset(path)) == got
+    assert parses == []
+
+
+def test_edit_to_malformed_row_fails_as_without_sidecar(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    di.load_dataset(path)
+    field = LINES[40].split(",")[2]
+    _edit_byte(path, field.encode(), b"x" + field[1:].encode())
+    got = _outcome(lambda: di.load_dataset(path))
+    assert got == ("raised", MalformedRow, f"malformed row at line 41: bad demand value {'x' + field[1:]!r}", 41)
+    assert got == _parsed_outcome(path)
+
+
+def _rewrite(sidecar, offset, data):
+    raw = bytearray(sidecar.read_bytes())
+    raw[offset : offset + len(data)] = data
+    sidecar.write_bytes(bytes(raw))
+
+
+_ROWS = len(LINES) - 1
+_MINUTES_AT = di._CACHE_HEADER_BYTES
+_VALUES_AT = _MINUTES_AT + 8 * _ROWS
+
+BAD_SIDECARS = {
+    "truncated": lambda s: s.write_bytes(s.read_bytes()[:-1]),
+    "header-only": lambda s: s.write_bytes(s.read_bytes()[:_MINUTES_AT]),
+    "empty": lambda s: s.write_bytes(b""),
+    "wrong-magic": lambda s: _rewrite(s, 0, b"X"),
+    "wrong-digest": lambda s: _rewrite(s, len(di._CACHE_MAGIC), bytes(32)),
+    "zero-rows": lambda s: s.write_bytes(s.read_bytes()[: _MINUTES_AT - 8] + bytes(8)),
+    "trailing-bytes": lambda s: s.write_bytes(s.read_bytes() + b"\0"),
+    "nan-value": lambda s: _rewrite(s, _VALUES_AT + 8 * 100, np.float64("nan").tobytes()),
+    "inf-value": lambda s: _rewrite(s, _VALUES_AT, np.float64("inf").tobytes()),
+    "repeated-minute": lambda s: _rewrite(s, _MINUTES_AT + 8, s.read_bytes()[_MINUTES_AT : _MINUTES_AT + 8]),
+    "directory": lambda s: (s.unlink(), s.mkdir()),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_SIDECARS)
+def test_unusable_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    sidecar = di._sidecar_path(path)
+    want = _outcome(lambda: di.load_dataset(path))
+    good = sidecar.read_bytes()
+    assert len(good) == di._CACHE_HEADER_BYTES + 64 * _ROWS
+    BAD_SIDECARS[damage](sidecar)
+    parses = _spy(monkeypatch, "_parse_rows")
+    assert _outcome(lambda: di.load_dataset(path)) == want
+    assert len(parses) == 1
+    if damage != "directory":  # os.replace cannot put a file over a directory
+        assert sidecar.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "d.csv"]
+
+
+def test_failed_sidecar_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    want = _parsed_outcome(path)
+    di._sidecar_path(path).unlink()
+
+    def refuse(src, dst):
+        raise OSError("read-only directory")
+
+    monkeypatch.setattr(di.os, "replace", refuse)
+    assert _outcome(lambda: di.load_dataset(path)) == want
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+def test_file_changed_during_parse_is_not_cached(tmp_path, monkeypatch):
+    """The rows stored under a digest are the parse of those bytes: a file
+    that changes while it is parsed leaves no sidecar."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    parse = di._parse_rows
+
+    def parse_then_append(p):
+        parsed = parse(p)
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write(LINES[1].replace("2021-03-01", "2021-03-09") + "\n")
+        return parsed
+
+    monkeypatch.setattr(di, "_parse_rows", parse_then_append)
+    di.load_dataset(path)
+    assert not di._sidecar_path(path).exists()
+
+
+def test_named_pipe_is_not_hashed(tmp_path):
+    """A pipe can be read only once, so a dataset path that is not a regular
+    file is not opened for the hash: it goes to the parser uncached."""
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+    digests = []
+    worker = threading.Thread(target=lambda: digests.append(di._file_digest(fifo)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and digests == [None]

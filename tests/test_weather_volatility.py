@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -132,6 +133,19 @@ def test_benchmark_sigma_route_matches_noise_sigma(toy_dataset, toy_thresholds):
             for f in wv.FACTORS
         }
         assert wv.sigma_from_levels(levels) == wv.noise_sigma(variances, toy_thresholds), rec.day
+
+
+@pytest.mark.parametrize(
+    "factor, cut, value",
+    [("temperature", "low_cut", "0.01"), ("irradiance", "med_cut", True), ("wind", "high_cut", None)],
+)
+def test_thresholds_json_refuses_non_numbers(reference_thresholds, factor, cut, value):
+    """A cut read from JSON must be a JSON number: a string, a boolean or
+    null is refused by factor and cut name, not converted."""
+    payload = reference_thresholds.by_factor()
+    payload[factor][cut] = value
+    with pytest.raises(InputError, match=rf"^{factor} {cut} must be a JSON number, got {value!r}$"):
+        wv.VolatilityThresholds.from_json(json.dumps(payload))
 
 
 # --- calibration ------------------------------------------------------------------
