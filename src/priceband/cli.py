@@ -27,6 +27,12 @@ from datetime import date as date_type
 from datetime import timedelta
 from pathlib import Path
 
+# One BLAS thread unless the environment names a count (read when numpy
+# loads): evaluate runs its own workers, and backward's GEMM bits depend on
+# the thread count, so train writes the same model whatever the CPU count.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 import numpy as np
 
 from . import ctsgan, data_ingest, metrics
@@ -189,11 +195,8 @@ def _load_dataset(cfg: RunConfig) -> data_ingest.Dataset:
 
 def cmd_calibrate(cfg: RunConfig) -> None:
     dataset = _load_dataset(cfg)
-    samples = {factor: [] for factor in FACTORS}
-    for rec in dataset.day_records:
-        for factor, value in factor_variances(dataset, rec).items():
-            samples[factor].append(value)
-    thresholds = calibrate_thresholds({f: np.asarray(v) for f, v in samples.items()})
+    samples = factor_variances(dataset)
+    thresholds = calibrate_thresholds(samples)
     _atomic_write(cfg.thresholds, thresholds.to_json())
 
     report = {
@@ -316,7 +319,8 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
         variances = _override_variances(cfg.variance_override)
         log.info("using variance override %s", variances)
     else:
-        variances = factor_variances(dataset, dataset.record_for(day))
+        day_row = dataset.target_rows[row]
+        variances = {f: v[day_row] for f, v in factor_variances(dataset).items()}
     sigma = noise_sigma(variances, thresholds)
 
     bounds, scenarios = predict_pipeline(
@@ -379,9 +383,10 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
     if not days:
         raise InputError(f"no days between {start} and {end}")
     rows = [dataset.target_index(day) for day in days]
+    variances = factor_variances(dataset)
     sigmas = [
-        noise_sigma(factor_variances(dataset, dataset.record_for(day)), thresholds)
-        for day in days
+        noise_sigma({f: v[k] for f, v in variances.items()}, thresholds)
+        for k in dataset.target_rows[rows]
     ]
 
     report = metrics.repeated_sampling_harness(
@@ -466,7 +471,7 @@ def cmd_report(cfg: RunConfig) -> None:
         )
 
     # spike histogram over the whole dataset, one row per half-hour slot
-    counts = spike_histogram(np.stack([rec.channel("price") for rec in dataset.day_records]))
+    counts = spike_histogram(dataset.channels["price"])
     hist_rows = ["half_hour_index,count"] + [f"{k},{int(c)}" for k, c in enumerate(counts)]
     _atomic_write(cfg.out_dir / "spike_histogram.csv", "\n".join(hist_rows) + "\n")
 

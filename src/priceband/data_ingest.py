@@ -4,18 +4,20 @@ Input CSV schema: ``timestamp,price,demand,temperature,irradiance,wind_speed,
 gas_price,coal_price`` with ISO-8601 timestamps on a 30-minute grid. Days with
 any missing half-hour are dropped and counted in the load report; prices are
 clipped to [0, 500] A$/MWh before normalization. Timestamps are taken as
-market-local time as written; half-hour index 0 is 00:00. Each day with a
-complete previous day is one row of the dataset's day axis: a float64
-condition row of ``CONDITION_DIM`` columns (``build_conditions``) and a
-48-step normalized price target.
+market-local time as written; half-hour index 0 is 00:00. The complete days
+are kept as one C-contiguous float64 ``[days, 48]`` array per channel, row k
+holding day k's half-hours. Each day with a complete previous day is one
+row of the dataset's day axis: a float64 condition row of ``CONDITION_DIM``
+columns (``build_conditions``) and a 48-step normalized price target.
 
 A plain file (no quote, NUL, lone CR or ASCII separator character, no line
 past the csv field limit, and only on-grid timestamps and finite values
-that numpy's C reader parses) is read by ``_stream_rows``: one pass over its lines for the timestamps and
-``np.loadtxt`` for the values, with no Python object per row beyond its
-timestamp. Any other file goes to ``_read_rows``, a ``csv.reader`` pass that
-gives the same result on a plain file and names every error with its
-physical line.
+that numpy's C reader parses) is read by ``_stream_rows``: one pass over
+its lines for the timestamps and ``np.loadtxt`` for the values, with no
+Python object per row beyond its timestamp. Any other file, and any stream
+that cannot seek (a named pipe), goes to ``_read_rows``, a ``csv.reader``
+pass that gives the same result on a plain file and names every error with
+its physical line.
 
 A parse leaves a sidecar beside the file, ``.<file name>.priceband-cache``:
 the SHA-256 of the file's bytes, then each row's local wall-clock minute
@@ -38,6 +40,7 @@ import hashlib
 import math
 import os
 import stat
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as date_type
@@ -93,19 +96,6 @@ class MinMaxParams:
             raise InputError(f"p_max ({self.p_max}) must exceed p_min ({self.p_min})")
 
 
-@dataclass(frozen=True)
-class DayRecord:
-    """One complete day: 48 samples of every channel, prices already clipped."""
-
-    day: date_type
-    channels: dict[str, np.ndarray]
-
-    def channel(self, name: str) -> np.ndarray:
-        if name not in self.channels or self.channels[name] is None:
-            raise InputError(f"required channel missing: {name}")
-        return self.channels[name]
-
-
 CONDITION_DIM = 5 * HALF_HOURS_PER_DAY + 7 + 12 + 4
 
 
@@ -121,49 +111,59 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Complete days plus per-channel normalization params and the day axis.
+    """Complete days as one array per channel, the normalization params and
+    the day axis.
 
-    ``day_records`` keeps every complete source day. The day axis holds one
-    row per day that has a complete previous calendar day to lag against:
-    ``target_days[i]`` is predicted from ``conditions[i]`` (``[N,
-    CONDITION_DIM]``) and has the normalized price path ``targets[i]``
-    (``[N, 48]``).
+    ``days`` lists every complete source day in order; row k of each
+    C-contiguous float64 ``[len(days), 48]`` array in ``channels`` holds the
+    samples of ``days[k]``, prices clipped. The day axis has one row per day
+    with a complete previous calendar day: ``target_days[i]``, which is
+    ``days[target_rows[i]]``, is predicted from ``conditions[i]`` (``[N,
+    CONDITION_DIM]``) and has the normalized prices ``targets[i]``.
     """
 
-    day_records: tuple[DayRecord, ...]
+    days: tuple[date_type, ...]
+    channels: dict[str, np.ndarray]
     norm: dict[str, MinMaxParams]
     report: LoadReport
     conditions: np.ndarray
     targets: np.ndarray
-    target_days: tuple[date_type, ...]
-    _by_day: dict[date_type, DayRecord] = field(init=False, repr=False, compare=False)
+    target_rows: np.ndarray
     _rows: dict[date_type, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_day", {rec.day: rec for rec in self.day_records})
         object.__setattr__(self, "_rows", {day: i for i, day in enumerate(self.target_days)})
 
     @property
     def n_days(self) -> int:
-        return len(self.day_records)
+        return len(self.days)
 
-    def record_for(self, day: date_type) -> DayRecord:
-        rec = self._by_day.get(day)
-        if rec is None:
-            raise InputError(f"no complete day {day.isoformat()} in dataset")
-        return rec
+    @property
+    def target_days(self) -> tuple[date_type, ...]:
+        return tuple(self.days[k] for k in self.target_rows.tolist())
 
     def target_index(self, day: date_type) -> int:
         """Row of the day axis that predicts ``day``; raises ``InputError``
         naming ``day`` or its previous day when either is not complete."""
         if day not in self._rows:
             # every complete day whose previous day is complete has a row
-            self.record_for(day)
-            self.record_for(day - timedelta(days=1))
+            for needed in (day, day - timedelta(days=1)):
+                if needed not in self.days:
+                    raise InputError(f"no complete day {needed.isoformat()} in dataset")
         return self._rows[day]
 
-    def normalized_channel(self, rec: DayRecord, name: str) -> np.ndarray:
-        return normalize(rec.channel(name), self.norm[name])
+    # Views in the shape of the per-day records the dataset once held. Only
+    # the benchmark (bench/workloads.py) reads them; drop them when it reads
+    # the channel arrays.
+    @property
+    def day_records(self) -> tuple:
+        return tuple(_DayView(day, k) for k, day in enumerate(self.days))
+
+    def normalized_channel(self, rec, name: str) -> np.ndarray:
+        return normalize(self.channels[name][rec.row], self.norm[name])
+
+
+_DayView = namedtuple("_DayView", "day row")
 
 
 def normalize(values: np.ndarray, params: MinMaxParams) -> np.ndarray:
@@ -194,12 +194,15 @@ def compute_hdd_cdd(temps, base: float = HDD_CDD_BASE_C):
 
 
 def build_conditions(
-    prev_records: Sequence[DayRecord],
-    records: Sequence[DayRecord],
+    channels: dict[str, np.ndarray],
+    days: Sequence[date_type],
+    prev_rows,
+    rows,
     norm: dict[str, MinMaxParams],
 ) -> np.ndarray:
-    """Condition rows ``[N, CONDITION_DIM]``: row i encodes ``records[i]``
-    given its previous day ``prev_records[i]``.
+    """Condition rows ``[N, CONDITION_DIM]``: row i encodes the day in row
+    ``rows[i]`` of the ``[days, 48]`` ``channels`` (its date ``days[rows[i]]``)
+    given its previous day in row ``prev_rows[i]``.
 
     Lags and fuel prices come from the previous day; the weather blocks come
     from the day itself (the ingested observations stand in for a day-ahead
@@ -218,25 +221,23 @@ def build_conditions(
     215:263     wind speed forecast
     ==========  ===================================================
     """
-    def stack(recs, name):
-        return np.array([rec.channel(name) for rec in recs], dtype=np.float64)
+    def unit(at, name):
+        return np.clip(normalize(channels[name][at], norm[name]), 0.0, 1.0)
 
-    def unit(recs, name):
-        return np.clip(normalize(stack(recs, name), norm[name]), 0.0, 1.0)
-
-    rows = np.zeros((len(records), CONDITION_DIM))
-    index = np.arange(len(records))
-    rows[:, 0:48] = unit(prev_records, "price")
-    rows[:, 48:96] = unit(prev_records, "demand")
-    rows[index, [96 + rec.day.weekday() for rec in records]] = 1.0
-    rows[index, [103 + rec.day.month - 1 for rec in records]] = 1.0
-    rows[:, 115], rows[:, 116] = compute_hdd_cdd(stack(records, "temperature"))
-    rows[:, 117] = unit(prev_records, "gas_price").mean(axis=1)
-    rows[:, 118] = unit(prev_records, "coal_price").mean(axis=1)
-    rows[:, 119:167] = unit(records, "temperature")
-    rows[:, 167:215] = unit(records, "irradiance")
-    rows[:, 215:263] = unit(records, "wind_speed")
-    return rows
+    dates = [days[k] for k in rows]
+    out = np.zeros((len(rows), CONDITION_DIM))
+    index = np.arange(len(rows))
+    out[:, 0:48] = unit(prev_rows, "price")
+    out[:, 48:96] = unit(prev_rows, "demand")
+    out[index, [96 + day.weekday() for day in dates]] = 1.0
+    out[index, [103 + day.month - 1 for day in dates]] = 1.0
+    out[:, 115], out[:, 116] = compute_hdd_cdd(channels["temperature"][rows])
+    out[:, 117] = unit(prev_rows, "gas_price").mean(axis=1)
+    out[:, 118] = unit(prev_rows, "coal_price").mean(axis=1)
+    out[:, 119:167] = unit(rows, "temperature")
+    out[:, 167:215] = unit(rows, "irradiance")
+    out[:, 215:263] = unit(rows, "wind_speed")
+    return out
 
 
 def _check_finite(values: list, lines: list[int]) -> np.ndarray:
@@ -284,6 +285,8 @@ def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
     except OSError as exc:
         raise InputError(f"cannot read dataset {path} ({exc})") from exc
     with fh:
+        if not fh.seekable():  # a named pipe allows one pass: the row reader's
+            return _read_rows(fh, path)
         parsed = _stream_rows(fh)
         if parsed is not None:
             return parsed
@@ -530,32 +533,31 @@ def load_dataset(path) -> Dataset:
 
 def _dataset_from_rows(path, minutes: np.ndarray, values: np.ndarray) -> Dataset:
     """The :class:`Dataset` of rows at strictly increasing local minutes
-    since 1970 with ``[rows, 7]`` values: the day split, price clipping, day
-    records, norms, load report, condition rows and targets."""
-    days = minutes // _MINUTES_PER_DAY
-    bounds = [0, *(np.flatnonzero(np.diff(days)) + 1).tolist(), len(days)]
-
-    records = []
-    dropped = []
-    for start, end in zip(bounds, bounds[1:]):
-        day = date_type.fromordinal(_EPOCH_ORDINAL + int(days[start]))
-        if end - start != HALF_HOURS_PER_DAY:
-            dropped.append(day.isoformat())
-            continue
-        # one small array per channel, as a row-by-row build would make: a
-        # view would keep the whole file's array alive, and one block per day
-        # raised the peak RSS of repeated train commands in one process
-        channels = {name: values[start:end, c].copy() for c, name in enumerate(_VALUE_CHANNELS)}
-        channels["price"] = np.clip(channels["price"], PRICE_CLIP_LO, PRICE_CLIP_HI)
-        records.append(DayRecord(day=day, channels=channels))
-
-    if not records:
+    since 1970 with ``[rows, 7]`` values: the day split, the per-channel day
+    arrays with clipped prices, norms, load report, condition rows and
+    targets."""
+    day_numbers = minutes // _MINUTES_PER_DAY
+    starts = np.flatnonzero(np.diff(day_numbers, prepend=day_numbers[0] - 1))
+    complete = np.diff(starts, append=len(day_numbers)) == HALF_HOURS_PER_DAY
+    dropped = tuple(
+        date_type.fromordinal(_EPOCH_ORDINAL + n).isoformat()
+        for n in day_numbers[starts[~complete]].tolist()
+    )
+    if not complete.any():
         raise InputError(f"{path} has no complete days")
+
+    # one fancy index per channel gives a fresh [days, 48] array, so nothing
+    # keeps the whole file's array alive
+    first_rows = starts[complete]
+    at = first_rows[:, None] + np.arange(HALF_HOURS_PER_DAY)
+    channels = {name: values[at, c] for c, name in enumerate(_VALUE_CHANNELS)}
+    np.clip(channels["price"], PRICE_CLIP_LO, PRICE_CLIP_HI, out=channels["price"])
+    ordinals = day_numbers[first_rows] + _EPOCH_ORDINAL
+    days = tuple(map(date_type.fromordinal, ordinals.tolist()))
 
     norm = {"price": MinMaxParams(PRICE_CLIP_LO, PRICE_CLIP_HI)}
     for name in _FITTED_CHANNELS:
-        stacked = np.concatenate([rec.channels[name] for rec in records])
-        lo, hi = float(stacked.min()), float(stacked.max())
+        lo, hi = float(channels[name].min()), float(channels[name].max())
         if hi == lo:
             # constant channel: center it at 0.5 rather than rejecting the file
             lo, hi = lo - 0.5, hi + 0.5
@@ -563,26 +565,20 @@ def _dataset_from_rows(path, minutes: np.ndarray, values: np.ndarray) -> Dataset
 
     report = LoadReport(
         rows_consumed=len(minutes),
-        days_loaded=len(records),
+        days_loaded=len(days),
         days_dropped=len(dropped),
-        dropped_days=tuple(dropped),
+        dropped_days=dropped,
     )
 
-    pairs = [
-        (prev, cur) for prev, cur in zip(records, records[1:]) if (cur.day - prev.day).days == 1
-    ]
-    conditions = np.empty((0, CONDITION_DIM))
-    targets = np.empty((0, HALF_HOURS_PER_DAY))
-    if pairs:
-        prevs, curs = zip(*pairs)
-        conditions = build_conditions(prevs, curs, norm)
-        targets = normalize(np.array([cur.channels["price"] for cur in curs]), norm["price"])
-
+    # a day with a complete previous calendar day is a row of the day axis
+    target_rows = np.flatnonzero(np.diff(ordinals) == 1) + 1
     return Dataset(
-        day_records=tuple(records),
+        days=days,
+        channels=channels,
         norm=norm,
         report=report,
-        conditions=conditions,
-        targets=targets,
-        target_days=tuple(cur.day for _, cur in pairs),
+        conditions=build_conditions(channels, days, target_rows - 1, target_rows, norm)
+        if len(target_rows) else np.empty((0, CONDITION_DIM)),
+        targets=normalize(channels["price"][target_rows], norm["price"]),
+        target_rows=target_rows,
     )

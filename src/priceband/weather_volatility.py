@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_ingest import HALF_HOURS_PER_DAY
+from .data_ingest import HALF_HOURS_PER_DAY, normalize
 from .errors import InputError
 
 FACTORS = ("temperature", "irradiance", "wind")
@@ -96,36 +96,32 @@ class VolatilityThresholds:
         return cls(np.array(rows, dtype=np.float64))
 
 
-def window_variance(values, window: range = TEMPERATURE_WINDOW) -> float:
-    """Population variance of one day's normalized channel over ``window``.
-
-    ``values`` holds the day's samples indexed by half-hour; every index in
-    the window must be present and finite.
-    """
+def window_variance(values, window: range = TEMPERATURE_WINDOW):
+    """Population variance over ``window`` of the last axis of normalized
+    half-hourly samples, every one present and finite: a day's ``[48]`` give
+    a float, a ``[days, 48]`` array one variance per day, each day's bits."""
     vals = np.asarray(values, dtype=np.float64)
     idx = np.fromiter(window, dtype=np.intp)
     if idx.size == 0:
         raise InputError("window selects no samples")
-    if vals.ndim != 1 or idx.max() >= vals.size:
-        raise InputError(
-            f"window needs index {idx.max()} but series has {vals.size} samples"
-        )
-    selected = vals[idx]
+    if vals.ndim not in (1, 2) or idx.max() >= vals.shape[-1]:
+        raise InputError(f"window needs index {idx.max()} of [48] or [days, 48] samples, got {vals.shape}")
+    # contiguous along the window, so numpy sums each day in the order it sums
+    # one day alone (``vals[..., idx]`` is strided there and sums otherwise)
+    selected = np.take(vals, idx, axis=-1)
     if not np.isfinite(selected).all():
         raise InputError("window contains missing samples")
-    if np.ptp(selected) == 0.0:
-        return 0.0
-    return float(selected.var())
+    variance = np.where(np.ptp(selected, axis=-1) == 0.0, 0.0, selected.var(axis=-1))
+    return float(variance) if vals.ndim == 1 else variance
 
 
-def factor_variances(dataset, rec) -> dict[str, float]:
-    """Window variance of each factor's normalized channel on the day ``rec``
-    of ``dataset`` (a ``data_ingest.Dataset``)."""
+def factor_variances(dataset) -> dict[str, np.ndarray]:
+    """Window variance of each factor's normalized channel on every complete
+    day of ``dataset`` (a ``data_ingest.Dataset``), in one reduction per
+    factor: ``[days]`` per factor, entry k for ``dataset.days[k]``."""
     return {
-        factor: window_variance(
-            dataset.normalized_channel(rec, FACTOR_CHANNELS[factor]), FACTOR_WINDOWS[factor]
-        )
-        for factor in FACTORS
+        f: window_variance(normalize(dataset.channels[c], dataset.norm[c]), FACTOR_WINDOWS[f])
+        for f, c in FACTOR_CHANNELS.items()
     }
 
 

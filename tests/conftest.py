@@ -35,11 +35,7 @@ def toy_dataset(toy_csv):
 
 @pytest.fixture(scope="session")
 def toy_thresholds(toy_dataset):
-    samples = {factor: [] for factor in wv.FACTORS}
-    for rec in toy_dataset.day_records:
-        for factor, value in wv.factor_variances(toy_dataset, rec).items():
-            samples[factor].append(value)
-    return wv.calibrate_thresholds({f: np.asarray(v) for f, v in samples.items()})
+    return wv.calibrate_thresholds(wv.factor_variances(toy_dataset))
 
 
 @pytest.fixture(scope="session")
@@ -71,9 +67,9 @@ def mini_model(toy_dataset):
 def trained_toy(toy_dataset):
     """Desk-scale training run shared by the acceptance criteria.
 
-    Trains on the first 80 rows of the day axis; the rows targeting day
-    records 96..115 are held out as the 20 evaluation days, as (condition,
-    target) pairs.
+    Trains on the first 80 rows of the day axis; rows 95..114 are held out
+    as the 20 evaluation days, as (condition, target) pairs, with the rows
+    of the dataset's days (and channel arrays) they target.
     """
     train_days = toy_dataset.conditions[:80], toy_dataset.targets[:80]
     model = ctsgan.build_model(
@@ -109,7 +105,7 @@ def trained_toy(toy_dataset):
         "model": model,
         "train_days": train_days,
         "test_days": list(zip(toy_dataset.conditions[95:115], toy_dataset.targets[95:115])),
-        "test_records": toy_dataset.day_records[96:116],
+        "test_day_rows": toy_dataset.target_rows[95:115],
         "mse_before": mse_before,
         "mse_after": mse_after,
         "sup_before": sup_before,

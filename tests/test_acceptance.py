@@ -142,10 +142,11 @@ def test_09_reinforced_widening_direction(trained_toy, toy_dataset, toy_threshol
         count = 300
         cov_normal, cov_reinforced, width_normal, width_reinforced = [], [], [], []
         reinforced_days = 0
-        for i, ((condition, actual), rec) in enumerate(
-            zip(trained_toy["test_days"], trained_toy["test_records"])
+        all_variances = wv.factor_variances(toy_dataset)
+        for i, ((condition, actual), k) in enumerate(
+            zip(trained_toy["test_days"], trained_toy["test_day_rows"])
         ):
-            variances = wv.factor_variances(toy_dataset, rec)
+            variances = {f: v[k] for f, v in all_variances.items()}
             seed = derive_seed(1234, f"day{i}")
             baseline_set = ctsgan.generate_scenarios(
                 model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")

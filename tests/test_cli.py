@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -45,13 +48,13 @@ def workspace(tmp_path_factory, reference_thresholds):
         (root / "out" / "thresholds.json").read_text(encoding="utf-8")
     )
     calm_date = None
-    for prev, rec in zip(dataset.day_records, dataset.day_records[1:]):
-        variances = wv.factor_variances(dataset, rec)
+    variances = wv.factor_variances(dataset)
+    for k in range(1, dataset.n_days):
         levels = {
-            f: wv.classify_volatility(f, variances[f], thresholds) for f in wv.FACTORS
+            f: wv.classify_volatility(f, variances[f][k], thresholds) for f in wv.FACTORS
         }
         if wv.sigma_from_levels(levels) == 1.0:
-            calm_date = rec.day
+            calm_date = dataset.days[k]
             break
     assert calm_date is not None
 
@@ -294,7 +297,7 @@ def test_report_skips_interval_files_not_named_for_a_date(workspace, tmp_path, c
 
 
 def test_evaluate_report_and_determinism(workspace, capsys):
-    start = workspace["dataset"].day_records[1].day
+    start = workspace["dataset"].days[1]
     argv = [
         "evaluate", "--config", str(workspace["cfg"]),
         "--from", start.isoformat(), "--to", (start + timedelta(days=4)).isoformat(),
@@ -315,7 +318,7 @@ def test_evaluate_report_and_determinism(workspace, capsys):
 
 
 def test_evaluate_missing_day_named(workspace, capsys):
-    last = workspace["dataset"].day_records[-1].day
+    last = workspace["dataset"].days[-1]
     beyond = (last + timedelta(days=3)).isoformat()
     argv = [
         "evaluate", "--config", str(workspace["cfg"]),
@@ -691,3 +694,57 @@ def test_resume_after_a_crash_before_the_checkpoint_logs_each_phase_once(
     ]
     for name in ("training_log.jsonl", "model.json"):
         assert (tmp_path / name).read_bytes() == (workspace["out"] / name).read_bytes(), name
+
+
+# --- one BLAS thread unless the environment names a count --------------------------------------
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ONE_CPU = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="one CPU: BLAS starts one thread there anyway, so the default is not observable",
+)
+
+
+def _fresh_env(**blas):
+    """This process's environment without the BLAS thread variables (importing
+    the CLI here set them), plus ``blas`` and the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**env, **blas}
+
+
+@ONE_CPU
+def test_train_uses_one_blas_thread_by_default(tmp_path):
+    """A paper-dims train with the BLAS thread variables unset writes the
+    model.json bytes of one with them set to 1; with one BLAS thread per CPU
+    the backward GEMMs round differently and the bytes differ."""
+    synthetic.generate_market_csv(tmp_path / "toy.csv", days=20, seed=5)
+    models = []
+    for tag, blas in (("unset", {}), ("one", dict.fromkeys(BLAS_VARIABLES, "1"))):
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps({
+            "paths": {"dataset": str(tmp_path / "toy.csv"), "out_dir": str(tmp_path / tag)},
+            "training": {"iterations_per_phase": 2, "hidden_dim": 100, "latent_dim": 100},
+            "seed": 3,
+        }), encoding="utf-8")
+        subprocess.run(
+            [sys.executable, "-m", "priceband.cli", "train", "--config", str(cfg)],
+            env=_fresh_env(**blas), capture_output=True, check=True, timeout=300,
+        )
+        models.append((tmp_path / tag / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+@ONE_CPU
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+def test_explicit_blas_thread_count_is_kept():
+    """Importing the CLI sets one BLAS thread only where the environment
+    names none: OPENBLAS_NUM_THREADS=2 keeps its value and its second
+    thread."""
+    code = "import os, priceband.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    for blas, want in (({}, ["1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "2"])):
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_fresh_env(**blas),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert result.stdout.split() == want, blas

@@ -131,14 +131,28 @@ def test_clip_prices_bounds(tmp_path):
     bounds, whatever the file holds."""
     path = write_csv(tmp_path / "d.csv", days=2, prices={(1, 0): -10.0, (1, 1): 700.0})
     ds = di.load_dataset(path)
-    rec = ds.record_for(ds.day_records[1].day)
-    assert rec.channel("price")[0] == 0.0
-    assert rec.channel("price")[1] == 500.0
-    assert (rec.channel("price")[2:] == 40.0 + np.arange(2, 48) + 1).all()
+    prices = ds.channels["price"][1]
+    assert prices[0] == 0.0
+    assert prices[1] == 500.0
+    assert (prices[2:] == 40.0 + np.arange(2, 48) + 1).all()
     target = ds.targets[0]
     assert target[0] == 0.0
     assert target[1] == 1.0
-    assert np.array_equal(ds.normalized_channel(rec, "price"), target)
+    assert np.array_equal(di.normalize(prices, ds.norm["price"]), target)
+
+
+def test_channels_are_one_array_per_channel(tmp_path):
+    """Each channel is one float64 ``[days, 48]`` array of the complete days
+    in file order, holding its own memory, so no array of the whole file
+    outlives the load."""
+    ds = di.load_dataset(write_csv(tmp_path / "d.csv", days=4, skip={(1, 27)}))
+    assert ds.days == (date(2021, 3, 1), date(2021, 3, 3), date(2021, 3, 4))
+    assert list(ds.channels) == list(di.CSV_COLUMNS[1:])
+    for name, values in ds.channels.items():
+        assert values.dtype == np.float64 and values.shape == (3, 48), name
+        assert values.flags.c_contiguous and values.flags.owndata, name
+    assert ds.channels["price"][1].tolist() == (40.0 + np.arange(48) + 2).tolist()
+    assert ds.target_rows.tolist() == [2]
 
 
 def test_normalize_boundary_values():
@@ -181,9 +195,8 @@ def test_hdd_cdd():
         di.compute_hdd_cdd([])
 
 
-def _toy_records(tmp_path):
-    ds = di.load_dataset(write_csv(tmp_path / "d.csv", days=2))
-    return ds
+def _two_days(tmp_path):
+    return di.load_dataset(write_csv(tmp_path / "d.csv", days=2))
 
 
 # Column blocks of a condition row, as ``build_conditions`` documents them.
@@ -193,9 +206,8 @@ UNIT_BLOCKS = (slice(0, 48), slice(48, 96), slice(119, 167), slice(167, 215), sl
 
 
 def test_build_conditions_encoding(tmp_path):
-    ds = _toy_records(tmp_path)
-    prev, cur = ds.day_records
-    rows = di.build_conditions([prev], [cur], ds.norm)
+    ds = _two_days(tmp_path)
+    rows = di.build_conditions(ds.channels, ds.days, [0], [1], ds.norm)
     assert rows.shape == (1, di.CONDITION_DIM)
     row = rows[0]
     # 2021-03-02 is a Tuesday; March is month index 2
@@ -203,7 +215,7 @@ def test_build_conditions_encoding(tmp_path):
     assert np.flatnonzero(row[MONTH]).tolist() == [2]
     # a constant 18.5 °C day is half a cooling degree day and no heating
     assert (row[HDD], row[CDD]) == (0.0, 0.5)
-    assert np.array_equal(row[0:48], di.normalize(prev.channel("price"), ds.norm["price"]))
+    assert np.array_equal(row[0:48], di.normalize(ds.channels["price"][0], ds.norm["price"]))
 
 
 def test_build_conditions_wednesday_january(tmp_path):
@@ -215,29 +227,17 @@ def test_build_conditions_wednesday_january(tmp_path):
             lines.append(f"{ts},{40 + k},6000,{18 + d},400,5.0,8.0,90.0")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ds = di.load_dataset(path)
-    row = di.build_conditions(ds.day_records[:1], ds.day_records[1:], ds.norm)[0]
+    row = di.build_conditions(ds.channels, ds.days, [0], [1], ds.norm)[0]
     assert np.flatnonzero(row[DOW]).tolist() == [2]
     assert np.flatnonzero(row[MONTH]).tolist() == [0]
     assert (row[HDD], row[CDD]) == (0.0, 1.0)  # 19 °C against the 18 °C base
 
 
 def test_build_conditions_deterministic(tmp_path):
-    ds = _toy_records(tmp_path)
-    prev, cur = ds.day_records
-    a = di.build_conditions([prev], [cur], ds.norm)
-    b = di.build_conditions([prev], [cur], ds.norm)
+    ds = _two_days(tmp_path)
+    a = di.build_conditions(ds.channels, ds.days, [0], [1], ds.norm)
+    b = di.build_conditions(ds.channels, ds.days, [0], [1], ds.norm)
     assert a.tobytes() == b.tobytes()
-
-
-def test_build_conditions_missing_channel(tmp_path):
-    ds = _toy_records(tmp_path)
-    prev, cur = ds.day_records
-    broken = di.DayRecord(
-        day=cur.day,
-        channels={k: v for k, v in cur.channels.items() if k != "wind_speed"},
-    )
-    with pytest.raises(InputError, match="required channel missing: wind_speed"):
-        di.build_conditions([prev], [broken], ds.norm)
 
 
 def test_condition_normalized_entries_in_unit_range(toy_dataset):
@@ -251,49 +251,50 @@ def test_condition_normalized_entries_in_unit_range(toy_dataset):
 
 
 def consecutive_pairs(dataset):
-    return [
-        (prev, rec)
-        for prev, rec in zip(dataset.day_records, dataset.day_records[1:])
-        if (rec.day - prev.day).days == 1
-    ]
+    """(previous, current) rows of the day arrays one calendar day apart."""
+    days = dataset.days
+    return [(k - 1, k) for k in range(1, len(days)) if (days[k] - days[k - 1]).days == 1]
 
 
 def test_load_dataset_conditions_equal_single_pair_build(toy_dataset):
     """The rows ``load_dataset`` builds in one pass are, bit for bit, the rows
     ``build_conditions`` builds one pair at a time."""
     pairs = consecutive_pairs(toy_dataset)
-    assert len(pairs) == len(toy_dataset.target_days)
-    for (prev, rec), row in zip(pairs, toy_dataset.conditions):
-        single = di.build_conditions([prev], [rec], toy_dataset.norm)[0]
+    assert [k for _, k in pairs] == toy_dataset.target_rows.tolist()
+    for (prev, k), row in zip(pairs, toy_dataset.conditions):
+        single = di.build_conditions(
+            toy_dataset.channels, toy_dataset.days, [prev], [k], toy_dataset.norm
+        )[0]
         assert row.tobytes() == single.tobytes()
 
 
 def test_build_conditions_matches_per_day_encoding(toy_dataset):
-    """Reference: each row assembled block by block from one day's arrays."""
-    norm = toy_dataset.norm
+    """Reference: each row assembled block by block from one day's samples."""
+    norm, channels = toy_dataset.norm, toy_dataset.channels
 
-    def unit(rec, name):
-        return np.clip(di.normalize(rec.channel(name), norm[name]), 0.0, 1.0)
+    def unit(k, name):
+        return np.clip(di.normalize(channels[name][k], norm[name]), 0.0, 1.0)
 
-    for (prev, rec), row in zip(consecutive_pairs(toy_dataset), toy_dataset.conditions):
-        mean_temp = float(rec.channel("temperature").mean())
+    for (prev, k), row in zip(consecutive_pairs(toy_dataset), toy_dataset.conditions):
+        day = toy_dataset.days[k]
+        mean_temp = float(channels["temperature"][k].mean())
         expected = np.concatenate([
             unit(prev, "price"),
             unit(prev, "demand"),
-            np.eye(7)[rec.day.weekday()],
-            np.eye(12)[rec.day.month - 1],
+            np.eye(7)[day.weekday()],
+            np.eye(12)[day.month - 1],
             [max(0.0, 18.0 - mean_temp), max(0.0, mean_temp - 18.0)],
             [float(unit(prev, "gas_price").mean()), float(unit(prev, "coal_price").mean())],
-            unit(rec, "temperature"),
-            unit(rec, "irradiance"),
-            unit(rec, "wind_speed"),
+            unit(k, "temperature"),
+            unit(k, "irradiance"),
+            unit(k, "wind_speed"),
         ])
         assert row.tobytes() == expected.tobytes()
 
 
 def test_constant_channel_gets_midpoint_norm(tmp_path):
-    ds = _toy_records(tmp_path)  # demand constant at 6000 in the fixture file
-    normed = di.normalize(ds.day_records[0].channel("demand"), ds.norm["demand"])
+    ds = _two_days(tmp_path)  # demand constant at 6000 in the fixture file
+    normed = di.normalize(ds.channels["demand"], ds.norm["demand"])
     assert np.allclose(normed, 0.5)
 
 
@@ -335,9 +336,9 @@ def test_reader_matches_float_of_each_field(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ds = di.load_dataset(path)
     assert ds.report.rows_consumed == 96
-    assert [rec.day.isoformat() for rec in ds.day_records] == ["2021-03-01", "2021-03-02"]
+    assert [day.isoformat() for day in ds.days] == ["2021-03-01", "2021-03-02"]
     for name, values in expected.items():
-        got = np.concatenate([rec.channel(name) for rec in ds.day_records])
+        got = ds.channels[name].ravel()
         want = np.asarray(values)
         if name == "price":
             want = np.clip(want, di.PRICE_CLIP_LO, di.PRICE_CLIP_HI)
@@ -479,11 +480,11 @@ def _dataset_bits(ds):
     def bits(a):
         return a.dtype.str, a.shape, a.tobytes()
 
-    records = tuple(
-        (rec.day, tuple((name, bits(v)) for name, v in rec.channels.items()))
-        for rec in ds.day_records
+    channels = tuple((name, bits(v), v.flags.c_contiguous) for name, v in ds.channels.items())
+    return (
+        ds.days, channels, ds.norm, ds.report, bits(ds.conditions), bits(ds.targets),
+        bits(ds.target_rows), ds.target_days,
     )
-    return records, ds.norm, ds.report, bits(ds.conditions), bits(ds.targets), ds.target_days
 
 
 def _outcome(load):
@@ -573,10 +574,11 @@ def _load_peak(path) -> int:
 
 
 def test_year_corpus_load_memory(year_csv, monkeypatch):
-    """A load that parses a one-year corpus peaks at 4.04 MB of tracemalloc,
-    set after the parse by the day records and condition rows (4.75 MB while
-    the parsed timestamps stayed alive through them); a row reader holding a
-    Python list, a float tuple and a datetime per row peaked at 7.85 MB."""
+    """A load that parses a one-year corpus peaks at 3.62 MB of tracemalloc,
+    set after the parse by the channel arrays and condition rows (4.04 MB
+    with seven small arrays per day, 4.75 MB while the parsed timestamps
+    stayed alive through those); a row reader holding a Python list, a
+    float tuple and a datetime per row peaked at 7.85 MB."""
     di.load_dataset(year_csv)
     di._sidecar_path(year_csv).unlink()
     parses = _spy(monkeypatch, "_parse_rows")
@@ -587,7 +589,7 @@ def test_year_corpus_load_memory(year_csv, monkeypatch):
 
 def test_year_corpus_hit_memory(year_csv, monkeypatch):
     """A load served by the sidecar reads the rows straight into their
-    arrays and peaks at about 4 MB of tracemalloc."""
+    arrays and peaks at 3.62 MB of tracemalloc."""
     di.load_dataset(year_csv)
     parses = _spy(monkeypatch, "_parse_rows")
     peak = _load_peak(year_csv)
@@ -757,3 +759,21 @@ def test_named_pipe_is_not_hashed(tmp_path):
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive() and digests == [None]
+
+
+def test_named_pipe_loads_as_the_regular_file(tmp_path):
+    """A named pipe cannot seek back for the streamed reader's second pass,
+    so it is read once by the row reader: it loads the same dataset as the
+    regular file of the same bytes, and leaves no sidecar."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(_lf(LINES))
+    want = _parsed_outcome(path)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    got = _outcome(lambda: di.load_dataset(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == [di._sidecar_path(path).name, "d.csv", "pipe.csv"]

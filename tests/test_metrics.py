@@ -184,9 +184,10 @@ def test_confidence_estimator_against_binomial_oracle():
 def eval_days_from(dataset, thresholds, start, stop):
     """Condition rows, actual paths and noise sigmas of day-axis rows
     ``start`` to ``stop - 1``."""
+    variances = wv.factor_variances(dataset)
     sigmas = [
-        wv.noise_sigma(wv.factor_variances(dataset, dataset.record_for(day)), thresholds)
-        for day in dataset.target_days[start:stop]
+        wv.noise_sigma({f: v[k] for f, v in variances.items()}, thresholds)
+        for k in dataset.target_rows[start:stop]
     ]
     return dataset.conditions[start:stop], dataset.targets[start:stop], sigmas
 

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from priceband import weather_volatility as wv
+from priceband.data_ingest import normalize
 from priceband.errors import InputError
 
 
@@ -116,23 +117,53 @@ def test_sigma_monotone_in_each_factor():
 
 def test_benchmark_sigma_route_matches_noise_sigma(toy_dataset, toy_thresholds):
     """The route bench/workloads.py takes to each day's expected sigma
-    (thresholds read back from JSON, then ``classify_volatility`` and
-    ``sigma_from_levels``) gives ``noise_sigma``'s value bit for bit on
-    every day of the toy corpus."""
+    (thresholds read back from JSON, the window variance of the day's
+    normalized samples, then ``classify_volatility`` and
+    ``sigma_from_levels``) gives ``noise_sigma``'s value on the day's
+    ``factor_variances`` bit for bit on every day of the toy corpus."""
     thresholds = wv.VolatilityThresholds.from_json(toy_thresholds.to_json())
-    for rec in toy_dataset.day_records:
-        variances = wv.factor_variances(toy_dataset, rec)
-        levels = {
-            f: wv.classify_volatility(
-                f,
-                wv.window_variance(
-                    toy_dataset.normalized_channel(rec, wv.FACTOR_CHANNELS[f]), wv.FACTOR_WINDOWS[f]
-                ),
-                thresholds,
-            )
-            for f in wv.FACTORS
-        }
-        assert wv.sigma_from_levels(levels) == wv.noise_sigma(variances, toy_thresholds), rec.day
+    variances = wv.factor_variances(toy_dataset)
+    for k, day in enumerate(toy_dataset.days):
+        levels = {}
+        for f in wv.FACTORS:
+            name = wv.FACTOR_CHANNELS[f]
+            normed = normalize(toy_dataset.channels[name][k], toy_dataset.norm[name])
+            variance = wv.window_variance(normed, wv.FACTOR_WINDOWS[f])
+            levels[f] = wv.classify_volatility(f, variance, thresholds)
+        day_variances = {f: v[k] for f, v in variances.items()}
+        assert wv.sigma_from_levels(levels) == wv.noise_sigma(day_variances, toy_thresholds), day
+
+
+def test_factor_variances_equal_each_day_alone(toy_dataset):
+    """One window variance over all days gives, bit for bit, the variance of
+    each day's normalized samples taken alone, for every factor."""
+    variances = wv.factor_variances(toy_dataset)
+    assert list(variances) == list(wv.FACTORS)
+    for f in wv.FACTORS:
+        name = wv.FACTOR_CHANNELS[f]
+        assert variances[f].shape == (toy_dataset.n_days,)
+        for k in range(toy_dataset.n_days):
+            day = normalize(toy_dataset.channels[name][k], toy_dataset.norm[name])
+            single = wv.window_variance(day, wv.FACTOR_WINDOWS[f])
+            assert type(single) is float
+            assert variances[f][k].tobytes() == np.float64(single).tobytes(), (f, k)
+
+
+def test_window_variance_over_days():
+    """A ``[days, 48]`` array gives one variance per day: a constant window
+    gives 0, and a missing sample anywhere in the window is refused."""
+    rng = np.random.default_rng(5)
+    days = rng.uniform(0, 1, (4, 48))
+    days[2, 24:39] = 0.3
+    got = wv.window_variance(days)
+    assert got.shape == (4,) and got[2] == 0.0
+    for k in range(4):
+        assert got[k] == wv.window_variance(days[k])
+    days[3, 30] = np.nan
+    with pytest.raises(InputError, match="missing samples"):
+        wv.window_variance(days)
+    with pytest.raises(InputError, match=r"or \[days, 48\] samples, got \(2, 2, 48\)"):
+        wv.window_variance(np.ones((2, 2, 48)))
 
 
 @pytest.mark.parametrize(
