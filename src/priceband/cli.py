@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from . import ctsgan, data_ingest, metrics
+from . import ctsgan, data_ingest, jsonread, metrics
 from .errors import InputError, PricebandError
 from .intervals import predict_pipeline, stack_density
 from .seeding import derive_seed
@@ -63,10 +62,22 @@ NORMAL_TAG = "normal"
 VOLATILE_TAG = "volatile"
 
 
-def _setting(default, section: str, kind=None):
-    """A ``RunConfig`` field read from the config file's ``section`` and cast
-    to ``kind`` (by default the type of ``default``)."""
-    return field(default=default, metadata={"section": section, "kind": kind or type(default)})
+def _path(node: jsonread.Node) -> Path:
+    return Path(node.string())
+
+
+def _variance_override(node: jsonread.Node) -> dict[str, float] | None:
+    """``null``, or a number per volatility factor (other keys are ignored)."""
+    return None if node.value is None else {factor: node[factor].number() for factor in FACTORS}
+
+
+_READS = {int: jsonread.Node.integer, float: jsonread.Node.number}
+
+
+def _setting(default, section: str, read=None):
+    """A ``RunConfig`` field read from the config file's ``section`` with
+    ``read``, by default ``_READS``' read of its default's type."""
+    return field(default=default, metadata={"section": section, "read": read})
 
 
 @dataclass
@@ -76,19 +87,18 @@ class RunConfig:
     ``load_config`` fills ``training`` from the file's "training" section
     plus the top-level "seed", and every other field from the key of the
     same name in the section its metadata names, and in no other.
-    ``checkpoint`` and ``thresholds`` default to files in ``out_dir``;
-    ``load_config`` reads them as paths.
+    ``checkpoint`` and ``thresholds`` default to files in ``out_dir``.
     """
 
     training: ctsgan.TrainingConfig = field(default_factory=ctsgan.TrainingConfig)
-    dataset: Path = _setting(Path("dataset.csv"), "paths")
-    out_dir: Path = _setting(Path("."), "paths")
-    checkpoint: Path | None = _setting(None, "paths", Path)
-    thresholds: Path | None = _setting(None, "paths", Path)
+    dataset: Path = _setting(Path("dataset.csv"), "paths", _path)
+    out_dir: Path = _setting(Path("."), "paths", _path)
+    checkpoint: Path | None = _setting(None, "paths", _path)
+    thresholds: Path | None = _setting(None, "paths", _path)
     scenarios: int = _setting(500, "prediction")
     nominal: float = _setting(0.9, "prediction")
     bins: int = _setting(50, "prediction")
-    variance_override: dict | None = _setting(None, "prediction")
+    variance_override: dict | None = _setting(None, "prediction", _variance_override)
     delta_target: float = _setting(0.9, "metrics")
     xi_target: float = _setting(0.25, "metrics")
     runs: int = _setting(10, "metrics")
@@ -104,75 +114,37 @@ class RunConfig:
         return self.training.seed
 
 
-def _from_section(cls, section: dict):
-    """A ``cls`` dataclass holding each of its fields that ``section`` names,
-    cast to the field's ``"kind"`` metadata, else to the type of its default
-    (taken as is where that kind is ``NoneType``); other fields keep their
-    defaults and other keys are ignored. A field without a plain default (a
-    nested config) is never read. A value that does not cast, a boolean or
-    a float that is not finite given to a float, or a fraction or boolean
-    given to an int raises ``InputError`` naming the key."""
-    values = {}
-    for f in dataclasses.fields(cls):
-        if f.name in section and f.default is not dataclasses.MISSING:
-            value = section[f.name]
-            kind = f.metadata.get("kind", type(f.default))
-            if kind is not type(None):
-                try:
-                    cast = kind(value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise InputError(
-                        f"config key {f.name!r}: cannot read {value!r} as {kind.__name__}"
-                    ) from exc
-                if kind is float and (isinstance(value, bool) or not math.isfinite(cast)):
-                    raise InputError(f"config key {f.name!r}: {value!r} is not a finite number")
-                fraction = isinstance(value, float) and value != cast
-                if kind is int and (isinstance(value, bool) or fraction):
-                    raise InputError(f"config key {f.name!r}: {value!r} is not an integer")
-                value = cast
-            values[f.name] = value
-    return cls(**values)
-
-
 def load_config(path, seed: int | None = None, out: str | None = None) -> RunConfig:
+    """The config file at ``path``, with the command line's ``seed`` and
+    ``out`` in place of its "seed" and "out_dir"; "seed" in "training" is
+    ignored, as documented. A key that no setting reads, a key outside its
+    setting's section or a value of another type raises ``InputError``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = jsonread.Node(json.load(fh), "config", InputError)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"required artifact missing: config file {path} ({exc})") from exc
-    _check_config_keys(raw)
-    training = {k: v for k, v in raw.get("training", {}).items() if k != "seed"}
-    if seed is not None or "seed" in raw:
-        training["seed"] = seed if seed is not None else raw["seed"]
-    settings = {
-        f.name: raw[f.metadata["section"]][f.name]
-        for f in dataclasses.fields(RunConfig)
-        if f.name in raw.get(f.metadata.get("section"), {})
-    }
-    if out is not None:
-        settings["out_dir"] = out
-    cfg = _from_section(RunConfig, settings)
-    cfg.training = _from_section(ctsgan.TrainingConfig, training)
-    return cfg
-
-
-def _check_config_keys(raw) -> None:
-    """Raise ``InputError`` naming a key of the config file that no setting
-    reads, a key that sits outside its setting's section, or a part that is
-    not a JSON object; "seed" in "training" is ignored, as documented."""
-    if not isinstance(raw, dict):
-        raise InputError("config file must hold a JSON object")
-    known = {"training": {f.name for f in dataclasses.fields(ctsgan.TrainingConfig)}}
+    sections = {"training": list(dataclasses.fields(ctsgan.TrainingConfig))}
     for f in dataclasses.fields(RunConfig):
         if "section" in f.metadata:
-            known.setdefault(f.metadata["section"], set()).add(f.name)
-    for key in sorted(raw.keys() - {"seed", *known}):
-        raise InputError(f"config has unknown key {key!r}")
-    for section, keys in known.items():
-        if not isinstance(raw.get(section, {}), dict):
-            raise InputError(f"config section {section!r} must be a JSON object")
-        for key in sorted(raw.get(section, {}).keys() - keys):
-            raise InputError(f"config section {section!r} has unknown key {key!r}")
+            sections.setdefault(f.metadata["section"], []).append(f)
+    config.obj(keys={"seed", *sections})
+    values = {}
+    for name, fields in sections.items():
+        section = config.get(name, {})
+        given = section.obj(keys={f.name for f in fields})
+        values[name] = {
+            f.name: (f.metadata.get("read") or _READS[type(f.default)])(section[f.name])
+            for f in fields
+            if f.name in given and f.name != "seed"
+        }
+    training = values.pop("training")
+    if seed is not None or "seed" in config.value:
+        training["seed"] = seed if seed is not None else config["seed"].integer()
+    settings = {key: value for section in values.values() for key, value in section.items()}
+    if out is not None:
+        settings["out_dir"] = Path(out)
+    return RunConfig(training=ctsgan.TrainingConfig(**training), **settings)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -219,9 +191,14 @@ def _logged_lines(path: Path, phases: set[int]) -> list[str]:
         return []
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-        return [line for line in lines if line and json.loads(line)["phase"] in phases]
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise InputError(f"cannot read training log {path} ({type(exc).__name__}: {exc})") from exc
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read training log {path} ({exc})") from exc
+    kept = []
+    for number, line in enumerate(lines, 1):
+        name = f"training log {path} line {number}"
+        if line and jsonread.parse(line, name, InputError)["phase"].integer() in phases:
+            kept.append(line)
+    return kept
 
 
 def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
@@ -279,34 +256,8 @@ def _load_thresholds(path: Path) -> VolatilityThresholds:
     JSON or not a thresholds object raises ``InputError`` naming it."""
     try:
         return VolatilityThresholds.from_json(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, InputError) as exc:
-        raise InputError(
-            f"cannot read thresholds {path} ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _override_variances(override) -> dict[str, float]:
-    """The config's "variance_override": one finite number per volatility
-    factor; ``true`` and ``false`` are not numbers."""
-    if not isinstance(override, dict):
-        raise InputError(f"variance_override must map each factor to a number, got {override!r}")
-    variances = {}
-    for factor in FACTORS:
-        if factor not in override:
-            raise InputError(f"variance_override has no value for factor {factor!r}")
-        try:
-            if isinstance(override[factor], bool):
-                raise TypeError("a boolean is not a number")
-            variances[factor] = float(override[factor])
-        except (TypeError, ValueError) as exc:
-            raise InputError(
-                f"variance_override value {override[factor]!r} for factor {factor!r} is not a number"
-            ) from exc
-        if not math.isfinite(variances[factor]):
-            raise InputError(
-                f"variance_override value {override[factor]!r} for factor {factor!r} is not finite"
-            )
-    return variances
+    except (OSError, UnicodeDecodeError, InputError) as exc:
+        raise InputError(f"cannot read thresholds {path} ({exc})") from exc
 
 
 def cmd_predict(cfg: RunConfig, day: date_type) -> None:
@@ -316,7 +267,7 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     row = dataset.target_index(day)
 
     if cfg.variance_override is not None:
-        variances = _override_variances(cfg.variance_override)
+        variances = cfg.variance_override
         log.info("using variance override %s", variances)
     else:
         day_row = dataset.target_rows[row]

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonread
 from .data_ingest import HALF_HOURS_PER_DAY
 from .errors import CheckpointError, InputError, NumericalError, StateError
 from .seeding import derive_seed
@@ -133,11 +134,7 @@ class CTSGANModel:
 
 def _network_specs(condition_dim: int, hidden_dim: int, latent_dim: int) -> dict:
     """Each role's ``(LSTM block, dense head)`` specs, the one place that writes
-    the networks' kinds, dims and activations, from three whole numbers >= 0."""
-    dims = {"condition_dim": condition_dim, "hidden_dim": hidden_dim, "latent_dim": latent_dim}
-    for name, dim in dims.items():
-        if type(dim) is not int or dim < 0:
-            raise InputError(f"{name} must be a whole number >= 0, got {dim!r}")
+    the networks' kinds, dims and activations, from three whole numbers."""
     heads = {
         "embedder": (1, latent_dim, "sigmoid"),
         "recovery": (latent_dim, 1, "sigmoid"),
@@ -659,88 +656,55 @@ def save_model(model: CTSGANModel, path) -> None:
     os.replace(tmp, path)
 
 
-def _whitening_from_payload(payload: dict, latent_dim: int) -> dict:
-    """The checkpoint's ``latent_shift``, ``latent_scale`` and
-    ``latent_autocorr`` by name: shift and scale are each ``latent_dim``
-    finite values with a positive scale, and the autocorrelation is in
-    [0, 0.99]. Each value must be a JSON number: a string or a boolean is
-    refused, not converted."""
-    autocorr = payload["latent_autocorr"]
-    if type(autocorr) not in (int, float):
-        raise CheckpointError(f"latent_autocorr must be a JSON number, got {autocorr!r}")
-    if not 0.0 <= autocorr <= 0.99:
-        raise CheckpointError(f"latent_autocorr {autocorr} is outside [0, 0.99]")
-    whitening = {"latent_autocorr": float(autocorr)}
-    for name in ("latent_shift", "latent_scale"):
-        raw = payload[name]
-        bad = [v for v in raw if type(v) not in (int, float)] if isinstance(raw, list) else []
-        if bad:
-            raise CheckpointError(f"{name} must hold JSON numbers, got {bad[0]!r}")
-        values = np.asarray(raw, dtype=np.float64)
-        if values.shape != (latent_dim,) or not np.isfinite(values).all():
-            raise CheckpointError(
-                f"{name} must hold {latent_dim} finite values, got shape {values.shape}"
-            )
-        whitening[name] = values
-    if (whitening["latent_scale"] <= 0).any():
-        raise CheckpointError("latent_scale must be positive")
-    return whitening
-
-
-def _flags_from_payload(flags) -> dict:
-    """The checkpoint's ``training_flags``: exactly the ``_PHASES``, each
-    mapped to a boolean, with no phase done before an earlier one."""
-    full = isinstance(flags, dict) and len(flags) == len(_PHASES)
-    done = [flags.get(p) for p in _PHASES] if full else [None]
-    if any(type(d) is not bool for d in done) or done != sorted(done, reverse=True):
-        raise CheckpointError(
-            f"training_flags must map {', '.join(_PHASES)} to booleans with no phase "
-            f"done before an earlier one, got {flags!r}"
-        )
-    return dict(zip(_PHASES, done))
-
-
-def _report_from_payload(report) -> dict | None:
-    """The checkpoint's ``adversarial_report``: ``None``, or finite numbers
-    for the critic's scores and accuracy and an integer ``scored_days``."""
-    keys = ("d_score_real", "d_score_fake", "real_vs_fake_accuracy", "scored_days")
-    values = [report.get(k) for k in keys] if isinstance(report, dict) else [None]
-    numbers = all(type(v) in (int, float) for v in values) and np.isfinite(values).all()
-    if report is not None and not (numbers and type(values[-1]) is int):
-        raise CheckpointError(
-            f"adversarial_report must be null or hold finite numbers {', '.join(keys[:3])} "
-            f"and an integer scored_days, got {report!r}"
-        )
-    return report
+def _network_from_payload(weights: jsonread.Node, specs) -> NetworkParams:
+    """One network from its base64 string, as a writable native-order copy
+    (``frombuffer``'s is read-only)."""
+    try:
+        raw = base64.b64decode(weights.string(), validate=True)
+        return NetworkParams(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    except (ValueError, InputError) as exc:  # not base64, or not specs' count of finite values
+        weights.fail(str(exc))
 
 
 def load_model(path) -> CTSGANModel:
     """The model ``save_model`` wrote to ``path``; any other file, or one whose
-    dims, weights, whitening, flags or report are malformed, raises ``CheckpointError``."""
+    dims, weights, whitening, flags or report are malformed, raises
+    ``CheckpointError`` naming the key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = jsonread.Node(json.load(fh), "model checkpoint", CheckpointError)
+    except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"cannot read model checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"model checkpoint {path} does not hold a JSON object")
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise CheckpointError(
-            f"model checkpoint format {version!r} != {MODEL_FORMAT_VERSION}; "
-            "re-train with this package version"
-        )
-    try:
-        specs = _network_specs(**payload["dims"])
-        return CTSGANModel(
-            # one network at a time, as a writable native-order copy (frombuffer's is
-            # read-only): decoding all four first raised the backtest benchmark's peak RSS
-            **{role: NetworkParams(role_specs, np.frombuffer(
-                base64.b64decode(payload["networks"][role], validate=True), dtype="<f8"
-            ).astype(np.float64)) for role, role_specs in specs.items()},
-            **_whitening_from_payload(payload, payload["dims"]["latent_dim"]),
-            training_flags=_flags_from_payload(payload["training_flags"]),
-            adversarial_report=_report_from_payload(payload.get("adversarial_report")),
-        )
-    except (KeyError, TypeError, ValueError, InputError) as exc:
-        raise CheckpointError(f"bad model checkpoint structure: {exc}") from exc
+    version = payload.get("format_version", None)
+    if version.value != MODEL_FORMAT_VERSION:
+        version.fail(f"{version.value!r} != {MODEL_FORMAT_VERSION}; re-train with this version")
+    version.integer()  # 4.0 is not format 4
+    # the fewest of each dim: NetworkParams needs a hidden and a latent unit
+    least = {"condition_dim": 0, "hidden_dim": 1, "latent_dim": 1}
+    payload["dims"].obj(keys=least)
+    dims = {name: payload["dims"][name].integer(minimum) for name, minimum in least.items()}
+    networks = {  # one at a time: decoding all four first raised backtest's peak RSS
+        role: _network_from_payload(payload["networks"][role], specs)
+        for role, specs in _network_specs(**dims).items()
+    }
+    shift = np.array(payload["latent_shift"].numbers(dims["latent_dim"]))
+    scale = np.array(payload["latent_scale"].numbers(dims["latent_dim"]))
+    if (scale <= 0).any():
+        payload["latent_scale"].fail("every scale must be positive")
+    flags = payload["training_flags"]  # each phase, done only after the earlier ones
+    flags.obj(keys=_PHASES)
+    done = [flags[p].boolean() for p in _PHASES]
+    if done != sorted(done, reverse=True):
+        flags.fail(f"a phase is done before an earlier one: {json.dumps(flags.value)}")
+    report = payload.get("adversarial_report", None)
+    scores = ("d_score_real", "d_score_fake", "real_vs_fake_accuracy")
+    return CTSGANModel(
+        **networks,
+        latent_shift=shift, latent_scale=scale,
+        latent_autocorr=payload["latent_autocorr"].number(0.0, 0.99),
+        training_flags=dict(zip(_PHASES, done)),
+        adversarial_report=None if report.value is None else {
+            **{k: report[k].number() for k in scores},
+            "scored_days": report["scored_days"].integer(),
+        },
+    )

@@ -109,10 +109,10 @@ class LoadReport:
     dropped_days: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Complete days as one array per channel, the normalization params and
-    the day axis.
+    the day axis; equal only to itself (arrays have no one truth value).
 
     ``days`` lists every complete source day in order; row k of each
     C-contiguous float64 ``[len(days), 48]`` array in ``channels`` holds the

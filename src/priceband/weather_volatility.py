@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonread
 from .data_ingest import HALF_HOURS_PER_DAY, normalize
 from .errors import InputError
 
@@ -83,17 +84,10 @@ class VolatilityThresholds:
 
     @classmethod
     def from_json(cls, text: str) -> "VolatilityThresholds":
-        payload = json.loads(text)
-        missing = [f for f in FACTORS if f not in payload]
-        if missing:
-            raise InputError(f"thresholds missing factors: {missing}")
-        rows = [[payload[f][name] for name in _CUT_NAMES] for f in FACTORS]
-        for factor, row in zip(FACTORS, rows):
-            for name, cut in zip(_CUT_NAMES, row):
-                # a string or a boolean is refused, not converted
-                if type(cut) not in (int, float):
-                    raise InputError(f"{factor} {name} must be a JSON number, got {cut!r}")
-        return cls(np.array(rows, dtype=np.float64))
+        """The thresholds ``to_json`` wrote; a missing or malformed cut raises
+        ``InputError`` naming it."""
+        payload = jsonread.parse(text, "thresholds", InputError)
+        return cls(np.array([[payload[f][name].number() for name in _CUT_NAMES] for f in FACTORS]))
 
 
 def window_variance(values, window: range = TEMPERATURE_WINDOW):

@@ -175,7 +175,7 @@ def test_train_resume_refuses_a_checkpoint_whose_critic_report_lacks_a_score(
     assert cli.main(["train", "--config", str(cfg), "--resume"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: adversarial_report must be null or hold finite numbers")
+    assert err[0] == "error: model checkpoint adversarial_report.d_score_real: missing"
 
 
 def test_train_corrupt_dataset_leaves_no_checkpoint(tmp_path, capsys):
@@ -419,19 +419,18 @@ def test_calibrate_and_train_print_load_report(workspace, capsys):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"temperature": 0.004, "wind": 0.02}, "variance_override has no value for factor 'irradiance'"),
+        ({"temperature": 0.004, "wind": 0.02}, "variance_override.irradiance: missing"),
         ({"temperature": 0.004, "irradiance": "high", "wind": 0.02},
-         "variance_override value 'high' for factor 'irradiance' is not a number"),
-        ([0.004, 0.07, 0.02],
-         "variance_override must map each factor to a number, got [0.004, 0.07, 0.02]"),
+         'variance_override.irradiance: expected a finite number, got "high"'),
+        ([0.004, 0.07, 0.02], "variance_override: expected an object, got [0.004, 0.07, 0.02]"),
         ({"temperature": float("nan"), "irradiance": float("nan"), "wind": 0.02},
-         "variance_override value nan for factor 'temperature' is not finite"),
+         "variance_override.temperature: expected a finite number, got NaN"),
         ({"temperature": 0.004, "irradiance": 0.07, "wind": float("-inf")},
-         "variance_override value -inf for factor 'wind' is not finite"),
+         "variance_override.wind: expected a finite number, got -Infinity"),
         ({"temperature": True, "irradiance": False, "wind": 0.02},
-         "variance_override value True for factor 'temperature' is not a number"),
+         "variance_override.temperature: expected a finite number, got true"),
         ({"temperature": 0.004, "irradiance": False, "wind": 0.02},
-         "variance_override value False for factor 'irradiance' is not a number"),
+         "variance_override.irradiance: expected a finite number, got false"),
     ],
     ids=["missing-factor", "non-numeric", "not-a-map", "nan", "minus-infinity", "booleans",
          "false"],
@@ -445,42 +444,88 @@ def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, overri
     date = workspace["calm_date"].isoformat()
     capsys.readouterr()
     assert cli.main(["predict", "--config", str(cfg), "--date", date]) == 1
-    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert capsys.readouterr().err.strip() == f"error: config prediction.{message}"
+
+
+# 400 digits: a JSON integer no float holds
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "file, edit, where",
+    [
+        ("thresholds", lambda t: t["wind"].update(high_cut=float("inf")), "thresholds wind.high_cut"),
+        ("thresholds", lambda t: t["wind"].update(high_cut=HUGE), "thresholds wind.high_cut"),
+        ("checkpoint", lambda m: m["latent_shift"].__setitem__(2, HUGE),
+         "model checkpoint latent_shift[2]"),
+        ("config", lambda c: c["prediction"]["variance_override"].update(wind=HUGE),
+         "config prediction.variance_override.wind"),
+    ],
+    ids=["infinite-cut", "400-digit-cut", "400-digit-latent-shift", "400-digit-variance-override"],
+)
+def test_predict_refuses_a_number_no_float_holds(workspace, tmp_path, capsys, file, edit, where):
+    """``Infinity``, or an integer too large for a float, in the thresholds,
+    the checkpoint or the config fails with one error line naming the key,
+    not a traceback, and an infinite high cut does not load as a level that
+    no day can reach."""
+    raw = json.loads(workspace["cfg_override"].read_text(encoding="utf-8"))
+    raw["paths"]["out_dir"] = str(tmp_path)
+    if file == "config":
+        edit(raw)
+    else:
+        source = Path(raw["paths"][file])
+        payload = json.loads(source.read_text(encoding="utf-8"))
+        edit(payload)
+        raw["paths"][file] = str(tmp_path / source.name)
+        (tmp_path / source.name).write_text(json.dumps(payload), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    date = workspace["calm_date"].isoformat()
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", str(cfg), "--date", date]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{where}: expected a finite number, got " in err[0]
 
 
 @pytest.mark.parametrize(
     "section, key, value, message",
     [
-        ("prediction", "scenarios", "many", "cannot read 'many' as int"),
-        ("training", "learning_rate", "fast", "cannot read 'fast' as float"),
-        ("prediction", "scenarios", float("inf"), "cannot read inf as int"),
-        ("metrics", "delta_target", float("nan"), "nan is not a finite number"),
-        ("training", "dispersion_gain", float("nan"), "nan is not a finite number"),
-        ("training", "learning_rate", float("inf"), "inf is not a finite number"),
-        ("paths", "checkpoint", 5, "cannot read 5 as Path"),
-        ("paths", "thresholds", 5, "cannot read 5 as Path"),
-        ("metrics", "runs", 2.9, "2.9 is not an integer"),
-        ("prediction", "bins", True, "True is not an integer"),
-        ("training", "learning_rate", True, "True is not a finite number"),
-        ("metrics", "delta_target", True, "True is not a finite number"),
-        ("prediction", "nominal", False, "False is not a finite number"),
+        ("prediction", "scenarios", "many", 'expected an integer, got "many"'),
+        ("training", "learning_rate", "fast", 'expected a finite number, got "fast"'),
+        ("prediction", "scenarios", float("inf"), "expected an integer, got Infinity"),
+        ("metrics", "delta_target", float("nan"), "expected a finite number, got NaN"),
+        ("training", "dispersion_gain", float("nan"), "expected a finite number, got NaN"),
+        ("training", "learning_rate", float("inf"), "expected a finite number, got Infinity"),
+        ("paths", "checkpoint", 5, "expected a string, got 5"),
+        ("paths", "thresholds", 5, "expected a string, got 5"),
+        ("metrics", "runs", 2.9, "expected an integer, got 2.9"),
+        ("prediction", "bins", True, "expected an integer, got true"),
+        ("training", "learning_rate", True, "expected a finite number, got true"),
+        ("metrics", "delta_target", True, "expected a finite number, got true"),
+        ("prediction", "nominal", False, "expected a finite number, got false"),
+        ("metrics", "runs", 2.0, "expected an integer, got 2.0"),
+        ("prediction", "scenarios", "500", 'expected an integer, got "500"'),
     ],
     ids=[
         "prediction-scenarios-many-int", "training-learning_rate-fast-float",
         "prediction-scenarios-inf-int", "metrics-delta_target-nan", "training-dispersion_gain-nan",
         "training-learning_rate-inf", "paths-checkpoint-int", "paths-thresholds-int",
         "metrics-runs-fraction", "prediction-bins-boolean", "training-learning_rate-boolean",
-        "metrics-delta_target-boolean", "prediction-nominal-boolean",
+        "metrics-delta_target-boolean", "prediction-nominal-boolean", "metrics-runs-whole-float",
+        "prediction-scenarios-numeric-string",
     ],
 )
 def test_config_value_that_does_not_cast_is_named(tmp_path, capsys, section, key, value, message):
-    """A value that does not cast to its setting's type, a float setting
-    that is NaN or infinite (JSON parsers accept both) or a boolean, or a
-    fraction or boolean given to an int setting is refused by name."""
+    """A value of another JSON type than its setting's is refused by name,
+    not converted: a string or a boolean given to a number, a number setting
+    that is NaN or infinite (JSON parsers accept both), or a fraction, a
+    whole-number float such as 2.0 or a numeric string given to an integer
+    setting."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
     assert cli.main(["calibrate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.strip() == f"error: config key {key!r}: {message}"
+    assert capsys.readouterr().err.strip() == f"error: config {section}.{key}: {message}"
 
 
 def test_config_unknown_key_is_named(tmp_path, capsys):
@@ -488,27 +533,20 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
     instead of leaving its setting at the default or overriding another
     section, and so does a config that is not made of JSON objects."""
     for raw, message in (
-        ({"training": {"iteration_per_phase": 2}}, "config section 'training' has unknown key 'iteration_per_phase'"),
-        ({"prediction": {"batch_size": 7}}, "config section 'prediction' has unknown key 'batch_size'"),
-        ({"paths": {"runs": 3}}, "config section 'paths' has unknown key 'runs'"),
-        ({"metrics": {"dataset": "x.csv"}}, "config section 'metrics' has unknown key 'dataset'"),
-        ({"training": {"scenarios": 7}}, "config section 'training' has unknown key 'scenarios'"),
-        ({"prediction": {"hidden_dim": 8}}, "config section 'prediction' has unknown key 'hidden_dim'"),
-        ({"predicton": {"scenarios": 7}}, "config has unknown key 'predicton'"),
-        ({"paths": ["dataset.csv"]}, "config section 'paths' must be a JSON object"),
-        ([{"seed": 1}], "config file must hold a JSON object"),
+        ({"training": {"iteration_per_phase": 2}}, "config training: unknown key 'iteration_per_phase'"),
+        ({"prediction": {"batch_size": 7}}, "config prediction: unknown key 'batch_size'"),
+        ({"paths": {"runs": 3}}, "config paths: unknown key 'runs'"),
+        ({"metrics": {"dataset": "x.csv"}}, "config metrics: unknown key 'dataset'"),
+        ({"training": {"scenarios": 7}}, "config training: unknown key 'scenarios'"),
+        ({"prediction": {"hidden_dim": 8}}, "config prediction: unknown key 'hidden_dim'"),
+        ({"predicton": {"scenarios": 7}}, "config: unknown key 'predicton'"),
+        ({"paths": ["dataset.csv"]}, 'config paths: expected an object, got ["dataset.csv"]'),
+        ([{"seed": 1}], 'config: expected an object, got [{"seed": 1}]'),
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert cli.main(["calibrate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
-
-
-def test_config_whole_number_float_reads_as_int(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"metrics": {"runs": 2.0}}), encoding="utf-8")
-    runs = cli.load_config(cfg).runs
-    assert runs == 2 and type(runs) is int
 
 
 def test_config_training_seed_is_ignored(tmp_path):

@@ -557,34 +557,34 @@ def test_model_version_mismatch_mentions_retraining(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="format 99 != 4; re-train"):
+    with pytest.raises(CheckpointError, match="format_version: 99 != 4; re-train"):
         ctsgan.load_model(path)
 
 
 @pytest.mark.parametrize(
     "mangle, message",
     [
-        (lambda p: [p], "does not hold a JSON object"),
+        (lambda p: [p], '^model checkpoint: expected an object, got \\[{"format_version": 4, .*\\.\\.\\.$'),
         (lambda p: p.update(latent_shift=[0.0] * 3, latent_scale=[1.0] * 4),
-         "latent_shift must hold 4 finite values, got shape \\(3,\\)"),
+         "latent_shift: expected a list of 4 numbers, got \\[0.0, 0.0, 0.0\\]"),
         (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[1.0, 1.0, 1.0, float("nan")]),
-         "latent_scale must hold 4 finite values"),
+         "latent_scale\\[3\\]: expected a finite number, got NaN"),
         (lambda p: p.update(latent_shift=[0.0] * 4, latent_scale=[0.0] * 4),
-         "latent_scale must be positive"),
-        (lambda p: p.update(latent_autocorr=5.0), "latent_autocorr 5.0 is outside \\[0, 0.99\\]"),
-        (lambda p: p.update(latent_autocorr=-0.1), "latent_autocorr -0.1 is outside"),
+         "latent_scale: every scale must be positive"),
+        (lambda p: p.update(latent_autocorr=5.0),
+         "latent_autocorr: expected a finite number in \\[0, 0.99\\], got 5.0"),
+        (lambda p: p.update(latent_autocorr=-0.1), "latent_autocorr: .* got -0.1"),
         (lambda p: p.update(latent_autocorr="0.5"),
-         "latent_autocorr must be a JSON number, got '0.5'"),
-        (lambda p: p.update(latent_autocorr=True),
-         "latent_autocorr must be a JSON number, got True"),
+         'latent_autocorr: expected a finite number in \\[0, 0.99\\], got "0.5"'),
+        (lambda p: p.update(latent_autocorr=True), "latent_autocorr: .* got true"),
         (lambda p: p.update(latent_shift=["0.25", 0.0, 0.0, 0.0]),
-         "latent_shift must hold JSON numbers, got '0.25'"),
+         'latent_shift\\[0\\]: expected a finite number, got "0.25"'),
         (lambda p: p.update(latent_shift=[0.25, False, 0.0, 0.0]),
-         "latent_shift must hold JSON numbers, got False"),
+         "latent_shift\\[1\\]: expected a finite number, got false"),
         (lambda p: p.update(latent_scale=[True, 2.0, 1.0, 1.0]),
-         "latent_scale must hold JSON numbers, got True"),
+         "latent_scale\\[0\\]: expected a finite number, got true"),
         (lambda p: p.update(latent_scale=[1.0, "2", 1.0, 1.0]),
-         "latent_scale must hold JSON numbers, got '2'"),
+         'latent_scale\\[1\\]: expected a finite number, got "2"'),
     ],
     ids=["not-an-object", "shift-length", "scale-nan", "scale-zero",
          "autocorr-above", "autocorr-below", "autocorr-string", "autocorr-boolean",
@@ -629,23 +629,26 @@ def nan_at_3(weights):
     "mangle, message",
     [
         (lambda p: p["dims"].update(latent_dim=True),
-         "latent_dim must be a whole number >= 0, got True"),
+         "dims.latent_dim: expected an integer >= 1, got true"),
         (lambda p: p["dims"].update(hidden_dim=2.5),
-         "hidden_dim must be a whole number >= 0, got 2.5"),
+         "dims.hidden_dim: expected an integer >= 1, got 2.5"),
         (lambda p: p["dims"].update(condition_dim=-1),
-         "condition_dim must be a whole number >= 0, got -1"),
-        (lambda p: {key: value for key, value in p.items() if key != "dims"}, "'dims'"),
+         "dims.condition_dim: expected an integer >= 0, got -1"),
+        (lambda p: {key: value for key, value in p.items() if key != "dims"}, "dims: missing"),
         (lambda p: p["networks"].update(generator="not base64!" + p["networks"]["generator"]),
-         "(Only base64 data is allowed|Non-base64 digit found)"),
-        (lambda p: p["networks"].update(generator=p["networks"]["generator"][:-1]), "padding"),
+         "networks.generator: (Only base64 data is allowed|Non-base64 digit found)"),
+        (lambda p: p["networks"].update(generator=p["networks"]["generator"][:-1]),
+         "networks.generator: .*padding"),
         (lambda p: p["networks"].update(generator=p["networks"]["generator"][:-4]),
-         "buffer size must be a multiple of element size"),
+         "networks.generator: buffer size must be a multiple of element size"),
         (lambda p: set_generator_weights(p, generator_weights(p)[:-1]),
-         "parameter buffer is float64 \\(435,\\), expected float64 \\(436,\\)"),
-        (lambda p: set_generator_weights(p, nan_at_3(generator_weights(p))), "non-finite parameter"),
+         "networks.generator: parameter buffer is float64 \\(435,\\), expected float64 \\(436,\\)"),
+        (lambda p: set_generator_weights(p, nan_at_3(generator_weights(p))),
+         "networks.generator: non-finite parameter"),
         (lambda p: p["networks"].update(generator=generator_weights(p).tolist()),
-         "bytes-like object or ASCII string, not 'list'"),
-        (lambda p: p["networks"].update(recovery=None), "not 'NoneType'"),
+         "networks.generator: expected a string, got \\[.{36}\\.\\.\\.$"),
+        (lambda p: p["networks"].update(recovery=None),
+         "networks.recovery: expected a string, got null"),
     ],
     ids=["dims-true", "dims-fraction", "dims-negative-condition", "dims-missing",
          "weights-non-base64", "weights-cut-padding", "weights-cut-bytes", "weights-one-short",
@@ -655,7 +658,7 @@ def test_load_model_refuses_malformed_dims_or_weights(tmp_path, mangle, message)
     """Format 4 shapes every network from the three dims: a dim that is not a
     whole number >= 0, or a network whose weights are not base64 text of
     exactly its count of finite little-endian float64 values, is refused."""
-    with pytest.raises(CheckpointError, match=f"bad model checkpoint structure: .*{message}"):
+    with pytest.raises(CheckpointError, match=f"^model checkpoint {message}"):
         load_mangled(tmp_path, small_model(), mangle)
 
 
@@ -674,7 +677,7 @@ def test_load_model_refuses_malformed_dims_or_weights(tmp_path, mangle, message)
 def test_load_model_refuses_malformed_training_flags(tmp_path, flags):
     """Flags other than each phase mapped to a boolean, with no phase done
     before an earlier one, could let an untrained model generate bands."""
-    with pytest.raises(CheckpointError, match="^training_flags must map phase1, phase2, phase3"):
+    with pytest.raises(CheckpointError, match="^model checkpoint training_flags"):
         load_mangled(tmp_path, small_model(), lambda p: p.update(training_flags=flags))
 
 
@@ -698,7 +701,7 @@ def test_load_model_refuses_a_malformed_adversarial_report(tmp_path, edit):
     def mangle(payload):
         edit(payload["adversarial_report"])
 
-    with pytest.raises(CheckpointError, match="^adversarial_report must be null or hold"):
+    with pytest.raises(CheckpointError, match="^model checkpoint adversarial_report"):
         load_mangled(tmp_path, model, mangle)
 
 
@@ -712,7 +715,8 @@ def test_format_3_checkpoint_refused_with_retrain_hint(tmp_path):
         for role, text in payload["networks"].items():
             payload["networks"][role] = {"layer_specs": [], "flat_weights": text}
 
-    with pytest.raises(CheckpointError, match="format 3 != 4; re-train with this package version"):
+    message = "^model checkpoint format_version: 3 != 4; re-train with this version$"
+    with pytest.raises(CheckpointError, match=message):
         load_mangled(tmp_path, small_model(), as_format_3)
 
 
@@ -752,7 +756,7 @@ def test_checkpoint_stores_each_fact_once(tmp_path):
     assert loaded.training_log == []
     payload["latent_scale"] = None
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="latent_scale must hold 4 finite values"):
+    with pytest.raises(CheckpointError, match="latent_scale: expected a list of 4 numbers, got null"):
         ctsgan.load_model(path)
 
 

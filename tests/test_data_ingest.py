@@ -155,6 +155,15 @@ def test_channels_are_one_array_per_channel(tmp_path):
     assert ds.target_rows.tolist() == [2]
 
 
+def test_datasets_compare_by_identity(toy_csv, toy_dataset):
+    """``==`` on two loads of one corpus gives False instead of raising on
+    the arrays' truth value; a dataset equals itself."""
+    again = di.load_dataset(toy_csv)
+    assert (again == toy_dataset) is False
+    assert (again != toy_dataset) is True
+    assert again == again
+
+
 def test_normalize_boundary_values():
     params = di.MinMaxParams(0.0, 500.0)
     assert di.normalize(np.array([0.0]), params)[0] == 0.0

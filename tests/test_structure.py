@@ -2,7 +2,8 @@
 modules of ``priceband`` import each other without a cycle, importing the
 CLI loads no ``scipy`` module and starts no thread, only the CLI turns
 weather volatility into a noise sigma, only ``ctsgan`` knows the model
-file's format, and every entry point the
+file's format, only ``jsonread`` checks the type of a parsed JSON value, and
+every entry point the
 benchmark's tracer wraps and every module attribute its workloads read
 exists."""
 
@@ -124,6 +125,47 @@ def test_only_ctsgan_knows_the_checkpoint_format():
             ):
                 knowers.add(name)
     assert knowers == {"ctsgan", "errors"}
+
+
+# Types of parsed JSON values whose checks belong to ``jsonread``.
+_JSON_TYPES = {"bool", "int", "float", "str", "dict", "list"}
+
+
+def _type_predicates(tree: ast.Module) -> list[int]:
+    """Lines of ``isinstance(x, T)`` and of ``type(x)`` compared with T
+    (``is``, ``is not``, ``in``, ``==``, ...) where T names a JSON value type."""
+
+    def named(node: ast.expr) -> bool:
+        return bool({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & _JSON_TYPES)
+
+    def type_call(node: ast.expr) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2 and named(node.args[1])
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            others = [o for o in operands if not type_call(o)]
+            if len(others) < len(operands) and any(named(o) for o in others):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_jsonread_checks_json_value_types():
+    """Every JSON input reads its fields through ``jsonread``, so no other
+    module tests a value with ``isinstance(v, bool | dict | list)`` or
+    ``type(v) is int``; ``jsonread`` imports nothing of the package but
+    ``errors``."""
+    modules = _modules()
+    found = {name: _type_predicates(tree) for name, tree in modules.items()}
+    assert found.pop("jsonread")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _package_imports(modules["jsonread"], modules) == {"errors"}
 
 
 def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:

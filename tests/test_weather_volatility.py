@@ -175,7 +175,8 @@ def test_thresholds_json_refuses_non_numbers(reference_thresholds, factor, cut, 
     null is refused by factor and cut name, not converted."""
     payload = reference_thresholds.by_factor()
     payload[factor][cut] = value
-    with pytest.raises(InputError, match=rf"^{factor} {cut} must be a JSON number, got {value!r}$"):
+    message = rf"^thresholds {factor}\.{cut}: expected a finite number, got {json.dumps(value)}$"
+    with pytest.raises(InputError, match=message):
         wv.VolatilityThresholds.from_json(json.dumps(payload))
 
 
