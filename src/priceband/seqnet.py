@@ -25,6 +25,18 @@ the backward cache, and applies the head to all T hidden states at once.
 Both give the same bits, except that a batch of one may round differently
 (numpy sends a ``[1, K] @ [K, N]`` product to gemv).
 
+A ``Stepper`` holds its constant rows (the bias, the gate-affine rows and
+the head bias) as one row per sequence while a ``[batch, 4H]`` float64
+block fits in 512 KiB, and as one row that numpy broadcasts above it.
+Below the limit full rows run the adds and multiplies 1.4 to 2.4 times as
+fast as a broadcast row (``[500, 64]``: 15.7 against 22.6 us, one core of a
+2-CPU x86 VM). Above it the ops wait on memory: a broadcast row is at most
+a fifth slower up to 1 MiB and faster beyond, a whole pass keeps its speed,
+and the copies would cost megabytes (3.4 MB in the paper-dims whitening
+pass over 329 days). Every element sees the same arithmetic either way, so
+the bits do not change. A bias that holds a per-sequence condition keeps
+one row per sequence.
+
 A pass's batch is not split into row blocks to save memory: that is not
 bit-exact. With one OpenBLAS thread, the paper-dims embedding pass over 329
 days run in 64-row blocks differed from the whole pass on every row; in
@@ -61,6 +73,10 @@ _ACTIVATIONS = ("linear", "sigmoid")
 # Gate packing order inside the fused LSTM weight matrix: input, forget,
 # candidate, output. The forget slice is [H:2H]; its bias starts at 1.0.
 _GATES = 4
+
+# The largest [batch, 4H] float64 block a Stepper copies its constant rows
+# into; above it they are one broadcast row (see the module docstring).
+_FULL_ROWS_MAX_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -268,17 +284,23 @@ class Stepper:
     (``[C]`` or ``[batch, C]``, as for ``rnn_forward``).
 
     It holds what every step reads: per-call copies of the weights with the
-    sigmoid gates' columns halved (and a sigmoid head's), one bias row per
-    sequence with the condition folded in, the gate-affine rows
-    (``_gate_affine``), and one time step's gates and states. Two networks
-    of one hidden size stepped over one batch can share the gate-affine
-    rows: pass the first stepper's ``affine`` to the second.
+    sigmoid gates' columns halved (and a sigmoid head's), the bias with the
+    condition folded in, the gate-affine rows (``_gate_affine``), the head
+    bias, and one time step's gates and states. The bias, the gate-affine
+    rows and the head bias have ``rows`` rows: ``batch`` while a ``[batch,
+    4H]`` float64 block is at most 512 KiB, else 1, which numpy broadcasts
+    over the batch. A bias that folds in a per-sequence ``[batch, C]``
+    condition always has ``batch`` rows. Two networks of one hidden size
+    stepped over one batch can share the gate-affine rows: pass the first
+    stepper's ``affine`` to the second.
 
     Halving is exact in binary, so the projections give exactly z/2 in the
-    halved columns. The bias and head-bias rows keep the per-step adds free
-    of broadcasting: numpy's broadcasting iterator allocates with the GIL
-    released, which in threaded generation raced with tracemalloc.stop()
-    (CPython 3.11).
+    halved columns. Below the limit, full rows also keep the per-step adds
+    and multiplies free of broadcasting: numpy's broadcasting iterator
+    allocates with the GIL released, which in threaded generation raced
+    with tracemalloc.stop() (CPython 3.11). Threaded generation above the
+    limit (a paper-dims ``evaluate``) broadcasts, so tracing it can meet
+    that race until ``tracemalloc`` is started once per traced window.
     """
 
     def __init__(
@@ -292,11 +314,12 @@ class Stepper:
         hid = lstm.output_dim
         self.cond = _condition_rows(params, condition, batch)
         self.x_dim = lstm.input_dim - (0 if self.cond is None else self.cond.shape[1])
+        rows = batch if batch * _GATES * hid * 8 <= _FULL_ROWS_MAX_BYTES else 1
         if affine is None:
-            affine = _gate_affine(batch, hid)
-        elif affine.shape != (2, batch, _GATES * hid):
+            affine = _gate_affine(rows, hid)
+        elif affine.shape != (2, rows, _GATES * hid):
             raise InputError(
-                f"gate-affine rows are {affine.shape}, expected {(2, batch, _GATES * hid)}"
+                f"gate-affine rows are {affine.shape}, expected {(2, rows, _GATES * hid)}"
             )
         self.affine = affine
         w = block["w"] * affine[0, 0]
@@ -304,13 +327,14 @@ class Stepper:
         bias = block["b"] * affine[0, 0]
         if self.cond is not None:
             bias = bias + self.cond @ w[self.x_dim : lstm.input_dim]
-        self.bias = np.broadcast_to(bias, (batch, _GATES * hid)).copy()
+        per_sequence = self.cond is not None and self.cond.shape[0] == batch
+        self.bias = np.broadcast_to(bias, (batch if per_sequence else rows, _GATES * hid)).copy()
         self.sigmoid_head = head.activation == "sigmoid"
         head_w, head_b = head_block["w"], head_block["b"]
         if self.sigmoid_head:
             head_w, head_b = head_w * 0.5, head_b * 0.5
         self.head_w = head_w
-        self.head_b = np.broadcast_to(head_b, (batch, head.output_dim)).copy()
+        self.head_b = np.broadcast_to(head_b, (rows, head.output_dim)).copy()
         self._z = np.empty((batch, _GATES * hid))
         self._h = np.zeros((batch, hid))
         self._c = np.zeros((batch, hid))
@@ -388,15 +412,15 @@ def _lstm_forward(net: Stepper, x: np.ndarray):
     return y, hs, gates, cs, tanh_cs
 
 
-def _gate_affine(batch: int, hid: int) -> np.ndarray:
-    """``[scale, shift]``, two ``[B, 4H]`` rows that finish the gates after
-    one tanh: 0.5 and 0.5 in the sigmoid gates' columns, where
+def _gate_affine(rows: int, hid: int) -> np.ndarray:
+    """``[scale, shift]``, two ``[rows, 4H]`` blocks that finish the gates
+    after one tanh: 0.5 and 0.5 in the sigmoid gates' columns, where
     tanh(z/2) * 0.5 + 0.5 is sigmoid(z), and 1.0 and -0.0 in the
     candidate's, where tanh(z) * 1.0 + (-0.0) is tanh(z) exactly, signed
     zero included. ``scale`` also halves the sigmoid columns of the weights.
-    Whole rows keep the per-step ufuncs on contiguous blocks, which numpy
-    runs without an iterator buffer."""
-    affine = np.full((2, batch, _GATES * hid), 0.5)
+    ``rows`` is the batch (whole rows keep the per-step ufuncs on contiguous
+    blocks, which numpy runs without an iterator buffer) or 1, broadcast."""
+    affine = np.full((2, rows, _GATES * hid), 0.5)
     affine[0, :, 2 * hid : 3 * hid] = 1.0
     affine[1, :, 2 * hid : 3 * hid] = -0.0
     return affine

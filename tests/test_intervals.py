@@ -155,9 +155,10 @@ def test_combine_counts_and_provenance(mini_model, toy_dataset, reference_thresh
 
 def test_paper_dims_reinforced_pipeline_memory():
     """A reinforced paper-dims day with 500 scenarios per branch peaks at
-    17.3 MB of tracemalloc (50.5 MB with the stacked chain): each branch's
-    generation holds one time step at a time, and stacking the two
-    ``[count, 48]`` results happens after both have freed their working sets."""
+    10.5 MB of tracemalloc (17.3 MB with one bias and gate-affine row per
+    path, 50.5 MB with the stacked chain): each branch's generation holds
+    one time step at a time, and stacking the two ``[count, 48]`` results
+    happens after both have freed their working sets."""
     model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=3))
     model.training_flags.update(phase1=True, phase2=True, phase3=True)
     model.latent_autocorr = 0.83
@@ -168,7 +169,7 @@ def test_paper_dims_reinforced_pipeline_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
     assert scenarios.shape == (1000, HORIZON)
 
 

@@ -233,6 +233,52 @@ def test_cache_free_forward_equals_cached_forward():
             assert np.array_equal(cached, free), f"{name}, batch {batch}"
 
 
+@pytest.mark.parametrize(
+    "hid, batch, rows", [(16, 500, 500), (100, 163, 163), (100, 164, 1), (100, 500, 1)]
+)
+def test_stepper_constant_rows_follow_the_block_size(hid, batch, rows):
+    """A stepper copies its bias, gate-affine and head-bias rows once per
+    sequence while a [batch, 4H] float64 block is at most 512 KiB (toy dims
+    at 500 paths: 250 KiB), and keeps one broadcast row above it (paper
+    dims from 164 sequences on). A per-sequence condition keeps one bias
+    row per sequence, and a shared gate-affine block of the other size is
+    refused."""
+    params = seqnet.init_params(
+        25, (seqnet.LayerSpec("lstm", 1 + 263, hid), seqnet.LayerSpec("dense", hid, 8, "sigmoid"))
+    )
+    net = seqnet.Stepper(params, np.zeros(263), batch)
+    assert net.bias.shape == (rows, 4 * hid)
+    assert net.affine.shape == (2, rows, 4 * hid)
+    assert net.head_b.shape == (rows, 8)
+    assert seqnet.Stepper(params, np.zeros((batch, 263)), batch).bias.shape == (batch, 4 * hid)
+    with pytest.raises(InputError, match="gate-affine rows"):
+        seqnet.Stepper(params, None, batch, affine=seqnet._gate_affine(rows + 1, hid))
+
+
+def test_broadcast_rows_give_the_bits_of_full_rows(monkeypatch):
+    """At paper dims over 200 sequences under a shared condition, the
+    cached pass, its gradients and the cache-free pass read one broadcast
+    bias, gate-affine and head-bias row, and give the bits of the same
+    passes with one row per sequence."""
+    params = seqnet.init_params(26, _paper_net(100, "sigmoid"))
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(48, 200, 100))
+    cond = rng.normal(size=263)
+    upstream = rng.normal(size=(48, 200, 100))
+
+    def passes():
+        cached, cache = seqnet.rnn_forward(params, x, cond)
+        free, _ = seqnet.rnn_forward(params, x, cond, keep_cache=False)
+        grads, d_inputs = seqnet.backward(cache, upstream)
+        return [a.tobytes() for a in (cached, free, cache.gates, cache.cs, cache.hs, grads, d_inputs)]
+
+    assert seqnet.Stepper(params, cond, 200).bias.shape == (1, 400)
+    broadcast = passes()
+    monkeypatch.setattr(seqnet, "_FULL_ROWS_MAX_BYTES", math.inf)
+    assert seqnet.Stepper(params, cond, 200).bias.shape == (200, 400)
+    assert passes() == broadcast
+
+
 def test_condition_gradients_finite_difference():
     """Different conditions per batch member, so the condition weight rows
     and the time-varying input gradient are both checked."""
