@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -421,17 +422,18 @@ def cmd_report(cfg: RunConfig) -> None:
             "(run `priceband predict` for that date again)"
         )
 
+    # every input is read and checked before the first file is written
+    bounds = _read_interval_bounds(latest)
+    actuals = dataset.targets[dataset.target_index(day)].tolist()
+
     # spike histogram over the whole dataset, one row per half-hour slot
     counts = spike_histogram(dataset.channels["price"])
     hist_rows = ["half_hour_index,count"] + [f"{k},{int(c)}" for k, c in enumerate(counts)]
     _atomic_write(cfg.out_dir / "spike_histogram.csv", "\n".join(hist_rows) + "\n")
 
-    actuals = dataset.targets[dataset.target_index(day)].tolist()
     overlay_rows = ["timestep,actual,lower,upper"]
-    with open(latest, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            t = int(row["timestep"])
-            overlay_rows.append(f"{t},{actuals[t]!r},{row['lower']},{row['upper']}")
+    for t, (lower, upper) in enumerate(bounds):
+        overlay_rows.append(f"{t},{actuals[t]!r},{lower},{upper}")
     _atomic_write(cfg.out_dir / "interval_overlay.csv", "\n".join(overlay_rows) + "\n")
 
     _atomic_write(cfg.out_dir / "density_heatmap.json", density_file.read_text(encoding="utf-8"))
@@ -448,6 +450,51 @@ def cmd_report(cfg: RunConfig) -> None:
     }
     _atomic_write(cfg.out_dir / "report_manifest.json", json.dumps(manifest, sort_keys=True))
     print(f"plot-data bundle -> {cfg.out_dir} ({len(manifest['files'])} files)")
+
+
+def _read_interval_bounds(path: Path) -> list[tuple[str, str]]:
+    """The ``lower`` and ``upper`` fields, as written, of the interval file
+    ``predict`` wrote at ``path``. Raises ``InputError`` naming the file and
+    line unless it has ``timestep``, ``lower`` and ``upper`` columns and one
+    row per half-hour, timesteps 0 to 47 in order, each with finite
+    ``lower <= upper``."""
+    steps = data_ingest.HALF_HOURS_PER_DAY
+    bounds = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            position = {name: k for k, name in enumerate(next(reader, []))}
+            for column in ("timestep", "lower", "upper"):
+                if column not in position:
+                    raise InputError(f"{path} line 1: header missing column {column!r}")
+            columns = [position[name] for name in ("timestep", "lower", "upper")]
+            for row in reader:
+                if not row:  # a blank line, which csv.DictReader skipped
+                    continue
+                where = f"{path} line {reader.line_num}"
+                if len(bounds) == steps:
+                    raise InputError(f"{where}: more than {steps} rows")
+                if len(row) <= max(columns):
+                    raise InputError(
+                        f"{where}: {len(row)} fields, too few for timestep, lower and upper"
+                    )
+                timestep, lower, upper = (row[k] for k in columns)
+                if timestep != str(len(bounds)):
+                    raise InputError(f"{where}: timestep {timestep!r}, expected {len(bounds)}")
+                try:
+                    lo, hi = float(lower), float(upper)
+                except ValueError:
+                    lo = hi = math.nan
+                if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                    raise InputError(
+                        f"{where}: bounds {lower!r}, {upper!r} are not finite with lower <= upper"
+                    )
+                bounds.append((lower, upper))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path} ({exc})") from exc
+    if len(bounds) != steps:
+        raise InputError(f"{path} holds {len(bounds)} rows, expected {steps}")
+    return bounds
 
 
 def build_parser() -> argparse.ArgumentParser:

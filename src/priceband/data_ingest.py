@@ -15,9 +15,10 @@ past the csv field limit, and only on-grid timestamps and finite values
 that numpy's C reader parses) is read by ``_stream_rows``: one pass over
 its lines for the timestamps and ``np.loadtxt`` for the values, with no
 Python object per row beyond its timestamp. Any other file, and any stream
-that cannot seek (a named pipe), goes to ``_read_rows``, a ``csv.reader``
-pass that gives the same result on a plain file and names every error with
-its physical line.
+that cannot seek (a named pipe), goes to ``_read_rows``: one ``csv.reader``
+pass that checks each row in full when it reads it and holds the values in
+one flat float64 array. It raises the first error in the file, with its
+physical line, and gives the same result on a plain file.
 
 A parse leaves a sidecar beside the file, ``.<file name>.priceband-cache``:
 the SHA-256 of the file's bytes, then each row's local wall-clock minute
@@ -40,12 +41,13 @@ import hashlib
 import math
 import os
 import stat
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import datetime, timedelta
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -240,40 +242,6 @@ def build_conditions(
     return out
 
 
-def _check_finite(values: list, lines: list[int]) -> np.ndarray:
-    """``values`` (one tuple per row) as a ``[rows, channels]`` array; raises
-    ``MalformedRow`` on the first non-finite entry in file order."""
-    array = np.array(values, dtype=np.float64).reshape(-1, len(_VALUE_CHANNELS))
-    finite = np.isfinite(array)
-    if not finite.all():
-        row, col = divmod(int(np.flatnonzero(~finite)[0]), len(_VALUE_CHANNELS))
-        raise MalformedRow(lines[row], f"non-finite {_VALUE_CHANNELS[col]} value")
-    return array
-
-
-def _raise_row_error(row: list[str], columns: list[int], line_no: int) -> None:
-    """Raise the first error a field-by-field check of ``row`` meets; called
-    only for a row that failed the fast path, which always holds one.
-
-    ``columns`` holds the positions of ``CSV_COLUMNS``; a field past the end
-    of a short row reads as None, as ``csv.DictReader`` would give it.
-    """
-    fields = [row[k] if k < len(row) else None for k in columns]
-    try:
-        ts = datetime.fromisoformat(fields[0].strip())
-    except (ValueError, AttributeError, TypeError) as exc:
-        raise MalformedRow(line_no, f"bad timestamp: {exc}") from exc
-    if ts.minute not in (0, 30) or ts.second or ts.microsecond:
-        raise MalformedRow(line_no, f"timestamp {ts} is off the 30-minute grid")
-    for name, raw in zip(_VALUE_CHANNELS, fields[1:]):
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise MalformedRow(line_no, f"bad {name} value {raw!r}") from exc
-        if not math.isfinite(value):
-            raise MalformedRow(line_no, f"non-finite {name} value")
-
-
 def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
     """Row timestamps and a ``[rows, 7]`` float64 array of the
     ``_VALUE_CHANNELS``: by ``_stream_rows`` when the file is plain enough
@@ -352,14 +320,18 @@ def _stream_rows(fh) -> tuple[list[datetime], np.ndarray] | None:
 
 
 def _read_rows(fh, path) -> tuple[list[datetime], np.ndarray]:
-    """Read the open CSV in one ``csv.reader`` pass.
+    """Read the open CSV in one ``csv.reader`` pass that checks each row in
+    full as it reads it: the timestamp, its place on the 30-minute grid,
+    then ``float`` of each channel's field and its finiteness, in
+    ``_VALUE_CHANNELS`` order. The values go into one flat float64 array,
+    returned as a ``[rows, 7]`` view of it.
 
     Columns are found by header name (the last of duplicate names wins and
-    extra columns are ignored, as with ``csv.DictReader``), and blank lines
-    are skipped. Errors carry the physical line number and are raised in
-    file order, as a row-by-row check would meet them.
+    extra columns are ignored, as with ``csv.DictReader``), a field past the
+    end of a short row reads as None, and blank lines are skipped. The first
+    error in the file is the one raised, with its physical line.
     """
-    stamps, values, lines = [], [], []
+    stamps, values = [], array("d")
     try:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -369,29 +341,36 @@ def _read_rows(fh, path) -> tuple[list[datetime], np.ndarray]:
         for column in CSV_COLUMNS:
             if column not in position:
                 raise MalformedRow(1, f"header missing column {column!r}")
-        ts_col, *value_cols = columns = [position[name] for name in CSV_COLUMNS]
-        value_fields = itemgetter(*value_cols)
+        ts_col = position["timestamp"]
+        channels = [(name, position[name]) for name in _VALUE_CHANNELS]
+        width = 1 + max(position[name] for name in CSV_COLUMNS)
 
         for row in reader:
             if not row:
                 continue
+            if len(row) < width:
+                row += [None] * (width - len(row))
             try:
                 ts = datetime.fromisoformat(row[ts_col].strip())
-                if ts.minute in (0, 30) and not (ts.second or ts.microsecond):
-                    values.append(tuple(map(float, value_fields(row))))
-                    stamps.append(ts)
-                    lines.append(reader.line_num)
-                    continue
-            except (IndexError, ValueError):
-                pass
-            _check_finite(values, lines)  # an earlier row's error comes first
-            _raise_row_error(row, columns, reader.line_num)
+            except (ValueError, AttributeError) as exc:
+                raise MalformedRow(reader.line_num, f"bad timestamp: {exc}") from exc
+            if ts.minute not in (0, 30) or ts.second or ts.microsecond:
+                raise MalformedRow(reader.line_num, f"timestamp {ts} is off the 30-minute grid")
+            for name, k in channels:
+                raw = row[k]
+                try:
+                    value = float(raw)
+                except (TypeError, ValueError) as exc:
+                    raise MalformedRow(reader.line_num, f"bad {name} value {raw!r}") from exc
+                if not math.isfinite(value):
+                    raise MalformedRow(reader.line_num, f"non-finite {name} value")
+                values.append(value)
+            stamps.append(ts)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        _check_finite(values, lines)
         raise MalformedRow(reader.line_num, f"unreadable CSV record: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read dataset {path} (not UTF-8 text: {exc.reason})") from exc
-    return stamps, _check_finite(values, lines)
+    return stamps, np.frombuffer(values, dtype=np.float64).reshape(-1, len(_VALUE_CHANNELS))
 
 
 # A sidecar is this header (magic, the dataset's SHA-256, the row count as

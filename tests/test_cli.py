@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import timedelta
@@ -389,6 +390,62 @@ def test_artifact_csvs_hold_plain_numbers(workspace):
         assert len(fields) == count, name
         values = [float(field) for field in fields]
         assert all(np.isfinite(values)), name
+
+
+@pytest.fixture(scope="module")
+def predicted_out(workspace, tmp_path_factory):
+    """An out dir holding one day's predict outputs and an evaluation."""
+    root = tmp_path_factory.mktemp("predicted")
+    cfg = _config_in(workspace, root)
+    day = workspace["calm_date"].isoformat()
+    assert cli.main(["predict", "--config", cfg, "--date", day]) == 0
+    assert cli.main(["evaluate", "--config", cfg, "--from", day, "--to", day]) == 0
+    return root / "out", day
+
+
+def _edit_row(line_no, edit):
+    """An edit of ``interval_D.csv`` giving its line ``line_no`` (the header
+    is line 1) as ``edit`` of that line's fields."""
+    def apply(lines):
+        lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+        return lines
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_row(4, lambda f: ["x", *f[1:]]), "line 4: timestep 'x', expected 2"),
+        (lambda lines: lines + ["48" + lines[-1][2:]], "line 50: more than 48 rows"),
+        (_edit_row(1, lambda f: [name.replace("lower", "low") for name in f]),
+         "line 1: header missing column 'lower'"),
+        (_edit_row(2, lambda f: ["-1", *f[1:]]), "line 2: timestep '-1', expected 0"),
+        (_edit_row(7, lambda f: f[:2]), "line 7: 2 fields, too few for timestep, lower and upper"),
+        (_edit_row(9, lambda f: [f[0], f[2], f[1], *f[3:]]), "line 9: bounds "),
+        (_edit_row(9, lambda f: [f[0], "nan", *f[2:]]), "line 9: bounds 'nan', "),
+        (lambda lines: lines[:-1], "holds 47 rows, expected 48"),
+    ],
+    ids=["word-timestep", "49th-row", "no-lower-column", "negative-timestep", "short-row",
+         "lower-above-upper", "non-finite", "47-rows"],
+)
+def test_report_refuses_a_malformed_interval_file(
+    workspace, predicted_out, tmp_path, capsys, edit, message
+):
+    """A malformed interval file fails report with one error naming the file
+    and line, before any file of the bundle is written."""
+    source, day = predicted_out
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    interval = out / f"interval_{day}.csv"
+    lines = interval.read_text(encoding="utf-8").splitlines()
+    interval.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    before = sorted(out.iterdir())
+    capsys.readouterr()
+    assert cli.main(["report", "--config", _config_in(workspace, tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {interval}"), err
+    assert message in err[0]
+    assert sorted(out.iterdir()) == before
 
 
 def test_report_missing_artifacts(tmp_path, capsys):

@@ -478,6 +478,9 @@ PARITY = {
     "bad-utf8-after-malformed-row": (
         _after_line(_lf(_with_field(LINES, 5, 2, "x")), 140, b"\xfe"), False
     ),
+    "bad-utf8-after-non-finite-value": (
+        _after_line(_lf(_with_field(LINES, 5, 2, "nan")), 140, b"\xfe"), False
+    ),
     "header-only": (_lf(LINES[:1]), False),
     "header-missing-column": (_lf([LINES[0].replace("demand", "load")] + LINES[1:]), False),
     "empty-file": (b"", False),
@@ -550,6 +553,17 @@ def test_stream_reader_is_the_row_reader(tmp_path, monkeypatch, case):
     assert len(row_reads) == (1 if streamed else 2)
 
 
+def test_non_finite_value_is_raised_before_a_later_decode_error(tmp_path):
+    """A non-finite demand on line 6 is the file's first error, so it is
+    raised, not the undecodable byte in a later 8 KiB decode chunk."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(PARITY["bad-utf8-after-non-finite-value"][0])
+    assert path.read_bytes().index(b"\xfe") > 8192
+    with pytest.raises(MalformedRow, match="^malformed row at line 6: non-finite demand value$") as err:
+        di.load_dataset(path)
+    assert err.value.line_no == 6
+
+
 @pytest.fixture(scope="module")
 def year_csv(tmp_path_factory):
     return synthetic.generate_market_csv(tmp_path_factory.mktemp("year") / "year.csv", days=366, seed=19)
@@ -582,14 +596,19 @@ def _load_peak(path) -> int:
         tracemalloc.stop()
 
 
-def test_year_corpus_load_memory(year_csv, monkeypatch):
+@pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "row-reader"])
+def test_year_corpus_load_memory(year_csv, monkeypatch, streamed):
     """A load that parses a one-year corpus peaks at 3.62 MB of tracemalloc,
     set after the parse by the channel arrays and condition rows (4.04 MB
     with seven small arrays per day, 4.75 MB while the parsed timestamps
-    stayed alive through those); a row reader holding a Python list, a
-    float tuple and a datetime per row peaked at 7.85 MB."""
+    stayed alive through those); through the row reader it peaks at 3.68
+    MB. The 7.86 MB peak of a load through the row reader came from an
+    older reader that held a Python list, a float tuple and a datetime per
+    row; holding the values in one flat array, it peaks at 1.93 MB alone."""
     di.load_dataset(year_csv)
     di._sidecar_path(year_csv).unlink()
+    if not streamed:
+        monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
     parses = _spy(monkeypatch, "_parse_rows")
     peak = _load_peak(year_csv)
     assert len(parses) == 1
