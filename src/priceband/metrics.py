@@ -9,10 +9,15 @@ two comparisons are deliberately asymmetric). The harness also reports the
 achieved-at-90%-confidence values: the largest coverage target met by at
 least 90% of runs and the smallest width target met by at least 90% of runs.
 
-The harness predicts its (run, day) requests on a pool of threads, one per
-CPU the process may run on. Generation spends its time in numpy and BLAS
-calls that release the GIL, so independent requests overlap. Each
-request draws from its own derived seed and the bounds are gathered in
+The harness predicts its (run, day) requests on the calling thread plus one
+helper thread per further CPU the process may run on. Generation spends its
+time in numpy and BLAS calls that release the GIL, so independent requests
+overlap. The caller takes a share of the requests instead of waiting,
+because each further thread allocates from its own glibc malloc arena and
+keeps that arena's pages: a fresh 2-CPU ``evaluate`` of 7 days x 2 runs x
+500 scenarios peaked at 47.8 MB RSS at toy dims and 68.0 MB at paper dims,
+against 50.2 and 76.8 MB with one pool thread per CPU beside an idle caller.
+Each request draws from its own derived seed and the bounds are gathered in
 request order, so the report does not depend on the thread count.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +118,50 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(request, n: int) -> list:
+    """``[request(0), ..., request(n - 1)]``, computed by the calling thread
+    and ``min(_available_cpus(), n) - 1`` helper threads.
+
+    Every thread takes the next index from one shared counter and writes its
+    result into that index's slot. The first failure stops every thread from
+    starting another request, and it is raised here once every helper has
+    returned. With one CPU or one request no thread starts.
+    """
+    results = [None] * n
+    failures = []
+    next_index = 0
+    lock = threading.Lock()
+
+    def drain():
+        nonlocal next_index
+        while True:
+            with lock:
+                if failures or next_index == n:
+                    return
+                index = next_index
+                next_index += 1
+            # BaseException too: an interrupt in the caller must also stop
+            # the helpers, and it is re-raised below like any failure
+            try:
+                results[index] = request(index)
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(_available_cpus(), n) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 @dataclass(frozen=True)
 class RepeatedSamplingReport:
     """Coverage and width per run (``[runs]``) and per run and day
@@ -187,10 +236,7 @@ def repeated_sampling_harness(
         d = request % days
         return predict_pipeline(model, conditions[d], sigmas[d], count, nominal, seeds[request])[0]
 
-    # map yields in request order; a failed request cancels the pending ones
-    # and re-raises here, and leaving the block joins every worker.
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(seeds))) as pool:
-        block = np.reshape(list(pool.map(bounds, range(len(seeds)))), (runs, days, 2, -1))
+    block = np.reshape(_in_order(bounds, len(seeds)), (runs, days, 2, -1))
     lower, upper = block[:, :, 0], block[:, :, 1]
     coverages = ecpas(actuals, lower, upper, axis=(1, 2))
     widths = eawapi(actuals, lower, upper, axis=(1, 2))

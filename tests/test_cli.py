@@ -48,16 +48,14 @@ def workspace(tmp_path_factory, reference_thresholds):
     thresholds = wv.VolatilityThresholds.from_json(
         (root / "out" / "thresholds.json").read_text(encoding="utf-8")
     )
-    calm_date = None
+    first_day = {}  # reinforced (sigma > 1) or not -> the first such day
     variances = wv.factor_variances(dataset)
     for k in range(1, dataset.n_days):
         levels = {
             f: wv.classify_volatility(f, variances[f][k], thresholds) for f in wv.FACTORS
         }
-        if wv.sigma_from_levels(levels) == 1.0:
-            calm_date = dataset.days[k]
-            break
-    assert calm_date is not None
+        first_day.setdefault(wv.sigma_from_levels(levels) > 1.0, dataset.days[k])
+    assert set(first_day) == {False, True}
 
     # the worked example pairs the injected variances with its reference
     # thresholds, not the corpus-calibrated ones
@@ -77,7 +75,8 @@ def workspace(tmp_path_factory, reference_thresholds):
         "cfg_override": override_path,
         "out": root / "out",
         "dataset": dataset,
-        "calm_date": calm_date,
+        "calm_date": first_day[False],
+        "reinforced_date": first_day[True],
     }
 
 
@@ -239,6 +238,43 @@ def test_predict_density_rows_sum_to_one(workspace):
     assert np.allclose(mass.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["calm", "reinforced"])
+def test_predict_reads_no_price_of_the_target_day(workspace, tmp_path, capsys, kind):
+    """Every price of the target day replaced by another finite value, one
+    of them above PRICE_CLIP_HI, leaves the three predict artifacts
+    byte-equal: no price of the day being predicted enters its band."""
+    day = workspace[f"{kind}_date"].isoformat()
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    lines = Path(raw["paths"]["dataset"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    price = lines[0].split(",").index("price")
+    edited = 0
+    for i, line in enumerate(lines):
+        if line.startswith(day):
+            fields = line.split(",")
+            old = float(fields[price])
+            new = data_ingest.PRICE_CLIP_HI + 250.0 if edited == 0 else old + 123.25
+            assert new != old
+            fields[price] = repr(new)
+            lines[i] = ",".join(fields)
+            edited += 1
+    assert edited == 48
+    (tmp_path / "edited.csv").write_text("".join(lines), encoding="utf-8")
+
+    artifacts = {}
+    for name, dataset in (("true", raw["paths"]["dataset"]), ("edited", str(tmp_path / "edited.csv"))):
+        raw["paths"].update(dataset=dataset, out_dir=str(tmp_path / name))
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", str(cfg), "--date", day]) == 0
+        assert f"reinforced={'true' if kind == 'reinforced' else 'false'}" in capsys.readouterr().out
+        artifacts[name] = {
+            f: (tmp_path / name / f).read_bytes()
+            for f in (f"interval_{day}.csv", f"density_{day}.json", f"scenarios_{day}.csv")
+        }
+    assert artifacts["edited"] == artifacts["true"]
+
+
 def _config_in(workspace, tmp_path, **prediction):
     """The workspace config writing to ``tmp_path / "out"``, with
     ``prediction`` settings replaced."""
@@ -348,15 +384,18 @@ def test_bad_date_flag_named(workspace, capsys, flags, message):
     assert capsys.readouterr().err.startswith(f"error: {message} (")
 
 
-def test_report_bundle(workspace):
-    assert cli.main(["report", "--config", str(workspace["cfg"])]) == 0
-    manifest = json.loads((workspace["out"] / "report_manifest.json").read_text(encoding="utf-8"))
+def test_report_bundle(workspace, predicted_out, tmp_path):
+    source, _ = predicted_out
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    assert cli.main(["report", "--config", _config_in(workspace, tmp_path)]) == 0
+    manifest = json.loads((out / "report_manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest["files"]) == sorted(
         ["spike_histogram.csv", "density_heatmap.json", "interval_overlay.csv", "report_manifest.json"]
     )
     for name in manifest["files"]:
-        assert (workspace["out"] / name).exists()
-    hist = (workspace["out"] / "spike_histogram.csv").read_text(encoding="utf-8").strip().splitlines()
+        assert (out / name).exists()
+    hist = (out / "spike_histogram.csv").read_text(encoding="utf-8").strip().splitlines()
     assert hist[0] == "half_hour_index,count"
     assert len(hist) == 49
     counts = np.array([int(line.split(",")[1]) for line in hist[1:]])

@@ -341,13 +341,127 @@ def test_harness_runs_requests_at_the_same_time(mini_model, toy_dataset, monkeyp
     assert report.day_coverages.shape == (2, 4)
 
 
-def test_harness_failure_is_named_and_leaves_no_worker(toy_dataset, monkeypatch):
-    monkeypatch.setattr(metrics, "_available_cpus", lambda: 8)
+def request_seeds(runs, days, master_seed=HARNESS_KWARGS["master_seed"]):
+    """The harness's noise seeds in request order: run-major, then day."""
+    return [
+        derive_seed(derive_seed(master_seed, f"run-{s}"), f"day-{d}")
+        for s in range(runs)
+        for d in range(days)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cpus, failing",
+    [(1, "every"), (2, "every"), (8, "every"),
+     (1, "caller"), (2, "caller"), (8, "caller"),
+     (2, "helper"), (8, "helper")],
+)
+def test_harness_failure_is_named_and_leaves_no_worker(
+    mini_model, toy_dataset, monkeypatch, cpus, failing
+):
+    """An untrained model's request fails with its named error whichever
+    thread runs it, and the harness returns with no thread left. The other
+    side's requests wait until the failing side has taken one, so that side
+    is sure to run a request."""
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: cpus)
     days = four_days_one_reinforced(toy_dataset)
     untrained = ctsgan.build_model(
         days[0].shape[1], ctsgan.TrainingConfig(hidden_dim=4, latent_dim=3, seed=0)
     )
+    caller = threading.get_ident()
+    failing_side_started = threading.Event()
+    predict = metrics.predict_pipeline
+
+    def predict_failing_on_one_side(model, *args):
+        fails = failing == "every" or (threading.get_ident() == caller) == (failing == "caller")
+        if fails:
+            failing_side_started.set()
+        else:
+            failing_side_started.wait(timeout=10)
+        return predict(untrained if fails else model, *args)
+
+    monkeypatch.setattr(metrics, "predict_pipeline", predict_failing_on_one_side)
     before = set(threading.enumerate())
     with pytest.raises(StateError, match="requires all three training phases"):
-        metrics.repeated_sampling_harness(untrained, *days, runs=3, **HARNESS_KWARGS)
+        metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
     assert set(threading.enumerate()) == before
+
+
+def test_harness_failure_stops_the_other_thread(mini_model, toy_dataset, monkeypatch):
+    """With two CPUs, once the helper's request has failed the caller starts
+    no further request: a caller's request in flight waits until the helper
+    has returned, and then the harness raises the helper's error."""
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    caller = threading.get_ident()
+    helpers = []
+    helper_failed = threading.Event()
+    calls = []
+    predict = metrics.predict_pipeline
+
+    def predict_failing_on_the_helper(*args):
+        calls.append(threading.get_ident())
+        if threading.get_ident() != caller:
+            helpers.append(threading.current_thread())
+            helper_failed.set()
+            raise StateError("helper request failed")
+        assert helper_failed.wait(timeout=10)
+        helpers[0].join(timeout=10)
+        assert not helpers[0].is_alive()
+        return predict(*args)
+
+    monkeypatch.setattr(metrics, "predict_pipeline", predict_failing_on_the_helper)
+    days = four_days_one_reinforced(toy_dataset)
+    with pytest.raises(StateError, match="helper request failed"):
+        metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
+    assert calls.count(caller) <= 1
+    assert len(calls) - calls.count(caller) == 1
+
+
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_harness_on_one_cpu_stops_at_the_failed_request(mini_model, toy_dataset, monkeypatch, k):
+    """With one CPU the requests run in order, and none starts after the
+    one that failed."""
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 1)
+    days = four_days_one_reinforced(toy_dataset)
+    seeds = request_seeds(runs=3, days=4)
+    calls = []
+    predict = metrics.predict_pipeline
+
+    def predict_failing_at_k(model, condition, sigma, count, nominal, seed):
+        calls.append(seed)
+        if seed == seeds[k]:
+            raise StateError(f"request {k} failed")
+        return predict(model, condition, sigma, count, nominal, seed)
+
+    monkeypatch.setattr(metrics, "predict_pipeline", predict_failing_at_k)
+    with pytest.raises(StateError, match=f"request {k} failed"):
+        metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
+    assert calls == seeds[: k + 1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_harness_runs_on_the_caller_plus_one_helper_per_further_cpu(
+    mini_model, toy_dataset, monkeypatch, cpus
+):
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: cpus)
+    caller = threading.get_ident()
+    before = len(threading.enumerate())
+    threads, live = [], []
+    predict = metrics.predict_pipeline
+
+    def recording_predict(*args):
+        threads.append(threading.get_ident())
+        live.append(len(threading.enumerate()))
+        return predict(*args)
+
+    monkeypatch.setattr(metrics, "predict_pipeline", recording_predict)
+    days = four_days_one_reinforced(toy_dataset)
+    report = metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
+    assert_matches_serial(report, mini_model, days, runs=3)
+    assert len(threads) == 12
+    if cpus == 1:
+        assert set(threads) == {caller}
+        assert max(live) == before
+    else:
+        assert caller in threads
+        assert len(set(threads)) <= 2
