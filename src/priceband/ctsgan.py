@@ -162,7 +162,7 @@ def build_model(condition_dim: int, config: TrainingConfig) -> CTSGANModel:
         role: init_params(derive_seed(config.seed, f"init-{role}"), role_specs)
         for role, role_specs in specs.items()
     }
-    networks["embedder"].tensors[-1]["w"] *= config.dispersion_gain
+    networks["embedder"].head_w *= config.dispersion_gain
     networks["embedder"].version += 1
     return CTSGANModel(
         **networks,
@@ -551,22 +551,6 @@ def _score_real_vs_generated(
     }
 
 
-def reconstruction_mse(model: CTSGANModel, conditions, targets) -> float:
-    """Autoencoder reconstruction MSE over every supplied day (no batching)."""
-    _, targets = _prepare_days(model, conditions, targets)
-    latents, _ = rnn_forward(model.embedder, targets, keep_cache=False)
-    recon, _ = rnn_forward(model.recovery, latents, keep_cache=False)
-    return float(np.mean((recon - targets) ** 2))
-
-
-def supervised_mse(model: CTSGANModel, conditions, targets) -> float:
-    """Next-step latent prediction MSE over every supplied day."""
-    conds, targets = _prepare_days(model, conditions, targets)
-    latents = _embed(model, targets)
-    predicted, _ = rnn_forward(model.generator, latents[:-1], conds, keep_cache=False)
-    return float(np.mean((predicted - latents[1:]) ** 2))
-
-
 def generate_scenarios(
     model: CTSGANModel,
     condition: np.ndarray,
@@ -623,8 +607,8 @@ def generate_scenarios(
 def save_model(model: CTSGANModel, path) -> None:
     """Versioned JSON checkpoint; reload reproduces generation bit-exactly.
 
-    It holds the three dims of ``_network_specs``, each network's ``flat()``
-    weights as base64 little-endian float64 bytes, and the whitening, flags
+    It holds the three dims of ``_network_specs``, each network's buffer
+    as base64 little-endian float64 bytes, and the whitening, flags
     and critic report; the CLI writes the training log to its own file.
 
     The file is the text of ``json.dumps(payload, allow_nan=False)``, written

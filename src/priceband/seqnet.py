@@ -50,18 +50,19 @@ gives the gate activations; the dense head's sigmoid works the same way.
 The stored weights are not halved: ``backward`` takes them as they are and
 reads sigmoid(x) from the cached activations.
 
-A network's weights live in one float64 vector in ``flat()`` order: LSTM
-w, LSTM b, head w, head b. ``NetworkParams.tensors`` holds views into it,
-so the optimizer updates the whole vector at once, and ``backward`` writes
-each gradient into the same layout of one gradient vector.
+A network's weights live in one float64 vector, ``NetworkParams.buffer``,
+and ``NetworkParams`` names four C-order views into it, in this order: the
+LSTM's ``w`` ``[input_dim + H, 4H]`` and ``b`` ``[4H]``, then the head's
+``head_w`` ``[H, Dy]`` and ``head_b`` ``[Dy]``. The optimizer updates the
+whole vector at once, and ``backward`` writes each gradient into the same
+views of one gradient vector.
 
 This module knows no file format: ``ctsgan`` saves and loads the networks,
-handing ``NetworkParams`` the specs and a ``flat()`` vector to check.
+handing ``NetworkParams`` the specs and a weight vector to check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +93,6 @@ class LayerSpec:
     output_dim: int
     activation: str = "linear"
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        if self.kind == "lstm":
-            return {
-                "w": (self.input_dim + self.output_dim, _GATES * self.output_dim),
-                "b": (_GATES * self.output_dim,),
-            }
-        return {"w": (self.input_dim, self.output_dim), "b": (self.output_dim,)}
-
-    def n_params(self) -> int:
-        return sum(math.prod(s) for s in self.tensor_shapes().values())
-
 
 def _validate_specs(specs: tuple[LayerSpec, ...]) -> None:
     for spec in specs:
@@ -123,23 +113,28 @@ def _validate_specs(specs: tuple[LayerSpec, ...]) -> None:
         )
 
 
-def _tensor_views(specs: tuple[LayerSpec, ...], vec: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Each block's ``{"w", "b"}`` tensors as views into the flat vector
-    ``vec``: the one place that lays tensors out in ``flat()`` order."""
-    views, offset = [], 0
-    for spec in specs:
-        block = {}
-        for name, shape in spec.tensor_shapes().items():
-            size = math.prod(shape)
-            block[name] = vec[offset : offset + size].reshape(shape)
-            offset += size
-        views.append(block)
-    return views
+def _weight_views(specs: tuple[LayerSpec, ...], vec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``vec``, of ``_weight_count(specs)`` values, split into one
+    network's four weight views ``(w, b, head_w, head_b)``: the one place
+    that lays the weights out (see the module docstring)."""
+    lstm, head = specs
+    rows, cols = lstm.input_dim + lstm.output_dim, _GATES * lstm.output_dim
+    ends = np.cumsum((rows * cols, cols, head.input_dim * head.output_dim))
+    w, b, head_w, head_b = np.split(vec, ends)
+    return w.reshape(rows, cols), b, head_w.reshape(head.input_dim, head.output_dim), head_b
+
+
+def _weight_count(specs: tuple[LayerSpec, ...]) -> int:
+    """The length of the vector that ``_weight_views`` splits."""
+    lstm, head = specs
+    lstm_count = (lstm.input_dim + lstm.output_dim + 1) * _GATES * lstm.output_dim
+    return lstm_count + (head.input_dim + 1) * head.output_dim
 
 
 class NetworkParams:
-    """One network's weights: ``buffer`` is one float64 vector in ``flat()``
-    order, and ``tensors`` lists each block's ``{"w", "b"}`` views into it.
+    """One network's weights: ``buffer`` is one float64 vector, and ``w``,
+    ``b``, ``head_w`` and ``head_b`` are the views into it that the module
+    docstring lays out.
 
     ``version`` increments on every in-place mutation so gradient caches can
     detect staleness.
@@ -148,7 +143,7 @@ class NetworkParams:
     def __init__(self, specs: tuple[LayerSpec, ...], buffer: np.ndarray):
         _validate_specs(specs)
         self.specs = tuple(specs)
-        n_params = sum(spec.n_params() for spec in self.specs)
+        n_params = _weight_count(self.specs)
         if buffer.shape != (n_params,) or buffer.dtype != np.float64:
             raise InputError(
                 f"parameter buffer is {buffer.dtype} {buffer.shape}, expected float64 ({n_params},)"
@@ -156,7 +151,7 @@ class NetworkParams:
         if not np.isfinite(buffer).all():
             raise InputError("non-finite parameter tensor")
         self.buffer = buffer
-        self.tensors = _tensor_views(self.specs, self.buffer)
+        self.w, self.b, self.head_w, self.head_b = _weight_views(self.specs, buffer)
         self.version = 0
 
     @property
@@ -171,22 +166,6 @@ class NetworkParams:
     def output_dim(self) -> int:
         return self.specs[-1].output_dim
 
-    def flat(self) -> np.ndarray:
-        """Copy of all parameters as one 1-D float64 vector."""
-        return self.buffer.copy()
-
-    def load_flat(self, vec: np.ndarray) -> None:
-        """Write a flat vector back into the parameters."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
-            raise InputError(
-                f"flat vector has {vec.shape}, expected ({self.n_params},)"
-            )
-        if not np.isfinite(vec).all():
-            raise NumericalError("non-finite values in parameter vector")
-        self.buffer[...] = vec
-        self.version += 1
-
 
 def init_params(seed: int, specs: tuple[LayerSpec, ...] | list[LayerSpec]) -> NetworkParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1.0.
@@ -196,16 +175,15 @@ def init_params(seed: int, specs: tuple[LayerSpec, ...] | list[LayerSpec]) -> Ne
     """
     specs = tuple(specs)
     _validate_specs(specs)  # a bad dim is named before it sizes the buffer
-    params = NetworkParams(specs, np.zeros(sum(spec.n_params() for spec in specs)))
+    params = NetworkParams(specs, np.zeros(_weight_count(specs)))
+    lstm, head = specs
+    hid = lstm.output_dim
+    params.b[hid : 2 * hid] = 1.0
     rng = np.random.default_rng(seed)
-    for spec, block in zip(params.specs, params.tensors):
-        if spec.kind == "lstm":
-            hid = spec.output_dim
-            bound = np.sqrt(6.0 / (spec.input_dim + 2 * hid))
-            block["b"][hid : 2 * hid] = 1.0
-        else:
-            bound = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
-        block["w"][...] = rng.uniform(-bound, bound, size=block["w"].shape)
+    fans = (lstm.input_dim + 2 * hid, head.input_dim + head.output_dim)
+    for w, fan in zip((params.w, params.head_w), fans):
+        bound = np.sqrt(6.0 / fan)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
 
 
@@ -310,7 +288,7 @@ class Stepper:
         batch: int,
         affine: np.ndarray | None = None,
     ):
-        (lstm, head), (block, head_block) = params.specs, params.tensors
+        lstm, head = params.specs
         hid = lstm.output_dim
         self.cond = _condition_rows(params, condition, batch)
         self.x_dim = lstm.input_dim - (0 if self.cond is None else self.cond.shape[1])
@@ -322,15 +300,15 @@ class Stepper:
                 f"gate-affine rows are {affine.shape}, expected {(2, rows, _GATES * hid)}"
             )
         self.affine = affine
-        w = block["w"] * affine[0, 0]
+        w = params.w * affine[0, 0]
         self.w_x, self.w_h = w[: self.x_dim], w[lstm.input_dim :]
-        bias = block["b"] * affine[0, 0]
+        bias = params.b * affine[0, 0]
         if self.cond is not None:
             bias = bias + self.cond @ w[self.x_dim : lstm.input_dim]
         per_sequence = self.cond is not None and self.cond.shape[0] == batch
         self.bias = np.broadcast_to(bias, (batch if per_sequence else rows, _GATES * hid)).copy()
         self.sigmoid_head = head.activation == "sigmoid"
-        head_w, head_b = head_block["w"], head_block["b"]
+        head_w, head_b = params.head_w, params.head_b
         if self.sigmoid_head:
             head_w, head_b = head_w * 0.5, head_b * 0.5
         self.head_w = head_w
@@ -481,7 +459,7 @@ def backward(
     _check_finite(dy, "upstream gradient")
 
     lstm, head = params.specs
-    w, head_w = params.tensors[0]["w"], params.tensors[1]["w"]
+    w, head_w = params.w, params.head_w
     x, cond, gates, cs, tanh_c, hs, y = (
         cache.x, cache.cond, cache.gates, cache.cs, cache.tanh_c, cache.hs, cache.y
     )
@@ -535,12 +513,11 @@ def _param_grads(
     x, cond, hs = cache.x, cache.cond, cache.hs
     batch, in_dim, hid = x.shape[1], x.shape[2], lstm.output_dim
     grads = np.empty(params.n_params)
-    d_lstm, d_head = _tensor_views(params.specs, grads)
+    dw, db, d_head_w, d_head_b = _weight_views(params.specs, grads)
     dz2_head = dz_head.reshape(-1, head.output_dim)
-    d_head["w"][...] = hs[1:].reshape(-1, hid).T @ dz2_head
-    d_head["b"][...] = dz2_head.sum(axis=0)
+    d_head_w[...] = hs[1:].reshape(-1, hid).T @ dz2_head
+    d_head_b[...] = dz2_head.sum(axis=0)
     dz2 = dz.reshape(-1, _GATES * hid)
-    dw = d_lstm["w"]
     dw[:in_dim] = x.reshape(-1, in_dim).T @ dz2
     dw[lstm.input_dim :] = hs[:-1].reshape(-1, hid).T @ dz2
     if cond is not None:
@@ -548,7 +525,7 @@ def _param_grads(
         if cond.shape[0] != batch:
             dz_seq = dz_seq.sum(axis=0, keepdims=True)
         dw[in_dim : lstm.input_dim] = cond.T @ dz_seq
-    d_lstm["b"][...] = dz2.sum(axis=0)
+    db[...] = dz2.sum(axis=0)
     return grads
 
 
@@ -582,10 +559,13 @@ def sgd_step(
 def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``loss_fn(params)`` must return ``(loss, flat analytic gradients)``. The
-    relative error per parameter is |a - n| / max(|a|, |n|, 1e-8).
+    ``loss_fn(params)`` must return ``(loss, analytic gradients)``, the
+    gradients as one vector laid out like ``params.buffer``. The relative
+    error per parameter is |a - n| / max(|a|, |n|, 1e-8). Each probe moves
+    one entry of ``params.buffer`` in place and bumps ``params.version``;
+    the entry gets its value back even when ``loss_fn`` raises.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
     loss, analytic = loss_fn(params)
     if not np.isfinite(loss):
@@ -594,21 +574,23 @@ def gradient_check(params: NetworkParams, loss_fn, eps: float = 1e-5) -> float:
     if analytic.shape != (params.n_params,):
         raise InputError("analytic gradient length does not match parameter count")
 
-    base = params.flat()
-    numeric = np.empty_like(base)
-    for k in range(base.size):
-        probe = base.copy()
-        probe[k] = base[k] + eps
-        params.load_flat(probe)
-        up, _ = loss_fn(params)
-        probe[k] = base[k] - eps
-        params.load_flat(probe)
-        down, _ = loss_fn(params)
+    buffer = params.buffer
+    numeric = np.empty(buffer.size)
+    for k in range(buffer.size):
+        base = buffer[k]
+        try:
+            buffer[k] = base + eps
+            params.version += 1
+            up, _ = loss_fn(params)
+            buffer[k] = base - eps
+            params.version += 1
+            down, _ = loss_fn(params)
+        finally:
+            buffer[k] = base
+            params.version += 1
         if not (np.isfinite(up) and np.isfinite(down)):
-            params.load_flat(base)
             raise NumericalError("loss is non-finite at a perturbed point")
         numeric[k] = (up - down) / (2.0 * eps)
-    params.load_flat(base)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

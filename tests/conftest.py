@@ -13,12 +13,28 @@ import time
 import numpy as np
 import pytest
 
-from priceband import ctsgan, data_ingest, synthetic
+from priceband import ctsgan, data_ingest, seqnet, synthetic
 from priceband import weather_volatility as wv
 
 TOY_CORPUS_DAYS = 120
 TOY_CORPUS_SEED = 11
 TOY_MODEL_SEED = 7
+
+
+def reconstruction_mse(model, conditions, targets) -> float:
+    """Autoencoder reconstruction MSE over every supplied day (no batching)."""
+    _, targets = ctsgan._prepare_days(model, conditions, targets)
+    latents, _ = seqnet.rnn_forward(model.embedder, targets, keep_cache=False)
+    recon, _ = seqnet.rnn_forward(model.recovery, latents, keep_cache=False)
+    return float(np.mean((recon - targets) ** 2))
+
+
+def supervised_mse(model, conditions, targets) -> float:
+    """Next-step latent prediction MSE over every supplied day."""
+    conds, targets = ctsgan._prepare_days(model, conditions, targets)
+    latents = ctsgan._embed(model, targets)
+    predicted, _ = seqnet.rnn_forward(model.generator, latents[:-1], conds, keep_cache=False)
+    return float(np.mean((predicted - latents[1:]) ** 2))
 
 
 @pytest.fixture(scope="session")
@@ -78,21 +94,21 @@ def trained_toy(toy_dataset):
     )
 
     started = time.monotonic()
-    mse_before = ctsgan.reconstruction_mse(model, *train_days)
+    mse_before = reconstruction_mse(model, *train_days)
     ctsgan.train_phase1_autoencoder(
         model,
         *train_days,
         ctsgan.TrainingConfig(iterations_per_phase=12000, seed=TOY_MODEL_SEED, learning_rate=0.05),
     )
-    mse_after = ctsgan.reconstruction_mse(model, *train_days)
+    mse_after = reconstruction_mse(model, *train_days)
 
-    sup_before = ctsgan.supervised_mse(model, *train_days)
+    sup_before = supervised_mse(model, *train_days)
     ctsgan.train_phase2_supervised(
         model,
         *train_days,
         ctsgan.TrainingConfig(iterations_per_phase=6000, seed=TOY_MODEL_SEED, learning_rate=0.05),
     )
-    sup_after = ctsgan.supervised_mse(model, *train_days)
+    sup_after = supervised_mse(model, *train_days)
 
     ctsgan.train_phase3_joint(
         model,

@@ -7,6 +7,7 @@ import pytest
 
 from priceband import ctsgan, seqnet
 from priceband.errors import CheckpointError, InputError, StateError
+from tests.conftest import reconstruction_mse
 
 COND_DIM = 6
 HORIZON = 48
@@ -117,22 +118,22 @@ def test_phase_requires_every_earlier_phase(done, trainer, message):
     for train in done:
         train(model, *toy_days(), quick_config(iters=5))
     flags, log = dict(model.training_flags), list(model.training_log)
-    weights = {role: getattr(model, role).flat() for role in ROLES}
+    weights = {role: getattr(model, role).buffer.copy() for role in ROLES}
     with pytest.raises(StateError) as refused:
         trainer(model, *toy_days(), quick_config())
     assert str(refused.value) == message
     assert model.training_flags == flags
     assert model.training_log == log
     for role, flat in weights.items():
-        assert np.array_equal(getattr(model, role).flat(), flat)
+        assert np.array_equal(getattr(model, role).buffer, flat)
 
 
 def test_zero_iterations_leaves_parameters_unchanged():
     model = small_model()
-    before = {role: getattr(model, role).flat() for role in ROLES}
+    before = {role: getattr(model, role).buffer.copy() for role in ROLES}
     ctsgan.train_phase1_autoencoder(model, *toy_days(), quick_config(iters=0))
     for role, flat in before.items():
-        assert np.array_equal(getattr(model, role).flat(), flat)
+        assert np.array_equal(getattr(model, role).buffer, flat)
     assert model.training_flags["phase1"]
 
 
@@ -209,7 +210,7 @@ def test_constant_paths_reconstructed():
     days = (np.full((8, COND_DIM), 0.5), np.full((8, HORIZON), 0.4))
     model = small_model()
     ctsgan.train_phase1_autoencoder(model, *days, quick_config(iters=800))
-    assert ctsgan.reconstruction_mse(model, *days) < 1e-3
+    assert reconstruction_mse(model, *days) < 1e-3
 
 
 def test_training_is_seed_deterministic():
@@ -217,13 +218,13 @@ def test_training_is_seed_deterministic():
     a = train_all(small_model(seed=2), days, iters=40, seed=5)
     b = train_all(small_model(seed=2), days, iters=40, seed=5)
     for role in ROLES:
-        assert np.array_equal(getattr(a, role).flat(), getattr(b, role).flat())
+        assert np.array_equal(getattr(a, role).buffer, getattr(b, role).buffer)
     assert a.training_log == b.training_log
 
 
 def test_discriminator_clipped_after_joint_training():
     model = train_all(small_model(), toy_days(), iters=50)
-    assert np.abs(model.discriminator.flat()).max() <= 0.5
+    assert np.abs(model.discriminator.buffer).max() <= 0.5
 
 
 def test_condition_dim_mismatch_rejected():
@@ -740,7 +741,7 @@ def test_loaded_model_takes_an_in_place_sgd_step(tmp_path):
         seqnet.sgd_step(params, grads, 0.1)
         seqnet.sgd_step(saved, grads, 0.1)
         assert params.version == 1
-        assert params.flat().tobytes() == saved.flat().tobytes()
+        assert params.buffer.tobytes() == saved.buffer.tobytes()
 
 
 def test_checkpoint_stores_each_fact_once(tmp_path):
@@ -806,7 +807,7 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     bits, including -0.0, subnormals and the largest finite float."""
     model = ctsgan.build_model(263, ctsgan.TrainingConfig(hidden_dim=100, latent_dim=100, seed=5))
     extremes = np.array([-0.0, 5e-324, -2.2250738585072014e-308, np.finfo(np.float64).max])
-    model.generator.tensors[0]["w"].ravel()[: extremes.size] = extremes
+    model.generator.w.ravel()[: extremes.size] = extremes
     rng = np.random.default_rng(5)
     model.latent_shift = rng.normal(size=100)
     model.latent_scale = rng.uniform(0.1, 2.0, size=100)
@@ -815,7 +816,7 @@ def test_paper_dims_model_round_trips_bit_for_bit(tmp_path):
     loaded = ctsgan.load_model(path)
     for role in ROLES:
         assert getattr(loaded, role).specs == getattr(model, role).specs
-        assert getattr(loaded, role).flat().tobytes() == getattr(model, role).flat().tobytes()
+        assert getattr(loaded, role).buffer.tobytes() == getattr(model, role).buffer.tobytes()
     assert loaded.latent_shift.tobytes() == model.latent_shift.tobytes()
     assert loaded.latent_scale.tobytes() == model.latent_scale.tobytes()
     assert loaded.training_flags == model.training_flags

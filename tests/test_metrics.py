@@ -225,7 +225,7 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
     )
     for role in ("embedder", "recovery", "generator", "discriminator"):
         net = getattr(model, role)
-        net.load_flat(np.zeros(net.n_params))
+        net.buffer[...] = 0.0
     model.training_flags = {k: True for k in model.training_flags}
     report = metrics.repeated_sampling_harness(
         model, *days,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,17 @@ LSTM_DENSE = (
     seqnet.LayerSpec("lstm", 3, 5),
     seqnet.LayerSpec("dense", 5, 2, "sigmoid"),
 )
+
+
+def weight_count(specs):
+    """Weights the blocks ``specs`` hold, counted from their dims:
+    (in + H + 1) * 4H for an lstm block of hidden size H, (in + 1) * out for
+    any other block."""
+    return sum(
+        (s.input_dim + s.output_dim + 1) * 4 * s.output_dim if s.kind == "lstm"
+        else (s.input_dim + 1) * s.output_dim
+        for s in specs
+    )
 
 
 def mse_loss(params, inputs, target):
@@ -25,22 +37,58 @@ def test_init_deterministic_and_seed_sensitive():
     a = seqnet.init_params(42, LSTM_DENSE)
     b = seqnet.init_params(42, LSTM_DENSE)
     c = seqnet.init_params(43, LSTM_DENSE)
-    assert np.array_equal(a.flat(), b.flat())
-    assert not np.array_equal(a.flat(), c.flat())
+    assert np.array_equal(a.buffer, b.buffer)
+    assert not np.array_equal(a.buffer, c.buffer)
+
+
+@pytest.mark.parametrize(
+    "seed, specs, sha256",
+    [
+        (42, LSTM_DENSE, "054400981bd593fa9d7deba782b5fe7e0f9ce95648a35f11a2577d63b1702fbe"),
+        (
+            5,
+            (seqnet.LayerSpec("lstm", 100 + 263, 100), seqnet.LayerSpec("dense", 100, 100)),
+            "c014661af7ef86d0e58452b73add6a198d7521ddaf0de2e45517b6997804bf08",
+        ),
+    ],
+    ids=["toy", "paper-dims-generator"],
+)
+def test_weight_layout_and_initial_draws(seed, specs, sha256):
+    """``w``, ``b``, ``head_w`` and ``head_b`` are C-contiguous views of
+    ``buffer`` laid end to end in that order, the checkpoint's order, and
+    ``init_params`` gives the pinned bits for a toy and a paper-dims
+    network, so a seed keeps naming the same weights."""
+    params = seqnet.init_params(seed, specs)
+    (lstm, head), buffer = specs, params.buffer
+    gates = 4 * lstm.output_dim
+    rows = lstm.input_dim + lstm.output_dim
+    views = {
+        "w": ((rows, gates), 0),
+        "b": ((gates,), rows * gates),
+        "head_w": ((head.input_dim, head.output_dim), (rows + 1) * gates),
+        "head_b": ((head.output_dim,), (rows + 1) * gates + head.input_dim * head.output_dim),
+    }
+    for name, (shape, offset) in views.items():
+        view = getattr(params, name)
+        start = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+        assert (view.shape, start, view.flags.c_contiguous) == (shape, 8 * offset, True), name
+        assert np.shares_memory(view, buffer), name
+    assert buffer.size == views["head_b"][1] + head.output_dim
+    assert hashlib.sha256(buffer.tobytes()).hexdigest() == sha256
 
 
 def test_init_dense_glorot_bound():
     specs = (seqnet.LayerSpec("lstm", 3, 10), seqnet.LayerSpec("dense", 10, 5, "linear"))
     params = seqnet.init_params(0, specs)
     bound = math.sqrt(6.0 / 15.0)
-    assert np.abs(params.tensors[1]["w"]).max() <= bound
-    assert np.array_equal(params.tensors[1]["b"], np.zeros(5))
+    assert np.abs(params.head_w).max() <= bound
+    assert np.array_equal(params.head_b, np.zeros(5))
 
 
 def test_init_forget_gate_bias_is_one():
     specs = (seqnet.LayerSpec("lstm", 3, 4), seqnet.LayerSpec("dense", 4, 1))
     params = seqnet.init_params(0, specs)
-    bias = params.tensors[0]["b"]
+    bias = params.b
     assert np.array_equal(bias[4:8], np.ones(4))
     assert np.array_equal(bias[:4], np.zeros(4))
     assert np.array_equal(bias[8:], np.zeros(8))
@@ -69,20 +117,16 @@ def test_init_invalid_dims():
 def test_network_params_refuse_other_shapes(specs, message):
     """Weights of the right count are refused unless the specs are one lstm
     block then one dense head."""
-    n_params = sum(spec.n_params() for spec in specs)
     with pytest.raises(InputError, match=message):
-        seqnet.NetworkParams(specs, np.zeros(n_params))
+        seqnet.NetworkParams(specs, np.zeros(weight_count(specs)))
 
 
 # --- forward ------------------------------------------------------------------------
 
 def test_zero_network_outputs_head_bias():
     params = seqnet.init_params(0, LSTM_DENSE)
-    params.load_flat(np.zeros(params.n_params))
-    # set a recognizable head bias
-    flat = params.flat()
-    flat[-2:] = [0.25, -1.5]
-    params.load_flat(flat)
+    params.buffer[...] = 0.0
+    params.head_b[...] = [0.25, -1.5]  # a recognizable head bias
     out, _ = seqnet.rnn_forward(params, np.zeros((6, 1, 3)))
     sig = 1.0 / (1.0 + math.exp(0.0))
     expected = np.array([1.0 / (1.0 + math.exp(-0.25)), 1.0 / (1.0 + math.exp(1.5))])
@@ -108,10 +152,7 @@ def _scalar_forward(params, x):
     """Independent per-step oracle with plain Python floats for an
     LSTM + sigmoid-dense network; ``x`` is ``[T, D]`` and holds every input
     column of the first block at every step."""
-    w = params.tensors[0]["w"]
-    b = params.tensors[0]["b"]
-    hw = params.tensors[1]["w"]
-    hb = params.tensors[1]["b"]
+    w, b, hw, hb = params.w, params.b, params.head_w, params.head_b
     hid = params.specs[0].output_dim
     h = [0.0] * hid
     c = [0.0] * hid
@@ -347,7 +388,7 @@ def test_gradient_zero_for_unused_output():
     upstream = np.zeros_like(out)
     upstream[..., 0] = 1.0  # loss touches head output 0 only
     grads, _ = seqnet.backward(cache, upstream)
-    n_lstm = params.specs[0].n_params()
+    n_lstm = weight_count(params.specs[:1])
     head_w = grads[n_lstm : n_lstm + 10].reshape(5, 2)
     head_b = grads[n_lstm + 10 :]
     assert np.array_equal(head_w[:, 1], np.zeros(5))
@@ -366,12 +407,11 @@ def test_dense_gradient_matches_least_squares():
     out, cache = seqnet.rnn_forward(params, inputs)
     grads, _ = seqnet.backward(cache, 2.0 * (out - y[:, None, :]))
     x = cache.hs[1:, 0]
-    w = params.tensors[1]["w"]
-    b = params.tensors[1]["b"]
+    w, b = params.head_w, params.head_b
     residual = x @ w + b - y
     dw = 2.0 * x.T @ residual
     db = 2.0 * residual.sum(axis=0)
-    n_lstm = specs[0].n_params()
+    n_lstm = weight_count(specs[:1])
     assert np.allclose(grads[n_lstm:], np.concatenate([dw.ravel(), db]), atol=1e-12)
 
 
@@ -404,25 +444,24 @@ def test_backward_shape_check():
 
 def test_sgd_zero_gradient_only_clamps():
     params = seqnet.init_params(12, LSTM_DENSE)
-    flat = params.flat()
-    flat[0] = 0.8
-    params.load_flat(flat)
+    params.buffer[0] = 0.8
+    flat = params.buffer.copy()
     seqnet.sgd_step(params, np.zeros(params.n_params), 0.02, clip_limit=0.5)
-    updated = params.flat()
+    updated = params.buffer
     assert updated[0] == 0.5
     assert np.array_equal(updated[1:], np.clip(flat[1:], -0.5, 0.5))
 
 
 def test_sgd_single_step_arithmetic():
     params = seqnet.init_params(0, LSTM_DENSE)
-    params.load_flat(np.zeros(params.n_params))
-    n_lstm = params.specs[0].n_params()
+    params.buffer[...] = 0.0
+    n_lstm = weight_count(params.specs[:1])
     grads = np.zeros(params.n_params)
     grads[n_lstm] = 1.0  # first weight of the dense head
     version = params.version
     seqnet.sgd_step(params, grads, 0.02)
-    assert params.tensors[1]["w"][0, 0] == pytest.approx(-0.02, abs=1e-15)
-    assert np.count_nonzero(params.flat()) == 1
+    assert params.head_w[0, 0] == pytest.approx(-0.02, abs=1e-15)
+    assert np.count_nonzero(params.buffer) == 1
     assert params.version == version + 1
 
 
@@ -439,10 +478,32 @@ def test_clamp_invariant_over_many_steps():
     rng = np.random.default_rng(9)
     for _ in range(20):
         seqnet.sgd_step(params, rng.normal(size=params.n_params), 0.5, clip_limit=0.5)
-        assert np.abs(params.flat()).max() <= 0.5
+        assert np.abs(params.buffer).max() <= 0.5
+
+
+def test_gradient_check_restores_the_weights_when_the_loss_raises():
+    """A loss that raises mid-check leaves every weight as it was, and bumps
+    ``version`` past the perturbed weights the loss last saw."""
+    params = seqnet.init_params(15, LSTM_DENSE)
+    before = params.buffer.copy()
+    rng = np.random.default_rng(16)
+    x, target = rng.normal(size=(3, 1, 3)), rng.uniform(size=(3, 1, 2))
+    seen = []
+
+    def loss(p):
+        seen.append(p.version)
+        if len(seen) == 4:  # the probe of buffer[1] at +eps
+            raise InputError("refused")
+        return mse_loss(p, x, target)
+
+    with pytest.raises(InputError, match="refused"):
+        seqnet.gradient_check(params, loss)
+    assert params.buffer.tobytes() == before.tobytes()
+    assert params.version > seen[-1]
 
 
 def test_gradient_check_rejects_zero_eps():
     params = seqnet.init_params(14, LSTM_DENSE)
-    with pytest.raises(InputError, match="eps"):
-        seqnet.gradient_check(params, lambda p: (0.0, np.zeros(p.n_params)), 0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(InputError, match="eps"):
+            seqnet.gradient_check(params, lambda p: (0.0, np.zeros(p.n_params)), eps)

@@ -2,10 +2,10 @@
 modules of ``priceband`` import each other without a cycle, importing the
 CLI loads no ``scipy`` module and starts no thread, only the CLI turns
 weather volatility into a noise sigma, only ``ctsgan`` knows the model
-file's format, only ``jsonread`` checks the type of a parsed JSON value, and
-every entry point the
-benchmark's tracer wraps and every module attribute its workloads read
-exists."""
+file's format, only ``jsonread`` checks the type of a parsed JSON value,
+every entry point the benchmark's tracer wraps and every module attribute
+its workloads read exists, and every public function and class is named
+outside its own definition."""
 
 from __future__ import annotations
 
@@ -179,6 +179,21 @@ def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:
     return (node.id, *reversed(names)) if isinstance(node, ast.Name) else None
 
 
+def _bench_tree(name: str) -> ast.Module:
+    return ast.parse((ROOT / "bench" / name).read_text(encoding="utf-8"))
+
+
+def _entry_points() -> dict[str, tuple[str, ...]]:
+    """bench/tracer.py's ``ENTRY_POINTS``: module name -> the functions the
+    tracer wraps."""
+    return next(
+        ast.literal_eval(node.value)
+        for node in _bench_tree("tracer.py").body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets)
+    )
+
+
 def test_bench_entry_points_resolve():
     """Each ``ENTRY_POINTS`` name in bench/tracer.py is a callable of its
     priceband module, and each attribute chain that bench/workloads.py reads
@@ -186,13 +201,7 @@ def test_bench_entry_points_resolve():
     ``wv.VolatilityThresholds.from_json``, ``data_ingest.load_dataset``, ...)
     resolves. Both files are read with ``ast``, so ``bench`` is not
     imported."""
-    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
-    entry_points = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets)
-    )
+    entry_points = _entry_points()
     missing = [
         f"{module}.{name}"
         for module, names in entry_points.items()
@@ -201,7 +210,7 @@ def test_bench_entry_points_resolve():
     ]
     assert entry_points and missing == []
 
-    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    workloads = _bench_tree("workloads.py")
     modules = {
         alias.asname or alias.name: importlib.import_module(f"priceband.{alias.name}")
         for node in workloads.body
@@ -225,3 +234,56 @@ def test_bench_entry_points_resolve():
             target = getattr(target, name)
     assert {"wv", "data_ingest", "ctsgan"} <= modules.keys() and len(chains) > len(modules)
     assert unresolved == []
+
+
+def _names_used(tree: ast.Module, names) -> set[tuple[str, str]]:
+    """``(module, name)`` for each name of a package module that ``tree``
+    names: ``from .m import f`` and ``from priceband.m import f`` give
+    ``(m, f)``, and so does ``m.f`` after ``from . import m`` or ``from
+    priceband import m as alias``."""
+    aliases, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1:
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                if path[0] != "priceband":
+                    continue
+                path = path[1:]
+            if not path or path == [""]:
+                aliases.update({a.asname or a.name: a.name for a in node.names if a.name in names})
+            elif path[0] in names:
+                used.update((path[0], a.name) for a in node.names)
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in aliases:
+            used.add((aliases[chain[0]], chain[1]))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of the package is named
+    outside its own definition: by another package module, by its own
+    module (``cli``'s command table names the ``cmd_*`` functions, the
+    harness names ``metrics.ecpas``), or by the benchmark (the tracer's
+    ``ENTRY_POINTS`` or what bench/workloads.py reads). So nothing in the
+    library lives for the tests alone. Two names are kept without a caller:
+    ``seqnet.gradient_check``, the reference the gradient tests compare
+    against, and ``weather_volatility.pearson_correlation``, which waits for
+    ``calibrate`` to screen the weather factors against price, as the paper
+    does."""
+    modules = _modules()
+    used = {(module, name) for module, names in _entry_points().items() for name in names}
+    used |= _names_used(_bench_tree("workloads.py"), modules)
+    for name, tree in modules.items():
+        used |= {(module, f) for module, f in _names_used(tree, modules) if module != name}
+        for top in tree.body:
+            defined = getattr(top, "name", None)
+            used |= {(name, n.id) for n in ast.walk(top) if isinstance(n, ast.Name) and n.id != defined}
+    public = {
+        (name, node.name)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    allowed = {("seqnet", "gradient_check"), ("weather_volatility", "pearson_correlation")}
+    assert sorted(public - used) == sorted(allowed)
