@@ -10,15 +10,10 @@ holding day k's half-hours. Each day with a complete previous day is one
 row of the dataset's day axis: a float64 condition row of ``CONDITION_DIM``
 columns (``build_conditions``) and a 48-step normalized price target.
 
-A plain file (no quote, NUL, lone CR or ASCII separator character, no line
-past the csv field limit, and only on-grid timestamps and finite values
-that numpy's C reader parses) is read by ``_stream_rows``: one pass over
-its lines for the timestamps and ``np.loadtxt`` for the values, with no
-Python object per row beyond its timestamp. Any other file, and any stream
-that cannot seek (a named pipe), goes to ``_read_rows``: one ``csv.reader``
-pass that checks each row in full when it reads it and holds the values in
-one flat float64 array. It raises the first error in the file, with its
-physical line, and gives the same result on a plain file.
+Every parse goes through ``_read_rows``: one ``csv.reader`` pass that
+checks each row in full when it reads it and holds the values in one flat
+float64 array. It raises the first error in the file, with its physical
+line.
 
 A parse leaves a sidecar beside the file, ``.<file name>.priceband-cache``:
 the SHA-256 of the file's bytes, then each row's local wall-clock minute
@@ -244,79 +239,14 @@ def build_conditions(
 
 def _parse_rows(path) -> tuple[list[datetime], np.ndarray]:
     """Row timestamps and a ``[rows, 7]`` float64 array of the
-    ``_VALUE_CHANNELS``: by ``_stream_rows`` when the file is plain enough
-    for it, otherwise by ``_read_rows``, the reference reader, which also
-    names every error. Both give the same result on any file the first
-    accepts."""
+    ``_VALUE_CHANNELS``, read by ``_read_rows`` in one pass, so a named
+    pipe reads as a regular file does."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read dataset {path} ({exc})") from exc
     with fh:
-        if not fh.seekable():  # a named pipe allows one pass: the row reader's
-            return _read_rows(fh, path)
-        parsed = _stream_rows(fh)
-        if parsed is not None:
-            return parsed
-        fh.seek(0)
         return _read_rows(fh, path)
-
-
-def _plain_line(line: str, limit: int) -> bool:
-    """A line that ``str.split(",")`` and numpy's C reader split and read
-    as ``csv.reader`` and ``float`` do: no lone CR, no longer than the csv
-    module's field limit, no quote or NUL, which csv treats apart, and no
-    ASCII separator (\\x1c-\\x1f), which ``np.loadtxt`` strips from a field
-    as whitespace and ``float`` refuses. The tests are spelt out: a regex
-    search per line took three times as long."""
-    return not (
-        len(line) > limit or line.endswith("\r")
-        or '"' in line or "\0" in line
-        or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
-    )
-
-
-def _stream_rows(fh) -> tuple[list[datetime], np.ndarray] | None:
-    """Read the open file in two streamed passes without a Python object per
-    value: one over its lines for the timestamps, then numpy's C reader for
-    the values. Returns None, having decided nothing, for any file the row
-    reader might read differently or reject: a line that is not
-    ``_plain_line``, a field ``float`` would take and ``np.loadtxt`` does
-    not (``1_000``), a non-finite value, a bad or off-grid timestamp, row
-    counts that differ between the passes, no data row, or bytes that are
-    not UTF-8."""
-    limit = csv.field_size_limit()
-    try:
-        header = fh.readline()
-        if not _plain_line(header, limit):
-            return None
-        position = {name: k for k, name in enumerate(next(csv.reader([header]), []))}
-        if any(name not in position for name in CSV_COLUMNS):
-            return None
-        ts_col, *value_cols = (position[name] for name in CSV_COLUMNS)
-        start = fh.tell()
-        stamps = []
-        for line in fh:
-            if line in ("\n", "\r\n"):  # a blank line, which csv skips
-                continue
-            if not _plain_line(line, limit):
-                return None
-            ts = datetime.fromisoformat(line.split(",", ts_col + 1)[ts_col].strip())
-            if ts.minute not in (0, 30) or ts.second or ts.microsecond:
-                return None
-            stamps.append(ts)
-        if not stamps:  # loadtxt warns on a file without data
-            return None
-        fh.seek(start)
-        values = np.loadtxt(
-            fh, delimiter=",", usecols=value_cols, dtype=np.float64, ndmin=2,
-            comments=None, quotechar=None,
-        )
-    except (IndexError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    if len(values) != len(stamps) or not np.isfinite(values).all():
-        return None
-    return stamps, values
 
 
 def _read_rows(fh, path) -> tuple[list[datetime], np.ndarray]:

@@ -540,7 +540,8 @@ def sgd_step(
     With a ``clip_limit`` every parameter is clamped to
     ``[-clip_limit, +clip_limit]`` after the update (used for the adversarial
     critic only). Raises ``NumericalError`` if the update leaves a non-finite
-    parameter. Returns the mutated params for chaining.
+    parameter; the params are then left as they were, ``version`` included.
+    Returns the mutated params for chaining.
     """
     grads = np.asarray(gradients, dtype=np.float64)
     if grads.shape != (params.n_params,):
@@ -548,11 +549,13 @@ def sgd_step(
             f"gradient vector has {grads.shape}, expected ({params.n_params},)"
         )
     _check_finite(grads, "gradients")
-    params.version += 1
-    params.buffer -= learning_rate * grads
+    updated = learning_rate * grads
+    np.subtract(params.buffer, updated, out=updated)
     if clip_limit is not None:
-        np.clip(params.buffer, -clip_limit, clip_limit, out=params.buffer)
-    _check_finite(params.buffer, "parameters after the update")
+        np.clip(updated, -clip_limit, clip_limit, out=updated)
+    _check_finite(updated, "parameters after the update")
+    params.buffer[...] = updated
+    params.version += 1
     return params
 
 

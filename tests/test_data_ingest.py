@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import threading
 import tracemalloc
 from datetime import date
@@ -388,7 +389,7 @@ def test_mixed_utc_offsets_rejected(tmp_path):
         di.load_dataset(path)
 
 
-# --- streamed reader: the row reader's result or its error, bit for bit ----------------------
+# --- the row reader: each odd file's rows or its first error, pinned ------------------------
 
 def _market_lines(days=3, seed=0):
     """Header and rows of ``days`` complete days of random values, each
@@ -444,46 +445,90 @@ def _utc_offsets(lines, offsets):
 
 LINES = _market_lines()
 
-# id -> (file bytes, whether the streamed reader takes the file)
+# id -> (file bytes, what it loads as): a plain LF file that loads to the
+# same dataset, or the (type, message, line) of the error the load raises
 PARITY = {
-    "lf": (_lf(LINES), True),
-    "crlf": (("\r\n".join(LINES) + "\r\n").encode(), True),
-    "no-final-newline": ("\n".join(LINES).encode(), True),
-    "reordered-extra-duplicate-columns": (_reordered(LINES), True),
-    "blank-lines": (_lf(_inserted(LINES, 7, "", "") + [""]), True),
-    "crlf-blank-lines": (("\r\n".join(_inserted(LINES, 3, "")) + "\r\n\r\n").encode(), True),
-    "whitespace-only-line": (_lf(_inserted(LINES, 9, "  ")), False),
-    "padded-timestamps": (_lf([LINES[0]] + [" " + ln.replace(",", "\t ,", 1) for ln in LINES[1:]]), True),
-    "padded-values": (_lf(_with_field(LINES, 4, 2, " \t4.5e2 \xa0")), True),
-    "quoted-field": (_lf(_with_field(LINES, 4, 2, '" 6.5e3 "')), False),
-    "underscore-number": (_lf(_with_field(LINES, 6, 3, "1_000")), False),
-    "unicode-digits": (_lf(_with_field(LINES, 6, 3, "١٢")), False),
-    "separator-padding": (_lf(_with_field(LINES, 6, 3, "12\x1f")), False),
-    "nul": (_lf(_with_field(LINES, 6, 3, "1\x002")), False),
-    "lone-cr": (_after_line(_lf(LINES[:20]), 19, b"\r") + _lf(LINES[20:]), False),
-    "short-row": (_lf(LINES[:12] + [",".join(LINES[12].split(",")[:3])] + LINES[13:]), False),
+    "lf": (_lf(LINES), _lf(LINES)),
+    "crlf": (("\r\n".join(LINES) + "\r\n").encode(), _lf(LINES)),
+    "no-final-newline": ("\n".join(LINES).encode(), _lf(LINES)),
+    "reordered-extra-duplicate-columns": (_reordered(LINES), _lf(LINES)),
+    "blank-lines": (_lf(_inserted(LINES, 7, "", "") + [""]), _lf(LINES)),
+    "crlf-blank-lines": (("\r\n".join(_inserted(LINES, 3, "")) + "\r\n\r\n").encode(), _lf(LINES)),
+    "whitespace-only-line": (
+        _lf(_inserted(LINES, 9, "  ")),
+        (MalformedRow, "malformed row at line 10: bad timestamp: Invalid isoformat string: ''", 10),
+    ),
+    "padded-timestamps": (_lf([LINES[0]] + [" " + ln.replace(",", "\t ,", 1) for ln in LINES[1:]]), _lf(LINES)),
+    "padded-values": (_lf(_with_field(LINES, 4, 2, " \t4.5e2 \xa0")), _lf(_with_field(LINES, 4, 2, "450"))),
+    "quoted-field": (_lf(_with_field(LINES, 4, 2, '" 6.5e3 "')), _lf(_with_field(LINES, 4, 2, "6500"))),
+    "underscore-number": (_lf(_with_field(LINES, 6, 3, "1_000")), _lf(_with_field(LINES, 6, 3, "1000"))),
+    "unicode-digits": (_lf(_with_field(LINES, 6, 3, "١٢")), _lf(_with_field(LINES, 6, 3, "12"))),
+    "separator-padding": (
+        _lf(_with_field(LINES, 6, 3, "12\x1f")),
+        (MalformedRow, "malformed row at line 7: bad temperature value '12\\x1f'", 7),
+    ),
+    "nul": (
+        _lf(_with_field(LINES, 6, 3, "1\x002")),
+        (MalformedRow, "malformed row at line 7: bad temperature value '1\\x002'", 7),
+    ),
+    "lone-cr": (_after_line(_lf(LINES[:20]), 19, b"\r") + _lf(LINES[20:]), _lf(LINES)),
+    "short-row": (
+        _lf(LINES[:12] + [",".join(LINES[12].split(",")[:3])] + LINES[13:]),
+        (MalformedRow, "malformed row at line 13: bad temperature value None", 13),
+    ),
     "oversized-ignored-field": (
         _lf([LINES[0] + ",note"] + [ln + ",x" for ln in LINES[1:9]]
             + [LINES[9] + "," + "y" * (csv.field_size_limit() + 1)] + LINES[10:]),
-        False,
+        (
+            MalformedRow,
+            "malformed row at line 10: unreadable CSV record: "
+            f"field larger than field limit ({csv.field_size_limit()})",
+            10,
+        ),
     ),
-    "nan": (_lf(_with_field(LINES, 30, 5, "nan")), False),
-    "inf": (_lf(_with_field(LINES, 30, 1, "-inf")), False),
-    "overflow": (_lf(_with_field(LINES, 30, 1, "1e400")), False),
-    "off-grid": (_lf(_with_field(LINES, 31, 0, "2021-03-01T15:17:00")), False),
-    "bad-timestamp": (_lf(_with_field(LINES, 31, 0, "2021-03-01 25:00")), False),
-    "utc-offset": (_lf(_utc_offsets(LINES, lambda k: "+10:00")), True),
-    "mixed-utc-offsets": (_lf(_utc_offsets(LINES, lambda k: "+10:00" if k < 100 else "+11:00")), True),
-    "bad-utf8": (_after_line(_lf(LINES), 1, b"\xff"), False),
+    "nan": (
+        _lf(_with_field(LINES, 30, 5, "nan")),
+        (MalformedRow, "malformed row at line 31: non-finite wind_speed value", 31),
+    ),
+    "inf": (
+        _lf(_with_field(LINES, 30, 1, "-inf")),
+        (MalformedRow, "malformed row at line 31: non-finite price value", 31),
+    ),
+    "overflow": (
+        _lf(_with_field(LINES, 30, 1, "1e400")),
+        (MalformedRow, "malformed row at line 31: non-finite price value", 31),
+    ),
+    "off-grid": (
+        _lf(_with_field(LINES, 31, 0, "2021-03-01T15:17:00")),
+        (MalformedRow, "malformed row at line 32: timestamp 2021-03-01 15:17:00 is off the 30-minute grid", 32),
+    ),
+    "bad-timestamp": (
+        _lf(_with_field(LINES, 31, 0, "2021-03-01 25:00")),
+        (MalformedRow, "malformed row at line 32: bad timestamp: hour must be in 0..23", 32),
+    ),
+    "utc-offset": (_lf(_utc_offsets(LINES, lambda k: "+10:00")), _lf(LINES)),
+    "mixed-utc-offsets": (
+        _lf(_utc_offsets(LINES, lambda k: "+10:00" if k < 100 else "+11:00")),
+        (InputError, "{path} mixes UTC offsets ['10:00:00', '11:00:00']", None),
+    ),
+    "bad-utf8": (
+        _after_line(_lf(LINES), 1, b"\xff"),
+        (InputError, "cannot read dataset {path} (not UTF-8 text: invalid start byte)", None),
+    ),
     "bad-utf8-after-malformed-row": (
-        _after_line(_lf(_with_field(LINES, 5, 2, "x")), 140, b"\xfe"), False
+        _after_line(_lf(_with_field(LINES, 5, 2, "x")), 140, b"\xfe"),
+        (MalformedRow, "malformed row at line 6: bad demand value 'x'", 6),
     ),
     "bad-utf8-after-non-finite-value": (
-        _after_line(_lf(_with_field(LINES, 5, 2, "nan")), 140, b"\xfe"), False
+        _after_line(_lf(_with_field(LINES, 5, 2, "nan")), 140, b"\xfe"),
+        (MalformedRow, "malformed row at line 6: non-finite demand value", 6),
     ),
-    "header-only": (_lf(LINES[:1]), False),
-    "header-missing-column": (_lf([LINES[0].replace("demand", "load")] + LINES[1:]), False),
-    "empty-file": (b"", False),
+    "header-only": (_lf(LINES[:1]), (InputError, "{path} contains no data rows", None)),
+    "header-missing-column": (
+        _lf([LINES[0].replace("demand", "load")] + LINES[1:]),
+        (MalformedRow, "malformed row at line 1: header missing column 'demand'", 1),
+    ),
+    "empty-file": (b"", (InputError, "{path} has no header row", None)),
 }
 
 
@@ -527,30 +572,87 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("case", PARITY)
-def test_stream_reader_is_the_row_reader(tmp_path, monkeypatch, case):
-    """Every file loads to the same bits, or fails with the same exception
-    type, message and line, whether the streamed reader takes it or leaves
-    it to the row reader."""
-    data, streamed = PARITY[case]
+def test_row_reader_outcome(tmp_path, monkeypatch, case):
+    """Each file loads to the bits of its plain LF twin, or fails with the
+    pinned exception type, message and line. A second load gives the same
+    outcome: from the sidecar after a load, from a second parse after a
+    failure, which leaves no sidecar."""
+    data, want = PARITY[case]
     path = tmp_path / "d.csv"
     path.write_bytes(data)
-    with open(path, newline="", encoding="utf-8") as fh:
-        parsed = di._stream_rows(fh)
-    assert (parsed is not None) == streamed
-    if streamed:
-        with open(path, newline="", encoding="utf-8") as fh:
-            want_stamps, want_values = di._read_rows(fh, path)
-        stamps, values = parsed
-        assert stamps == want_stamps
-        assert [ts.utcoffset() for ts in stamps] == [ts.utcoffset() for ts in want_stamps]
-        assert (values.dtype, values.shape) == (want_values.dtype, want_values.shape)
-        assert values.tobytes() == want_values.tobytes()
-    row_reads = _spy(monkeypatch, "_read_rows")
-    got = _parsed_outcome(path)
-    assert len(row_reads) == (0 if streamed else 1)
-    monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
-    assert got == _parsed_outcome(path)
-    assert len(row_reads) == (1 if streamed else 2)
+    got = _outcome(lambda: di.load_dataset(path))
+    if isinstance(want, bytes):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(want)
+        assert got == _outcome(lambda: di.load_dataset(plain))
+    else:
+        kind, message, line = want
+        assert got == ("raised", kind, message.format(path=path), line)
+    assert di._sidecar_path(path).is_file() == (got[0] == "loaded")
+    parses = _spy(monkeypatch, "_parse_rows")
+    assert _outcome(lambda: di.load_dataset(path)) == got
+    assert len(parses) == (0 if got[0] == "loaded" else 1)
+
+
+_NOISE = b'",\r\n\0\x1f\xff \t-+.:0123456789eEnaTZ_x'
+
+
+def _mutated(rng):
+    """A clean file of three days (LF or CRLF, naive or at +10:00) with one
+    to three random edits: a byte changed, put in or taken out; a line
+    repeated, dropped or moved; or the UTC offset of one line or of every
+    line changed."""
+    lines = _market_lines(seed=rng.randrange(4))
+    if rng.random() < 0.3:
+        lines = _utc_offsets(lines, lambda k: "+10:00")
+    newline = rng.choice([b"\n", b"\r\n"])
+    head, *rows = [line.encode() + newline for line in lines]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(7)
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows) + 1)
+        if kind < 3:
+            data = bytearray(b"".join(rows))
+            k = rng.randrange(len(data))
+            if kind == 0:
+                data[k] = rng.choice(_NOISE)
+            elif kind == 1:
+                data.insert(k, rng.choice(_NOISE))
+            else:
+                del data[k]
+            rows = [bytes(data)]
+        elif kind == 3:
+            rows.insert(j, rows[i])
+        elif kind == 4 and len(rows) > 1:
+            del rows[i]
+        elif kind == 5:
+            rows.insert(j, rows.pop(i))
+        elif kind == 6:
+            offset = rng.choice([b"", b"+11:00"])
+            for k in rng.choice([[i], range(len(rows))]):
+                stamp, comma, rest = rows[k].partition(b",")
+                rows[k] = stamp.removesuffix(b"+10:00") + offset + comma + rest
+    return head + b"".join(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_mutations_hit_as_they_parse(tmp_path, monkeypatch, seed):
+    """50 mutated files per seed, each loaded twice: the second load gives
+    the first one's outcome, from the sidecar when the first loaded; a file
+    that fails leaves no sidecar. Each seed's files include some that load
+    and some that fail."""
+    rng = random.Random(seed)
+    path = tmp_path / "d.csv"
+    outcomes = set()
+    for _ in range(50):
+        path.write_bytes(_mutated(rng))
+        want = _parsed_outcome(path)
+        assert di._sidecar_path(path).is_file() == (want[0] == "loaded")
+        parses = _spy(monkeypatch, "_parse_rows")
+        assert _outcome(lambda: di.load_dataset(path)) == want
+        assert len(parses) == (0 if want[0] == "loaded" else 1)
+        monkeypatch.undo()
+        outcomes.add(want[0])
+    assert outcomes == {"loaded", "raised"}
 
 
 def test_non_finite_value_is_raised_before_a_later_decode_error(tmp_path):
@@ -569,24 +671,6 @@ def year_csv(tmp_path_factory):
     return synthetic.generate_market_csv(tmp_path_factory.mktemp("year") / "year.csv", days=366, seed=19)
 
 
-def test_year_corpus_takes_the_stream_reader(year_csv, monkeypatch):
-    """A one-year synthetic corpus never reaches the row reader, and loads
-    to the bits the row reader gives."""
-    monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
-    row_reads = _spy(monkeypatch, "_read_rows")
-    want = _parsed_outcome(year_csv)
-    assert len(row_reads) == 1
-    monkeypatch.undo()
-
-    def refuse(fh, path):
-        raise AssertionError("row reader used")
-
-    monkeypatch.setattr(di, "_read_rows", refuse)
-    streams = _spy(monkeypatch, "_stream_rows")
-    assert _parsed_outcome(year_csv) == want
-    assert len(streams) == 1 and streams[0] is not None
-
-
 def _load_peak(path) -> int:
     tracemalloc.start()
     try:
@@ -596,19 +680,16 @@ def _load_peak(path) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "row-reader"])
-def test_year_corpus_load_memory(year_csv, monkeypatch, streamed):
-    """A load that parses a one-year corpus peaks at 3.62 MB of tracemalloc,
+def test_year_corpus_load_memory(year_csv, monkeypatch):
+    """A load that parses a one-year corpus peaks at 3.68 MB of tracemalloc,
     set after the parse by the channel arrays and condition rows (4.04 MB
     with seven small arrays per day, 4.75 MB while the parsed timestamps
-    stayed alive through those); through the row reader it peaks at 3.68
-    MB. The 7.86 MB peak of a load through the row reader came from an
+    stayed alive through those). The 7.86 MB peak of a parse came from an
     older reader that held a Python list, a float tuple and a datetime per
-    row; holding the values in one flat array, it peaks at 1.93 MB alone."""
+    row; holding the values in one flat array, the parse peaks at 1.93 MB
+    alone."""
     di.load_dataset(year_csv)
     di._sidecar_path(year_csv).unlink()
-    if not streamed:
-        monkeypatch.setattr(di, "_stream_rows", lambda fh: None)
     parses = _spy(monkeypatch, "_parse_rows")
     peak = _load_peak(year_csv)
     assert len(parses) == 1
@@ -790,9 +871,8 @@ def test_named_pipe_is_not_hashed(tmp_path):
 
 
 def test_named_pipe_loads_as_the_regular_file(tmp_path):
-    """A named pipe cannot seek back for the streamed reader's second pass,
-    so it is read once by the row reader: it loads the same dataset as the
-    regular file of the same bytes, and leaves no sidecar."""
+    """A named pipe is read once by the row reader: it loads the same
+    dataset as the regular file of the same bytes, and leaves no sidecar."""
     path = tmp_path / "d.csv"
     path.write_bytes(_lf(LINES))
     want = _parsed_outcome(path)

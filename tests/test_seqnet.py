@@ -466,11 +466,15 @@ def test_sgd_single_step_arithmetic():
 
 
 def test_sgd_rejects_overflowing_update():
+    """A refused update leaves the weights and their ``version`` as they were."""
     params = seqnet.init_params(26, LSTM_DENSE)
+    before, version = params.buffer.tobytes(), params.version
     with pytest.raises(NumericalError, match="after the update"), np.errstate(over="ignore"):
         seqnet.sgd_step(params, np.full(params.n_params, 1e300), 1e10)
+    assert (params.buffer.tobytes(), params.version) == (before, version)
     with pytest.raises(NumericalError, match="gradients"):
         seqnet.sgd_step(params, np.full(params.n_params, np.nan), 0.02)
+    assert (params.buffer.tobytes(), params.version) == (before, version)
 
 
 def test_clamp_invariant_over_many_steps():
