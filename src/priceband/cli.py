@@ -341,7 +341,7 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
         for k in dataset.target_rows[rows]
     ]
 
-    report = metrics.repeated_sampling_harness(
+    summary, day_coverages, day_widths = metrics.repeated_sampling_harness(
         model,
         dataset.conditions[rows],
         dataset.targets[rows],
@@ -353,16 +353,17 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
         xi_target=cfg.xi_target,
         master_seed=derive_seed(cfg.seed, "evaluate"),
     )
-    breakdown = _evaluation_breakdown(report, days)
-    _atomic_write(cfg.out_dir / "metrics_report.json", report.to_json(**breakdown))
-    _print_evaluation_table(report, breakdown)
+    report = {**summary, **_evaluation_breakdown(day_coverages, day_widths, days)}
+    _atomic_write(cfg.out_dir / "metrics_report.json", json.dumps(report, allow_nan=False))
+    _print_evaluation_table(report)
     print(f"report -> {cfg.out_dir}/metrics_report.json")
 
 
-def _evaluation_breakdown(report: metrics.RepeatedSamplingReport, days) -> dict:
-    """Per-day scores of every run and per-season means over runs and days."""
+def _evaluation_breakdown(day_coverages: np.ndarray, day_widths: np.ndarray, days) -> dict:
+    """Per-day scores of every run and per-season means over runs and days,
+    from the ``[runs, D]`` per-day ECPAS and EAWAPI."""
     seasons = [_SEASONS[day.month] for day in days]
-    scores = zip(days, seasons, report.day_coverages.T.tolist(), report.day_widths.T.tolist())
+    scores = zip(days, seasons, day_coverages.T.tolist(), day_widths.T.tolist())
     per_day = [
         {"date": day.isoformat(), "season": season, "ecpas": cov, "eawapi": wid}
         for day, season, cov, wid in scores
@@ -370,28 +371,29 @@ def _evaluation_breakdown(report: metrics.RepeatedSamplingReport, days) -> dict:
     per_season = {}
     for season in sorted(set(seasons)):
         columns = [d for d, name in enumerate(seasons) if name == season]
-        cov = report.day_coverages[:, columns].mean()
-        wid = report.day_widths[:, columns].mean()
+        cov = day_coverages[:, columns].mean()
+        wid = day_widths[:, columns].mean()
         per_season[season] = {"days": len(columns), "ecpas": float(cov), "eawapi": float(wid)}
     return {"days": per_day, "seasons": per_season}
 
 
-def _print_evaluation_table(report: metrics.RepeatedSamplingReport, breakdown: dict) -> None:
+def _print_evaluation_table(report: dict) -> None:
+    """The season rows, the means over runs and the confidence summary of
+    the ``metrics_report.json`` object ``report``."""
     print(f"{'group':<10} {'days':>4} {'ecpas':>8} {'eawapi':>8}")
-    if len(breakdown["seasons"]) > 1:
-        for season, row in breakdown["seasons"].items():
+    if len(report["seasons"]) > 1:
+        for season, row in report["seasons"].items():
             print(f"{season:<10} {row['days']:>4} {row['ecpas']:>8.4f} {row['eawapi']:>8.4f}")
+    coverage, width = (np.mean([run[key] for run in report["runs"]]) for key in ("ecpas", "eawapi"))
+    print(f"{'overall':<10} {len(report['days']):>4} {coverage:>8.4f} {width:>8.4f}")
+    targets = report["targets"]
     print(
-        f"{'overall':<10} {len(breakdown['days']):>4} "
-        f"{np.mean(report.coverages):>8.4f} {np.mean(report.widths):>8.4f}"
+        f"phi(delta'={targets['delta_prime']}) = {report['phi_coverage']:.3f}   "
+        f"phi(xi'={targets['xi_prime']}) = {report['phi_width']:.3f}"
     )
     print(
-        f"phi(delta'={report.delta_target}) = {report.phi_coverage:.3f}   "
-        f"phi(xi'={report.xi_target}) = {report.phi_width:.3f}"
-    )
-    print(
-        f"achieved at 90% confidence: ecpas >= {report.achieved_delta_90:.4f}, "
-        f"eawapi <= {report.achieved_xi_90:.4f}"
+        f"achieved at 90% confidence: ecpas >= {report['achieved_delta_90']:.4f}, "
+        f"eawapi <= {report['achieved_xi_90']:.4f}"
     )
 
 
@@ -424,6 +426,7 @@ def cmd_report(cfg: RunConfig) -> None:
 
     # every input is read and checked before the first file is written
     bounds = _read_interval_bounds(latest)
+    density = _read_density(density_file)
     actuals = dataset.targets[dataset.target_index(day)].tolist()
 
     # spike histogram over the whole dataset, one row per half-hour slot
@@ -436,7 +439,7 @@ def cmd_report(cfg: RunConfig) -> None:
         overlay_rows.append(f"{t},{actuals[t]!r},{lower},{upper}")
     _atomic_write(cfg.out_dir / "interval_overlay.csv", "\n".join(overlay_rows) + "\n")
 
-    _atomic_write(cfg.out_dir / "density_heatmap.json", density_file.read_text(encoding="utf-8"))
+    _atomic_write(cfg.out_dir / "density_heatmap.json", density)
 
     manifest = {
         "source_date": day.isoformat(),
@@ -450,6 +453,20 @@ def cmd_report(cfg: RunConfig) -> None:
     }
     _atomic_write(cfg.out_dir / "report_manifest.json", json.dumps(manifest, sort_keys=True))
     print(f"plot-data bundle -> {cfg.out_dir} ({len(manifest['files'])} files)")
+
+
+def _read_density(path: Path) -> str:
+    """The text of the density file ``predict`` wrote at ``path``. Raises
+    ``InputError`` naming the file unless it is UTF-8 JSON holding an object
+    with ``bin_edges`` and ``mass``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path} ({exc})") from exc
+    density = jsonread.parse(text, str(path), InputError)
+    for key in ("bin_edges", "mass"):
+        density.get(key)  # raises when the key is missing
+    return text
 
 
 def _read_interval_bounds(path: Path) -> list[tuple[str, str]]:

@@ -9,6 +9,14 @@ two comparisons are deliberately asymmetric). The harness also reports the
 achieved-at-90%-confidence values: the largest coverage target met by at
 least 90% of runs and the smallest width target met by at least 90% of runs.
 
+``repeated_sampling_harness`` returns its scores as plain data: a summary
+dict holding, in this order, ``runs`` (``{"s", "ecpas", "eawapi"}`` per run,
+s from 1), ``targets`` (``delta_prime`` and ``xi_prime``), ``phi_coverage``,
+``phi_width``, ``achieved_delta_90`` and ``achieved_xi_90``, then the
+``[runs, D]`` arrays of per-day ECPAS and EAWAPI. ``evaluate`` writes the
+summary as the first keys of ``metrics_report.json``, so a new score is one
+more key of that dict.
+
 The harness predicts its (run, day) requests on the calling thread plus one
 helper thread per further CPU the process may run on. Generation spends its
 time in numpy and BLAS calls that release the GIL, so independent requests
@@ -23,11 +31,9 @@ request order, so the report does not depend on the thread count.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,42 +168,6 @@ def _in_order(request, n: int) -> list:
     return results
 
 
-@dataclass(frozen=True)
-class RepeatedSamplingReport:
-    """Coverage and width per run (``[runs]``) and per run and day
-    (``[runs, D]``), with confidence levels for the supplied targets."""
-
-    coverages: np.ndarray
-    widths: np.ndarray
-    day_coverages: np.ndarray
-    day_widths: np.ndarray
-    delta_target: float
-    xi_target: float
-    phi_coverage: float
-    phi_width: float
-    achieved_delta_90: float
-    achieved_xi_90: float
-
-    def to_json(self, **extra) -> str:
-        """The per-run indicators and the confidence summary, then ``extra``
-        as further top-level keys."""
-        return json.dumps(
-            {
-                "runs": [
-                    {"s": s + 1, "ecpas": c, "eawapi": w}
-                    for s, (c, w) in enumerate(zip(self.coverages.tolist(), self.widths.tolist()))
-                ],
-                "targets": {"delta_prime": self.delta_target, "xi_prime": self.xi_target},
-                "phi_coverage": self.phi_coverage,
-                "phi_width": self.phi_width,
-                "achieved_delta_90": self.achieved_delta_90,
-                "achieved_xi_90": self.achieved_xi_90,
-                **extra,
-            },
-            allow_nan=False,
-        )
-
-
 def repeated_sampling_harness(
     model,
     conditions,
@@ -209,7 +179,7 @@ def repeated_sampling_harness(
     delta_target: float,
     xi_target: float,
     master_seed: int = 0,
-) -> RepeatedSamplingReport:
+) -> tuple[dict, np.ndarray, np.ndarray]:
     """Score ``runs`` repeated predictions over the same D days.
 
     Day d is predicted from the condition row ``conditions[d]`` under the
@@ -218,8 +188,11 @@ def repeated_sampling_harness(
     noise seed stream (the only stochastic element once the model is
     trained). The ``[2, T]`` bounds of all runs stack into one
     ``[runs, D, 2, T]`` block, and a run's coverage and width reduce its
-    whole ``[D, T]`` blocks of lower and upper bounds. The report is
-    reproducible from ``master_seed``.
+    whole ``[D, T]`` blocks of lower and upper bounds.
+
+    Returns the summary, a plain dict in the key order ``metrics_report.json``
+    writes it (see the module docstring), then the ``[runs, D]`` per-day
+    ECPAS and EAWAPI. Everything is reproducible from ``master_seed``.
     """
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
@@ -240,15 +213,15 @@ def repeated_sampling_harness(
     lower, upper = block[:, :, 0], block[:, :, 1]
     coverages = ecpas(actuals, lower, upper, axis=(1, 2))
     widths = eawapi(actuals, lower, upper, axis=(1, 2))
-    return RepeatedSamplingReport(
-        coverages=coverages,
-        widths=widths,
-        day_coverages=ecpas(actuals, lower, upper, axis=2),
-        day_widths=eawapi(actuals, lower, upper, axis=2),
-        delta_target=delta_target,
-        xi_target=xi_target,
-        phi_coverage=confidence_level_ecpas(coverages, delta_target),
-        phi_width=confidence_level_eawapi(widths, xi_target),
-        achieved_delta_90=achieved_coverage_at(coverages),
-        achieved_xi_90=achieved_width_at(widths),
-    )
+    summary = {
+        "runs": [
+            {"s": s + 1, "ecpas": c, "eawapi": w}
+            for s, (c, w) in enumerate(zip(coverages.tolist(), widths.tolist()))
+        ],
+        "targets": {"delta_prime": delta_target, "xi_prime": xi_target},
+        "phi_coverage": confidence_level_ecpas(coverages, delta_target),
+        "phi_width": confidence_level_eawapi(widths, xi_target),
+        "achieved_delta_90": achieved_coverage_at(coverages),
+        "achieved_xi_90": achieved_width_at(widths),
+    }
+    return summary, ecpas(actuals, lower, upper, axis=2), eawapi(actuals, lower, upper, axis=2)

@@ -487,6 +487,34 @@ def test_report_refuses_a_malformed_interval_file(
     assert sorted(out.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff" + b'{"bin_edges": [], "mass": []}', "error: cannot read {path} ('utf-8' codec can't decode"),
+        (b"not json", "error: {path}: not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (b'{"bin_edges": [0.0, 1.0]}', "error: {path} mass: missing"),
+    ],
+    ids=["invalid-utf8", "not-json", "no-mass"],
+)
+def test_report_refuses_a_malformed_density_file(
+    workspace, predicted_out, tmp_path, capsys, content, message
+):
+    """A density file that is not a UTF-8 JSON object with bin_edges and
+    mass fails report with one error naming it, before any file of the
+    bundle is written."""
+    source, day = predicted_out
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    density = out / f"density_{day}.json"
+    density.write_bytes(content)
+    before = sorted(out.iterdir())
+    capsys.readouterr()
+    assert cli.main(["report", "--config", _config_in(workspace, tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message.format(path=density)), err
+    assert sorted(out.iterdir()) == before
+
+
 def test_report_missing_artifacts(tmp_path, capsys):
     synthetic.generate_market_csv(tmp_path / "toy.csv", days=3, seed=2)
     cfg = tmp_path / "cfg.json"
@@ -720,6 +748,24 @@ def test_evaluate_writes_day_and_season_breakdown(workspace, capsys):
     assert {s: row["days"] for s, row in payload["seasons"].items()} == {"autumn": 2, "summer": 3}
     season_lines = [line.split()[:2] for line in out.splitlines() if line.split()[:1] in (["autumn"], ["summer"])]
     assert season_lines == [["autumn", "2"], ["summer", "3"]]
+
+    # every printed number is the report's value at the printed precision
+    lines = out.splitlines()
+    assert lines[0].split() == ["group", "days", "ecpas", "eawapi"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:4]}
+    for season, row in payload["seasons"].items():
+        assert rows[season] == [str(row["days"]), f"{row['ecpas']:.4f}", f"{row['eawapi']:.4f}"]
+    means = [np.mean([run[key] for run in payload["runs"]]) for key in ("ecpas", "eawapi")]
+    assert rows["overall"] == ["5", *(f"{mean:.4f}" for mean in means)]
+    targets = payload["targets"]
+    assert lines[4] == (
+        f"phi(delta'={targets['delta_prime']}) = {payload['phi_coverage']:.3f}   "
+        f"phi(xi'={targets['xi_prime']}) = {payload['phi_width']:.3f}"
+    )
+    assert lines[5] == (
+        f"achieved at 90% confidence: ecpas >= {payload['achieved_delta_90']:.4f}, "
+        f"eawapi <= {payload['achieved_xi_90']:.4f}"
+    )
 
 
 def test_day_after_a_dropped_day_is_named(workspace, tmp_path, capsys):

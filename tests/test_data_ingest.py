@@ -385,7 +385,9 @@ def test_mixed_utc_offsets_rejected(tmp_path):
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[-2] = lines[-2].replace(",", "+10:00,", 1)
     path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(InputError, match="mixes UTC offsets"):
+    with pytest.raises(
+        MalformedRow, match="^malformed row at line 49: UTC offset 10:00:00 differs from the first row's None$"
+    ):
         di.load_dataset(path)
 
 
@@ -509,7 +511,27 @@ PARITY = {
     "utc-offset": (_lf(_utc_offsets(LINES, lambda k: "+10:00")), _lf(LINES)),
     "mixed-utc-offsets": (
         _lf(_utc_offsets(LINES, lambda k: "+10:00" if k < 100 else "+11:00")),
-        (InputError, "{path} mixes UTC offsets ['10:00:00', '11:00:00']", None),
+        (MalformedRow, "malformed row at line 102: UTC offset 11:00:00 differs from the first row's 10:00:00", 102),
+    ),
+    "one-utc-offset-in-a-naive-file": (
+        _lf(_utc_offsets(LINES, lambda k: "+10:00" if k == 38 else "")),
+        (MalformedRow, "malformed row at line 40: UTC offset 10:00:00 differs from the first row's None", 40),
+    ),
+    "repeated-timestamp": (
+        _lf(_with_field(LINES, 19, 0, LINES[18].split(",")[0])),
+        (
+            MalformedRow,
+            "malformed row at line 20: timestamp 2021-03-01 08:30:00 does not follow 2021-03-01 08:30:00",
+            20,
+        ),
+    ),
+    "back-in-time-before-a-bad-price": (
+        _lf(_with_field(_with_field(LINES, 4, 0, "2021-03-01T00:30:00"), 99, 1, "x")),
+        (
+            MalformedRow,
+            "malformed row at line 5: timestamp 2021-03-01 00:30:00 does not follow 2021-03-01 01:00:00",
+            5,
+        ),
     ),
     "bad-utf8": (
         _after_line(_lf(LINES), 1, b"\xff"),

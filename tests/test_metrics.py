@@ -197,23 +197,23 @@ def test_harness_reproducible(mini_model, toy_dataset, toy_thresholds):
     kwargs = dict(
         runs=3, count=30, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=77
     )
-    a = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
-    b = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
-    assert a.to_json() == b.to_json()
-    payload = json.loads(a.to_json())
-    assert len(payload["runs"]) == 3
-    assert payload["runs"][0]["s"] == 1
+    summary, *per_day = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
+    again, *per_day_again = metrics.repeated_sampling_harness(mini_model, *days, **kwargs)
+    assert json.dumps(summary) == json.dumps(again)
+    assert all(np.array_equal(a, b) for a, b in zip(per_day, per_day_again))
+    assert len(summary["runs"]) == 3
+    assert summary["runs"][0]["s"] == 1
 
 
 def test_harness_single_run_valid(mini_model, toy_dataset, toy_thresholds):
     days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
-    report = metrics.repeated_sampling_harness(
+    summary, _, _ = metrics.repeated_sampling_harness(
         mini_model, *days,
         runs=1, count=25, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=1,
     )
-    assert report.phi_coverage in (0.0, 1.0)
-    assert report.phi_width in (0.0, 1.0)
-    assert len(report.coverages) == 1
+    assert summary["phi_coverage"] in (0.0, 1.0)
+    assert summary["phi_width"] in (0.0, 1.0)
+    assert len(summary["runs"]) == 1
 
 
 def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thresholds):
@@ -227,15 +227,16 @@ def test_harness_degenerate_generator_gives_identical_runs(toy_dataset, toy_thre
         net = getattr(model, role)
         net.buffer[...] = 0.0
     model.training_flags = {k: True for k in model.training_flags}
-    report = metrics.repeated_sampling_harness(
+    summary, _, _ = metrics.repeated_sampling_harness(
         model, *days,
         runs=4, count=20, nominal=0.9, delta_target=0.5, xi_target=0.5, master_seed=2,
     )
-    assert len(set(report.coverages)) == 1
-    assert len(set(report.widths)) == 1
-    delta = report.coverages[0]
-    assert metrics.confidence_level_ecpas(report.coverages, delta) == 1.0
-    assert metrics.confidence_level_ecpas(report.coverages, delta + 1e-9) == 0.0
+    coverages = [run["ecpas"] for run in summary["runs"]]
+    assert len(set(coverages)) == 1
+    assert len({run["eawapi"] for run in summary["runs"]}) == 1
+    delta = coverages[0]
+    assert metrics.confidence_level_ecpas(coverages, delta) == 1.0
+    assert metrics.confidence_level_ecpas(coverages, delta + 1e-9) == 0.0
 
 
 def test_harness_requires_runs_and_days(mini_model, toy_dataset, toy_thresholds):
@@ -254,15 +255,15 @@ def test_harness_requires_runs_and_days(mini_model, toy_dataset, toy_thresholds)
 
 def test_report_json_schema(mini_model, toy_dataset, toy_thresholds):
     days = eval_days_from(toy_dataset, toy_thresholds, 0, 2)
-    report = metrics.repeated_sampling_harness(
+    summary, _, _ = metrics.repeated_sampling_harness(
         mini_model, *days,
         runs=2, count=25, nominal=0.9, delta_target=0.9, xi_target=0.25, master_seed=3,
     )
-    payload = json.loads(report.to_json())
-    assert set(payload) == {
+    payload = json.loads(json.dumps(summary, allow_nan=False))
+    assert list(payload) == [
         "runs", "targets", "phi_coverage", "phi_width",
         "achieved_delta_90", "achieved_xi_90",
-    }
+    ]
     assert set(payload["targets"]) == {"delta_prime", "xi_prime"}
     assert all(set(r) == {"s", "ecpas", "eawapi"} for r in payload["runs"])
 
@@ -294,19 +295,21 @@ def serial_bounds(model, conditions, sigmas, runs, count, nominal, master_seed):
 
 
 def assert_matches_serial(report, model, days, runs):
+    summary, day_coverages, day_widths = report
     conditions, actuals, sigmas = days
     kwargs = {k: HARNESS_KWARGS[k] for k in ("count", "nominal", "master_seed")}
     lower, upper = serial_bounds(model, conditions, sigmas, runs, **kwargs)
-    assert np.array_equal(report.coverages, metrics.ecpas(actuals, lower, upper, axis=(1, 2)))
-    assert np.array_equal(report.widths, metrics.eawapi(actuals, lower, upper, axis=(1, 2)))
-    assert np.array_equal(report.day_coverages, metrics.ecpas(actuals, lower, upper, axis=2))
-    assert np.array_equal(report.day_widths, metrics.eawapi(actuals, lower, upper, axis=2))
+    for key, score in (("ecpas", metrics.ecpas), ("eawapi", metrics.eawapi)):
+        per_run = [run[key] for run in summary["runs"]]
+        assert per_run == score(actuals, lower, upper, axis=(1, 2)).tolist()
+    assert np.array_equal(day_coverages, metrics.ecpas(actuals, lower, upper, axis=2))
+    assert np.array_equal(day_widths, metrics.eawapi(actuals, lower, upper, axis=2))
 
 
 def test_harness_equals_serial_predictions(mini_model, toy_dataset):
     days = four_days_one_reinforced(toy_dataset)
     report = metrics.repeated_sampling_harness(mini_model, *days, runs=3, **HARNESS_KWARGS)
-    assert report.day_coverages.shape == (3, 4)
+    assert report[1].shape == report[2].shape == (3, 4)
     assert_matches_serial(report, mini_model, days, runs=3)
 
 
@@ -337,8 +340,10 @@ def test_harness_runs_requests_at_the_same_time(mini_model, toy_dataset, monkeyp
     monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
     monkeypatch.setattr(metrics, "predict_pipeline", meet_then_predict)
     days = four_days_one_reinforced(toy_dataset)
-    report = metrics.repeated_sampling_harness(mini_model, *days, runs=2, **HARNESS_KWARGS)
-    assert report.day_coverages.shape == (2, 4)
+    _, day_coverages, _ = metrics.repeated_sampling_harness(
+        mini_model, *days, runs=2, **HARNESS_KWARGS
+    )
+    assert day_coverages.shape == (2, 4)
 
 
 def request_seeds(runs, days, master_seed=HARNESS_KWARGS["master_seed"]):
