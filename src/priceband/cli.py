@@ -8,8 +8,9 @@ Grammar::
 
 Configuration lives in one JSON file; command-line flags win over config
 values. Every command is deterministic given the master seed: rerunning with
-identical inputs produces byte-identical artifacts. ``PRICEBAND_LOG`` sets
-the log level (DEBUG/INFO/WARNING).
+identical inputs produces byte-identical artifacts, each written through
+``data_ingest.replaced``. Bad input, and a write the filesystem refuses,
+end a command in one ``error: ...`` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -47,8 +47,6 @@ from .weather_volatility import (
     noise_sigma,
     spike_histogram,
 )
-
-log = logging.getLogger("priceband")
 
 # Southern-hemisphere seasons; the spike-prone summers span December-February.
 _SEASONS = {
@@ -123,8 +121,10 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
     try:
         with open(path, encoding="utf-8") as fh:
             config = jsonread.Node(json.load(fh), "config", InputError)
-    except (OSError, ValueError, RecursionError) as exc:
+    except OSError as exc:
         raise InputError(f"required artifact missing: config file {path} ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes included
+        raise InputError(f"config file {path}: not JSON ({exc})") from exc
     sections = {"training": list(dataclasses.fields(ctsgan.TrainingConfig))}
     for f in dataclasses.fields(RunConfig):
         if "section" in f.metadata:
@@ -149,10 +149,8 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> RunCon
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with data_ingest.replaced(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _load_dataset(cfg: RunConfig) -> data_ingest.Dataset:
@@ -220,7 +218,6 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> None:
     kept = []
     if resume and cfg.checkpoint.exists():
         model = ctsgan.load_model(cfg.checkpoint)
-        log.info("resuming from %s with flags %s", cfg.checkpoint, model.training_flags)
         for key in ("hidden_dim", "latent_dim"):
             if getattr(model, key) != getattr(cfg.training, key):
                 raise InputError(
@@ -269,7 +266,6 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
 
     if cfg.variance_override is not None:
         variances = cfg.variance_override
-        log.info("using variance override %s", variances)
     else:
         day_row = dataset.target_rows[row]
         variances = {f: v[day_row] for f, v in factor_variances(dataset).items()}
@@ -457,15 +453,28 @@ def cmd_report(cfg: RunConfig) -> None:
 
 def _read_density(path: Path) -> str:
     """The text of the density file ``predict`` wrote at ``path``. Raises
-    ``InputError`` naming the file unless it is UTF-8 JSON holding an object
-    with ``bin_edges`` and ``mass``."""
+    ``InputError`` naming the file and key path unless it is UTF-8 JSON
+    holding an object with ``bin_edges``, at least 3 finite numbers in
+    strictly increasing order, and ``mass``, 48 lists of one finite number
+    per bin."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path} ({exc})") from exc
     density = jsonread.parse(text, str(path), InputError)
-    for key in ("bin_edges", "mass"):
-        density.get(key)  # raises when the key is missing
+    edges, mass = density["bin_edges"], density["mass"]
+    nodes = edges.items()
+    values = [node.number() for node in nodes]
+    if len(values) < 3:
+        edges.fail(f"expected at least 3 edges, got {len(values)}")
+    for node, low, value in zip(nodes[1:], values, values[1:]):
+        if value <= low:
+            node.fail(f"expected an edge above {low!r}, got {value!r}")
+    rows = mass.items()
+    if len(rows) != data_ingest.HALF_HOURS_PER_DAY:
+        mass.fail(f"expected {data_ingest.HALF_HOURS_PER_DAY} rows, got {len(rows)}")
+    for row in rows:
+        row.numbers(len(values) - 1)
     return text
 
 
@@ -538,10 +547,6 @@ def _parse_date(flag: str, value: str) -> date_type:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PRICEBAND_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
@@ -560,7 +565,7 @@ def main(argv=None) -> int:
             cmd_evaluate(cfg, _parse_date("--from", args.date_from), _parse_date("--to", args.date_to))
         else:
             cmd_report(cfg)
-    except PricebandError as exc:
+    except (PricebandError, OSError) as exc:  # OSError: a write the filesystem refused
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

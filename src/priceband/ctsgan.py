@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonread
-from .data_ingest import HALF_HOURS_PER_DAY
+from .data_ingest import HALF_HOURS_PER_DAY, replaced
 from .errors import CheckpointError, InputError, NumericalError, StateError
 from .seeding import derive_seed
 from .seqnet import (
@@ -614,7 +613,10 @@ def save_model(model: CTSGANModel, path) -> None:
     The file is the text of ``json.dumps(payload, allow_nan=False)``, written
     in pieces: ``json`` encodes the small fields, and each network's base64
     bytes go straight from ``base64.b64encode`` into the file (base64 needs
-    no JSON escaping), so no copy of the weights as text is held.
+    no JSON escaping), so no copy of the weights as text is held. The bytes
+    go through ``data_ingest.replaced``: the checkpoint's directory is made,
+    ``<name>.<pid>.tmp`` beside ``path`` is moved over it, and a failed save
+    raises ``OSError`` and leaves the old file and no tmp file.
     """
     dims = {"condition_dim": model.condition_dim, "hidden_dim": model.hidden_dim,
             "latent_dim": model.latent_dim}
@@ -629,15 +631,13 @@ def save_model(model: CTSGANModel, path) -> None:
         "training_flags": model.training_flags,
         "adversarial_report": model.adversarial_report,
     }, allow_nan=False)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with replaced(path) as fh:
         fh.write(f'{head[:-1]}, "networks": {{'.encode("ascii"))
         for k, role in enumerate(_network_specs(**dims)):
             fh.write(f'{", " if k else ""}{json.dumps(role)}: "'.encode("ascii"))
             fh.write(base64.b64encode(getattr(model, role).buffer.astype("<f8", copy=False)))
             fh.write(b'"')
         fh.write(f"}}, {tail[1:]}".encode("ascii"))
-    os.replace(tmp, path)
 
 
 def _network_from_payload(weights: jsonread.Node, specs) -> NetworkParams:

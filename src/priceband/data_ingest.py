@@ -23,9 +23,13 @@ parsing; any other sidecar (another digest or format, a wrong size,
 non-finite values, minutes that do not strictly increase) is ignored and
 replaced after the parse. Hit and parse derive the dataset in one function,
 so they give the same bits. The sidecar is written only when the file's
-bytes are unchanged after the parse, through a tmp file moved into place;
-when its directory cannot be written the load goes on without it, and
-deleting it is always safe.
+bytes are unchanged after the parse, through ``replaced``; when its
+directory cannot be written the load goes on without it, and deleting it is
+always safe.
+
+``replaced`` is the package's one way to write a file: the sidecar, the
+checkpoint and every CLI artifact go to a tmp file beside the target that
+is moved over it whole, or deleted when the write fails.
 """
 
 from __future__ import annotations
@@ -380,22 +384,34 @@ def _read_sidecar(path, digest: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     )
 
 
-def _write_sidecar(path, digest: bytes, minutes: np.ndarray, values: np.ndarray) -> None:
-    """Store the rows parsed from the bytes hashed to ``digest`` beside
-    ``path``: a per-process tmp file moved into place, so a reader sees a
-    whole sidecar or none. When the directory cannot be written, the load
-    goes on without one and leaves no tmp file."""
-    sidecar = _sidecar_path(path)
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+@contextlib.contextmanager
+def replaced(path):
+    """A binary file that replaces ``path`` when the block ends: the
+    directory is made, the bytes go to ``<name>.<pid>.tmp`` beside ``path``,
+    and one rename moves it over ``path``, so a reader sees the old file or
+    the whole new one. On any exception the tmp file is deleted and the
+    exception raised again."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC + digest + len(minutes).to_bytes(8, "little"))
-            minutes.astype(_MINUTE_DTYPE, copy=False).tofile(fh)
-            values.astype(_VALUE_DTYPE, copy=False).tofile(fh)
-        os.replace(tmp, sidecar)
-    except OSError:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        raise
+
+
+def _write_sidecar(path, digest: bytes, minutes: np.ndarray, values: np.ndarray) -> None:
+    """Store the rows parsed from the bytes hashed to ``digest`` beside
+    ``path`` through ``replaced``, so a reader sees a whole sidecar or none.
+    When the directory cannot be written, the load goes on without one."""
+    with contextlib.suppress(OSError), replaced(_sidecar_path(path)) as fh:
+        fh.write(_CACHE_MAGIC + digest + len(minutes).to_bytes(8, "little"))
+        minutes.astype(_MINUTE_DTYPE, copy=False).tofile(fh)
+        values.astype(_VALUE_DTYPE, copy=False).tofile(fh)
 
 
 def _parse_minutes(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Typed reads of parsed JSON, the one place that checks a JSON input's types.
 
-The config, ``thresholds.json``, ``model.json`` and ``training_log.jsonl``
-lines read every value through a ``Node``; nothing is converted from another
-type (README, "JSON inputs"). A value of another type raises the file's
-error class as ``<file> <key path>: expected <what>, got <value>``.
+The config, ``thresholds.json``, ``model.json``, ``training_log.jsonl``
+lines and the ``density_<date>.json`` that ``report`` copies read every
+value through a ``Node``; nothing is converted from another type (README,
+"JSON inputs"). A value of another type raises the file's error class as
+``<file> <key path>: expected <what>, got <value>``.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ class Node:
     def string(self) -> str:
         return self._check(type(self.value) is str, "a string")
 
+    def items(self) -> list["Node"]:
+        """The members of a JSON list of any length."""
+        members = self._check(type(self.value) is list, "a list")
+        return [Node(v, self.name, self.error, f"{self.path}[{k}]") for k, v in enumerate(members)]
+
     def numbers(self, n: int) -> list[float]:
         """A list of exactly ``n`` finite JSON numbers, as floats."""
-        ok = type(self.value) is list and len(self.value) == n
-        items = self._check(ok, f"a list of {n} numbers")
-        return [Node(v, self.name, self.error, f"{self.path}[{k}]").number()
-                for k, v in enumerate(items)]
+        self._check(type(self.value) is list and len(self.value) == n, f"a list of {n} numbers")
+        return [item.number() for item in self.items()]

@@ -487,21 +487,39 @@ def test_report_refuses_a_malformed_interval_file(
     assert sorted(out.iterdir()) == before
 
 
+def _density(edges, mass) -> bytes:
+    return json.dumps({"bin_edges": edges, "mass": mass}).encode("utf-8")
+
+
+_MASS = [[0.5, 0.5]] * 48  # two bins on each of the 48 half-hours
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         (b"\xff" + b'{"bin_edges": [], "mass": []}', "error: cannot read {path} ('utf-8' codec can't decode"),
         (b"not json", "error: {path}: not JSON (Expecting value: line 1 column 1 (char 0))"),
         (b'{"bin_edges": [0.0, 1.0]}', "error: {path} mass: missing"),
+        (_density(1, _MASS), "error: {path} bin_edges: expected a list, got 1"),
+        (_density([0.0, 0.5, 1.0], None), "error: {path} mass: expected a list, got null"),
+        (_density([0.0, 0.5, 1.0], _MASS[1:]), "error: {path} mass: expected 48 rows, got 47"),
+        (_density([0.0, 0.5, 1.0], _MASS[1:] + [[1.0]]),
+         "error: {path} mass[47]: expected a list of 2 numbers, got [1.0]"),
+        (_density([0.0, 0.5, 0.5], _MASS), "error: {path} bin_edges[2]: expected an edge above 0.5, got 0.5"),
+        (_density([0.0, 1.0], [[1.0]] * 48), "error: {path} bin_edges: expected at least 3 edges, got 2"),
     ],
-    ids=["invalid-utf8", "not-json", "no-mass"],
+    ids=[
+        "invalid-utf8", "not-json", "no-mass", "edges-not-a-list", "mass-null", "47-mass-rows",
+        "row-a-value-short", "edges-not-increasing", "two-edges",
+    ],
 )
 def test_report_refuses_a_malformed_density_file(
     workspace, predicted_out, tmp_path, capsys, content, message
 ):
-    """A density file that is not a UTF-8 JSON object with bin_edges and
-    mass fails report with one error naming it, before any file of the
-    bundle is written."""
+    """A density file that is not a UTF-8 JSON object with at least 3
+    increasing bin_edges and 48 mass rows of one number per bin fails report
+    with one error naming it and the key path, before any file of the bundle
+    is written."""
     source, day = predicted_out
     out = tmp_path / "out"
     shutil.copytree(source, out)
@@ -673,6 +691,30 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"seed": 1,', "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"),
+        ('\ufeff{"seed": 1}'.encode("utf-8"),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'\xff{"seed": 1}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["truncated", "utf8-bom", "invalid-utf8"],
+)
+def test_config_that_is_not_json_is_named(tmp_path, capsys, content, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert cli.main(["calibrate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: config file {cfg}: not JSON ({reason})\n"
+
+
+def test_missing_config_is_a_missing_artifact(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["calibrate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: required artifact missing: config file {cfg} (") and err.count("\n") == 1
+
+
 def test_config_training_seed_is_ignored(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 4, "training": {"seed": 9}}), encoding="utf-8")
@@ -840,7 +882,7 @@ def test_benchmark_tracer_reads_every_hook_on_a_cli_chain(workspace, tmp_path):
 
 
 def test_resume_after_a_crash_before_the_checkpoint_logs_each_phase_once(
-    workspace, tmp_path, monkeypatch
+    workspace, tmp_path, monkeypatch, capsys
 ):
     """train writes a phase's log lines before its checkpoint. When the save
     after phase 2 fails, --resume reruns phase 2, keeps only phase 1's lines
@@ -860,8 +902,9 @@ def test_resume_after_a_crash_before_the_checkpoint_logs_each_phase_once(
         save_model(model, path)
 
     monkeypatch.setattr(ctsgan, "save_model", save_once)
-    with pytest.raises(OSError, match="disk full"):
-        cli.main(["train", "--config", str(cfg)])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     log_path = tmp_path / "training_log.jsonl"
     phases = [json.loads(line)["phase"] for line in log_path.read_text(encoding="utf-8").splitlines()]
     assert phases == [1] * 80 + [2] * 80
@@ -874,6 +917,66 @@ def test_resume_after_a_crash_before_the_checkpoint_logs_each_phase_once(
     ]
     for name in ("training_log.jsonl", "model.json"):
         assert (tmp_path / name).read_bytes() == (workspace["out"] / name).read_bytes(), name
+
+
+# --- writes the filesystem refuses ------------------------------------------------------------
+
+def _config_out(workspace, tmp_path, training=(), **paths):
+    """The workspace config writing to ``tmp_path / "out"``, with thresholds
+    at their default there, ``paths`` set and ``training`` settings
+    replaced."""
+    raw = json.loads(workspace["cfg"].read_text(encoding="utf-8"))
+    del raw["paths"]["thresholds"]
+    raw["paths"].update(out_dir=str(tmp_path / "out"), **paths)
+    raw["training"].update(training)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "predict"])
+def test_refused_artifact_write_is_one_error_line(workspace, tmp_path, capsys, command):
+    """An artifact whose path is a directory ends the command in one error
+    line naming the file, and leaves no tmp file in the out dir."""
+    day = workspace["calm_date"].isoformat()
+    out = tmp_path / "out"
+    if command == "calibrate":
+        cfg, flags, blocked = _config_out(workspace, tmp_path), [], out / "thresholds.json"
+    else:
+        cfg = _config_out(workspace, tmp_path, thresholds=str(workspace["out"] / "thresholds.json"))
+        flags, blocked = ["--date", day], out / f"interval_{day}.csv"
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg, *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(blocked) in err[0], err
+    assert [p.name for p in out.iterdir()] == [blocked.name]
+
+
+def test_train_makes_a_missing_checkpoint_directory(workspace, tmp_path):
+    checkpoint = tmp_path / "models" / "run1" / "model.json"
+    cfg = _config_out(
+        workspace, tmp_path, training={"iterations_per_phase": 2}, checkpoint=str(checkpoint)
+    )
+    assert cli.main(["train", "--config", cfg]) == 0
+    assert ctsgan.load_model(checkpoint).is_trained
+    assert [p.name for p in checkpoint.parent.iterdir()] == ["model.json"]
+
+
+def test_priceband_log_changes_nothing(workspace, tmp_path):
+    """The environment variable that once set a log level is not read: a
+    calibrate with ``PRICEBAND_LOG=verbose`` exits and prints as one
+    without it."""
+    cfg = _config_out(workspace, tmp_path)
+    plain, verbose = (
+        subprocess.run(
+            [sys.executable, "-m", "priceband.cli", "calibrate", "--config", cfg],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        for env in (_fresh_env(), _fresh_env(PRICEBAND_LOG="verbose"))
+    )
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (verbose.returncode, verbose.stdout, verbose.stderr) == (0, plain.stdout, "")
 
 
 # --- one BLAS thread unless the environment names a count --------------------------------------

@@ -549,6 +549,15 @@ def test_model_round_trip_generates_identically(tmp_path):
     assert loaded.latent_autocorr == model.latent_autocorr
 
 
+def test_save_onto_a_directory_raises_and_leaves_no_tmp_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.mkdir()
+    with pytest.raises(OSError):
+        ctsgan.save_model(small_model(), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert path.is_dir()
+
+
 def test_model_truncated_checkpoint(tmp_path):
     model = train_all(small_model(), toy_days(), iters=10)
     path = tmp_path / "model.json"

@@ -3,9 +3,10 @@ modules of ``priceband`` import each other without a cycle, importing the
 CLI loads no ``scipy`` module and starts no thread, only the CLI turns
 weather volatility into a noise sigma, only ``ctsgan`` knows the model
 file's format, only ``jsonread`` checks the type of a parsed JSON value,
-every entry point the benchmark's tracer wraps and every module attribute
-its workloads read exists, and every public function and class is named
-outside its own definition."""
+every file is written through ``data_ingest.replaced``, every entry point
+the benchmark's tracer wraps and every module attribute its workloads read
+exists, and every public function and class is named outside its own
+definition."""
 
 from __future__ import annotations
 
@@ -166,6 +167,42 @@ def test_only_jsonread_checks_json_value_types():
     assert found.pop("jsonread")
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert _package_imports(modules["jsonread"], modules) == {"errors"}
+
+
+def _writes(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(function, what)`` for each call that replaces or opens a
+    file for writing: ``os.replace``, ``write_text``, ``write_bytes``, and
+    ``open(path, mode)`` or ``path.open(mode)`` with ``w``, ``a`` or ``x`` in
+    the mode; ``function`` is the top-level definition holding the call."""
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, chain = node.func, _attribute_chain(node.func)
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if chain == ("os", "replace") or name in ("write_text", "write_bytes"):
+                found.append((where, "os.replace" if name == "replace" else name))
+            elif name == "open" and chain != ("os", "open"):
+                modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes += [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax") for m in modes):
+                    found.append((where, "open"))
+    return found
+
+
+def test_every_file_is_written_through_replaced():
+    """``data_ingest.replaced`` is the one call of ``os.replace`` and the one
+    open for writing, so every checkpoint, artifact and sidecar is moved
+    into place whole and leaves no tmp file when it fails;
+    ``synthetic.generate_market_csv`` writes the test and demo corpora."""
+    found = {(name, *write) for name, tree in _modules().items() for write in _writes(tree)}
+    assert found == {
+        ("data_ingest", "replaced", "os.replace"),
+        ("data_ingest", "replaced", "open"),
+        ("synthetic", "generate_market_csv", "open"),
+    }
 
 
 def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:
