@@ -66,8 +66,8 @@ def _path(node: jsonread.Node) -> Path:
 
 
 def _variance_override(node: jsonread.Node) -> dict[str, float] | None:
-    """``null``, or a number per volatility factor (other keys are ignored)."""
-    return None if node.value is None else {factor: node[factor].number() for factor in FACTORS}
+    """``null``, or a number >= 0 per volatility factor (other keys are ignored)."""
+    return None if node.value is None else {factor: node[factor].number(0.0) for factor in FACTORS}
 
 
 _READS = {int: jsonread.Node.integer, float: jsonread.Node.number}
@@ -264,12 +264,10 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
     thresholds = _load_thresholds(cfg.thresholds)
     row = dataset.target_index(day)
 
-    if cfg.variance_override is not None:
-        variances = cfg.variance_override
+    if cfg.variance_override is None:
+        sigma = noise_sigma(factor_variances(dataset), thresholds)[dataset.target_rows[row]]
     else:
-        day_row = dataset.target_rows[row]
-        variances = {f: v[day_row] for f, v in factor_variances(dataset).items()}
-    sigma = noise_sigma(variances, thresholds)
+        sigma = noise_sigma(cfg.variance_override, thresholds)
 
     bounds, scenarios = predict_pipeline(
         model,
@@ -280,15 +278,16 @@ def cmd_predict(cfg: RunConfig, day: date_type) -> None:
         seed=derive_seed(cfg.seed, f"predict-{day.isoformat()}"),
     )
     print(f"sigma={sigma:.3f} reinforced={'true' if sigma > 1 else 'false'}")
-    # every artifact is computed before the first is written, so a failure
+    # every artifact is computed before the first is written, and the
+    # interval, the file report selects by, is written last: a failure
     # leaves no interval without its density
     edges, mass = stack_density(scenarios, cfg.bins)
     density = json.dumps({"bin_edges": edges.tolist(), "mass": mass.tolist()}, allow_nan=False)
 
     tag = day.isoformat()
-    _write_interval_csv(cfg.out_dir / f"interval_{tag}.csv", bounds, dataset.norm["price"])
     _atomic_write(cfg.out_dir / f"density_{tag}.json", density)
     _write_scenarios_csv(cfg.out_dir / f"scenarios_{tag}.csv", scenarios, cfg.scenarios)
+    _write_interval_csv(cfg.out_dir / f"interval_{tag}.csv", bounds, dataset.norm["price"])
     print(f"artifacts -> {cfg.out_dir}/interval_{tag}.csv, density_{tag}.json, scenarios_{tag}.csv")
 
 
@@ -331,11 +330,7 @@ def cmd_evaluate(cfg: RunConfig, start: date_type, end: date_type) -> None:
     if not days:
         raise InputError(f"no days between {start} and {end}")
     rows = [dataset.target_index(day) for day in days]
-    variances = factor_variances(dataset)
-    sigmas = [
-        noise_sigma({f: v[k] for f, v in variances.items()}, thresholds)
-        for k in dataset.target_rows[rows]
-    ]
+    sigmas = noise_sigma(factor_variances(dataset), thresholds)[dataset.target_rows[rows]]
 
     summary, day_coverages, day_widths = metrics.repeated_sampling_harness(
         model,

@@ -8,7 +8,8 @@ one row of ``mass`` per timestep: the ``bins + 1`` equal-width edges on
 ``[2, T]`` array of symmetric empirical quantiles, lower bounds in row 0
 and upper bounds in row 1, with linear interpolation between order
 statistics. The caller decides a day's noise sigma
-(``weather_volatility.noise_sigma``); on a reinforced day (sigma > 1) the
+(``weather_volatility.noise_sigma``, which gives one day's sigma or every
+day's in one call); on a reinforced day (sigma > 1) the
 baseline rows and the wide-noise rows are stacked into one matrix, so the
 afternoon spike window picks up extra spread.
 """

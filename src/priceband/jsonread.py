@@ -63,13 +63,14 @@ class Node:
         return members
 
     def number(self, low: float = -math.inf, high: float = math.inf) -> float:
-        """A finite JSON number from ``low`` to ``high`` inclusive, as a float."""
+        """A finite JSON number from ``low`` to ``high`` inclusive, as a float;
+        the error names the bounds when ``low`` is finite."""
         value = self.value
         if type(value) is int:  # compared exactly: no int up to the max overflows
             value = float(value) if abs(value) <= sys.float_info.max else math.inf
         ok = type(value) is float and math.isfinite(value) and low <= value <= high
-        bounded = math.isfinite(low) and math.isfinite(high)
-        self._check(ok, "a finite number" + (f" in [{low:g}, {high:g}]" if bounded else ""))
+        bound = f" in [{low:g}, {high:g}]" if math.isfinite(high) else f" >= {low:g}"
+        self._check(ok, "a finite number" + (bound if math.isfinite(low) else ""))
         return value
 
     def integer(self, minimum: int | None = None) -> int:

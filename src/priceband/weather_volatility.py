@@ -4,10 +4,12 @@ A factor's daily variance (computed on normalized values) is banded by the
 factor's row of a ``[3 factors, 3 cuts]`` threshold array into a level 0-3
 (Normal/Low/Medium/High), the number of cuts at or below it. Each level adds
 ``LEVEL_INCREMENTS[level]`` to the reinforced-noise standard deviation,
-summed over factors and floored at 1; ``noise_sigma`` takes a day's
-variances to its sigma in one call. Half-hour index ranges: 12:00-19:00 is
-``range(24, 39)`` (temperature and wind); irradiance stops at 17:00,
-``range(24, 35)``, because there is little light after that.
+summed over factors and floored at 1. The rule runs elementwise:
+``noise_sigma`` takes one day's variances to its sigma, and the ``[days]``
+arrays of ``factor_variances`` to every day's sigma, in one call.
+Half-hour index ranges: 12:00-19:00 is ``range(24, 39)`` (temperature and
+wind); irradiance stops at 17:00, ``range(24, 35)``, because there is
+little light after that.
 """
 
 from __future__ import annotations
@@ -24,14 +26,10 @@ from .errors import InputError
 
 FACTORS = ("temperature", "irradiance", "wind")
 
-TEMPERATURE_WINDOW = range(24, 39)
-IRRADIANCE_WINDOW = range(24, 35)
-WIND_WINDOW = range(24, 39)
-
 FACTOR_WINDOWS = {
-    "temperature": TEMPERATURE_WINDOW,
-    "irradiance": IRRADIANCE_WINDOW,
-    "wind": WIND_WINDOW,
+    "temperature": range(24, 39),
+    "irradiance": range(24, 35),
+    "wind": range(24, 39),
 }
 
 # Dataset channel behind each factor.
@@ -90,7 +88,7 @@ class VolatilityThresholds:
         return cls(np.array([[payload[f][name].number() for name in _CUT_NAMES] for f in FACTORS]))
 
 
-def window_variance(values, window: range = TEMPERATURE_WINDOW):
+def window_variance(values, window: range):
     """Population variance over ``window`` of the last axis of normalized
     half-hourly samples, every one present and finite: a day's ``[48]`` give
     a float, a ``[days, 48]`` array one variance per day, each day's bits."""
@@ -119,26 +117,31 @@ def factor_variances(dataset) -> dict[str, np.ndarray]:
     }
 
 
-def classify_volatility(factor: str, variance: float, thresholds: VolatilityThresholds) -> int:
-    """Band a variance into a level 0-3, the number of the factor's cuts at or
-    below it: bands are lower-inclusive, so a variance exactly on a cut
-    belongs to the higher level."""
-    if variance < 0:
-        raise InputError(f"variance must be non-negative, got {variance}")
-    return int(np.searchsorted(thresholds.cuts[FACTORS.index(factor)], variance, side="right"))
+def classify_volatility(factor: str, variance, thresholds: VolatilityThresholds):
+    """Band a variance, or each entry of an array of them, into a level 0-3,
+    the number of the factor's cuts at or below it: bands are
+    lower-inclusive, so a variance exactly on a cut belongs to the higher
+    level. The levels have the shape of ``variance``; NaN is level 3."""
+    if np.any(np.less(variance, 0)):
+        raise InputError(f"variance must be non-negative, got {np.nanmin(variance)}")
+    return np.searchsorted(thresholds.cuts[FACTORS.index(factor)], variance, side="right")
 
 
-def sigma_from_levels(levels: dict[str, int]) -> float:
-    """Noise std: max(1, sum of per-factor increments).
+def sigma_from_levels(levels: dict):
+    """Noise std: max(1, sum of per-factor increments), for one day's levels
+    or elementwise over arrays of them. The increments add in ``FACTORS``
+    order, so every day's sigma has the bits of its one-day call.
 
     The floor keeps the all-Normal case at the baseline N(0,1) noise; summed
     increments alone would give 0 there.
     """
-    return max(1.0, float(LEVEL_INCREMENTS[[levels[f] for f in FACTORS]].sum()))
+    return np.maximum(1.0, LEVEL_INCREMENTS[[levels[f] for f in FACTORS]].sum(axis=0))
 
 
-def noise_sigma(variances: dict[str, float], thresholds: VolatilityThresholds) -> float:
-    """Noise std for one day from its afternoon window variance per factor."""
+def noise_sigma(variances: dict, thresholds: VolatilityThresholds):
+    """Noise std from the afternoon window variance per factor: one day's
+    floats give its sigma, and ``factor_variances``' ``[days]`` arrays give
+    every day's sigma, entry k for ``dataset.days[k]``."""
     return sigma_from_levels(
         {factor: classify_volatility(factor, variances[factor], thresholds) for factor in FACTORS}
     )

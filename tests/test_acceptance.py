@@ -142,17 +142,16 @@ def test_09_reinforced_widening_direction(trained_toy, toy_dataset, toy_threshol
         count = 300
         cov_normal, cov_reinforced, width_normal, width_reinforced = [], [], [], []
         reinforced_days = 0
-        all_variances = wv.factor_variances(toy_dataset)
+        sigmas = wv.noise_sigma(wv.factor_variances(toy_dataset), toy_thresholds)
         for i, ((condition, actual), k) in enumerate(
             zip(trained_toy["test_days"], trained_toy["test_day_rows"])
         ):
-            variances = {f: v[k] for f, v in all_variances.items()}
             seed = derive_seed(1234, f"day{i}")
             baseline_set = ctsgan.generate_scenarios(
                 model, condition, 1.0, count, seed=derive_seed(seed, "scenarios-normal")
             )
             base_lower, base_upper = iv.build_interval(baseline_set, 0.9)
-            sigma = wv.noise_sigma(variances, toy_thresholds)
+            sigma = sigmas[k]
             (lower, upper), _ = iv.predict_pipeline(model, condition, sigma, count, 0.9, seed=seed)
             if sigma > 1.0:
                 reinforced_days += 1

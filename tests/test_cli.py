@@ -49,12 +49,9 @@ def workspace(tmp_path_factory, reference_thresholds):
         (root / "out" / "thresholds.json").read_text(encoding="utf-8")
     )
     first_day = {}  # reinforced (sigma > 1) or not -> the first such day
-    variances = wv.factor_variances(dataset)
+    sigmas = wv.noise_sigma(wv.factor_variances(dataset), thresholds)
     for k in range(1, dataset.n_days):
-        levels = {
-            f: wv.classify_volatility(f, variances[f][k], thresholds) for f in wv.FACTORS
-        }
-        first_day.setdefault(wv.sigma_from_levels(levels) > 1.0, dataset.days[k])
+        first_day.setdefault(bool(sigmas[k] > 1.0), dataset.days[k])
     assert set(first_day) == {False, True}
 
     # the worked example pairs the injected variances with its reference
@@ -354,6 +351,19 @@ def test_evaluate_report_and_determinism(workspace, capsys):
     assert report_path.read_bytes() == first
 
 
+def test_evaluate_ignores_the_variance_override(workspace, tmp_path):
+    """evaluate takes each day's sigma from the dataset: a config that
+    differs only in a variance override that would make the calm day's sigma
+    3 writes the same metrics_report.json."""
+    override = _config_in(workspace, tmp_path, variance_override={f: 1.0 for f in wv.FACTORS})
+    day = workspace["calm_date"].isoformat()
+    for cfg, out in ((str(workspace["cfg"]), "plain"), (override, "out")):
+        argv = ["evaluate", "--config", cfg, "--from", day, "--to", day, "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+    plain, overridden = (tmp_path / out / "metrics_report.json" for out in ("plain", "out"))
+    assert overridden.read_bytes() == plain.read_bytes()
+
+
 def test_evaluate_missing_day_named(workspace, capsys):
     last = workspace["dataset"].days[-1]
     beyond = (last + timedelta(days=3)).isoformat()
@@ -563,16 +573,16 @@ def test_calibrate_and_train_print_load_report(workspace, capsys):
     [
         ({"temperature": 0.004, "wind": 0.02}, "variance_override.irradiance: missing"),
         ({"temperature": 0.004, "irradiance": "high", "wind": 0.02},
-         'variance_override.irradiance: expected a finite number, got "high"'),
+         'variance_override.irradiance: expected a finite number >= 0, got "high"'),
         ([0.004, 0.07, 0.02], "variance_override: expected an object, got [0.004, 0.07, 0.02]"),
         ({"temperature": float("nan"), "irradiance": float("nan"), "wind": 0.02},
-         "variance_override.temperature: expected a finite number, got NaN"),
+         "variance_override.temperature: expected a finite number >= 0, got NaN"),
         ({"temperature": 0.004, "irradiance": 0.07, "wind": float("-inf")},
-         "variance_override.wind: expected a finite number, got -Infinity"),
+         "variance_override.wind: expected a finite number >= 0, got -Infinity"),
         ({"temperature": True, "irradiance": False, "wind": 0.02},
-         "variance_override.temperature: expected a finite number, got true"),
+         "variance_override.temperature: expected a finite number >= 0, got true"),
         ({"temperature": 0.004, "irradiance": False, "wind": 0.02},
-         "variance_override.irradiance: expected a finite number, got false"),
+         "variance_override.irradiance: expected a finite number >= 0, got false"),
     ],
     ids=["missing-factor", "non-numeric", "not-a-map", "nan", "minus-infinity", "booleans",
          "false"],
@@ -589,6 +599,21 @@ def test_predict_bad_variance_override_named(workspace, tmp_path, capsys, overri
     assert capsys.readouterr().err.strip() == f"error: config prediction.{message}"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "train", "predict", "evaluate", "report"])
+def test_every_command_refuses_a_negative_variance_override(tmp_path, capsys, command):
+    """A negative override variance fails when the config is read, naming
+    the key and the bound, whichever command reads it."""
+    override = {"temperature": -0.001, "irradiance": 0.07, "wind": 0.02}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prediction": {"variance_override": override}}), encoding="utf-8")
+    dates = ["--date", "2021-03-02", "--from", "2021-03-02", "--to", "2021-03-02"]
+    assert cli.main([command, "--config", str(cfg), *dates]) == 1
+    assert capsys.readouterr().err == (
+        "error: config prediction.variance_override.temperature: "
+        "expected a finite number >= 0, got -0.001\n"
+    )
+
+
 # 400 digits: a JSON integer no float holds
 HUGE = 10**400
 
@@ -596,12 +621,14 @@ HUGE = 10**400
 @pytest.mark.parametrize(
     "file, edit, where",
     [
-        ("thresholds", lambda t: t["wind"].update(high_cut=float("inf")), "thresholds wind.high_cut"),
-        ("thresholds", lambda t: t["wind"].update(high_cut=HUGE), "thresholds wind.high_cut"),
+        ("thresholds", lambda t: t["wind"].update(high_cut=float("inf")),
+         "thresholds wind.high_cut: expected a finite number"),
+        ("thresholds", lambda t: t["wind"].update(high_cut=HUGE),
+         "thresholds wind.high_cut: expected a finite number"),
         ("checkpoint", lambda m: m["latent_shift"].__setitem__(2, HUGE),
-         "model checkpoint latent_shift[2]"),
+         "model checkpoint latent_shift[2]: expected a finite number"),
         ("config", lambda c: c["prediction"]["variance_override"].update(wind=HUGE),
-         "config prediction.variance_override.wind"),
+         "config prediction.variance_override.wind: expected a finite number >= 0"),
     ],
     ids=["infinite-cut", "400-digit-cut", "400-digit-latent-shift", "400-digit-variance-override"],
 )
@@ -627,7 +654,7 @@ def test_predict_refuses_a_number_no_float_holds(workspace, tmp_path, capsys, fi
     assert cli.main(["predict", "--config", str(cfg), "--date", date]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"{where}: expected a finite number, got " in err[0]
+    assert f"{where}, got " in err[0]
 
 
 @pytest.mark.parametrize(
@@ -934,23 +961,37 @@ def _config_out(workspace, tmp_path, training=(), **paths):
     return str(cfg)
 
 
-@pytest.mark.parametrize("command", ["calibrate", "predict"])
-def test_refused_artifact_write_is_one_error_line(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("calibrate", "thresholds.json"),
+        ("predict", "interval_{day}.csv"),
+        ("predict", "density_{day}.json"),
+        ("predict", "scenarios_{day}.csv"),
+    ],
+    ids=["calibrate", "predict", "predict-density", "predict-scenarios"],
+)
+def test_refused_artifact_write_is_one_error_line(workspace, tmp_path, capsys, command, name):
     """An artifact whose path is a directory ends the command in one error
-    line naming the file, and leaves no tmp file in the out dir."""
+    line naming the file, and leaves no tmp file in the out dir. predict
+    writes its interval, the file report selects by, last, so a refused
+    write leaves no interval."""
     day = workspace["calm_date"].isoformat()
     out = tmp_path / "out"
+    blocked = out / name.format(day=day)
     if command == "calibrate":
-        cfg, flags, blocked = _config_out(workspace, tmp_path), [], out / "thresholds.json"
+        cfg, flags = _config_out(workspace, tmp_path), []
     else:
         cfg = _config_out(workspace, tmp_path, thresholds=str(workspace["out"] / "thresholds.json"))
-        flags, blocked = ["--date", day], out / f"interval_{day}.csv"
+        flags = ["--date", day]
     blocked.mkdir(parents=True)
     capsys.readouterr()
     assert cli.main([command, "--config", cfg, *flags]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(blocked) in err[0], err
-    assert [p.name for p in out.iterdir()] == [blocked.name]
+    assert not list(out.glob("*.tmp")) and not (out / f"interval_{day}.csv").is_file()
+    if command == "calibrate":
+        assert [p.name for p in out.iterdir()] == [blocked.name]
 
 
 def test_train_makes_a_missing_checkpoint_directory(workspace, tmp_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from priceband import cli, ctsgan
 from priceband import weather_volatility as wv
 from priceband.errors import CheckpointError, InputError
 
+ROOT = Path(__file__).resolve().parent.parent
 NAN, INF = float("nan"), float("inf")
 
 # Values no field of a kind holds, by label. A 400-digit integer is an
@@ -105,13 +107,37 @@ VALID_CONFIG = {
 }
 
 
-def test_config_table_names_every_setting():
-    """``CONFIG_FIELDS`` covers each setting of the config file ("seed"
-    inside "training" is ignored, as documented)."""
-    settings = {("seed",)} | {
+def _config_settings() -> set:
+    """The key path of every setting ``load_config`` reads ("seed" inside
+    "training" is ignored, as documented)."""
+    return {("seed",)} | {
         (f.metadata["section"], f.name) for f in dataclasses.fields(cli.RunConfig) if f.metadata
     } | {("training", f.name) for f in dataclasses.fields(ctsgan.TrainingConfig) if f.name != "seed"}
-    assert {path for path in CONFIG_FIELDS if len(path) == 2} | {("seed",)} == settings
+
+
+def test_config_table_names_every_setting():
+    """``CONFIG_FIELDS`` covers each setting of the config file."""
+    assert {path for path in CONFIG_FIELDS if len(path) == 2} | {("seed",)} == _config_settings()
+
+
+def test_readme_config_block_holds_the_defaults(tmp_path):
+    """The JSON block under README's "Config file" names every setting, and
+    with its two ``<out_dir>/...`` placeholders dropped it loads as
+    ``RunConfig()``, field by field."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Config file\n", 1)[1]
+    block = json.loads(readme.split("```json\n", 1)[1].split("\n```", 1)[0])
+    named = {(key,) for key, value in block.items() if type(value) is not dict}
+    named |= {(section, key) for section, value in block.items() if type(value) is dict for key in value}
+    assert named == _config_settings()
+    placeholders = [k for k, v in block["paths"].items() if v.startswith("<out_dir>/")]
+    assert sorted(placeholders) == ["checkpoint", "thresholds"]
+    for key in placeholders:
+        del block["paths"][key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block), encoding="utf-8")
+    loaded, default = cli.load_config(cfg), cli.RunConfig()
+    for f in dataclasses.fields(cli.RunConfig):
+        assert getattr(loaded, f.name) == getattr(default, f.name), f.name
 
 
 @pytest.mark.parametrize("path, value", _cases("config", CONFIG_FIELDS))

@@ -184,12 +184,9 @@ def test_confidence_estimator_against_binomial_oracle():
 def eval_days_from(dataset, thresholds, start, stop):
     """Condition rows, actual paths and noise sigmas of day-axis rows
     ``start`` to ``stop - 1``."""
-    variances = wv.factor_variances(dataset)
-    sigmas = [
-        wv.noise_sigma({f: v[k] for f, v in variances.items()}, thresholds)
-        for k in dataset.target_rows[start:stop]
-    ]
-    return dataset.conditions[start:stop], dataset.targets[start:stop], sigmas
+    rows = slice(start, stop)
+    sigmas = wv.noise_sigma(wv.factor_variances(dataset), thresholds)[dataset.target_rows[rows]]
+    return dataset.conditions[rows], dataset.targets[rows], sigmas
 
 
 def test_harness_reproducible(mini_model, toy_dataset, toy_thresholds):

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from priceband import data_ingest, synthetic
 from priceband import weather_volatility as wv
 from priceband.data_ingest import normalize
 from priceband.errors import InputError
+
+TEMPERATURE = wv.FACTOR_WINDOWS["temperature"]  # 12:00-19:00
 
 
 # --- window variance -----------------------------------------------------------
 
 def test_constant_series_zero_variance():
-    assert wv.window_variance(np.full(48, 0.3)) == 0.0
+    assert wv.window_variance(np.full(48, 0.3), TEMPERATURE) == 0.0
 
 
 def test_alternating_samples_quarter_variance():
@@ -21,7 +24,7 @@ def test_alternating_samples_quarter_variance():
     values[24:39] = np.tile([0.0, 1.0], 8)[:15]
     # population variance of {0,1} split 8/7 over 15 samples
     expected = np.var(values[24:39])
-    assert wv.window_variance(values) == pytest.approx(expected, abs=1e-15)
+    assert wv.window_variance(values, TEMPERATURE) == pytest.approx(expected, abs=1e-15)
     even = np.zeros(48)
     even[24:38] = np.tile([0.0, 1.0], 7)
     assert wv.window_variance(even, range(24, 38)) == pytest.approx(0.25, abs=1e-15)
@@ -42,7 +45,7 @@ def test_incomplete_window_rejected():
     values = np.full(48, 0.5)
     values[30] = np.nan
     with pytest.raises(InputError, match="missing samples"):
-        wv.window_variance(values)
+        wv.window_variance(values, TEMPERATURE)
     with pytest.raises(InputError, match="window needs index 38"):
         wv.window_variance(np.ones(10), range(24, 39))
 
@@ -68,9 +71,17 @@ def test_classification_boundary_is_lower_inclusive(reference_thresholds, factor
 
 
 def test_classification_nan_is_high_and_negative_is_refused(reference_thresholds):
+    """For a float and for each entry of an array: NaN is level 3, and a
+    negative entry refuses the call, naming the most negative one."""
     assert wv.classify_volatility("wind", float("nan"), reference_thresholds) == 3
-    with pytest.raises(InputError, match="variance must be non-negative"):
+    with pytest.raises(InputError, match=r"^variance must be non-negative, got -1e-12$"):
         wv.classify_volatility("wind", -1e-12, reference_thresholds)
+    variances = np.array([0.001, 0.004, np.nan, 0.0058])
+    levels = wv.classify_volatility("temperature", variances, reference_thresholds)
+    assert levels.shape == (4,) and levels.tolist() == [0, 2, 3, 3]
+    variances[1:3] = -1e-12, -0.5
+    with pytest.raises(InputError, match=r"^variance must be non-negative, got -0.5$"):
+        wv.classify_volatility("temperature", variances, reference_thresholds)
 
 
 def test_classification_monotone(reference_thresholds):
@@ -119,10 +130,10 @@ def test_benchmark_sigma_route_matches_noise_sigma(toy_dataset, toy_thresholds):
     """The route bench/workloads.py takes to each day's expected sigma
     (thresholds read back from JSON, the window variance of the day's
     normalized samples, then ``classify_volatility`` and
-    ``sigma_from_levels``) gives ``noise_sigma``'s value on the day's
+    ``sigma_from_levels``) gives the day's entry of ``noise_sigma`` over
     ``factor_variances`` bit for bit on every day of the toy corpus."""
     thresholds = wv.VolatilityThresholds.from_json(toy_thresholds.to_json())
-    variances = wv.factor_variances(toy_dataset)
+    table = wv.noise_sigma(wv.factor_variances(toy_dataset), toy_thresholds)
     for k, day in enumerate(toy_dataset.days):
         levels = {}
         for f in wv.FACTORS:
@@ -130,8 +141,30 @@ def test_benchmark_sigma_route_matches_noise_sigma(toy_dataset, toy_thresholds):
             normed = normalize(toy_dataset.channels[name][k], toy_dataset.norm[name])
             variance = wv.window_variance(normed, wv.FACTOR_WINDOWS[f])
             levels[f] = wv.classify_volatility(f, variance, thresholds)
-        day_variances = {f: v[k] for f, v in variances.items()}
-        assert wv.sigma_from_levels(levels) == wv.noise_sigma(day_variances, toy_thresholds), day
+        assert wv.sigma_from_levels(levels) == table[k], day
+
+
+@pytest.mark.parametrize("seed", [1, 5, 23])
+def test_every_days_sigma_has_the_bits_of_its_one_day_call(tmp_path, seed):
+    """``noise_sigma`` over the ``[days]`` arrays of ``factor_variances`` is a
+    float64 ``[days]`` table whose entry k has the bits of the call on day
+    k's three floats and of ``max(1, t + i + w)``, the increments added in
+    ``FACTORS`` order as Python floats. Seed 1 has a day at levels (2, 1, 1)
+    and seed 23 one at (1, 1, 2), where another order changes the last bit."""
+    synthetic.generate_market_csv(tmp_path / "corpus.csv", days=366, seed=seed)
+    dataset = data_ingest.load_dataset(tmp_path / "corpus.csv")
+    variances = wv.factor_variances(dataset)
+    thresholds = wv.calibrate_thresholds(variances)
+    table = wv.noise_sigma(variances, thresholds)
+    assert table.dtype == np.float64 and table.shape == (dataset.n_days,)
+    for k, day in enumerate(dataset.days):
+        alone = {f: float(v[k]) for f, v in variances.items()}
+        t, i, w = (
+            float(wv.LEVEL_INCREMENTS[wv.classify_volatility(f, alone[f], thresholds)])
+            for f in wv.FACTORS
+        )
+        for sigma in (wv.noise_sigma(alone, thresholds), max(1.0, t + i + w)):
+            assert table[k].view(np.int64) == np.float64(sigma).view(np.int64), day
 
 
 def test_factor_variances_equal_each_day_alone(toy_dataset):
@@ -155,15 +188,15 @@ def test_window_variance_over_days():
     rng = np.random.default_rng(5)
     days = rng.uniform(0, 1, (4, 48))
     days[2, 24:39] = 0.3
-    got = wv.window_variance(days)
+    got = wv.window_variance(days, TEMPERATURE)
     assert got.shape == (4,) and got[2] == 0.0
     for k in range(4):
-        assert got[k] == wv.window_variance(days[k])
+        assert got[k] == wv.window_variance(days[k], TEMPERATURE)
     days[3, 30] = np.nan
     with pytest.raises(InputError, match="missing samples"):
-        wv.window_variance(days)
+        wv.window_variance(days, TEMPERATURE)
     with pytest.raises(InputError, match=r"or \[days, 48\] samples, got \(2, 2, 48\)"):
-        wv.window_variance(np.ones((2, 2, 48)))
+        wv.window_variance(np.ones((2, 2, 48)), TEMPERATURE)
 
 
 @pytest.mark.parametrize(
